@@ -37,10 +37,10 @@ def test_e01_benchmark_rewritten_query(benchmark, scenario):
 
 
 def test_e01_benchmark_baseline_query(benchmark, scenario):
-    from repro.harness.runner import _all_off
+    from repro.harness.runner import all_off
     from repro.optimizer.planner import Optimizer
 
-    plan = Optimizer(scenario.database, None, _all_off()).optimize(QUERY)
+    plan = Optimizer(scenario.database, None, all_off()).optimize(QUERY)
     benchmark(lambda: scenario.executor.execute(plan))
 
 

@@ -48,10 +48,10 @@ def test_e02_benchmark_eliminated(benchmark, scenario):
 
 
 def test_e02_benchmark_baseline(benchmark, scenario):
-    from repro.harness.runner import _all_off
+    from repro.harness.runner import all_off
     from repro.optimizer.planner import Optimizer
 
-    plan = Optimizer(scenario.database, None, _all_off()).optimize(
+    plan = Optimizer(scenario.database, None, all_off()).optimize(
         QUERIES["fact-only filter"]
     )
     benchmark(lambda: scenario.executor.execute(plan))

@@ -36,12 +36,12 @@ def test_e03_benchmark_knockout(benchmark, scenario):
 
 
 def test_e03_benchmark_baseline(benchmark, scenario):
-    from repro.harness.runner import _all_off
+    from repro.harness.runner import all_off
     from repro.optimizer.planner import Optimizer
 
     db, tables = scenario
     sql = monthly_union_sql(tables, YEAR_START, YEAR_START + 89)
-    plan = Optimizer(db.database, db.registry, _all_off()).optimize(sql)
+    plan = Optimizer(db.database, db.registry, all_off()).optimize(sql)
     benchmark(lambda: db.executor.execute(plan))
 
 

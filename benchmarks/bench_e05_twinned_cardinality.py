@@ -13,7 +13,6 @@ confidence drops; twinned predicates never change answers.
 
 import pytest
 
-from repro.harness.runner import _all_off
 from repro.optimizer.planner import Optimizer, OptimizerConfig
 from repro.softcon.checksc import CheckSoftConstraint
 from repro.stats.errors import q_error

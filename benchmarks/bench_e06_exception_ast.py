@@ -48,10 +48,10 @@ def test_e06_benchmark_routed_plan(benchmark, scenario):
 
 
 def test_e06_benchmark_full_scan_baseline(benchmark, scenario):
-    from repro.harness.runner import _all_off
+    from repro.harness.runner import all_off
     from repro.optimizer.planner import Optimizer
 
-    plan = Optimizer(scenario.database, None, _all_off()).optimize(QUERY)
+    plan = Optimizer(scenario.database, None, all_off()).optimize(QUERY)
     benchmark(lambda: scenario.executor.execute(plan))
 
 

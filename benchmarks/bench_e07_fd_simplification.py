@@ -12,7 +12,7 @@ estimated and wall-clock cost) and produces identical groups/order.
 import pytest
 
 from repro.discovery.fd_miner import mine_functional_dependencies
-from repro.harness.runner import _all_off, compare_optimizers
+from repro.harness.runner import all_off, compare_optimizers
 from repro.optimizer.planner import Optimizer, OptimizerConfig
 from repro.workload.schemas import build_denormalized_orders
 
@@ -45,7 +45,7 @@ def test_e07_benchmark_simplified_group(benchmark, scenario):
 
 
 def test_e07_benchmark_baseline_group(benchmark, scenario):
-    plan = Optimizer(scenario.database, None, _all_off()).optimize(GROUP_SQL)
+    plan = Optimizer(scenario.database, None, all_off()).optimize(GROUP_SQL)
     benchmark(lambda: scenario.executor.execute(plan))
 
 

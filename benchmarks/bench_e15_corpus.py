@@ -15,8 +15,7 @@ deterministic logical page-read count, so zero REGRESSION and zero
 validation mismatches are hard assertions, not statistical ones.  Emits
 ``BENCH_e15.json``; ``check_bench_regression.py`` gates its corpus
 section so any future PR that turns a NEUTRAL into a REGRESSION (or
-breaks validation) fails CI.  A strided sample additionally records the
-columnar-kernels-on vs -off wall-clock axis (advisory, not gated).
+breaks validation) fails CI.
 
 Set ``E15_FAST=1`` for the CI smoke run: reduced scale factor, a strided
 query sample, results written to a temp directory (the committed
@@ -54,26 +53,19 @@ RESULTS_PATH = (
 )
 
 
-#: The columnar wall-clock axis times a strided sample of the corpus
-#: (execution-only, columnar on vs off).  Advisory — reported in the
-#: JSON but not gated, since wall-clock on shared CI runners is noisy.
-COLUMNAR_AXIS_STRIDE = 9 if FAST else 5
-
-
 @pytest.fixture(scope="module")
 def corpus_run():
     db = build_tpc_db(SCALE_FACTOR, seed=DATA_SEED)
     queries = generate_corpus(seed=CORPUS_SEED)[::QUERY_STRIDE]
     runner = CorpusRunner(db, metric="pages")
     outcomes = runner.run(queries)
-    columnar_axis = runner.columnar_axis(queries[::COLUMNAR_AXIS_STRIDE])
-    return queries, outcomes, summarize(outcomes), columnar_axis
+    return queries, outcomes, summarize(outcomes)
 
 
 def test_e15_corpus_classification_shape(corpus_run):
     """The acceptance shape: enough queries, zero regressions, zero
     validation mismatches, and every planted mechanism actually firing."""
-    queries, outcomes, summary, _ = corpus_run
+    queries, outcomes, summary = corpus_run
     assert summary["queries"] >= MIN_QUERIES
     assert summary["regressions"] == 0
     assert summary["errors"] == 0
@@ -99,7 +91,7 @@ def test_e15_corpus_classification_shape(corpus_run):
 
 def test_e15_report_and_emit_json(report, corpus_run):
     """Writes BENCH_e15.json and requires the gate to accept it."""
-    queries, outcomes, summary, columnar_axis = corpus_run
+    queries, outcomes, summary = corpus_run
     measured = [o for o in outcomes if not o.ceiling_bounded]
     wall = {
         "sc_on_s": round(sum(o.candidate_s or 0.0 for o in measured), 4),
@@ -117,9 +109,6 @@ def test_e15_report_and_emit_json(report, corpus_run):
             "measured_wall": wall,
             **summary,
         },
-        # Advisory wall-clock axis (not gated): columnar kernels on vs
-        # off over a strided sample, SC-on plans, execution-only.
-        "columnar_axis": columnar_axis,
         "queries": [o.as_dict() for o in outcomes],
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -143,11 +132,6 @@ def test_e15_report_and_emit_json(report, corpus_run):
             ["confidence counts", str(summary["validation_confidence_counts"])],
             ["worst q-error by status", str(summary["worst_qerror_by_status"])],
             ["SC-on / SC-off wall s", f"{wall['sc_on_s']} / {wall['sc_off_s']}"],
-            ["columnar axis (exec-only) x", (
-                f"{columnar_axis['speedup']} "
-                f"({columnar_axis['list_batched_s']}s list -> "
-                f"{columnar_axis['columnar_s']}s columnar)"
-            )],
         ],
     )
     from check_bench_regression import check_regressions

@@ -27,9 +27,6 @@ from typing import Dict, List, Tuple
 
 BENCH_DIR = Path(__file__).resolve().parent
 
-# Kept for callers/tests that refer to the e11 results directly.
-DEFAULT_RESULTS = BENCH_DIR / "BENCH_e11.json"
-
 #: The candidate path must never be slower than its baseline.
 HARD_FLOOR = 1.0
 
@@ -39,11 +36,9 @@ HARD_FLOOR = 1.0
 #: third element documents the experiment's expected headline target so
 #: a results file that *lost* its target_speedup field still gets gated.
 SCHEMAS: Dict[str, Tuple[str, str, float]] = {
-    "BENCH_e11.json": ("row_at_a_time_s", "batched_s", 3.0),
-    "BENCH_e12.json": ("interpreted_batched_s", "compiled_batched_s", 2.0),
     "BENCH_e13.json": ("static_s", "feedback_s", 1.5),
     "BENCH_e14.json": ("baseline_s", "candidate_s", 5.0),
-    "BENCH_e16.json": ("list_batched_s", "columnar_s", 5.0),
+    "BENCH_e16.json": ("oracle_s", "production_s", 10.0),
     # BENCH_e17.json has no timing pipelines: its ``sessions`` section is
     # gated by :func:`_check_sessions` (flush amortization, abort rate).
     "BENCH_e18.json": ("primary_only_s", "fleet_s", 1.8),
@@ -55,8 +50,6 @@ SCHEMAS: Dict[str, Tuple[str, str, float]] = {
 #: Fallback timing key pairs tried, in order, for BENCH files that are
 #: not in SCHEMAS yet.
 GENERIC_KEYS = [
-    ("row_at_a_time_s", "batched_s"),
-    ("interpreted_batched_s", "compiled_batched_s"),
     ("baseline_s", "candidate_s"),
 ]
 
@@ -249,7 +242,7 @@ def _check_failover(failover: dict) -> List[str]:
     return failures
 
 
-def check_regressions(path: Path = DEFAULT_RESULTS) -> List[str]:
+def check_regressions(path: Path) -> List[str]:
     """Return a list of human-readable regression descriptions (empty = ok)."""
     path = Path(path)
     payload = json.loads(path.read_text())

@@ -7,9 +7,8 @@ index.  Wall-clock timings come from pytest-benchmark; the *shape* results
 benchmark summaries.
 
 The session also ends with the perf regression gate: every recorded
-``BENCH_*.json`` (e.g. the batched-executor results from
-``bench_e11_batched_executor.py`` and the compiled-expression results
-from ``bench_e12_compiled_expressions.py``) is checked; if any records
+``BENCH_*.json`` (e.g. the production-vs-oracle executor results from
+``bench_e16_production_vs_oracle.py``) is checked; if any records
 its candidate path as slower than its baseline — or below the
 experiment's recorded speedup target — the whole benchmark run fails
 even when every individual test passed.

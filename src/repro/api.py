@@ -120,7 +120,6 @@ class SoftDB:
             self.registry,
             batch_size=self.config.batch_size,
             feedback=self.feedback,
-            columnar=self.config.columnar,
             workers=self.config.workers if self.config.workers else None,
         )
         self._constraint_sequence = 0
@@ -413,14 +412,8 @@ class SoftDB:
         text = explain_plan(plan)
         summary = (
             f"\nactual: {result.row_count} rows, "
-            f"{result.page_reads} pages read"
+            f"{result.page_reads} pages read, executor={result.executor}"
         )
-        if self.executor.batch_size:
-            summary += (
-                f" (batched, batch_size={self.executor.batch_size}, "
-                f"columnar={'yes' if self.executor.columnar else 'no'}, "
-                f"workers={self.executor.workers})"
-            )
         if result.truncated:
             summary += " [truncated by guard]"
         if result.guard_report is not None:

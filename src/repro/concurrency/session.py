@@ -99,7 +99,6 @@ class Session:
             db.registry,
             batch_size=db.config.batch_size,
             feedback=db.feedback,
-            columnar=db.config.columnar,
             workers=db.config.workers if db.config.workers else None,
         )
         self.guard = None  # default QueryGuard applied to every statement

@@ -159,64 +159,7 @@ class CorpusRunner:
             "summary": summarize(outcomes),
         }
 
-    def columnar_axis(
-        self, queries: Sequence[CorpusQuery], repetitions: int = 2
-    ) -> Dict[str, Any]:
-        """Wall-clock speedup of the columnar kernels across the corpus.
-
-        Plans each query once through the SC-on optimizer and times pure
-        execution (plan reused, so optimize cost is excluded) with the
-        columnar kernels on vs off.  Page-read classification is
-        untouched by this axis — both modes fetch the identical pages —
-        so the result is reported alongside the corpus, not gated by it.
-        """
-        entries: List[Dict[str, Any]] = []
-        total_columnar = 0.0
-        total_list = 0.0
-        for query in queries:
-            try:
-                plan = self.sc_on.optimize(query.sql)
-                self.executor.execute(plan, columnar=True)  # warm-up
-                columnar_s = min(
-                    self._timed(plan, columnar=True)
-                    for _ in range(repetitions)
-                )
-                list_s = min(
-                    self._timed(plan, columnar=False)
-                    for _ in range(repetitions)
-                )
-            except Exception as error:  # noqa: BLE001 - axis is advisory
-                entries.append(
-                    {
-                        "query_id": query.query_id,
-                        "error": f"{type(error).__name__}: {error}",
-                    }
-                )
-                continue
-            total_columnar += columnar_s
-            total_list += list_s
-            entries.append(
-                {
-                    "query_id": query.query_id,
-                    "family": query.family,
-                    "columnar_s": round(columnar_s, 5),
-                    "list_batched_s": round(list_s, 5),
-                    "speedup": round(_wall_ratio(list_s, columnar_s), 2),
-                }
-            )
-        return {
-            "queries": entries,
-            "columnar_s": round(total_columnar, 4),
-            "list_batched_s": round(total_list, 4),
-            "speedup": round(_wall_ratio(total_list, total_columnar), 2),
-        }
-
     # -- internals ------------------------------------------------------------
-
-    def _timed(self, plan: Any, columnar: bool) -> float:
-        start = time.perf_counter()
-        self.executor.execute(plan, columnar=columnar)
-        return time.perf_counter() - start
 
     def _measure(self, optimizer: Optimizer, sql: str):
         """Optimize + execute once; wall-clock covers both phases."""

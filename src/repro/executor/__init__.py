@@ -1,9 +1,10 @@
-"""The runtime: batched and row-at-a-time interpreters for physical plans.
+"""The runtime: the production executor and the oracle for physical plans.
 
-By default rows flow between operators as column-major
+On the production path rows flow between operators as column-major
 :class:`~repro.executor.batch.RowBatch` objects (the vectorized pipeline
-in :mod:`repro.executor.vectorized`); ``batch_size=0`` selects the
-original row-at-a-time iterator model where operators exchange
+in :mod:`repro.executor.vectorized`); ``batch_size=0``, or a plan
+without compiled closures, selects the oracle — the interpreted
+row-at-a-time iterator model where operators exchange
 ``{qualified_name: value}`` dicts.  All page I/O is charged to the
 database's shared counters, so an
 :class:`~repro.executor.runtime.ExecutionResult` reports exactly the pages

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ExecutionError
 from repro.executor.vecbatch import promote
@@ -25,7 +25,6 @@ class AggregateState:
 
     __slots__ = (
         "spec",
-        "argument_fn",
         "count",
         "total",
         "minimum",
@@ -33,15 +32,8 @@ class AggregateState:
         "seen",
     )
 
-    def __init__(
-        self,
-        spec: Aggregate,
-        argument_fn: Optional[Callable[[RowDict], Any]] = None,
-    ) -> None:
+    def __init__(self, spec: Aggregate) -> None:
         self.spec = spec
-        # Plan-time-compiled argument closure; None means interpret (or
-        # COUNT(*), which has no argument at all).
-        self.argument_fn = argument_fn
         self.count = 0
         self.total: Optional[float] = None
         self.minimum: Any = None
@@ -52,10 +44,7 @@ class AggregateState:
         if self.spec.argument is None:  # COUNT(*)
             self.count += 1
             return
-        if self.argument_fn is not None:
-            value = self.argument_fn(row)
-        else:
-            value = evaluate(self.spec.argument, row)
+        value = evaluate(self.spec.argument, row)
         if value is None:
             return
         if self.seen is not None:
@@ -196,15 +185,6 @@ class AggregateState:
         raise ExecutionError(f"unknown aggregate {function!r}")
 
 
-def new_states(
-    specs: List[Aggregate],
-    compiled_args: Optional[List[Optional[tuple]]] = None,
-) -> List[AggregateState]:
-    """Fresh per-group states; ``compiled_args`` is the plan's parallel
-    list of ``(row_fn, batch_fn)`` pairs (None entries for COUNT(*))."""
-    if compiled_args is None:
-        return [AggregateState(spec) for spec in specs]
-    return [
-        AggregateState(spec, pair[0] if pair is not None else None)
-        for spec, pair in zip(specs, compiled_args)
-    ]
+def new_states(specs: List[Aggregate]) -> List[AggregateState]:
+    """Fresh per-group states."""
+    return [AggregateState(spec) for spec in specs]

@@ -1,7 +1,9 @@
 """Join operators: hash join and (materialized-inner) nested loops.
 
-Each join has a row-at-a-time form and a batched twin.  The batched
-forms materialize the build/inner side as one concatenated
+Each join has a row-at-a-time form (the oracle: it interprets its
+expressions) and a batched twin (the production executor: it runs the
+plan's compiled closures).  The batched forms materialize the
+build/inner side as one concatenated
 :class:`~repro.executor.batch.RowBatch`, evaluate join keys once per
 batch, and emit column-major output whose inner-side columns are gathered
 (or, for nested loops, tiled by C-level list repetition) rather than
@@ -17,11 +19,11 @@ to observe the edge's true selectivity.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import ColumnarBatch
-from repro.expr.eval import evaluate, evaluate_batch
+from repro.expr.eval import evaluate
 from repro.expr.vector import VectorFallback, compile_vector
 from repro.optimizer.physical import HashJoin, NestedLoopJoin
 from repro.sql import ast
@@ -76,18 +78,10 @@ def run_nested_loop_join(
     if guard is not None:
         outer_rows = _note_pairs_per_row(outer_rows, guard, len(inner_rows))
     condition = node.condition
-    compiled = node.compiled_condition
     if condition is None:
         for left_row in outer_rows:
             for right_row in inner_rows:
                 yield {**left_row, **right_row}
-    elif compiled is not None:
-        condition_fn = compiled[0]
-        for left_row in outer_rows:
-            for right_row in inner_rows:
-                merged = {**left_row, **right_row}
-                if condition_fn(merged) is True:
-                    yield merged
     else:
         for left_row in outer_rows:
             for right_row in inner_rows:
@@ -106,26 +100,10 @@ def run_hash_join(
 
     NULL key components never match (SQL equality semantics).
     """
-    right_fns = (
-        [pair[0] for pair in node.compiled_right_keys]
-        if node.compiled_right_keys is not None
-        else None
-    )
-    left_fns = (
-        [pair[0] for pair in node.compiled_left_keys]
-        if node.compiled_left_keys is not None
-        else None
-    )
     residual = node.residual
-    residual_fn = (
-        node.compiled_residual[0] if node.compiled_residual is not None else None
-    )
     build: Dict[Tuple[Any, ...], List[RowDict]] = {}
     for right_row in run_child(node.right):
-        if right_fns is not None:
-            key = tuple(fn(right_row) for fn in right_fns)
-        else:
-            key = tuple(evaluate(expr, right_row) for expr in node.right_keys)
+        key = tuple(evaluate(expr, right_row) for expr in node.right_keys)
         if any(part is None for part in key):
             continue
         build.setdefault(key, []).append(right_row)
@@ -136,12 +114,7 @@ def run_hash_join(
         if not build:
             return  # empty build side: skip scanning the probe input entirely
         for left_row in run_child(node.left):
-            if left_fns is not None:
-                key = tuple(fn(left_row) for fn in left_fns)
-            else:
-                key = tuple(
-                    evaluate(expr, left_row) for expr in node.left_keys
-                )
+            key = tuple(evaluate(expr, left_row) for expr in node.left_keys)
             if any(part is None for part in key):
                 continue
             matches = build.get(key)
@@ -153,12 +126,7 @@ def run_hash_join(
                 guard.note_pairs(len(matches))
             for right_row in matches:
                 merged = {**left_row, **right_row}
-                if residual is None:
-                    yield merged
-                elif residual_fn is not None:
-                    if residual_fn(merged) is True:
-                        yield merged
-                elif evaluate(residual, merged) is True:
+                if residual is None or evaluate(residual, merged) is True:
                     yield merged
     finally:
         if count_pairs:
@@ -231,11 +199,9 @@ def run_nested_loop_join_batched(
                     )
                 merged = RowBatch(columns, data, k * m)
                 if node.condition is not None:
-                    if node.compiled_condition is not None:
-                        verdicts = node.compiled_condition[1](merged)
-                    else:
-                        verdicts = evaluate_batch(node.condition, merged)
-                    merged = merged.filter_true(verdicts)
+                    merged = merged.filter_true(
+                        node.compiled_condition[1](merged)
+                    )
                 if len(merged):
                     yield merged
     finally:
@@ -245,21 +211,18 @@ def run_nested_loop_join_batched(
 
 def _key_columns(
     exprs: Sequence[ast.Expression],
-    compiled: Optional[Sequence[Tuple[Any, Any]]],
+    compiled: Sequence[Tuple[Any, Any]],
     batch: RowBatch,
-    columnar: bool,
 ) -> List[List[Any]]:
     """Evaluate join key expressions over a batch.
 
-    With ``columnar`` on, *computed* keys (anything but a plain column
-    reference, whose list the compiled closure already returns with zero
-    copying) are extracted through the vector kernels and materialized
-    back to Python values; a :class:`VectorFallback` on any key reverts
-    the whole batch to the list closures for exact error parity.
+    *Computed* keys (anything but a plain column reference, whose list
+    the compiled closure already returns with zero copying) are
+    extracted through the vector kernels and materialized back to Python
+    values; a :class:`VectorFallback` on any key reverts the whole batch
+    to the list closures for exact error parity.
     """
-    if columnar and any(
-        not isinstance(expr, ast.ColumnRef) for expr in exprs
-    ):
+    if any(not isinstance(expr, ast.ColumnRef) for expr in exprs):
         columnar_batch = ColumnarBatch.from_row_batch(batch)
         try:
             return [
@@ -268,9 +231,7 @@ def _key_columns(
             ]
         except VectorFallback:
             pass
-    if compiled is not None:
-        return [pair[1](batch) for pair in compiled]
-    return [evaluate_batch(expr, batch) for expr in exprs]
+    return [pair[1](batch) for pair in compiled]
 
 
 def run_hash_join_batched(
@@ -279,7 +240,6 @@ def run_hash_join_batched(
     batch_size: int,
     count_pairs: bool = False,
     guard: Any = None,
-    columnar: bool = False,
 ) -> Iterator[RowBatch]:
     """Batched hash join: keys evaluated per batch, matches gathered.
 
@@ -297,7 +257,7 @@ def run_hash_join_batched(
         # them so aliased in-place mutation fails loudly (see RowBatch).
         build_side.freeze()
         key_columns = _key_columns(
-            node.right_keys, node.compiled_right_keys, build_side, columnar
+            node.right_keys, node.compiled_right_keys, build_side
         )
         for i in range(len(build_side)):
             key = tuple(column[i] for column in key_columns)
@@ -310,7 +270,7 @@ def run_hash_join_batched(
             return  # empty build side: skip scanning the probe input entirely
         for left in run_child(node.left):
             key_columns = _key_columns(
-                node.left_keys, node.compiled_left_keys, left, columnar
+                node.left_keys, node.compiled_left_keys, left
             )
             probe_idx: List[int] = []
             build_idx: List[int] = []
@@ -338,11 +298,7 @@ def run_hash_join_batched(
                 data[name] = [column[j] for j in build_idx]
             merged = RowBatch(columns, data, len(probe_idx))
             if node.residual is not None:
-                if node.compiled_residual is not None:
-                    verdicts = node.compiled_residual[1](merged)
-                else:
-                    verdicts = evaluate_batch(node.residual, merged)
-                merged = merged.filter_true(verdicts)
+                merged = merged.filter_true(node.compiled_residual[1](merged))
             if len(merged):
                 yield merged
     finally:

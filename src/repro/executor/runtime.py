@@ -1,9 +1,13 @@
 """The plan interpreter and its execution metrics.
 
-Two interpreters live behind the :class:`Executor` facade: the batched
-(vectorized) pipeline in :mod:`repro.executor.vectorized` — the default —
-and the original row-at-a-time iterator model implemented here, selected
-with ``batch_size=0`` and used as the differential-testing oracle.
+Two executors live behind the :class:`Executor` facade.  The production
+path is the batched, columnar, compiled pipeline in
+:mod:`repro.executor.vectorized`.  The oracle is the row-at-a-time
+iterator model implemented here: it interprets every expression through
+:func:`repro.expr.eval.evaluate` and shares no evaluation code with the
+production path, which is what makes it the reference the differential
+suites hold production to.  :meth:`Executor.execute` picks the oracle
+when ``batch_size`` is 0 or the plan carries no compiled closures.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def default_workers() -> int:
 
     ``1`` means strictly sequential scans; anything larger enables the
     morsel-parallel seq-scan path for observation-free scans (see
-    :func:`repro.executor.scans.run_seq_scan_columnar`).
+    :func:`repro.executor.scans.run_seq_scan_batched`).
     """
     try:
         return max(1, int(os.environ.get("REPRO_WORKERS", "1")))
@@ -72,6 +76,9 @@ class ExecutionResult:
     #: The typed breach that truncated this execution (partial policy
     #: only; None when the run completed).
     guard_breach: Optional[Exception] = None
+    #: Which executor ran, as EXPLAIN ANALYZE prints it: ``"oracle"`` or
+    #: ``"production (batch_size=…, workers=…)"``.
+    executor: str = "oracle"
 
     def __init__(
         self,
@@ -117,12 +124,13 @@ class ExecutionResult:
 class Executor:
     """Interprets physical plans against a database.
 
-    Execution is *batched* (vectorized) by default: operators exchange
-    :class:`~repro.executor.batch.RowBatch` objects of up to
-    ``batch_size`` rows (see :mod:`repro.executor.vectorized`).  Passing
-    ``batch_size=0`` (or ``None``) selects the original row-at-a-time
-    interpreter — kept as an independently-implemented oracle that the
-    differential test harness holds the batched pipeline to.
+    A plan that carries compiled closures (``plan.compiled``, the
+    optimizer's default) runs on the production executor: operators
+    exchange :class:`~repro.executor.batch.RowBatch` objects of up to
+    ``batch_size`` rows (see :mod:`repro.executor.vectorized`).
+    ``batch_size=0`` (or ``None``), or a plan without closures, runs on
+    the oracle: the row-at-a-time interpreter, independently implemented,
+    that the differential test harness holds production to.
 
     With a ``registry``, every execution first checks that the plan's soft
     constraints are still in the state they were compiled against — the
@@ -144,14 +152,12 @@ class Executor:
         registry: Optional[Any] = None,
         batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
         feedback: Optional[Any] = None,
-        columnar: bool = True,
         workers: Optional[int] = None,
     ) -> None:
         self.database = database
         self.registry = registry
         self.batch_size = batch_size
         self.feedback = feedback
-        self.columnar = columnar
         self.workers = default_workers() if workers is None else workers
 
     def execute(
@@ -162,11 +168,10 @@ class Executor:
         collect_feedback: Optional[bool] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
-        columnar: Optional[bool] = None,
         workers: Optional[int] = None,
     ) -> ExecutionResult:
         """Run a plan.  With ``instrument``, every operator's actual output
-        row count is recorded on the node (``actual_rows``; batched runs
+        row count is recorded on the node (``actual_rows``; production runs
         also record ``actual_batches``) so EXPLAIN ANALYZE can print
         estimates next to actuals.  ``batch_size`` overrides the
         executor's default for this one execution.  ``collect_feedback``
@@ -184,9 +189,8 @@ class Executor:
         untruncated executions, so partial operator counters never pollute
         the store.
 
-        ``columnar`` / ``workers`` override the executor's defaults for
-        this one execution (batched path only): ``columnar=False``
-        selects the list-based batch kernels, ``workers>1`` enables
+        ``workers`` overrides the executor's default for this one
+        execution (production path only): ``workers>1`` enables
         morsel-parallel seq scans for observation-free executions."""
         self._guard_freshness(plan)
         collect = (
@@ -203,21 +207,20 @@ class Executor:
             instrument = True
         active = self._arm(guard, cancel)
         size = self.batch_size if batch_size is None else batch_size
-        use_columnar = self.columnar if columnar is None else columnar
         use_workers = self.workers if workers is None else workers
+        production = bool(size) and plan.compiled
         before_reads = self.database.counters.page_reads
         before_rows = self.database.counters.rows_read
         truncated = False
         rows: List[RowDict] = []
         try:
-            if size:
+            if production:
                 interpreter = BatchedInterpreter(
                     self.database,
                     size,
                     instrument=instrument,
                     collect=collect,
                     guard=active,
-                    columnar=use_columnar,
                     workers=use_workers,
                 )
                 if active is None:
@@ -252,6 +255,10 @@ class Executor:
             page_reads=self.database.counters.page_reads - before_reads,
             rows_read=self.database.counters.rows_read - before_rows,
         )
+        if production:
+            result.executor = (
+                f"production (batch_size={size}, workers={use_workers})"
+            )
         result.truncated = truncated
         if truncated:
             result.guard_breach = breach
@@ -390,33 +397,16 @@ class Executor:
     # -- operators ----------------------------------------------------------------
 
     def _run_filter(self, node: Filter) -> Iterator[RowDict]:
-        if node.compiled_predicate is not None:
-            row_fn = node.compiled_predicate[0]
-            for row in self._run(node.child):
-                if row_fn(row) is True:
-                    yield row
-        else:
-            for row in self._run(node.child):
-                if evaluate(node.predicate, row) is True:
-                    yield row
+        for row in self._run(node.child):
+            if evaluate(node.predicate, row) is True:
+                yield row
 
     def _run_extend(self, node: Extend) -> Iterator[RowDict]:
-        if node.compiled_outputs is not None:
-            targets = [
-                (output.name, pair[0])
-                for output, pair in zip(node.outputs, node.compiled_outputs)
-            ]
-            for row in self._run(node.child):
-                out = dict(row)
-                for name, row_fn in targets:
-                    out[name] = row_fn(row)
-                yield out
-        else:
-            for row in self._run(node.child):
-                out = dict(row)
-                for output in node.outputs:
-                    out[output.name] = evaluate(output.expression, row)
-                yield out
+        for row in self._run(node.child):
+            out = dict(row)
+            for output in node.outputs:
+                out[output.name] = evaluate(output.expression, row)
+            yield out
 
     def _run_project(self, node: Project) -> Iterator[RowDict]:
         for row in self._run(node.child):
@@ -437,33 +427,15 @@ class Executor:
     def _run_group_by(self, node: GroupBy) -> Iterator[RowDict]:
         groups: Dict[Tuple[Any, ...], Tuple[RowDict, List[AggregateState]]] = {}
         order: List[Tuple[Any, ...]] = []
-        compiled_keys = node.compiled_keys
-        if compiled_keys is not None:
-            key_fns = [pair[0] for pair in compiled_keys]
-            for row in self._run(node.child):
-                key = tuple(fn(row) for fn in key_fns)
-                entry = groups.get(key)
-                if entry is None:
-                    entry = (
-                        row,
-                        new_states(
-                            node.aggregates, node.compiled_aggregate_args
-                        ),
-                    )
-                    groups[key] = entry
-                    order.append(key)
-                for state in entry[1]:
-                    state.update(row)
-        else:
-            for row in self._run(node.child):
-                key = tuple(evaluate(column, row) for column in node.keys)
-                entry = groups.get(key)
-                if entry is None:
-                    entry = (row, new_states(node.aggregates))
-                    groups[key] = entry
-                    order.append(key)
-                for state in entry[1]:
-                    state.update(row)
+        for row in self._run(node.child):
+            key = tuple(evaluate(column, row) for column in node.keys)
+            entry = groups.get(key)
+            if entry is None:
+                entry = (row, new_states(node.aggregates))
+                groups[key] = entry
+                order.append(key)
+            for state in entry[1]:
+                state.update(row)
         if not groups and not node.keys:
             # Scalar aggregation over an empty input: one all-default row.
             empty: Dict[str, Any] = {}
@@ -478,11 +450,8 @@ class Executor:
             for column, value in zip(node.keys, key):
                 out[column.qualified] = value
                 out[column.column] = value
-            for index, column in enumerate(node.carried):
-                if node.compiled_carried is not None:
-                    value = node.compiled_carried[index][0](first_row)
-                else:
-                    value = evaluate(column, first_row)
+            for column in node.carried:
+                value = evaluate(column, first_row)
                 out[column.qualified] = value
                 out[column.column] = value
             for state in states:
@@ -492,8 +461,6 @@ class Executor:
 
     @staticmethod
     def _having_ok(node: GroupBy, row: RowDict) -> bool:
-        if node.compiled_having is not None:
-            return node.compiled_having[0](row) is True
         return evaluate(node.having, row) is True
 
 

@@ -1,10 +1,11 @@
 """Scan operators: sequential and index scans (row and batched forms).
 
 Both forms read the same rows through the same counters, so page-read and
-row-read accounting is identical; the batched variants simply transpose
-each run of fetched rows into a column-major
-:class:`~repro.executor.batch.RowBatch` and evaluate the pushed-down
-predicate once per batch instead of once per row.
+row-read accounting is identical.  The row forms interpret the
+pushed-down predicate per row (the oracle); the batched forms transpose
+each chunk of fetched rows into numpy vectors, run the predicate as a
+vector kernel and materialize the survivors as a column-major
+:class:`~repro.executor.batch.RowBatch` (the production executor).
 
 Under feedback collection (``count_input=True``) scans additionally count
 the rows they *examined* before the pushed-down filter — for an index
@@ -20,12 +21,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import ColumnarBatch
-from repro.expr.eval import evaluate, evaluate_batch
+from repro.expr.eval import evaluate
 from repro.expr.vector import VectorFallback, compile_vector, filter_indices
 from repro.optimizer.physical import IndexScan, SeqScan
 from repro.sql import ast
@@ -109,10 +110,17 @@ def _guard_ticks(
         guard.tick(pending)
 
 
+def _one(_row: Any) -> int:
+    return 1
+
+
 def _count_scanned(
-    rows: Iterator[Tuple[Any, ...]], node: "SeqScan | IndexScan"
-) -> Iterator[Tuple[Any, ...]]:
-    """Count raw rows flowing out of storage into the scan's filter.
+    items: Iterator[Any],
+    node: "SeqScan | IndexScan",
+    size: Callable[[Any], int] = _one,
+) -> Iterator[Any]:
+    """Count raw rows flowing out of storage into the scan's filter;
+    ``items`` are rows, or chunks of rows with ``size=len``.
 
     The count lands on the node even if the consumer stops early (LIMIT):
     harvesting guards against such partial counts by only consulting
@@ -120,9 +128,9 @@ def _count_scanned(
     """
     scanned = 0
     try:
-        for row in rows:
-            scanned += 1
-            yield row
+        for item in items:
+            scanned += size(item)
+            yield item
     finally:
         node.actual_rows_scanned = scanned
 
@@ -144,12 +152,6 @@ def run_seq_scan(
     if predicate is None:
         for row in source:
             yield qualified_row(node.binding, names, row)
-    elif node.compiled_predicate is not None:
-        row_fn = node.compiled_predicate[0]
-        for row in source:
-            out = qualified_row(node.binding, names, row)
-            if row_fn(out) is True:
-                yield out
     else:
         for row in source:
             out = qualified_row(node.binding, names, row)
@@ -215,17 +217,10 @@ def run_index_scan(
     if guard is not None:
         source = _guard_ticks(source, guard)
     predicate = node.predicate
-    compiled = node.compiled_predicate
-    row_fn = compiled[0] if compiled is not None else None
     for row in source:
         out = qualified_row(node.binding, names, row)
-        if predicate is not None:
-            if row_fn is not None:
-                if row_fn(out) is not True:
-                    continue
-            elif evaluate(predicate, out) is not True:
-                continue
-        yield out
+        if predicate is None or evaluate(predicate, out) is True:
+            yield out
 
 
 def _resolve_key(key):
@@ -243,126 +238,40 @@ def _resolve_key(key):
     )
 
 
-# -- batched variants ----------------------------------------------------------
+# -- batched scans --------------------------------------------------------------
+
+
+def _qualified_names(node: "SeqScan | IndexScan", table: Any) -> Tuple[str, ...]:
+    return tuple(
+        f"{node.binding}.{name}" for name in table.schema.column_names()
+    )
+
+
+def _kernel(node: "SeqScan | IndexScan") -> Any:
+    """The pushed-down predicate's vector kernel (None: nothing to filter)."""
+    return compile_vector(node.predicate) if node.predicate is not None else None
 
 
 def _emit_batch(
     names: Tuple[str, ...],
     rows: List[Tuple[Any, ...]],
     node: "SeqScan | IndexScan",
-) -> Optional[RowBatch]:
-    """Transpose fetched row tuples and apply the pushed-down filter."""
-    batch = RowBatch.from_tuples(names, rows)
-    if node.predicate is not None:
-        compiled = node.compiled_predicate
-        if compiled is not None:
-            batch = batch.filter_true(compiled[1](batch))
-        else:
-            batch = batch.filter_true(evaluate_batch(node.predicate, batch))
-    return batch if len(batch) else None
-
-
-def run_seq_scan_batched(
-    database: Database,
-    node: SeqScan,
-    batch_size: int,
-    count_input: bool = False,
-    guard: Any = None,
-    quota: Optional[ScanQuota] = None,
-) -> Iterator[RowBatch]:
-    table = database.table(node.table_name)
-    names = tuple(
-        f"{node.binding}.{name}" for name in table.schema.column_names()
-    )
-    source = _seq_source(database, table)
-    if count_input:
-        source = _count_scanned(source, node)
-    while quota is None or quota.remaining > 0:
-        fetch = batch_size if quota is None else min(batch_size, quota.remaining)
-        buffer = list(itertools.islice(source, fetch))
-        if not buffer:
-            return
-        if guard is not None:
-            guard.tick(len(buffer))
-        batch = _emit_batch(names, buffer, node)
-        if batch is not None:
-            yield batch
-
-
-def run_index_scan_batched(
-    database: Database,
-    node: IndexScan,
-    batch_size: int,
-    count_input: bool = False,
-    guard: Any = None,
-    quota: Optional[ScanQuota] = None,
-) -> Iterator[RowBatch]:
-    """Batched twin of :func:`run_index_scan`.
-
-    RID fetches keep the same one-page buffer, in the same order, so the
-    page-read totals match the row-at-a-time scan exactly.
-    """
-    table = database.table(node.table_name)
-    names = tuple(
-        f"{node.binding}.{name}" for name in table.schema.column_names()
-    )
-    source = _index_rows(database, node)
-    if count_input:
-        source = _count_scanned(source, node)
-    if quota is not None:
-        while quota.remaining > 0:
-            buffer = list(
-                itertools.islice(source, min(batch_size, quota.remaining))
-            )
-            if not buffer:
-                return
-            if guard is not None:
-                guard.tick(len(buffer))
-            batch = _emit_batch(names, buffer, node)
-            if batch is not None:
-                yield batch
-        return
-    buffer: List[Tuple[Any, ...]] = []
-    for row in source:
-        buffer.append(row)
-        if len(buffer) >= batch_size:
-            if guard is not None:
-                guard.tick(len(buffer))
-            batch = _emit_batch(names, buffer, node)
-            buffer = []
-            if batch is not None:
-                yield batch
-    if buffer:
-        if guard is not None:
-            guard.tick(len(buffer))
-        batch = _emit_batch(names, buffer, node)
-        if batch is not None:
-            yield batch
-
-
-# -- columnar variants ---------------------------------------------------------
-
-
-def _emit_columnar(
-    names: Tuple[str, ...],
-    rows: List[Tuple[Any, ...]],
-    node: "SeqScan | IndexScan",
     kernel: Any,
 ) -> Optional[RowBatch]:
-    """Transpose one morsel into numpy vectors, run the pushed-down
-    predicate as a vector kernel, and materialize only the survivors
-    (late materialization).  On :class:`VectorFallback` the morsel is
-    re-evaluated through :func:`_emit_batch`, which reproduces the
-    row-at-a-time semantics (and errors) exactly."""
-    if not rows:
-        return None
+    """Transpose one chunk of fetched row tuples into numpy vectors, run
+    the pushed-down predicate as a vector kernel, and materialize only
+    the survivors (late materialization).  On :class:`VectorFallback`
+    the chunk is re-evaluated through the compiled batch closure, which
+    reproduces the interpreter's semantics (and errors)."""
     if kernel is None:
         return RowBatch.from_tuples(names, rows)
     columnar = ColumnarBatch.from_tuples(names, rows)
     try:
         indices = filter_indices(kernel, columnar)
     except VectorFallback:
-        return _emit_batch(names, rows, node)
+        batch = RowBatch.from_tuples(names, rows)
+        batch = batch.filter_true(node.compiled_predicate[1](batch))
+        return batch if len(batch) else None
     if indices is None:
         return columnar.to_row_batch()
     if not len(indices):
@@ -370,9 +279,39 @@ def _emit_columnar(
     return columnar.to_row_batch(indices)
 
 
+def _quota_chunks(
+    source: Iterator[Tuple[Any, ...]],
+    batch_size: int,
+    quota: Optional[ScanQuota],
+) -> Iterator[List[Tuple[Any, ...]]]:
+    """Pull ``batch_size`` rows at a time, never more than the LIMIT
+    quota still needs — the clamp that keeps page accounting identical
+    to the row-at-a-time pipeline."""
+    while quota is None or quota.remaining > 0:
+        fetch = batch_size if quota is None else min(batch_size, quota.remaining)
+        chunk = list(itertools.islice(source, fetch))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _page_chunks(
+    runs: Iterator[List[Tuple[Any, ...]]], batch_size: int
+) -> Iterator[List[Tuple[Any, ...]]]:
+    """Re-cut page-at-a-time row runs into fixed ``batch_size`` morsels."""
+    buffer: List[Tuple[Any, ...]] = []
+    for run in runs:
+        buffer.extend(run)
+        while len(buffer) >= batch_size:
+            yield buffer[:batch_size]
+            del buffer[:batch_size]
+    if buffer:
+        yield buffer
+
+
 #: One lazily-built worker pool per ``workers`` setting, shared by every
 #: morsel-parallel scan in the process (pool startup would otherwise
-#: dominate small scans).  Workers only ever run :func:`_emit_columnar`
+#: dominate small scans).  Workers only ever run :func:`_emit_batch`
 #: on already-fetched row tuples: all storage I/O, counter updates and
 #: guard interaction stay on the caller's thread.
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
@@ -388,7 +327,7 @@ def _worker_pool(workers: int) -> ThreadPoolExecutor:
     return pool
 
 
-def run_seq_scan_columnar(
+def run_seq_scan_batched(
     database: Database,
     node: SeqScan,
     batch_size: int,
@@ -397,81 +336,64 @@ def run_seq_scan_columnar(
     quota: Optional[ScanQuota] = None,
     workers: int = 1,
 ) -> Iterator[RowBatch]:
-    """Columnar twin of :func:`run_seq_scan_batched`.
+    """Batched sequential scan, filtered through the vector kernel.
 
-    Rows are read page-at-a-time via
+    Without a LIMIT quota rows are read page-at-a-time via
     :meth:`~repro.engine.table.HeapTable.scan_row_runs` (identical I/O
-    accounting), sliced into fixed ``batch_size`` morsels, and each
-    morsel is vector-filtered.  With ``workers > 1`` morsels are
-    dispatched to a thread pool — numpy kernels release the GIL — and
-    merged back **in submission order**, so results, row order and every
-    counter are bit-identical to the single-worker run.
+    accounting to the row scan) and cut into fixed ``batch_size``
+    morsels.  With ``workers > 1`` morsels are dispatched to a thread
+    pool — numpy kernels release the GIL — and merged back **in
+    submission order**, so results, row order and every counter are
+    bit-identical to the single-worker run.
 
     Determinism contract: morsel parallelism only engages on
     *observation-free* scans.  A LIMIT quota clamps fetch sizes (no
-    read-ahead allowed) and an armed guard observes page-read deltas at
-    every tick, so both run the sequential columnar path; see
+    read-ahead allowed, so rows are pulled one at a time from storage),
+    an armed guard observes page-read deltas at every tick, and a
+    snapshot scan reconstructs row versions from shared mutable state,
+    so all three run sequentially; see
     :func:`repro.resilience.guards.permits_readahead`.
     """
-    if quota is not None:
-        yield from run_seq_scan_batched(
-            database, node, batch_size, count_input, guard, quota
-        )
-        return
     table = database.table(node.table_name)
-    names = tuple(
-        f"{node.binding}.{name}" for name in table.schema.column_names()
-    )
-    kernel = (
-        compile_vector(node.predicate) if node.predicate is not None else None
-    )
+    names = _qualified_names(node, table)
+    kernel = _kernel(node)
     snapshot = _active_snapshot(database)
-    if workers > 1 and guard is None and snapshot is None:
-        yield from _morsel_scan(
-            table, names, node, kernel, batch_size, workers, count_input
-        )
-        return
-    if snapshot is None:
-        runs = table.scan_row_runs()
+    if quota is not None:
+        chunks = _quota_chunks(_seq_source(database, table), batch_size, quota)
+    elif snapshot is None:
+        chunks = _page_chunks(table.scan_row_runs(), batch_size)
     else:
-        # Snapshot scans reconstruct row versions page-at-a-time under
-        # the engine latch; morsel parallelism is not engaged (the
-        # version overlay is shared mutable state).
-        runs = database.concurrency.visible_row_runs(table, snapshot)
-    scanned = 0
-    buffer: List[Tuple[Any, ...]] = []
-    try:
-        for run in runs:
-            buffer.extend(run)
-            while len(buffer) >= batch_size:
-                chunk = buffer[:batch_size]
-                del buffer[:batch_size]
-                scanned += len(chunk)
-                if guard is not None:
-                    guard.tick(len(chunk))
-                batch = _emit_columnar(names, chunk, node, kernel)
-                if batch is not None:
-                    yield batch
-        if buffer:
-            scanned += len(buffer)
-            if guard is not None:
-                guard.tick(len(buffer))
-            batch = _emit_columnar(names, buffer, node, kernel)
-            if batch is not None:
-                yield batch
-    finally:
-        if count_input:
-            node.actual_rows_scanned = scanned
+        chunks = _page_chunks(
+            database.concurrency.visible_row_runs(table, snapshot), batch_size
+        )
+    if count_input:
+        chunks = _count_scanned(chunks, node, len)
+    if workers > 1 and quota is None and guard is None and snapshot is None:
+        return _morsel_scan(chunks, names, node, kernel, workers)
+    return _scan_chunks(chunks, names, node, kernel, guard)
+
+
+def _scan_chunks(
+    chunks: Iterator[List[Tuple[Any, ...]]],
+    names: Tuple[str, ...],
+    node: "SeqScan | IndexScan",
+    kernel: Any,
+    guard: Any,
+) -> Iterator[RowBatch]:
+    for chunk in chunks:
+        if guard is not None:
+            guard.tick(len(chunk))
+        batch = _emit_batch(names, chunk, node, kernel)
+        if batch is not None:
+            yield batch
 
 
 def _morsel_scan(
-    table: Any,
+    chunks: Iterator[List[Tuple[Any, ...]]],
     names: Tuple[str, ...],
     node: SeqScan,
     kernel: Any,
-    batch_size: int,
     workers: int,
-    count_input: bool,
 ) -> Iterator[RowBatch]:
     """Fan fixed-size morsels out to the worker pool, merge in order.
 
@@ -482,27 +404,13 @@ def _morsel_scan(
     """
     pool = _worker_pool(workers)
     pending: "deque" = deque()
-    scanned = 0
-    buffer: List[Tuple[Any, ...]] = []
     try:
-        for run in table.scan_row_runs():
-            buffer.extend(run)
-            while len(buffer) >= batch_size:
-                chunk = buffer[:batch_size]
-                del buffer[:batch_size]
-                scanned += len(chunk)
-                while len(pending) >= workers:
-                    batch = pending.popleft().result()
-                    if batch is not None:
-                        yield batch
-                pending.append(
-                    pool.submit(_emit_columnar, names, chunk, node, kernel)
-                )
-        if buffer:
-            scanned += len(buffer)
-            pending.append(
-                pool.submit(_emit_columnar, names, buffer, node, kernel)
-            )
+        for chunk in chunks:
+            while len(pending) >= workers:
+                batch = pending.popleft().result()
+                if batch is not None:
+                    yield batch
+            pending.append(pool.submit(_emit_batch, names, chunk, node, kernel))
         while pending:
             batch = pending.popleft().result()
             if batch is not None:
@@ -510,11 +418,9 @@ def _morsel_scan(
     finally:
         for future in pending:
             future.cancel()
-        if count_input:
-            node.actual_rows_scanned = scanned
 
 
-def run_index_scan_columnar(
+def run_index_scan_batched(
     database: Database,
     node: IndexScan,
     batch_size: int,
@@ -522,40 +428,17 @@ def run_index_scan_columnar(
     guard: Any = None,
     quota: Optional[ScanQuota] = None,
 ) -> Iterator[RowBatch]:
-    """Columnar twin of :func:`run_index_scan_batched`.
+    """Batched twin of :func:`run_index_scan`.
 
-    Index scans keep the one-page RID fetch buffer (random access order
-    is the point of the index), so they stay sequential — only the
-    transpose/filter/materialize step is vectorized.
+    RID fetches keep the same one-page buffer, in the same order (random
+    access order is the point of the index), so the scan stays
+    sequential and its page-read totals match the row-at-a-time scan
+    exactly — only the transpose/filter/materialize step is vectorized.
     """
-    if quota is not None:
-        yield from run_index_scan_batched(
-            database, node, batch_size, count_input, guard, quota
-        )
-        return
     table = database.table(node.table_name)
-    names = tuple(
-        f"{node.binding}.{name}" for name in table.schema.column_names()
-    )
-    kernel = (
-        compile_vector(node.predicate) if node.predicate is not None else None
-    )
-    source = _index_rows(database, node)
+    chunks = _quota_chunks(_index_rows(database, node), batch_size, quota)
     if count_input:
-        source = _count_scanned(source, node)
-    buffer: List[Tuple[Any, ...]] = []
-    for row in source:
-        buffer.append(row)
-        if len(buffer) >= batch_size:
-            if guard is not None:
-                guard.tick(len(buffer))
-            batch = _emit_columnar(names, buffer, node, kernel)
-            buffer = []
-            if batch is not None:
-                yield batch
-    if buffer:
-        if guard is not None:
-            guard.tick(len(buffer))
-        batch = _emit_columnar(names, buffer, node, kernel)
-        if batch is not None:
-            yield batch
+        chunks = _count_scanned(chunks, node, len)
+    return _scan_chunks(
+        chunks, _qualified_names(node, table), node, _kernel(node), guard
+    )

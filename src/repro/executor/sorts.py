@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import try_int64
-from repro.expr.eval import evaluate, evaluate_batch
+from repro.expr.eval import evaluate
 from repro.optimizer.physical import Sort
 
 RowDict = Dict[str, Any]
@@ -44,19 +44,11 @@ def run_sort(
         # The sort always materializes its whole input, so this count —
         # unlike ``actual_rows`` — survives a LIMIT above the sort.
         node.actual_input_rows = len(materialized)
-    compiled = node.compiled_order
-    if compiled is not None:
-        for row_fn, _batch_fn, ascending in reversed(compiled):
-            materialized.sort(
-                key=lambda row, _fn=row_fn: _decorate(_fn(row)),
-                reverse=not ascending,
-            )
-    else:
-        for expression, ascending in reversed(node.order):
-            materialized.sort(
-                key=lambda row, _e=expression: _decorate(evaluate(_e, row)),
-                reverse=not ascending,
-            )
+    for expression, ascending in reversed(node.order):
+        materialized.sort(
+            key=lambda row, _e=expression: _decorate(evaluate(_e, row)),
+            reverse=not ascending,
+        )
     return iter(materialized)
 
 
@@ -84,17 +76,10 @@ def run_sort_batched(
     if materialized is None or len(materialized) == 0:
         return
     indices = list(range(len(materialized)))
-    compiled = node.compiled_order
-    if compiled is not None:
-        passes = [
-            (batch_fn(materialized), ascending)
-            for _row_fn, batch_fn, ascending in reversed(compiled)
-        ]
-    else:
-        passes = [
-            (evaluate_batch(expression, materialized), ascending)
-            for expression, ascending in reversed(node.order)
-        ]
+    passes = [
+        (batch_fn(materialized), ascending)
+        for _row_fn, batch_fn, ascending in reversed(node.compiled_order)
+    ]
     if len(passes) == 1:
         values, ascending = passes[0]
         array = try_int64(values)

@@ -3,7 +3,7 @@
 A :class:`Vec` is one column of a batch in true columnar form: a numpy
 array of values plus an optional boolean ``mask`` marking SQL NULL
 positions (``True`` = NULL).  A :class:`ColumnarBatch` lazily promotes
-the plain Python column lists of the list-based pipeline into Vecs, one
+the plain Python column lists of a :class:`RowBatch` into Vecs, one
 column at a time, so vectorized kernels only ever pay conversion for the
 columns an expression actually touches (late materialization).
 
@@ -18,9 +18,8 @@ Dtype promotion rules (exact, decided from ``set(map(type, column))``):
   objects, ints beyond ``int64`` — → ``object`` dtype with ``None`` kept
   in place (the *object fallback*).  Kernels that cannot handle object
   dtype raise :class:`~repro.expr.vector.VectorFallback` and the caller
-  re-evaluates through the compiled list-batch closure, which reproduces
-  the row-at-a-time semantics (including which row raises which error)
-  exactly.
+  re-evaluates through the compiled batch closure, which reproduces
+  the interpreter's semantics (errors included).
 
 Mixed ``int``/``float`` deliberately does *not* promote to ``float64``:
 ``2**53 + 1 == float(2**53)`` under numpy's lossy int→float cast, while

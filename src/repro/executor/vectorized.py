@@ -1,18 +1,21 @@
-"""The batched (vectorized) plan interpreter.
+"""The production executor: the batched (vectorized) plan interpreter.
 
 Operators exchange :class:`~repro.executor.batch.RowBatch` objects instead
-of single row dicts: predicates, projections and join keys are evaluated
-once per batch via :func:`repro.expr.eval.evaluate_batch`, and the
-per-row interpreter overhead (dict materialization, recursive expression
-dispatch) is amortized over ``batch_size`` rows.
+of single row dicts: projections, join keys, residuals and HAVING run
+once per batch through the plan's compiled closures
+(:mod:`repro.expr.compile` — this interpreter only runs plans that carry
+them), and the per-row overhead (dict materialization, recursive
+expression dispatch) is amortized over ``batch_size`` rows.
 
-With ``columnar=True`` (the default) scans and filters go further: row
-tuples are transposed into numpy vectors with explicit null masks
-(:mod:`repro.executor.vecbatch`), predicates run as vector kernels
-(:mod:`repro.expr.vector`), and only surviving rows are materialized
-into Python lists — late materialization.  ``workers > 1`` additionally
-fans sequential-scan morsels out to a thread pool with a deterministic
-in-order merge (see :func:`repro.executor.scans.run_seq_scan_columnar`).
+Scans and filters go further: row tuples are transposed into numpy
+vectors with explicit null masks (:mod:`repro.executor.vecbatch`),
+predicates run as vector kernels (:mod:`repro.expr.vector`), and only
+surviving rows are materialized into Python lists — late
+materialization.  A kernel that declines a batch
+(:class:`~repro.expr.vector.VectorFallback`) hands that one batch to the
+compiled batch closure.  ``workers > 1`` additionally fans
+sequential-scan morsels out to a thread pool with a deterministic
+in-order merge (see :func:`repro.executor.scans.run_seq_scan_batched`).
 
 Semantics — result rows and their order, row counts, and page-I/O
 accounting — match the row-at-a-time interpreter in
@@ -40,13 +43,10 @@ from repro.executor.joins import (
 from repro.executor.scans import (
     ScanQuota,
     run_index_scan_batched,
-    run_index_scan_columnar,
     run_seq_scan_batched,
-    run_seq_scan_columnar,
 )
 from repro.executor.sorts import run_sort_batched
 from repro.executor.vecbatch import ColumnarBatch
-from repro.expr.eval import evaluate, evaluate_batch
 from repro.expr.vector import VectorFallback, compile_vector, filter_indices
 from repro.optimizer.physical import (
     Distinct,
@@ -67,16 +67,12 @@ from repro.optimizer.physical import (
 
 RowDict = Dict[str, Any]
 
-#: Sentinel: the vector kernel declined this batch (fell back).
-_FALLBACK = object()
-
-
 class BatchedInterpreter:
     """Interprets a physical plan batch-at-a-time.
 
     One instance serves one execution: it carries the ``batch_size``
-    (and the columnar/worker switches) and, when instrumented, records
-    per-node actual row *and batch* counts for EXPLAIN ANALYZE.
+    and worker count and, when instrumented, records per-node actual
+    row *and batch* counts for EXPLAIN ANALYZE.
     """
 
     def __init__(
@@ -86,7 +82,6 @@ class BatchedInterpreter:
         instrument: bool = False,
         collect: bool = False,
         guard: Any = None,
-        columnar: bool = True,
         workers: int = 1,
     ) -> None:
         if batch_size < 1:
@@ -104,7 +99,6 @@ class BatchedInterpreter:
         # An armed ActiveGuard (repro.resilience.guards) or None; threaded
         # to the operators that can burn unbounded work.
         self.guard = guard
-        self.columnar = columnar
         self.workers = workers
 
     def rows(self, root: PhysicalNode) -> List[RowDict]:
@@ -145,16 +139,6 @@ class BatchedInterpreter:
         if isinstance(node, EmptyResult):
             return iter(())
         if isinstance(node, SeqScan):
-            if self.columnar:
-                return run_seq_scan_columnar(
-                    self.database,
-                    node,
-                    self.batch_size,
-                    count_input=self.collect,
-                    guard=self.guard,
-                    quota=quota,
-                    workers=self.workers,
-                )
             return run_seq_scan_batched(
                 self.database,
                 node,
@@ -162,17 +146,9 @@ class BatchedInterpreter:
                 count_input=self.collect,
                 guard=self.guard,
                 quota=quota,
+                workers=self.workers,
             )
         if isinstance(node, IndexScan):
-            if self.columnar:
-                return run_index_scan_columnar(
-                    self.database,
-                    node,
-                    self.batch_size,
-                    count_input=self.collect,
-                    guard=self.guard,
-                    quota=quota,
-                )
             return run_index_scan_batched(
                 self.database,
                 node,
@@ -198,7 +174,6 @@ class BatchedInterpreter:
                 self.batch_size,
                 count_pairs=self.collect,
                 guard=self.guard,
-                columnar=self.columnar,
             )
         if isinstance(node, GroupBy):
             return self._run_group_by(node)
@@ -229,46 +204,21 @@ class BatchedInterpreter:
     def _run_filter(
         self, node: Filter, quota: Optional[ScanQuota]
     ) -> Iterator[RowBatch]:
-        kernel = (
-            compile_vector(node.predicate)
-            if self.columnar and node.predicate is not None
-            else None
-        )
-        batch_fn = (
-            node.compiled_predicate[1]
-            if node.compiled_predicate is not None
-            else None
-        )
+        kernel = compile_vector(node.predicate)
+        batch_fn = node.compiled_predicate[1]
         for batch in self.run(node.child, quota):
-            if kernel is not None:
-                survivors = self._vector_filter(kernel, batch)
-                if survivors is not _FALLBACK:
-                    if survivors is not None and len(survivors):
-                        yield survivors
-                    continue
-            if batch_fn is not None:
-                filtered = batch.filter_true(batch_fn(batch))
-            else:
-                filtered = batch.filter_true(
-                    evaluate_batch(node.predicate, batch)
+            try:
+                indices = filter_indices(
+                    kernel, ColumnarBatch.from_row_batch(batch)
                 )
-            if len(filtered):
-                yield filtered
-
-    @staticmethod
-    def _vector_filter(kernel: Any, batch: RowBatch) -> Any:
-        """Kernel-filter one batch; ``_FALLBACK`` when the kernel declines."""
-        try:
-            indices = filter_indices(
-                kernel, ColumnarBatch.from_row_batch(batch)
-            )
-        except VectorFallback:
-            return _FALLBACK
-        if indices is None:
-            return batch
-        if not len(indices):
-            return None
-        return batch.take(indices.tolist())
+            except VectorFallback:
+                survivors = batch.filter_true(batch_fn(batch))
+            else:
+                survivors = (
+                    batch if indices is None else batch.take(indices.tolist())
+                )
+            if len(survivors):
+                yield survivors
 
     def _run_extend(
         self, node: Extend, quota: Optional[ScanQuota]
@@ -281,12 +231,7 @@ class BatchedInterpreter:
             for index, output in enumerate(node.outputs):
                 # Evaluated against the child batch, as the row form
                 # evaluates against the original row.
-                if compiled is not None:
-                    data[output.name] = compiled[index][1](batch)
-                else:
-                    data[output.name] = evaluate_batch(
-                        output.expression, batch
-                    )
+                data[output.name] = compiled[index][1](batch)
                 if output.name not in present:
                     columns.append(output.name)
                     present.add(output.name)
@@ -352,36 +297,18 @@ class BatchedInterpreter:
         groups: Dict[Tuple[Any, ...], Tuple[RowDict, List[AggregateState]]] = {}
         order: List[Tuple[Any, ...]] = []
         has_keys = bool(node.keys)
-        compiled_args = node.compiled_aggregate_args
-        compiled_keys = node.compiled_keys
-        fold_vec = self.columnar
         for batch in self.run(node.child):
             n = len(batch)
-            if compiled_args is not None:
-                aggregate_columns = [
-                    None if pair is None else pair[1](batch)
-                    for pair in compiled_args
-                ]
-            else:
-                aggregate_columns = [
-                    None
-                    if spec.argument is None
-                    else evaluate_batch(spec.argument, batch)
-                    for spec in node.aggregates
-                ]
+            aggregate_columns = [
+                None if pair is None else pair[1](batch)
+                for pair in node.compiled_aggregate_args
+            ]
             # Partition the batch's rows by group key, preserving
             # first-seen order so the global group order matches the
             # row-at-a-time interpreter.
             local: Dict[Tuple[Any, ...], List[int]] = {}
             if has_keys:
-                if compiled_keys is not None:
-                    key_columns = [
-                        pair[1](batch) for pair in compiled_keys
-                    ]
-                else:
-                    key_columns = [
-                        evaluate_batch(key, batch) for key in node.keys
-                    ]
+                key_columns = [pair[1](batch) for pair in node.compiled_keys]
                 if len(key_columns) == 1:
                     for i, value in enumerate(key_columns[0]):
                         key = (value,)
@@ -405,7 +332,7 @@ class BatchedInterpreter:
                 if entry is None:
                     entry = (
                         batch.row(indices[0]),
-                        new_states(node.aggregates, compiled_args),
+                        new_states(node.aggregates),
                     )
                     groups[key] = entry
                     order.append(key)
@@ -414,10 +341,7 @@ class BatchedInterpreter:
                     if column is None:
                         state.update_count_star(len(indices))
                     elif whole_batch:
-                        if fold_vec:
-                            state.update_vec(column)
-                        else:
-                            state.update_values(column)
+                        state.update_vec(column)
                     else:
                         state.update_values([column[i] for i in indices])
 
@@ -436,11 +360,8 @@ class BatchedInterpreter:
                 for column, value in zip(node.keys, key):
                     out[column.qualified] = value
                     out[column.column] = value
-                for index, column in enumerate(node.carried):
-                    if node.compiled_carried is not None:
-                        value = node.compiled_carried[index][0](first_row)
-                    else:
-                        value = evaluate(column, first_row)
+                for column, pair in zip(node.carried, node.compiled_carried):
+                    value = pair[0](first_row)
                     out[column.qualified] = value
                     out[column.column] = value
                 for state in states:
@@ -452,6 +373,4 @@ class BatchedInterpreter:
 
     @staticmethod
     def _having_ok(node: GroupBy, row: RowDict) -> bool:
-        if node.compiled_having is not None:
-            return node.compiled_having[0](row) is True
-        return evaluate(node.having, row) is True
+        return node.compiled_having[0](row) is True

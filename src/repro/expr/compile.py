@@ -11,8 +11,8 @@ compile time:
 * operator callables, column key strings and LIKE regexes are resolved
   and bound as closure locals;
 * ``IN`` lists of same-class constants become frozen membership sets;
-* comparisons/arithmetic against a constant skip the per-row operand
-  materialization the batch interpreter pays for literal columns;
+* comparisons/arithmetic against a constant bind it as a closure local
+  instead of materializing a literal column per batch;
 * constant subexpressions are folded (with SQL three-valued logic: the
   fold *evaluates* the subtree, so short-circuit AND/OR semantics and
   Kleene NULL propagation are preserved exactly), and a constant
@@ -21,14 +21,18 @@ compile time:
   time — never at plan time.
 
 Semantics are pinned to the interpreter: for every expression and every
-row/batch, the compiled closure returns the same value — or raises the
-same error, at the same call — as :func:`~repro.expr.eval.evaluate` /
-:func:`~repro.expr.eval.evaluate_batch`.  The differential suites in
+row, the row closure returns the same value — or raises the same error —
+as :func:`~repro.expr.eval.evaluate`, and the batch closure returns what
+``evaluate`` returns applied to each row of the batch.  A batch in which
+some row errors makes the batch closure raise an error one of its rows
+raises under ``evaluate`` — it works a column at a time, so not
+necessarily the first such row's.  The differential suites in
 ``tests/executor/test_batched_differential.py`` and the unit oracle in
 ``tests/expr/test_compile.py`` hold the two paths together.
 
-Compiled closures are shared through a module-level cache keyed by the
-expression node itself (expression dataclasses hash structurally;
+Compiled closures are shared through a bounded module-level
+:class:`~repro.expr.cache.LoweringCache` keyed by the expression node
+itself (expression dataclasses hash structurally;
 :class:`~repro.sql.ast.RuntimeParameter` compares by identity, so plans
 parameterized on different soft constraints never alias).  Identical
 predicates across plans — the common case under
@@ -42,6 +46,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExpressionError
+from repro.expr.cache import LoweringCache
 from repro.expr.eval import (  # noqa: F401 - shared semantics helpers
     _ARITHMETIC,
     _COMPARATORS,
@@ -55,7 +60,6 @@ from repro.expr.eval import (  # noqa: F401 - shared semantics helpers
     _values_equal,
     RowDict,
     evaluate,
-    evaluate_batch,
 )
 from repro.sql import ast
 
@@ -93,24 +97,12 @@ class CompiledExpr:
 
 # ------------------------------------------------------------ compile cache
 
-_CACHE: Dict[ast.Expression, CompiledExpr] = {}
-_STATS = {"hits": 0, "misses": 0}
+_CACHE = LoweringCache()
 
 
 def compile_expr(expression: ast.Expression) -> CompiledExpr:
     """Compile through the shared cache (structural expression keying)."""
-    try:
-        cached = _CACHE.get(expression)
-    except TypeError:  # unhashable custom node: compile without caching
-        _STATS["misses"] += 1
-        return _compile(expression)
-    if cached is not None:
-        _STATS["hits"] += 1
-        return cached
-    _STATS["misses"] += 1
-    compiled = _compile(expression)
-    _CACHE[expression] = compiled
-    return compiled
+    return _CACHE.get_or_build(expression, _compile)
 
 
 def compile_row(expression: ast.Expression) -> RowFn:
@@ -125,14 +117,12 @@ def compile_batch(expression: ast.Expression) -> BatchFn:
 
 def cache_stats() -> Tuple[int, int]:
     """``(hits, misses)`` of the process-wide compile cache."""
-    return _STATS["hits"], _STATS["misses"]
+    return _CACHE.stats()
 
 
 def clear_cache() -> None:
     """Drop every cached closure and reset the counters (tests/benchmarks)."""
     _CACHE.clear()
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
 
 
 # --------------------------------------------------------- constant folding
@@ -184,11 +174,11 @@ def _constant(expression: ast.Expression, value: Any) -> CompiledExpr:
 
 
 def _raising(expression: ast.Expression, message: str) -> CompiledExpr:
-    """A constant subtree whose evaluation raises.
+    """A subtree whose evaluation raises whatever the row holds.
 
-    The row form raises on every call (as the interpreter would per row);
-    the batch form mirrors the interpreter's per-row loops, which never
-    reach the raise over an empty batch.
+    The row form raises on every call, as the interpreter would per row;
+    the batch form is that applied per row, so it never reaches the
+    raise over an empty batch.
     """
 
     def row_fn(row: RowDict, _m: str = message) -> Any:
@@ -227,7 +217,9 @@ def _compile(expression: ast.Expression) -> CompiledExpr:
         return CompiledExpr(
             expression,
             lambda row, _e=expression: evaluate(_e, row),
-            lambda batch, _e=expression: evaluate_batch(_e, batch),
+            lambda batch, _e=expression: [
+                evaluate(_e, row) for row in batch.to_rows()
+            ],
         )
     return compiler(expression)
 
@@ -243,7 +235,7 @@ def _compile_runtime_parameter(node: ast.RuntimeParameter) -> CompiledExpr:
         return current()
 
     def batch_fn(batch: Any) -> List[Any]:
-        # One read per batch, as in the interpreter's batch form.
+        # One read per batch: the value cannot change mid-statement.
         return [current()] * len(batch)
 
     return CompiledExpr(node, row_fn, batch_fn)
@@ -962,27 +954,12 @@ def _compile_is_null(node: ast.IsNullExpr) -> CompiledExpr:
 
 def _compile_function(node: ast.FunctionCall) -> CompiledExpr:
     if node.is_aggregate:
-        message = f"aggregate {node.name.upper()} outside GROUP BY context"
-
-        def row_fn(row: RowDict) -> Any:
-            raise ExpressionError(message)
-
-        def batch_fn(batch: Any) -> List[Any]:
-            # The batch interpreter raises before looking at the rows.
-            raise ExpressionError(message)
-
-        return CompiledExpr(node, row_fn, batch_fn)
+        return _raising(
+            node, f"aggregate {node.name.upper()} outside GROUP BY context"
+        )
     function = _SCALAR_FUNCTIONS.get(node.name)
     if function is None:
-        message = f"unknown function {node.name!r}"
-
-        def row_fn(row: RowDict) -> Any:
-            raise ExpressionError(message)
-
-        def batch_fn(batch: Any) -> List[Any]:
-            raise ExpressionError(message)
-
-        return CompiledExpr(node, row_fn, batch_fn)
+        return _raising(node, f"unknown function {node.name!r}")
 
     args = [compile_expr(arg) for arg in node.args]
     arg_rows = [arg.row for arg in args]

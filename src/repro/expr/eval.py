@@ -11,19 +11,16 @@ Boolean results use Kleene logic: ``None`` means SQL UNKNOWN.  Aggregate
 function calls cannot be evaluated here (they are handled by the group-by
 operator) and raise :class:`~repro.errors.ExpressionError`.
 
-:func:`evaluate_batch` is the vectorized twin: it computes a full column
-of results over a :class:`~repro.executor.batch.RowBatch` in one call, so
-the per-row cost is a tight inner loop instead of a recursive dispatch.
-AND/OR use selection vectors so the short-circuited side is only evaluated
-for the rows the row-at-a-time path would have reached — the two paths
-raise (or don't raise) on exactly the same rows.
+This interpreter is the semantic oracle: the compiled closures of
+:mod:`repro.expr.compile` and the kernels of :mod:`repro.expr.vector`
+are held to it row by row.
 """
 
 from __future__ import annotations
 
 import operator as _operator
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ExpressionError
 from repro.sql import ast
@@ -307,241 +304,4 @@ _DISPATCH = {
     ast.InExpr: _eval_in,
     ast.IsNullExpr: _eval_is_null,
     ast.FunctionCall: _eval_function,
-}
-
-
-# ------------------------------------------------------- batch evaluation
-#
-# The batch argument is a repro.executor.batch.RowBatch, duck-typed here
-# (``columns``, ``data``, ``take``, ``__len__``) to keep this module free
-# of executor imports.
-
-
-def evaluate_batch(expression: ast.Expression, batch: Any) -> List[Any]:
-    """Evaluate ``expression`` over every row of ``batch`` at once.
-
-    Returns one value per row, in row order, with exactly the semantics
-    (including which rows raise) of calling :func:`evaluate` per row.
-    """
-    handler = _BATCH_DISPATCH.get(type(expression))
-    if handler is None:
-        raise ExpressionError(
-            f"cannot evaluate {type(expression).__name__}"
-        )
-    return handler(expression, batch)
-
-
-def _batch_literal(node: ast.Literal, batch: Any) -> List[Any]:
-    return [node.value] * len(batch)
-
-
-def _batch_runtime_parameter(node: ast.RuntimeParameter, batch: Any) -> List[Any]:
-    return [node.current_value()] * len(batch)
-
-
-def _batch_column(node: ast.ColumnRef, batch: Any) -> List[Any]:
-    data = batch.data
-    if node.table is not None:
-        key = f"{node.table}.{node.column}"
-        column = data.get(key)
-        if column is not None:
-            return column
-        column = data.get(node.column)
-        if column is not None:
-            return column
-        raise ExpressionError(f"unknown column {key!r}")
-    column = data.get(node.column)
-    if column is not None:
-        return column
-    # Fall back: a unique qualified match (mirrors the row-dict lookup).
-    suffix = f".{node.column}"
-    matches = [key for key in batch.columns if key.endswith(suffix)]
-    if len(matches) == 1:
-        return data[matches[0]]
-    if len(matches) > 1:
-        raise ExpressionError(f"ambiguous column {node.column!r}")
-    raise ExpressionError(f"unknown column {node.column!r}")
-
-
-def _batch_unary(node: ast.UnaryOp, batch: Any) -> List[Any]:
-    values = evaluate_batch(node.operand, batch)
-    out: List[Any] = []
-    append = out.append
-    if node.op == "not":
-        for value in values:
-            truth = _as_bool(value)
-            append(None if truth is None else not truth)
-        return out
-    for value in values:
-        if value is None:
-            append(None)
-            continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ExpressionError(f"cannot negate {value!r}")
-        append(-value)
-    return out
-
-
-def _batch_and(node: ast.BinaryOp, batch: Any) -> List[Optional[bool]]:
-    lefts = [_as_bool(value) for value in evaluate_batch(node.left, batch)]
-    out: List[Optional[bool]] = [False] * len(lefts)
-    # Selection vector: rows a row-at-a-time AND would evaluate the right
-    # side for (everything except a definite False on the left).
-    need = [i for i, value in enumerate(lefts) if value is not False]
-    if not need:
-        return out
-    sub = batch if len(need) == len(lefts) else batch.take(need)
-    rights = evaluate_batch(node.right, sub)
-    for position, i in enumerate(need):
-        right = _as_bool(rights[position])
-        if right is False:
-            continue  # already False
-        out[i] = None if (lefts[i] is None or right is None) else True
-    return out
-
-
-def _batch_or(node: ast.BinaryOp, batch: Any) -> List[Optional[bool]]:
-    lefts = [_as_bool(value) for value in evaluate_batch(node.left, batch)]
-    out: List[Optional[bool]] = [True] * len(lefts)
-    need = [i for i, value in enumerate(lefts) if value is not True]
-    if not need:
-        return out
-    sub = batch if len(need) == len(lefts) else batch.take(need)
-    rights = evaluate_batch(node.right, sub)
-    for position, i in enumerate(need):
-        right = _as_bool(rights[position])
-        if right is True:
-            continue  # already True
-        out[i] = None if (lefts[i] is None or right is None) else False
-    return out
-
-
-def _batch_binary(node: ast.BinaryOp, batch: Any) -> List[Any]:
-    op = node.op
-    if op == "and":
-        return _batch_and(node, batch)
-    if op == "or":
-        return _batch_or(node, batch)
-    lefts = evaluate_batch(node.left, batch)
-    rights = evaluate_batch(node.right, batch)
-    out: List[Any] = []
-    append = out.append
-    if op == "like":
-        for left, right in zip(lefts, rights):
-            append(None if left is None or right is None else _like(left, right))
-        return out
-    comparator = _COMPARATORS.get(op)
-    if comparator is not None:
-        for left, right in zip(lefts, rights):
-            if left is None or right is None:
-                append(None)
-            elif type(left) is type(right):
-                append(comparator(left, right))
-            else:
-                _require_comparable(left, right)
-                append(comparator(left, right))
-        return out
-    arithmetic = _ARITHMETIC.get(op)
-    if arithmetic is not None:
-        guard_zero = op in ("/", "%")
-        for left, right in zip(lefts, rights):
-            if left is None or right is None:
-                append(None)
-                continue
-            _require_number(left)
-            _require_number(right)
-            if guard_zero and right == 0:
-                raise ExpressionError("division by zero")
-            append(arithmetic(left, right))
-        return out
-    raise ExpressionError(f"unknown operator {op!r}")
-
-
-def _batch_between(node: ast.BetweenExpr, batch: Any) -> List[Optional[bool]]:
-    values = evaluate_batch(node.operand, batch)
-    lows = evaluate_batch(node.low, batch)
-    highs = evaluate_batch(node.high, batch)
-    negated = node.negated
-    out: List[Optional[bool]] = []
-    append = out.append
-    for value, low, high in zip(values, lows, highs):
-        if value is None:
-            append(None)
-            continue
-        lower_ok = None if low is None else _compare_ge(value, low)
-        upper_ok = None if high is None else _compare_le(value, high)
-        if lower_ok is False or upper_ok is False:
-            verdict: Optional[bool] = False
-        elif lower_ok is None or upper_ok is None:
-            verdict = None
-        else:
-            verdict = True
-        if negated and verdict is not None:
-            verdict = not verdict
-        append(verdict)
-    return out
-
-
-def _batch_in(node: ast.InExpr, batch: Any) -> List[Optional[bool]]:
-    values = evaluate_batch(node.operand, batch)
-    item_columns = [evaluate_batch(item, batch) for item in node.items]
-    negated = node.negated
-    out: List[Optional[bool]] = []
-    append = out.append
-    for i, value in enumerate(values):
-        if value is None:
-            append(None)
-            continue
-        saw_null = False
-        verdict: Optional[bool] = negated
-        for column in item_columns:
-            candidate = column[i]
-            if candidate is None:
-                saw_null = True
-            elif _values_equal(value, candidate):
-                verdict = not negated
-                break
-        else:
-            if saw_null:
-                verdict = None
-        append(verdict)
-    return out
-
-
-def _batch_is_null(node: ast.IsNullExpr, batch: Any) -> List[bool]:
-    values = evaluate_batch(node.operand, batch)
-    if node.negated:
-        return [value is not None for value in values]
-    return [value is None for value in values]
-
-
-def _batch_function(node: ast.FunctionCall, batch: Any) -> List[Any]:
-    if node.is_aggregate:
-        raise ExpressionError(
-            f"aggregate {node.name.upper()} outside GROUP BY context"
-        )
-    function = _SCALAR_FUNCTIONS.get(node.name)
-    if function is None:
-        raise ExpressionError(f"unknown function {node.name!r}")
-    arg_columns = [evaluate_batch(arg, batch) for arg in node.args]
-    out: List[Any] = []
-    append = out.append
-    for args in zip(*arg_columns) if arg_columns else ((),) * len(batch):
-        if any(arg is None for arg in args):
-            append(None)
-        else:
-            append(function(*args))
-    return out
-
-
-_BATCH_DISPATCH = {
-    ast.Literal: _batch_literal,
-    ast.RuntimeParameter: _batch_runtime_parameter,
-    ast.ColumnRef: _batch_column,
-    ast.UnaryOp: _batch_unary,
-    ast.BinaryOp: _batch_binary,
-    ast.BetweenExpr: _batch_between,
-    ast.InExpr: _batch_in,
-    ast.IsNullExpr: _batch_is_null,
-    ast.FunctionCall: _batch_function,
 }

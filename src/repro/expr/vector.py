@@ -1,10 +1,10 @@
-"""The third expression lowering target: vectorized numpy kernels.
+"""The second expression lowering target: vectorized numpy kernels.
 
 :func:`compile_vector` lowers an :class:`~repro.sql.ast.Expression` into
 a kernel ``Callable[[ColumnarBatch], Vec]`` that evaluates the whole
 column at once with numpy — comparisons, arithmetic, ``IN`` via
 ``np.isin``, ``LIKE`` over object arrays, and masked Kleene (3VL)
-AND/OR — alongside the row and list-batch closures of
+AND/OR — alongside the row and batch closures of
 :mod:`repro.expr.compile`.
 
 Parity contract
@@ -18,15 +18,15 @@ int64→float64 casts past ``2**53``, non-constant ``IN``/``LIKE``
 operands, unknown functions — the kernel raises :class:`VectorFallback`
 (at compile time when the shape is statically unsupported, at run time
 when the data decides) and the caller re-evaluates the batch through the
-compiled list closure, which raises the identical error at the
-identical row.  Because kernels themselves never raise
+compiled list closure, which raises the error.  Because kernels themselves never raise
 ``ExpressionError``, full-width evaluation of ``AND``/``OR`` operands is
 safe: a side that *could* error on a row the other side's short-circuit
 would have skipped always falls back instead, and the list closure's
 selection-vector evaluation reproduces the skip exactly.
 
-Like :mod:`repro.expr.compile`, kernels are shared through a
-module-level cache keyed structurally by the expression node.
+Like :mod:`repro.expr.compile`, kernels are shared through a bounded
+module-level :class:`~repro.expr.cache.LoweringCache` keyed structurally
+by the expression node.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.executor.vecbatch import FLOAT_EXACT_INT, ColumnarBatch, Vec
+from repro.expr.cache import LoweringCache
 from repro.expr.compile import compile_expr
 from repro.expr.eval import _like_regex
 from repro.sql import ast
@@ -54,34 +55,20 @@ class VectorFallback(Exception):
 
 # ------------------------------------------------------------ kernel cache
 
-_CACHE: Dict[ast.Expression, VectorFn] = {}
-_STATS = {"hits": 0, "misses": 0}
+_CACHE = LoweringCache()
 
 
 def compile_vector(expression: ast.Expression) -> VectorFn:
     """Lower ``expression`` to a columnar kernel (cached structurally)."""
-    try:
-        cached = _CACHE.get(expression)
-    except TypeError:  # unhashable custom node: compile without caching
-        _STATS["misses"] += 1
-        return _compile(expression)
-    if cached is not None:
-        _STATS["hits"] += 1
-        return cached
-    _STATS["misses"] += 1
-    kernel = _compile(expression)
-    _CACHE[expression] = kernel
-    return kernel
+    return _CACHE.get_or_build(expression, _compile)
 
 
 def cache_stats() -> Tuple[int, int]:
-    return _STATS["hits"], _STATS["misses"]
+    return _CACHE.stats()
 
 
 def clear_cache() -> None:
     _CACHE.clear()
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
 
 
 # ------------------------------------------------------------- entry points

@@ -82,7 +82,7 @@ def compare_optimizers(
     without_optimizer = Optimizer(
         db.database,
         db.registry,
-        disabled_config or _all_off(),
+        disabled_config or all_off(),
     )
     enabled = measure_query(db, sql, with_optimizer, label="with")
     disabled = measure_query(db, sql, without_optimizer, label="without")
@@ -119,7 +119,3 @@ def all_off(**overrides: Any) -> OptimizerConfig:
         use_twinning_in_estimation=False,
         **overrides,
     )
-
-
-#: Backwards-compatible alias (the pre-corpus private name).
-_all_off = all_off

@@ -9,10 +9,11 @@ means :class:`~repro.optimizer.planner.PlanCache` hits reuse the
 closures for free, and invalidation/backup reversion recompiles through
 the shared compile cache (identical predicates hit).
 
-Executors treat a ``None`` slot as "interpret this expression", so a
-plan built with ``OptimizerConfig.compile_expressions=False`` runs the
-unchanged :func:`~repro.expr.eval.evaluate` /
-:func:`~repro.expr.eval.evaluate_batch` oracle path.
+Only the production executor reads the slots.  A plan built with
+``OptimizerConfig.compile_expressions=False`` has ``plan.compiled``
+false, and :meth:`~repro.executor.runtime.Executor.execute` routes it
+to the row-at-a-time oracle, which interprets every expression through
+:func:`~repro.expr.eval.evaluate`.
 """
 
 from __future__ import annotations

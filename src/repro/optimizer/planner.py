@@ -64,16 +64,11 @@ class OptimizerConfig:
     # Section 3.2: assess PROBATION constraints in a shadow rewrite pass,
     # counting the queries each would have helped.
     track_probation_usage: bool = True
-    # Rows per executor batch (the vectorized pipeline's unit of work).
-    # 0 selects the row-at-a-time interpreter.  Mirrors
+    # Rows per batch of the production executor.  0 runs every plan on
+    # the row-at-a-time oracle.  Mirrors
     # repro.executor.batch.DEFAULT_BATCH_SIZE, kept literal here so the
     # optimizer package never imports the executor.
     batch_size: int = 1024
-    # Columnar execution: batched operators promote columns to numpy
-    # vectors with explicit null masks and evaluate predicates through
-    # the vector kernels (repro.expr.vector), materializing only
-    # surviving rows.  False keeps the list-based batch closures.
-    columnar: bool = True
     # Morsel-parallel seq scans: >1 dispatches scan morsels to a worker
     # pool (observation-free scans only — guarded/LIMIT scans stay
     # sequential so accounting is bit-identical).  0/None here means
@@ -82,9 +77,9 @@ class OptimizerConfig:
     # never imports the executor.
     workers: int = 0
     # Lower plan expressions to specialized closures at optimize time
-    # (repro.expr.compile).  False runs the interpreted evaluate /
-    # evaluate_batch oracle path unchanged — the differential escape
-    # hatch.
+    # (repro.expr.compile).  The production executor needs them: a plan
+    # built with False carries none, so Executor.execute runs it on the
+    # interpreted row-at-a-time oracle.
     compile_expressions: bool = True
     # Execution feedback (repro.feedback): instrument every execution,
     # harvest actual cardinalities into a FeedbackStore, estimate in the

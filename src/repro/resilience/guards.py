@@ -358,7 +358,7 @@ def permits_readahead(active_guard: Optional["ActiveGuard"]) -> bool:
     result never consumed.  The executor therefore only engages morsel
     parallelism on observation-free scans — no armed guard, no LIMIT
     quota — and this predicate is the single place that contract lives.
-    Guarded scans still run the sequential columnar path, which is
-    bit-identical to the list-based pipeline by construction.
+    Guarded scans still run the sequential columnar path, whose
+    accounting is identical to the row-at-a-time oracle's.
     """
     return active_guard is None

@@ -1,9 +1,8 @@
-"""Differential equivalence across every execution mode.
+"""Differential equivalence: the production executor against the oracle.
 
-Every query runs in row/batched × compiled/interpreted form, plus the
-batched pipeline with the columnar kernels off (list-based closures) and
-with morsel-parallel scans (``workers=4``) — the interpreted
-row-at-a-time executor is the oracle — and all modes must
+Every query runs on the production executor (columnar + compiled) at
+each batch size, and with morsel-parallel scans (``workers=4``); the
+interpreted row-at-a-time executor is the oracle.  Every mode must
 produce identical sorted result multisets, row counts, page-read totals,
 *and errors* (a query that raises must raise the same error type and
 message in every mode).  Corpora: the property SQL oracle generators
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from repro import SoftDB
 from repro.executor.runtime import ExecutionResult, Executor
 from repro.feedback import FeedbackStore
-from repro.harness.runner import _all_off
+from repro.harness.runner import all_off
 from repro.optimizer.planner import Optimizer, OptimizerConfig
 from repro.sql.printer import sql_of
 
@@ -40,7 +39,7 @@ BATCH_SIZES = (3, 1024)
 
 CONFIGS = {
     "rewrites-on": OptimizerConfig(),
-    "rewrites-off": _all_off(),
+    "rewrites-off": all_off(),
     # Feedback collection must be invisible to query results: every mode
     # runs with its counters live while the oracle stays uninstrumented.
     "feedback-on": OptimizerConfig(collect_feedback=True),
@@ -48,12 +47,12 @@ CONFIGS = {
 
 
 def _executor(
-    db: SoftDB, batch_size: int, config: OptimizerConfig, **kwargs
+    db: SoftDB, batch_size: int, config: OptimizerConfig, workers: int
 ) -> Executor:
     """An executor for one mode; feedback-collecting when configured."""
     feedback = FeedbackStore() if config.collect_feedback else None
     return Executor(
-        db.database, batch_size=batch_size, feedback=feedback, **kwargs
+        db.database, batch_size=batch_size, feedback=feedback, workers=workers
     )
 
 
@@ -82,35 +81,11 @@ def _plans(db: SoftDB, sql: str, config: OptimizerConfig):
     return interpreted, compiled
 
 
-def _modes(interpreted, compiled):
-    """(name, plan, batch_size, executor kwargs) per non-oracle mode.
-
-    The plain batched modes run with the default columnar kernels; each
-    batch size additionally runs with ``columnar=False`` (the list-based
-    batch closures) and the default size also runs with ``workers=4``
-    (morsel-parallel seq scans), so the oracle comparison pins all three
-    lowering targets *and* the parallel merge at once.
-    """
-    modes = [("row-compiled", compiled, 0, {})]
-    for batch_size in BATCH_SIZES:
-        modes.append(
-            (f"batched-interpreted-{batch_size}", interpreted, batch_size, {})
-        )
-        modes.append(
-            (f"batched-compiled-{batch_size}", compiled, batch_size, {})
-        )
-        modes.append(
-            (
-                f"batched-listpath-{batch_size}",
-                compiled,
-                batch_size,
-                {"columnar": False},
-            )
-        )
-    modes.append(
-        ("batched-workers4-1024", compiled, 1024, {"workers": 4})
-    )
-    return modes
+#: (name, batch_size, workers) per production mode: every batch size,
+#: and the default size with morsel-parallel seq scans.
+MODES = [(f"production-{size}", size, 1) for size in BATCH_SIZES] + [
+    ("production-workers4-1024", 1024, 4)
+]
 
 
 def assert_differential(db: SoftDB, sql: str, config: OptimizerConfig) -> None:
@@ -119,15 +94,18 @@ def assert_differential(db: SoftDB, sql: str, config: OptimizerConfig) -> None:
     oracle = _outcome(
         lambda: Executor(db.database, batch_size=0).execute(interpreted)
     )
-    for name, plan, batch_size, kwargs in _modes(interpreted, compiled):
+    for name, batch_size, workers in MODES:
         result = _outcome(
-            lambda: _executor(db, batch_size, config, **kwargs).execute(plan)
+            lambda: _executor(db, batch_size, config, workers).execute(
+                compiled
+            )
         )
         context = f"{sql!r} ({name})"
         if oracle[0] == "error":
             assert result == oracle, context
         else:
             assert result[0] == "ok", context
+            assert result[1].executor.startswith("production"), context
             _assert_same(oracle[1], result[1], sql, name)
 
 
@@ -246,7 +224,7 @@ def test_rewrite_configurations_differential(switch):
     if switch == "all-on":
         config = OptimizerConfig()
     elif switch == "all-off":
-        config = _all_off()
+        config = all_off()
     else:
         config = dataclasses.replace(OptimizerConfig(), **{switch: False})
     for sql in WORKLOAD:
@@ -260,7 +238,7 @@ def test_rewrite_configurations_differential(switch):
 #: Queries that raise during execution — division by zero (dynamic and
 #: constant-folded), non-numeric arithmetic, LIKE over a number, and a
 #: non-boolean predicate.  ``assert_differential`` captures the outcome,
-#: so all four modes must produce the identical error type and message.
+#: so every mode must produce the identical error type and message.
 ERROR_WORKLOAD = [
     "SELECT id, salary / (age - age) AS broken FROM emp",
     "SELECT 1 / 0 AS boom FROM emp",
@@ -283,3 +261,52 @@ def test_error_workload_differential(sql):
         lambda: Executor(db.database, batch_size=0).execute(interpreted)
     )
     assert outcome[0] == "error", sql
+
+
+# -- routing: batch_size == 0 or no closures means the oracle ---------------
+
+
+def _nodes(node):
+    yield node
+    for child in node.children():
+        yield from _nodes(child)
+
+
+def test_uncompiled_plan_runs_on_the_oracle():
+    """A ``compile_expressions=False`` plan handed to a default executor
+    is interpreted row-at-a-time: no batch is ever counted."""
+    db = _workload_db()
+    interpreted, _ = _plans(db, WORKLOAD[1], OptimizerConfig())
+    result = Executor(db.database).execute(interpreted, instrument=True)
+    assert result.executor == "oracle"
+    for node in _nodes(interpreted.root):
+        assert node.actual_batches is None, node
+    assert interpreted.root.actual_rows == result.row_count
+
+
+def test_batch_size_zero_interprets_a_compiled_plan():
+    """The oracle never calls a closure, even when the plan carries them:
+    with every closure poisoned, ``batch_size=0`` still answers."""
+    db = _workload_db()
+
+    def poisoned(*_args):
+        raise AssertionError("the oracle called a compiled closure")
+
+    for sql in WORKLOAD:
+        interpreted, compiled = _plans(db, sql, OptimizerConfig())
+        expected = Executor(db.database, batch_size=0).execute(interpreted)
+        for node in _nodes(compiled.root):
+            for name in vars(node):
+                if name.startswith("compiled_") and getattr(node, name):
+                    setattr(node, name, _poison(getattr(node, name), poisoned))
+        result = Executor(db.database, batch_size=0).execute(compiled)
+        assert result.executor == "oracle"
+        assert result.tuples() == expected.tuples(), sql
+
+
+def _poison(slot, poisoned):
+    """Replace every callable in a ``compiled_*`` slot (a pair, or a list
+    of pairs / None entries, sort passes carrying a trailing flag)."""
+    if isinstance(slot, list):
+        return [None if pair is None else _poison(pair, poisoned) for pair in slot]
+    return tuple(poisoned if callable(fn) else fn for fn in slot)

@@ -1,7 +1,6 @@
-"""Columnar execution: mutation guards, morsel determinism, LIMIT I/O.
+"""The production executor: mutation guards, morsel determinism, LIMIT I/O.
 
-Covers the contracts the columnar rewrite added on top of the batched
-pipeline: frozen (tuple-backed) join build sides that make aliased
+Covers the contracts of the columnar pipeline: frozen (tuple-backed) join build sides that make aliased
 in-place mutation raise instead of corrupting sibling batches,
 bit-identical results and I/O accounting between ``workers=1`` and
 ``workers=4`` morsel scans, LIMIT page-read parity with the
@@ -15,6 +14,7 @@ from repro.errors import QueryGuardError
 from repro.executor.batch import RowBatch
 from repro.executor.runtime import Executor
 from repro.executor.vectorized import BatchedInterpreter
+from repro.expr.vector import VectorFallback, filter_indices
 from repro.optimizer.logical import Aggregate
 from repro.resilience.guards import QueryGuard
 
@@ -138,26 +138,45 @@ def _walk(node):
 
 
 class TestLimitAccounting:
-    @pytest.mark.parametrize("batch_size", [3, 64, 1024])
-    def test_limit_page_reads_match_oracle(self, batch_size):
+    @pytest.mark.parametrize("batch_size", [1, 3, 64, 1024])
+    def test_limit_page_reads_match_oracle(self, batch_size, monkeypatch):
+        """Rows, order and I/O under LIMIT equal the oracle — and the
+        quota-clamped predicate scans filter through the vector kernels,
+        dropping to the batch closure only for a batch a kernel declines
+        (here: the one holding the int64-overflowing ``b``)."""
+        from repro.executor import scans
+
+        kernel_calls = []
+
+        def spying_filter(kernel, batch):
+            kernel_calls.append(len(batch))
+            try:
+                return filter_indices(kernel, batch)
+            except VectorFallback:
+                kernel_calls[-1] = "fallback"
+                raise
+
+        monkeypatch.setattr(scans, "filter_indices", spying_filter)
         db = _db()
-        for sql in (
-            "SELECT a FROM t LIMIT 10",
-            "SELECT a FROM t WHERE b < 6 LIMIT 25",
-            "SELECT a FROM t LIMIT 0",
-            "SELECT a, b FROM t WHERE a > 100 LIMIT 4999",
+        db.execute(f"UPDATE t SET b = {2**70} WHERE a = 40")
+        for sql, falls_back in (
+            ("SELECT a FROM t LIMIT 10", False),
+            ("SELECT a FROM t WHERE b < 6 LIMIT 25", True),
+            ("SELECT a FROM t LIMIT 0", False),
+            ("SELECT a, b FROM t WHERE a > 100 LIMIT 4999", False),
         ):
-            plan_o = db.optimizer.optimize(sql)
-            oracle = Executor(db.database, batch_size=0).execute(plan_o)
-            plan_b = db.optimizer.optimize(sql)
-            for columnar in (False, True):
-                batched = Executor(
-                    db.database, batch_size=batch_size, columnar=columnar
-                ).execute(plan_b)
-                context = (sql, batch_size, columnar)
-                assert batched.tuples() == oracle.tuples(), context
-                assert batched.page_reads == oracle.page_reads, context
-                assert batched.rows_read == oracle.rows_read, context
+            plan = db.optimizer.optimize(sql)
+            oracle = Executor(db.database, batch_size=0).execute(plan)
+            del kernel_calls[:]
+            batched = Executor(db.database, batch_size=batch_size).execute(
+                plan
+            )
+            context = (sql, batch_size)
+            assert batched.tuples() == oracle.tuples(), context
+            assert batched.page_reads == oracle.page_reads, context
+            assert batched.rows_read == oracle.rows_read, context
+            assert bool(kernel_calls) == ("WHERE" in sql), context
+            assert ("fallback" in kernel_calls[1:]) == falls_back, context
 
 
 # ------------------------------------------------- aggregate folds

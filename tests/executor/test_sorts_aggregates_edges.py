@@ -13,6 +13,7 @@ from repro.errors import ExecutionError
 from repro.executor.aggregates import AggregateState
 from repro.executor.sorts import run_sort_batched
 from repro.executor.batch import RowBatch
+from repro.expr.compile import compile_expr
 from repro.optimizer.logical import Aggregate
 from repro.optimizer.physical import Sort
 from repro.sql.parser import parse_expression
@@ -144,7 +145,9 @@ class TestOrderByMixedNulls:
         assert [row["a"] for row in result.rows] == [1, 3, 6, 2, 5, 7, 4]
 
     def test_all_null_key_preserves_input_order(self):
-        node = Sort("child", [(parse_expression("x"), True)])
+        key = compile_expr(parse_expression("x"))
+        node = Sort("child", [(key.expression, True)])
+        node.compiled_order = [(key.row, key.batch, True)]
         rows = [{"x": None, "tag": t} for t in "abcd"]
         batches = [RowBatch.from_rows(rows[:2]), RowBatch.from_rows(rows[2:])]
         ordered = []

@@ -3,16 +3,17 @@
 Every assertion here is differential: the compiled row and batch
 closures from :mod:`repro.expr.compile` must return the same value — or
 raise the same :class:`~repro.errors.ExpressionError` — as
-:func:`~repro.expr.eval.evaluate` / :func:`~repro.expr.eval.evaluate_batch`
-on the same input.  Targeted corpora cover NULL propagation,
-short-circuit AND/OR, BETWEEN/IN with NULLs, LIKE edge cases, constant
-folding (including deferred fold errors), and the compile cache.
+:func:`~repro.expr.eval.evaluate` applied to each row.  Targeted
+corpora cover NULL propagation, short-circuit AND/OR, BETWEEN/IN with
+NULLs, LIKE edge cases, constant folding (including deferred fold
+errors), and the compile cache.
 """
 
 import pytest
 
 from repro.errors import ExpressionError
 from repro.executor.batch import RowBatch
+from repro.expr import cache as lowering_cache
 from repro.expr.compile import (
     cache_stats,
     clear_cache,
@@ -20,7 +21,7 @@ from repro.expr.compile import (
     compile_expr,
     compile_row,
 )
-from repro.expr.eval import evaluate, evaluate_batch
+from repro.expr.eval import evaluate
 from repro.sql.parser import parse_expression
 
 
@@ -42,19 +43,38 @@ def _outcome(fn):
         return ("error", str(error))
 
 
+def assert_batch_parity(expression, batch_fn, batch, context):
+    """``batch_fn`` agrees with :func:`evaluate` applied per row of ``batch``.
+
+    An erroring batch: the closure works a column at a time, so it may
+    meet a later row's error before an earlier row's.  It must raise iff
+    some row raises, and the error must be one a row of the batch raises.
+    """
+    per_row = [
+        _outcome(lambda: evaluate(expression, row)) for row in batch.to_rows()
+    ]
+    errors = {outcome for outcome in per_row if outcome[0] == "error"}
+    got = _outcome(lambda: batch_fn(batch))
+    if errors:
+        assert got in errors, context
+    else:
+        assert got == ("ok", [value for _, value in per_row]), context
+
+
 def assert_parity(text, rows):
     """Compiled row/batch closures agree with the interpreter on ``rows``."""
     expression = parse_expression(text)
     row_fn = compile_row(expression)
-    batch_fn = compile_batch(expression)
     for row in rows:
         expected = _outcome(lambda: evaluate(expression, row))
         got = _outcome(lambda: row_fn(row))
         assert got == expected, f"{text!r} over {row!r}"
-    batch = _batch_of(rows)
-    expected = _outcome(lambda: evaluate_batch(expression, batch))
-    got = _outcome(lambda: batch_fn(batch))
-    assert got == expected, f"{text!r} over batch {rows!r}"
+    assert_batch_parity(
+        expression,
+        compile_batch(expression),
+        _batch_of(rows),
+        f"{text!r} over batch {rows!r}",
+    )
 
 
 ROWS = [
@@ -184,8 +204,7 @@ class TestConstantFolding:
         assert not compiled.constant
         with pytest.raises(ExpressionError, match="division by zero"):
             compiled.row({})
-        # The batch interpreter's per-row loop never raises over an empty
-        # batch; the compiled closure must match.
+        # No row, no evaluation: an empty batch never raises.
         assert compiled.batch(_batch_of([])) == []
         with pytest.raises(ExpressionError, match="division by zero"):
             compiled.batch(_batch_of([{}]))
@@ -202,10 +221,9 @@ class TestAggregateAndUnknownFunctions:
     def test_aggregate_outside_group_by_raises_everywhere(self):
         assert_parity("sum(a) > 1", [{"a": 1}])
 
-    def test_aggregate_raises_even_on_empty_batch(self):
-        expression = parse_expression("count(a)")
-        with pytest.raises(ExpressionError, match="outside GROUP BY"):
-            compile_batch(expression)(_batch_of([]))
+    def test_aggregate_over_empty_batch_is_empty(self):
+        # The per-row reference evaluates nothing over no rows.
+        assert compile_batch(parse_expression("count(a)"))(_batch_of([])) == []
 
     def test_scalar_function_arity_error_matches(self):
         expression = parse_expression("abs(1, 2)")
@@ -241,3 +259,29 @@ class TestCompileCache:
         compile_expr(parse_expression("a * 3"))
         clear_cache()
         assert cache_stats() == (0, 0)
+
+    def test_cache_is_bounded_and_eviction_keeps_plans_runnable(self):
+        """CAPACITY + 1 distinct literal predicates leave at most CAPACITY
+        entries, and a plan compiled before its entries were evicted still
+        executes: the closures live on the plan's nodes."""
+        from repro import SoftDB
+        from repro.expr import compile as compile_module
+
+        db = SoftDB()
+        db.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+        db.database.insert_many("t", [(i, i % 5) for i in range(50)])
+        clear_cache()
+        sql = "SELECT a FROM t WHERE b = 3 AND a > 10"
+        plan = db.plan(sql)
+        predicate = parse_expression("b = 3 AND a > 10")
+        before = compile_expr(predicate)
+        expected = db.executor.execute(plan).tuples()
+        for literal in range(lowering_cache.CAPACITY + 1):
+            compile_expr(parse_expression(f"a = {1_000_000 + literal}"))
+        assert len(compile_module._CACHE) <= lowering_cache.CAPACITY
+        # The plan's predicate was evicted (lowering it again builds a
+        # new closure) ...
+        assert compile_expr(predicate) is not before
+        # ... yet the plan, and a fresh compile of the same query, run.
+        assert db.executor.execute(plan).tuples() == expected
+        assert db.execute(sql).tuples() == expected

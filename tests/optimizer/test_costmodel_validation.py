@@ -73,14 +73,14 @@ class TestRelativeOrdering:
 
     def test_join_elimination_lowers_estimated_cost(self):
         db = build_star_schema(facts=2000, customers=50, products=20, seed=2)
-        from repro.harness.runner import _all_off
+        from repro.harness.runner import all_off
         from repro.optimizer.planner import Optimizer
 
         sql = (
             "SELECT s.id FROM sales s, customer c WHERE s.customer_id = c.id"
         )
         with_rewrites = db.plan(sql)
-        without = Optimizer(db.database, db.registry, _all_off()).optimize(sql)
+        without = Optimizer(db.database, db.registry, all_off()).optimize(sql)
         assert with_rewrites.estimated_cost < without.estimated_cost
 
 

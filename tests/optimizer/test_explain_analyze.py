@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import SoftDB
+from repro.optimizer.planner import OptimizerConfig
+
 
 class TestInstrumentedExecution:
     def test_actual_rows_recorded_per_node(self, sales_softdb):
@@ -35,7 +38,14 @@ class TestInstrumentedExecution:
         assert "est=" in text
         assert "act=" in text
         assert "qerr=" in text
-        assert "pages read" in text
+        assert "pages read, executor=production (batch_size=1024, " in text
+
+    def test_explain_analyze_names_the_path_that_ran(self):
+        # No closures on the plan: the default executor ran the oracle.
+        db = SoftDB(OptimizerConfig(compile_expressions=False))
+        db.execute("CREATE TABLE t (a INT)")
+        text = db.explain("SELECT a FROM t WHERE a = 1", analyze=True)
+        assert text.splitlines()[-1].endswith("pages read, executor=oracle")
 
     def test_plain_explain_has_no_actuals(self, sales_softdb):
         text = sales_softdb.explain("SELECT id FROM sale WHERE day = 3")

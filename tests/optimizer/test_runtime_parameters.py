@@ -117,9 +117,9 @@ class TestParameterizedPlans:
         db = make_db(runtime_parameters=True)
         plan = db.plan(HALF_OPEN)
         db.execute("INSERT INTO t VALUES (999999, 6000)")
-        from repro.harness.runner import _all_off
+        from repro.harness.runner import all_off
 
-        baseline = Optimizer(db.database, None, _all_off()).optimize(HALF_OPEN)
+        baseline = Optimizer(db.database, None, all_off()).optimize(HALF_OPEN)
         got = sorted(r["id"] for r in db.executor.execute(plan).rows)
         want = sorted(r["id"] for r in db.executor.execute(baseline).rows)
         assert got == want
