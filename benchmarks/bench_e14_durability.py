@@ -75,9 +75,7 @@ def _run_churn(db: SoftDB) -> int:
             "churn",
             [(base + n, (base + n) * 31 % 9973) for n in range(BATCH)],
         )
-        deleted = db.database.delete_where(
-            "churn", lambda row: row["id"] % 5 != 0
-        )
+        deleted = db.execute("DELETE FROM churn WHERE id % 5 <> 0")
         operations += BATCH + deleted
     return operations
 

@@ -18,8 +18,11 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from contextlib import nullcontext
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro import dml
 from repro.engine.constraints import (
     CheckConstraint,
     Constraint,
@@ -41,7 +44,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.executor.runtime import ExecutionResult, Executor
-from repro.expr.eval import compile_predicate, evaluate
+from repro.expr.eval import compile_predicate
 from repro.optimizer.explain import explain as explain_plan
 from repro.optimizer.physical import PhysicalPlan
 from repro.optimizer.planner import Optimizer, OptimizerConfig, PlanCache
@@ -54,19 +57,6 @@ from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.sql.printer import sql_of
 from repro.stats.runstats import TableStats, runstats, runstats_virtual
-
-
-def _plan_tables(plan: PhysicalPlan) -> tuple:
-    """The base tables a physical plan touches, sorted and deduplicated."""
-    tables = set()
-    stack = [plan.root]
-    while stack:
-        node = stack.pop()
-        name = getattr(node, "table_name", None)
-        if name:
-            tables.add(name)
-        stack.extend(node.children())
-    return tuple(sorted(tables))
 
 
 class SoftDB:
@@ -107,21 +97,7 @@ class SoftDB:
         self.optimizer = Optimizer(
             self.database, self.registry, self.config, feedback=self.feedback
         )
-        self.plan_cache = PlanCache(
-            self.optimizer,
-            qerror_threshold=(
-                self.config.feedback_qerror_threshold
-                if self.feedback is not None
-                else None
-            ),
-        )
-        self.executor = Executor(
-            self.database,
-            self.registry,
-            batch_size=self.config.batch_size,
-            feedback=self.feedback,
-            workers=self.config.workers if self.config.workers else None,
-        )
+        self.plan_cache, self.executor = self._planning_pair()
         self._constraint_sequence = 0
         self.durability = None
         # Facade-level explicit transaction (BEGIN..COMMIT/ROLLBACK on
@@ -129,6 +105,28 @@ class SoftDB:
         self._txn = None
         if path is not None:
             self._attach_durability(path, crash_points)
+
+    def _planning_pair(self) -> Tuple[PlanCache, Executor]:
+        """A fresh plan cache and executor over the shared optimizer,
+        registry and feedback store.  Plans and execution state are the
+        per-client half of the stack: the facade owns one pair and every
+        :class:`~repro.concurrency.session.Session` its own."""
+        plan_cache = PlanCache(
+            self.optimizer,
+            qerror_threshold=(
+                self.config.feedback_qerror_threshold
+                if self.feedback is not None
+                else None
+            ),
+        )
+        executor = Executor(
+            self.database,
+            self.registry,
+            batch_size=self.config.batch_size,
+            feedback=self.feedback,
+            workers=self.config.workers if self.config.workers else None,
+        )
+        return plan_cache, executor
 
     # ------------------------------------------------------------ durability
 
@@ -257,89 +255,99 @@ class SoftDB:
         feedback-corrected estimates.  Harvesting happens only for
         successful, untruncated executions.
         """
+        return self.run_statement(
+            parse_statement(sql), sql, use_cache, batch_size, guard, cancel
+        )
+
+    def run_statement(
+        self,
+        statement: ast.Statement,
+        sql: str,
+        use_cache: bool = False,
+        batch_size: Optional[int] = None,
+        guard: Optional[Any] = None,
+        cancel: Optional[Any] = None,
+        context: Optional[Any] = None,
+    ) -> Optional[Union[ExecutionResult, int]]:
+        """The one statement path: run an already-parsed statement.
+
+        :meth:`execute` parses and calls this; a session, a replica and
+        the router call it with the statement they parsed themselves, so
+        no statement is parsed twice.  ``sql`` is the text ``statement``
+        was parsed from (the plan-cache key).
+
+        ``context`` is what differs between the places a statement runs —
+        this facade (the default) or a
+        :class:`~repro.concurrency.session.Session`.  It provides
+        ``plan_cache`` and ``executor`` (its :meth:`_planning_pair`),
+        ``_read_scope()`` (a context manager around a query's execution:
+        a session pins its snapshot there), its transaction (``_begin()``,
+        ``_commit()``, ``_rollback()``, and ``_txn``, None when none is
+        open) and ``_run_dml(apply)``, which calls one of the
+        :mod:`repro.dml` appliers with that context's ``rows``, ``txn``
+        and ``claim`` and returns the affected-row count.
+
+        The DML failure rule is the same everywhere: an autocommit
+        statement is atomic by itself; inside an open transaction a
+        failed statement rolls the *whole* transaction back before the
+        error propagates — the undo log is all-or-nothing, and a
+        half-applied statement must never reach ``COMMIT``.
+        """
         if cancel is not None and cancel.cancelled:
             raise QueryCancelledError(f"query cancelled: {cancel.reason}")
-        statement = parse_statement(sql)
-        if isinstance(statement, (ast.SelectStatement, ast.UnionAll)):
-            if use_cache:
-                plan = self.plan_cache.get_plan(sql)
-            else:
-                plan = self.optimizer.optimize(statement)
-            try:
-                result = self.executor.execute(
+        handler = _HANDLERS.get(type(statement))
+        if handler is None:
+            raise SqlError(f"unsupported statement {type(statement).__name__}")
+        return handler(
+            self,
+            statement,
+            self if context is None else context,
+            (sql, use_cache, batch_size, guard, cancel),
+        )
+
+    def _select(self, statement, context, options) -> ExecutionResult:
+        """The one SELECT runner: plan (or fetch the cached plan),
+        execute inside the context's read scope, then feed guard trips
+        and observed q-errors back."""
+        sql, use_cache, batch_size, guard, cancel = options
+        plan_cache = context.plan_cache if use_cache else None
+        if plan_cache is not None:
+            plan = plan_cache.get_plan(sql, statement)
+        else:
+            plan = self.optimizer.optimize(statement)
+        try:
+            with context._read_scope():
+                result = context.executor.execute(
                     plan,
                     batch_size=batch_size,
                     guard=guard,
                     cancel=cancel,
                 )
-            except QueryGuardError as error:
-                self._note_guard_breach(sql, plan, error, use_cache)
-                raise
-            if result.truncated:
-                self._note_guard_breach(
-                    sql, plan, result.guard_breach, use_cache
-                )
-            elif use_cache and self.feedback is not None:
-                self.plan_cache.note_execution(sql, result.max_qerror)
-            return result
-        if isinstance(statement, ast.BeginTransaction):
-            self._begin_transaction()
-            return None
-        if isinstance(statement, ast.CommitTransaction):
-            self._commit_transaction()
-            return None
-        if isinstance(statement, ast.RollbackTransaction):
-            self._rollback_transaction()
-            return None
-        if self._txn is not None and not isinstance(
-            statement, (ast.Insert, ast.Delete, ast.Update)
-        ):
-            raise TransactionError(
-                "only DML is supported inside an explicit transaction"
+        except QueryGuardError as error:
+            self._note_guard_breach(plan_cache, sql, plan, error)
+            raise
+        if result.truncated:
+            self._note_guard_breach(
+                plan_cache, sql, plan, result.guard_breach
             )
-        # Every non-query statement is one WAL transaction: a crash (or
-        # fault) mid-statement — even mid-DDL, e.g. halfway through
-        # CREATE SUMMARY TABLE's register/populate sequence — leaves no
-        # committed trace for recovery to replay.
-        with self.database._statement_scope():
-            if isinstance(statement, ast.Insert):
-                return self._execute_insert(statement)
-            if isinstance(statement, ast.Delete):
-                return self._execute_delete(statement)
-            if isinstance(statement, ast.Update):
-                return self._execute_update(statement)
-            if isinstance(statement, ast.CreateTable):
-                self._execute_create_table(statement)
-                return None
-            if isinstance(statement, ast.CreateIndex):
-                self.database.create_index(
-                    statement.name,
-                    statement.table,
-                    statement.columns,
-                    unique=statement.unique,
-                )
-                return None
-            if isinstance(statement, ast.CreateSummaryTable):
-                self._execute_create_summary(statement)
-                return None
-            if isinstance(statement, ast.DropTable):
-                self.database.drop_table(statement.name)
-                return None
-        raise SqlError(f"unsupported statement {type(statement).__name__}")
+        elif plan_cache is not None and self.feedback is not None:
+            plan_cache.note_execution(sql, result.max_qerror)
+        return result
 
     def _note_guard_breach(
         self,
+        plan_cache: Optional[PlanCache],
         sql: str,
         plan: PhysicalPlan,
         error: Optional[Exception],
-        use_cache: bool,
     ) -> None:
         """Feed a guard trip into the feedback loop.
 
         Budget and deadline breaches blame the plan: the trip is recorded
         against the plan's tables (repeated trips flag them suspect) and
-        the cached plan is evicted.  A cancellation blames nobody — it is
-        counted for reporting but neither marks tables nor evicts.
+        the plan is evicted from ``plan_cache`` (the cache it came from,
+        None when it was not cached).  A cancellation blames nobody — it
+        is counted for reporting but neither marks tables nor evicts.
         """
         cancelled = isinstance(error, QueryCancelledError)
         if self.feedback is not None:
@@ -352,10 +360,10 @@ class SoftDB:
             else:
                 kind = "guard"
             self.feedback.record_guard_trip(
-                kind, () if cancelled else _plan_tables(plan)
+                kind, () if cancelled else tuple(sorted(plan.tables()))
             )
-        if use_cache and not cancelled:
-            self.plan_cache.note_guard_breach(sql)
+        if plan_cache is not None and not cancelled:
+            plan_cache.note_guard_breach(sql)
 
     def query(self, sql: str) -> List[Dict[str, Any]]:
         """Run a SELECT and return its rows."""
@@ -538,9 +546,13 @@ class SoftDB:
         with self.database._statement_scope():
             return ExceptionTable(self.database, constraint, name)
 
-    # ---------------------------------------------------------- transactions
+    # ----------------------------------------------- the facade as a context
 
-    def _begin_transaction(self) -> None:
+    def _read_scope(self):
+        """Nothing to pin: the facade reads the latest state."""
+        return _NO_SNAPSHOT
+
+    def _begin(self) -> None:
         """``BEGIN`` on the facade itself: a single-session transaction.
 
         DML until ``COMMIT``/``ROLLBACK`` routes through one undo-log
@@ -555,91 +567,27 @@ class SoftDB:
 
         self._txn = Transaction(self.database)
 
-    def _commit_transaction(self) -> None:
+    def _end(self) -> Any:
         if self._txn is None:
             raise TransactionError("no transaction is open")
         txn, self._txn = self._txn, None
-        txn.commit()
+        return txn
 
-    def _rollback_transaction(self) -> None:
+    def _commit(self) -> None:
+        self._end().commit()
+
+    def _rollback(self) -> None:
+        self._end().rollback()
+
+    def _run_dml(self, apply: Callable[..., int]) -> int:
         if self._txn is None:
-            raise TransactionError("no transaction is open")
-        txn, self._txn = self._txn, None
-        txn.rollback()
-
-    # ----------------------------------------------------------- DML internals
-
-    def _execute_insert(self, statement: ast.Insert) -> int:
-        table = self.database.table(statement.table)
-        rows: List[List[Any]] = []
-        for row_expressions in statement.rows:
-            values = [evaluate(expr, {}) for expr in row_expressions]
-            if statement.columns:
-                if len(values) != len(statement.columns):
-                    raise ExecutionError(
-                        "INSERT value count does not match column list"
-                    )
-                mapping = dict(zip(statement.columns, values))
-                values = table.schema.row_from_mapping(mapping)
-            rows.append(values)
-        if self._txn is not None:
-            for values in rows:
-                self._txn.insert(statement.table, values)
-            return len(rows)
-        # insert_many is atomic for multi-row statements: a fault midway
-        # rolls the already-inserted prefix back.
-        self.database.insert_many(statement.table, rows)
-        return len(rows)
-
-    def _execute_delete(self, statement: ast.Delete) -> int:
-        if statement.where is None:
-            # DELETE without WHERE: same all-or-nothing semantics as the
-            # predicated path in Database.delete_where.
-            predicate = lambda row: True
-        else:
-            predicate = compile_predicate(statement.where)
-        if self._txn is not None:
-            table = self.database.table(statement.table)
-            names = table.schema.column_names()
-            victims = [
-                rid
-                for rid, row in table.scan()
-                if predicate(dict(zip(names, row))) is True
-            ]
-            for rid in victims:
-                self._txn.delete(statement.table, rid)
-            return len(victims)
-        return self.database.delete_where(statement.table, predicate)
-
-    def _execute_update(self, statement: ast.Update) -> int:
-        if statement.where is None:
-            predicate = lambda row: True
-        else:
-            predicate = compile_predicate(statement.where)
-        assignments = statement.assignments
-
-        def assign(row: Dict[str, Any]) -> Dict[str, Any]:
-            return {
-                column: evaluate(expression, row)
-                for column, expression in assignments
-            }
-
-        if self._txn is not None:
-            table = self.database.table(statement.table)
-            names = table.schema.column_names()
-            targets = []
-            for rid, row in table.scan():
-                row_dict = dict(zip(names, row))
-                if predicate(row_dict) is True:
-                    targets.append((rid, row_dict))
-            for rid, row_dict in targets:
-                new_dict = dict(row_dict)
-                new_dict.update(assign(row_dict))
-                self._txn.update(
-                    statement.table, rid, [new_dict[name] for name in names]
-                )
-            return len(targets)
-        return self.database.update_where(statement.table, predicate, assign)
+            with self.database._statement_scope():
+                return apply()
+        try:
+            return apply(txn=self._txn)
+        except BaseException:
+            self._rollback()
+            raise
 
     # ----------------------------------------------------------- DDL internals
 
@@ -791,3 +739,57 @@ class SoftDB:
             f"SoftDB(tables={self.database.catalog.table_names()}, "
             f"soft_constraints={self.registry.names()})"
         )
+
+
+#: The facade's read scope: no snapshot to pin.
+_NO_SNAPSHOT = nullcontext()
+
+Handler = Callable[[SoftDB, Any, Any, tuple], Any]
+
+
+def _dml(apply: Callable[..., int]) -> Handler:
+    """A DML statement: the applier, under the context's discipline."""
+
+    def handler(db, statement, context, options):
+        return context._run_dml(partial(apply, db.database, statement))
+
+    return handler
+
+
+def _ddl(run: Callable[[SoftDB, Any], None]) -> Handler:
+    """A DDL statement: refused inside an open transaction, and one WAL
+    statement — a crash (or fault) midway, e.g. halfway through CREATE
+    SUMMARY TABLE's register/populate sequence, leaves no committed
+    trace for recovery to replay."""
+
+    def handler(db, statement, context, options):
+        if context._txn is not None:
+            raise TransactionError(
+                "only DML is supported inside an explicit transaction"
+            )
+        with db.database._statement_scope():
+            run(db, statement)
+
+    return handler
+
+
+#: Statement kind -> ``handler(db, statement, context, options)``: the
+#: only dispatch on statement kinds outside ``repro.sql``.
+_HANDLERS: Dict[type, Handler] = {
+    ast.SelectStatement: SoftDB._select,
+    ast.UnionAll: SoftDB._select,
+    ast.BeginTransaction: lambda db, s, context, options: context._begin(),
+    ast.CommitTransaction: lambda db, s, context, options: context._commit(),
+    ast.RollbackTransaction: lambda db, s, context, options: context._rollback(),
+    ast.Insert: _dml(dml.apply_insert),
+    ast.Delete: _dml(dml.apply_delete),
+    ast.Update: _dml(dml.apply_update),
+    ast.CreateTable: _ddl(SoftDB._execute_create_table),
+    ast.CreateIndex: _ddl(
+        lambda db, s: db.database.create_index(
+            s.name, s.table, s.columns, unique=s.unique
+        )
+    ),
+    ast.CreateSummaryTable: _ddl(SoftDB._execute_create_summary),
+    ast.DropTable: _ddl(lambda db, s: db.database.drop_table(s.name)),
+}

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import api
 from repro.errors import (
     ReplicationError,
     ReplicaUnavailableError,
 )
-from repro.sql import ast
-from repro.sql.parser import parse_statement
+from repro.sql.ast import is_query
 
 __all__ = ["RoutedSession"]
 
@@ -71,12 +71,13 @@ class RoutedSession:
 
     def execute(self, sql: str, max_staleness: Optional[float] = None):
         """Run one statement on the side of the fleet it belongs on."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, (ast.SelectStatement, ast.UnionAll)):
+        # The statement's one parse; whichever node runs it gets it parsed.
+        statement = api.parse_statement(sql)
+        if not is_query(statement):
             self.writes += 1
             self.last_route = ("primary", "write", 0.0)
             self._count_route("primary")
-            return self.db.execute(sql)
+            return self.db.run_statement(statement, sql)
         bound = self.max_staleness if max_staleness is None else max_staleness
         links = list(self.shipper.links.values())
         count = len(links)
@@ -102,7 +103,7 @@ class RoutedSession:
                 )
                 continue
             try:
-                result = replica.execute(sql)
+                result = replica.execute(sql, statement)
             except (ReplicaUnavailableError, ReplicationError) as error:
                 # The replica died between the health check and the
                 # read; fail over to the next candidate.
@@ -120,7 +121,7 @@ class RoutedSession:
         self.reads_on_primary += 1
         self.last_route = ("primary", "fallback", 0.0)
         self._count_route("primary")
-        return self.db.execute(sql)
+        return self.db.run_statement(statement, sql)
 
     def query(
         self, sql: str, max_staleness: Optional[float] = None

@@ -33,8 +33,8 @@ later commits.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.row import RowId
 from repro.engine.transactions import Transaction
@@ -45,8 +45,6 @@ from repro.errors import (
     TransactionConflictError,
     TransactionError,
 )
-from repro.expr.eval import compile_predicate, evaluate
-from repro.sql import ast
 from repro.sql.parser import parse_statement
 
 __all__ = ["Session"]
@@ -74,9 +72,6 @@ class Session:
     """
 
     def __init__(self, db, name: Optional[str] = None) -> None:
-        from repro.executor.runtime import Executor
-        from repro.optimizer.planner import PlanCache
-
         self.db = db
         self.name = name or _next_session_name()
         self.cc = db.database.concurrency
@@ -86,21 +81,7 @@ class Session:
                 "through SoftDB.session()"
             )
         # Per-session planning/execution context (shared optimizer).
-        self.plan_cache = PlanCache(
-            db.optimizer,
-            qerror_threshold=(
-                db.config.feedback_qerror_threshold
-                if db.feedback is not None
-                else None
-            ),
-        )
-        self.executor = Executor(
-            db.database,
-            db.registry,
-            batch_size=db.config.batch_size,
-            feedback=db.feedback,
-            workers=db.config.workers if db.config.workers else None,
-        )
+        self.plan_cache, self.executor = db._planning_pair()
         self.guard = None  # default QueryGuard applied to every statement
         # WAL transaction nesting follows the session, not the thread.
         self._wal_stack: List[int] = []
@@ -201,9 +182,20 @@ class Session:
                 raise SessionError(f"session {self.name!r} is closed")
             self._active = True
         try:
-            return self._execute(
-                sql, use_cache, batch_size, guard, cancel
-            )
+            self.statements += 1
+            # Parsed here, once; the facade's statement path does the
+            # rest with this session as its context.
+            statement = parse_statement(sql)
+            with self._wal_context():
+                return self.db.run_statement(
+                    statement,
+                    sql,
+                    use_cache,
+                    batch_size,
+                    guard if guard is not None else self.guard,
+                    cancel,
+                    context=self,
+                )
         finally:
             with self._state_mutex:
                 self._active = False
@@ -212,32 +204,6 @@ class Session:
                     self._closed = True
             if finish_close:
                 self._teardown()
-
-    def _execute(self, sql, use_cache, batch_size, guard, cancel):
-        self.statements += 1
-        statement = parse_statement(sql)
-        with self._wal_context():
-            if isinstance(statement, ast.BeginTransaction):
-                self._begin()
-                return None
-            if isinstance(statement, ast.CommitTransaction):
-                self._commit()
-                return None
-            if isinstance(statement, ast.RollbackTransaction):
-                self._rollback()
-                return None
-            if isinstance(statement, (ast.SelectStatement, ast.UnionAll)):
-                return self._select(
-                    statement, sql, use_cache, batch_size, guard, cancel
-                )
-            if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
-                return self._dml(statement)
-        # DDL runs through the shared facade, outside any transaction.
-        if self._txn is not None:
-            raise TransactionError(
-                "DDL is not supported inside an explicit transaction"
-            )
-        return self.db.execute(sql)
 
     def query(self, sql: str) -> List[Dict[str, Any]]:
         result = self.execute(sql)
@@ -315,122 +281,70 @@ class Session:
         self._cc_id = None
         self._snapshot = None
 
-    # -- SELECT ---------------------------------------------------------------
+    # -- the session as a statement context -----------------------------------
 
-    def _select(self, statement, sql, use_cache, batch_size, guard, cancel):
-        if use_cache:
-            plan = self.plan_cache.get_plan(sql)
-        else:
-            plan = self.db.optimizer.optimize(statement)
+    @contextmanager
+    def _read_scope(self):
+        """A query reads the transaction's snapshot, or, in autocommit
+        with another session watching, one taken for the statement."""
         snapshot = self._snapshot
-        release = False
-        if snapshot is None and self.cc.tracking:
+        release = snapshot is None and self.cc.tracking
+        if release:
             snapshot = self.cc.take_snapshot()
-            release = True
         try:
             with self.cc.reading(snapshot):
-                result = self.executor.execute(
-                    plan,
-                    batch_size=batch_size,
-                    guard=guard if guard is not None else self.guard,
-                    cancel=cancel,
-                )
+                yield
         finally:
             if release:
                 self.cc.release_snapshot(snapshot)
-        if (
-            use_cache
-            and self.db.feedback is not None
-            and not result.truncated
-        ):
-            self.plan_cache.note_execution(sql, result.max_qerror)
-        return result
 
-    # -- DML ------------------------------------------------------------------
-
-    def _dml(self, statement) -> int:
+    def _run_dml(self, apply: Callable[..., int]) -> int:
         if self._txn is None and not self.cc.tracking:
-            # Single-session fast path: identical to the facade's DML.
+            # Single-session fast path: the facade's autocommit.
             with self.db.database._statement_scope():
-                if isinstance(statement, ast.Insert):
-                    return self.db._execute_insert(statement)
-                if isinstance(statement, ast.Delete):
-                    return self.db._execute_delete(statement)
-                return self.db._execute_update(statement)
+                return apply()
         own = self._txn is None
         if own:
             self._begin()
         try:
-            count = self._apply_dml(statement)
+            with self.cc.writing(self._cc_id), self.cc.reading(self._snapshot):
+                count = apply(
+                    rows=self._writable_rows, txn=self._txn, claim=self._claim
+                )
             # The session may have been closed while this statement was
             # blocked on a lock; it must not commit into a closed
             # session.
             self._check_close_requested()
-        except (DeadlockError, TransactionConflictError):
-            self.conflicts += 1
-            self._rollback()  # victim rollback — locks freed, waiters wake
-            raise
-        except BaseException:
+        except BaseException as error:
             # Statement atomicity inside a transaction would require
             # partial undo; the engine's Transaction is all-or-nothing,
-            # so any mid-statement failure aborts the transaction.
+            # so any mid-statement failure aborts the transaction.  For
+            # a deadlock or conflict this is the victim rollback: locks
+            # are freed and waiters wake.
+            if isinstance(error, (DeadlockError, TransactionConflictError)):
+                self.conflicts += 1
             self._rollback()
             raise
         if own:
             self._commit()
         return count
 
-    def _apply_dml(self, statement) -> int:
-        with self.cc.writing(self._cc_id), self.cc.reading(self._snapshot):
-            if isinstance(statement, ast.Insert):
-                return self._insert(statement)
-            if isinstance(statement, ast.Delete):
-                return self._delete(statement)
-            return self._update(statement)
-
-    def _insert(self, statement: ast.Insert) -> int:
-        table = self.db.database.table(statement.table)
-        rows: List[List[Any]] = []
-        for row_expressions in statement.rows:
-            values = [evaluate(expr, {}) for expr in row_expressions]
-            if statement.columns:
-                if len(values) != len(statement.columns):
-                    from repro.errors import ExecutionError
-
-                    raise ExecutionError(
-                        "INSERT value count does not match column list"
-                    )
-                mapping = dict(zip(statement.columns, values))
-                values = table.schema.row_from_mapping(mapping)
-            rows.append(values)
+    def _writable_rows(self, table):
+        """Row source for a writer: intent-lock the table, then scan the
+        rows this transaction's snapshot can see."""
         self.cc.locks.lock_table_ix(self._cc_id, table.name)
-        for values in rows:
-            rid = self._txn.insert(statement.table, values)
-            # X-lock the fresh row: strict 2PL keeps it ours to commit.
-            self.cc.locks.lock_row_x(self._cc_id, table.name, rid)
-        return len(rows)
+        return self.cc.visible_scan(table, self._snapshot)
 
-    def _victims(
-        self, table, where
-    ) -> List[Tuple[RowId, Tuple[Any, ...]]]:
-        """Snapshot-visible rows matching ``where`` (rid, image) pairs."""
-        names = table.schema.column_names()
-        predicate = (
-            (lambda row: True) if where is None else compile_predicate(where)
-        )
-        out = []
-        for rid, row in self.cc.visible_scan(table, self._snapshot):
-            if predicate(dict(zip(names, row))) is True:
-                out.append((rid, row))
-        return out
-
-    def _lock_victim(self, table, rid: RowId) -> Tuple[Any, ...]:
-        """X-lock one victim row; returns its current heap image.
+    def _claim(self, table, rid: RowId) -> Tuple[Any, ...]:
+        """X-lock one row the statement writes; returns its current heap
+        image.
 
         The lock may force a wait behind another writer; once granted,
         first-updater-wins is checked against this session's snapshot
         and the heap is re-read — a row forwarded away by the blocker's
-        rollback surfaces as a conflict, not a silent miss.
+        rollback surfaces as a conflict, not a silent miss.  A row this
+        statement just inserted is claimed the same way: strict 2PL
+        keeps it ours to commit.
         """
         self.cc.lock_row_for_write(
             self._cc_id, table.name, rid, self._snapshot
@@ -444,35 +358,6 @@ class Session:
                 f"waiting for its lock"
             )
         return current
-
-    def _delete(self, statement: ast.Delete) -> int:
-        table = self.db.database.table(statement.table)
-        self.cc.locks.lock_table_ix(self._cc_id, table.name)
-        victims = self._victims(table, statement.where)
-        for rid, _snapshot_row in victims:
-            self._lock_victim(table, rid)
-            self._txn.delete(statement.table, rid)
-        return len(victims)
-
-    def _update(self, statement: ast.Update) -> int:
-        table = self.db.database.table(statement.table)
-        names = table.schema.column_names()
-        assignments = statement.assignments
-        self.cc.locks.lock_table_ix(self._cc_id, table.name)
-        victims = self._victims(table, statement.where)
-        for rid, _snapshot_row in victims:
-            current = self._lock_victim(table, rid)
-            row_dict = dict(zip(names, current))
-            row_dict.update(
-                {
-                    column: evaluate(expression, dict(zip(names, current)))
-                    for column, expression in assignments
-                }
-            )
-            self._txn.update(
-                statement.table, rid, [row_dict[name] for name in names]
-            )
-        return len(victims)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (

@@ -25,7 +25,7 @@ class WorkloadQuery:
         self.sql = sql
         self.frequency = frequency
         statement = parse_statement(sql)
-        if not isinstance(statement, (ast.SelectStatement, ast.UnionAll)):
+        if not ast.is_query(statement):
             raise ValueError("workload queries must be SELECT statements")
         self.statement = statement
         self.tables: Set[str] = set()

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog
@@ -86,21 +86,29 @@ class Database:
         """
         index = self.catalog.index(name)
         table = self.catalog.table(index.table_name)
-        injector = self.fault_injector
-        was_enabled = injector.enabled if injector is not None else False
-        if injector is not None:
-            injector.pause()
-        try:
+        with self._injection_paused():
             entries = []
             for row_id, row in table.scan():
                 key = index.key_of(row)
                 if key is not None:
                     entries.append((key, row_id))
             index.rebuild(entries)
-        finally:
-            if injector is not None and was_enabled:
-                injector.resume()
         return index
+
+    @contextmanager
+    def _injection_paused(self):
+        """Recovery actions (index rebuild, statement rollback) run with
+        fault injection paused, so the injector whose fault made them
+        necessary cannot re-poison them."""
+        injector = self.fault_injector
+        if injector is None or not injector.enabled:
+            yield
+            return
+        injector.pause()
+        try:
+            yield
+        finally:
+            injector.resume()
 
     # ------------------------------------------------------------------- DDL
 
@@ -234,29 +242,35 @@ class Database:
             return _NULL_SCOPE
         return concurrency.latch
 
-    def statement_transaction(self):
-        """An implicit transaction wrapping one multi-row DML statement."""
-        from repro.engine.transactions import Transaction
+    @contextmanager
+    def statement_writer(self, count: int, txn=None):
+        """Yield what one DML statement writes its ``count`` rows through
+        (``insert`` / ``delete`` / ``update``), so that it is atomic.
 
-        return Transaction(self)
-
-    def rollback_statement(self, txn) -> None:
-        """Roll back an implicit statement transaction.
-
-        Statement rollback is a recovery action (like
-        :meth:`rebuild_index`): injection is paused for the duration so
-        the compensating writes cannot be re-poisoned by the very
-        injector whose fault aborted the statement.
+        * The caller's open ``txn`` when there is one: its commit or
+          rollback decides, and the caller handles a failure.
+        * This database itself for at most one row.  One row write is
+          atomic by itself, so no implicit transaction is opened and the
+          WAL sees only the enclosing statement scope.
+        * Otherwise an implicit transaction: committed on a clean exit,
+          rolled back (a recovery action, injection paused) on any
+          failure, so a mid-statement fault never leaves a prefix applied.
         """
-        injector = self.fault_injector
-        was_enabled = injector.enabled if injector is not None else False
-        if injector is not None:
-            injector.pause()
-        try:
-            txn.rollback()
-        finally:
-            if injector is not None and was_enabled:
-                injector.resume()
+        if txn is not None:
+            yield txn
+        elif count <= 1:
+            yield self
+        else:
+            from repro.engine.transactions import Transaction
+
+            own = Transaction(self)
+            try:
+                yield own
+            except BaseException:
+                with self._injection_paused():
+                    own.rollback()
+                raise
+            own.commit()
 
     def insert(self, table_name: str, values: Sequence[Any]) -> RowId:
         """Insert one row, enforcing constraints and maintaining indexes."""
@@ -284,24 +298,10 @@ class Database:
     def insert_many(
         self, table_name: str, rows: Sequence[Sequence[Any]]
     ) -> List[RowId]:
-        """Bulk insert as one atomic statement.
-
-        More than one row is wrapped in an implicit transaction so a
-        mid-statement fault rolls the whole statement back instead of
-        leaving a prefix applied.
-        """
-        if len(rows) <= 1:
-            return [self.insert(table_name, row) for row in rows]
-        txn = self.statement_transaction()
-        row_ids: List[RowId] = []
-        try:
-            for row in rows:
-                row_ids.append(txn.insert(table_name, row))
-        except BaseException:
-            self.rollback_statement(txn)
-            raise
-        txn.commit()
-        return row_ids
+        """Bulk insert as one atomic statement (see
+        :meth:`statement_writer`)."""
+        with self.statement_writer(len(rows)) as writer:
+            return [writer.insert(table_name, row) for row in rows]
 
     def delete_row(self, table_name: str, row_id: RowId) -> Tuple[Any, ...]:
         """Delete one row by RowId (RESTRICT semantics for referencing FKs)."""
@@ -363,68 +363,10 @@ class Database:
             self._publish(ChangeEvent("update", table.name, old_row, new_row))
         return new_id
 
-    def delete_where(
-        self, table_name: str, predicate: Callable[[Dict[str, Any]], Optional[bool]]
-    ) -> int:
-        """Delete every row satisfying ``predicate``; returns the count."""
-        table = self.catalog.table(table_name)
-        names = table.schema.column_names()
-        victims = [
-            row_id
-            for row_id, row in table.scan()
-            if predicate(dict(zip(names, row))) is True
-        ]
-        if len(victims) <= 1:
-            for row_id in victims:
-                self.delete_row(table_name, row_id)
-            return len(victims)
-        # Multi-row statements are atomic: a mid-statement fault rolls
-        # back the rows already deleted instead of leaving a prefix.
-        txn = self.statement_transaction()
-        try:
-            for row_id in victims:
-                txn.delete(table_name, row_id)
-        except BaseException:
-            self.rollback_statement(txn)
-            raise
-        txn.commit()
-        return len(victims)
-
-    def update_where(
-        self,
-        table_name: str,
-        predicate: Callable[[Dict[str, Any]], Optional[bool]],
-        assign: Callable[[Dict[str, Any]], Dict[str, Any]],
-    ) -> int:
-        """Update every matching row via an assignment function."""
-        table = self.catalog.table(table_name)
-        names = table.schema.column_names()
-        targets: List[Tuple[RowId, Dict[str, Any]]] = []
-        for row_id, row in table.scan():
-            row_dict = dict(zip(names, row))
-            if predicate(row_dict) is True:
-                targets.append((row_id, row_dict))
-        if len(targets) <= 1:
-            for row_id, row_dict in targets:
-                new_dict = dict(row_dict)
-                new_dict.update(assign(row_dict))
-                self.update_row(
-                    table_name, row_id, [new_dict[name] for name in names]
-                )
-            return len(targets)
-        txn = self.statement_transaction()
-        try:
-            for row_id, row_dict in targets:
-                new_dict = dict(row_dict)
-                new_dict.update(assign(row_dict))
-                txn.update(
-                    table_name, row_id, [new_dict[name] for name in names]
-                )
-        except BaseException:
-            self.rollback_statement(txn)
-            raise
-        txn.commit()
-        return len(targets)
+    # With ``insert``, the names a Transaction writes under: a database
+    # and a transaction are interchangeable to statement_writer's caller.
+    delete = delete_row
+    update = update_row
 
     # ----------------------------------------------------------------- lookups
 

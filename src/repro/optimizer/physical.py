@@ -397,6 +397,18 @@ class PhysicalPlan:
     def estimated_cost(self) -> float:
         return self.root.estimated_cost
 
+    def tables(self) -> Set[str]:
+        """The base tables this plan touches."""
+        tables = set()
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            name = getattr(node, "table_name", None)
+            if name:
+                tables.add(name.lower())
+            stack.extend(node.children())
+        return tables
+
     def __repr__(self) -> str:
         return (
             f"PhysicalPlan(cost~{self.estimated_cost:.0f}, "

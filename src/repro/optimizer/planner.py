@@ -122,7 +122,7 @@ class Optimizer:
         else:
             statement = query
             sql = sql_of(statement)
-        if not isinstance(statement, (ast.SelectStatement, ast.UnionAll)):
+        if not ast.is_query(statement):
             raise OptimizerError("only SELECT statements can be optimized")
         logical = build_logical_plan(self.database, statement)
         context = RewriteContext(self.database, self.registry, self.config)
@@ -373,14 +373,25 @@ class PlanCache:
         self.feedback_invalidations = 0
         self.guard_invalidations = 0
 
-    def get_plan(self, sql: str) -> PhysicalPlan:
+    def get_plan(
+        self,
+        sql: str,
+        statement: Optional[Union[ast.SelectStatement, ast.UnionAll]] = None,
+    ) -> PhysicalPlan:
+        """The cached plan for ``sql``, compiled on a miss.
+
+        A caller that already parsed ``sql`` passes the ``statement`` so
+        a miss does not parse it again; the cache key stays the text.
+        """
         with self._lock:
             cached = self._plans.get(sql)
             if cached is not None:
                 self.hits += 1
                 return cached
             self.misses += 1
-            plan = self.optimizer.optimize(sql)
+            plan = self.optimizer.optimize(
+                sql if statement is None else statement
+            )
             self._plans[sql] = plan
             self._reverted.discard(sql)
             if self.backup_plans and plan.sc_dependencies:
@@ -417,21 +428,18 @@ class PlanCache:
 
     def _invalidate(self, sql: str) -> None:
         with self._lock:
-            self._invalidate_locked(sql)
-
-    def _invalidate_locked(self, sql: str) -> None:
-        if sql in self._reverted or sql not in self._plans:
-            return
-        backup = self._backups.pop(sql, None)
-        if backup is not None:
-            # Section 4.1: "a flag is raised and packages revert to the
-            # alternative plans."
-            self._plans[sql] = backup
-            self._reverted.add(sql)
-            self.fallbacks += 1
-        else:
-            del self._plans[sql]
-        self.invalidations += 1
+            if sql in self._reverted or sql not in self._plans:
+                return
+            backup = self._backups.pop(sql, None)
+            if backup is not None:
+                # Section 4.1: "a flag is raised and packages revert to
+                # the alternative plans."
+                self._plans[sql] = backup
+                self._reverted.add(sql)
+                self.fallbacks += 1
+            else:
+                del self._plans[sql]
+            self.invalidations += 1
 
     def note_execution(self, sql: str, max_qerror: Optional[float]) -> bool:
         """Feedback-driven invalidation: drop the cached plan for ``sql``
@@ -450,10 +458,7 @@ class PlanCache:
                 or sql not in self._plans
             ):
                 return False
-            del self._plans[sql]
-            self._backups.pop(sql, None)
-            self._reverted.discard(sql)
-            self.invalidations += 1
+            self._evict_fully(sql)
             self.feedback_invalidations += 1
             return True
 
@@ -470,10 +475,7 @@ class PlanCache:
         with self._lock:
             if sql not in self._plans:
                 return False
-            del self._plans[sql]
-            self._backups.pop(sql, None)
-            self._reverted.discard(sql)
-            self.invalidations += 1
+            self._evict_fully(sql)
             self.guard_invalidations += 1
             return True
 
@@ -490,26 +492,17 @@ class PlanCache:
         evicted = 0
         with self._lock:
             for sql, plan in list(self._plans.items()):
-                if name not in self._tables_of(plan):
-                    continue
-                del self._plans[sql]
-                self._backups.pop(sql, None)
-                self._reverted.discard(sql)
-                self.invalidations += 1
-                evicted += 1
+                if name in plan.tables():
+                    self._evict_fully(sql)
+                    evicted += 1
         return evicted
 
-    @staticmethod
-    def _tables_of(plan: PhysicalPlan) -> set:
-        tables = set()
-        stack = [plan.root]
-        while stack:
-            node = stack.pop()
-            name = getattr(node, "table_name", None)
-            if name:
-                tables.add(name.lower())
-            stack.extend(node.children())
-        return tables
+    def _evict_fully(self, sql: str) -> None:
+        """Drop the plan and its backup (lock held; ``sql`` is cached)."""
+        del self._plans[sql]
+        self._backups.pop(sql, None)
+        self._reverted.discard(sql)
+        self.invalidations += 1
 
     # Kept as the historical name for direct eviction in tests/tools.
     def _evict(self, sql: str) -> None:

@@ -30,6 +30,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro import api
 from repro.api import SoftDB
 from repro.durability.checkpoint import write_checkpoint
 from repro.durability.manager import CHECKPOINT_NAME, WAL_NAME
@@ -44,8 +45,7 @@ from repro.errors import (
 )
 from repro.resilience.faults import CrashSchedule, SimulatedCrash
 from repro.softcon.currency import CurrencyModel
-from repro.sql import ast
-from repro.sql.parser import parse_statement
+from repro.sql.ast import Statement, is_query
 
 __all__ = ["Replica", "ReplicaLag"]
 
@@ -418,24 +418,24 @@ class Replica:
 
     # -- reads ---------------------------------------------------------------
 
-    def execute(self, sql: str):
+    def execute(self, sql: str, statement: Optional[Statement] = None):
         """Run one read-only statement against the replica's state.
 
         Anything but a query raises
         :class:`~repro.errors.ReadOnlyReplicaError`: replicas apply the
         primary's log verbatim, and a local write would fork the twin.
+        A router that already parsed ``sql`` passes the ``statement``.
         """
-        statement = parse_statement(sql)
-        if not self.promoted and not isinstance(
-            statement, (ast.SelectStatement, ast.UnionAll)
-        ):
+        if statement is None:
+            statement = api.parse_statement(sql)
+        if not self.promoted and not is_query(statement):
             raise ReadOnlyReplicaError(
                 f"replica {self.name!r} is read-only; route "
                 f"{type(statement).__name__} to the primary"
             )
         with self._mutex:
             self._require_up()
-            return self.db.execute(sql)
+            return self.db.run_statement(statement, sql)
 
     def query(self, sql: str) -> List[Dict[str, Any]]:
         return self.execute(sql).rows

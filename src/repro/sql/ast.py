@@ -411,3 +411,9 @@ Statement = Union[
     CommitTransaction,
     RollbackTransaction,
 ]
+
+
+def is_query(statement: Statement) -> bool:
+    """True for the statements that read and return rows: the ones the
+    optimizer plans, a plan cache may hold and a read replica may serve."""
+    return isinstance(statement, (SelectStatement, UnionAll))

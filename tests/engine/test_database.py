@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import dml
 from repro.engine.database import ChangeEvent, Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER, VARCHAR
+from repro.sql.parser import parse_statement
 
 
 class TestDML:
@@ -19,17 +21,19 @@ class TestDML:
         }
 
     def test_delete_where(self, people_database):
-        deleted = people_database.delete_where(
-            "person", lambda row: row["age"] is not None and row["age"] > 35
+        deleted = dml.apply_delete(
+            people_database,
+            parse_statement("DELETE FROM person WHERE age > 35"),
         )
         assert deleted == 2
         assert people_database.table("person").row_count == 3
 
     def test_update_where(self, people_database):
-        updated = people_database.update_where(
-            "person",
-            lambda row: row["name"] == "ann",
-            lambda row: {"age": row["age"] + 1},
+        updated = dml.apply_update(
+            people_database,
+            parse_statement(
+                "UPDATE person SET age = age + 1 WHERE name = 'ann'"
+            ),
         )
         assert updated == 1
         ann = next(

@@ -280,7 +280,7 @@ class TestGuardFeedbackLoop:
         db.execute(sql, use_cache=True)
         plan = db.plan(sql)
         db._note_guard_breach(
-            sql, plan, QueryCancelledError("user"), use_cache=True
+            db.plan_cache, sql, plan, QueryCancelledError("user")
         )
         report = db.feedback_report()
         assert report["guard_trips"]["by_kind"] == {"cancelled": 1}

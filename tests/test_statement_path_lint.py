@@ -1,0 +1,142 @@
+"""Statement-path lint: one dispatch on DML kinds, one place a DML WHERE
+is compiled.
+
+The paper's contract — maintenance synchronous with every update, a
+rewrite never changing an answer — has to hold on every copy of "find
+the rows a DML statement touches, then write them".  There is one copy
+(:mod:`repro.dml`, reached through the handler table in
+:mod:`repro.api`); there used to be five, and they had drifted.  This
+test walks the AST of every module under ``src/repro`` so that a sixth
+cannot be added unnoticed.
+
+``repro.sql`` is out of scope: it defines, builds and prints the nodes.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+DML_KINDS = {"Insert", "Delete", "Update"}
+
+#: The one module that may branch on a DML statement's kind.
+DISPATCHER = "api.py"
+#: The one module that may turn a DML statement's WHERE into a predicate.
+APPLIER = "dml.py"
+#: Every module that compiles a row predicate at all, and what from.  A
+#: new entry here is a new place predicates are evaluated: check that it
+#: is not a DML WHERE before adding it.
+PREDICATE_COMPILERS = {
+    APPLIER: "a DML statement's WHERE",
+    "api.py": "a CHECK constraint's condition, at CREATE TABLE",
+    "durability/codec.py": "a CHECK constraint's condition, at recovery",
+    "softcon/checksc.py": "a check soft constraint's condition",
+    "expr/eval.py": "the definition",
+    "expr/__init__.py": "the re-export",
+}
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if not name.startswith("sql/"):
+            yield name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _annotation_nodes(tree):
+    """ids of every node inside a type annotation (not executable)."""
+    inside = set()
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            every = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            every += [arguments.vararg, arguments.kwarg]
+            annotations = [a.annotation for a in every if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            if annotation is not None:
+                inside.update(id(child) for child in ast.walk(annotation))
+    return inside
+
+
+def _dml_kind_references(tree):
+    """Line numbers where ``ast.Insert`` / ``Delete`` / ``Update`` is named
+    in executable code (an isinstance, a table key, a comparison, an
+    import): anything but a type annotation."""
+    annotations = _annotation_nodes(tree)
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in DML_KINDS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "ast"
+            and id(node) not in annotations
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.sql.ast":
+            lines.extend(
+                node.lineno for alias in node.names if alias.name in DML_KINDS
+            )
+    return lines
+
+
+def _compile_predicate_calls(tree):
+    """(line, argument mentions a ``where``) per ``compile_predicate`` call."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+        if name != "compile_predicate":
+            continue
+        mentions_where = any(
+            getattr(child, "attr", None) == "where"
+            or getattr(child, "id", None) == "where"
+            for argument in node.args
+            for child in ast.walk(argument)
+        )
+        calls.append((node.lineno, mentions_where))
+    return calls
+
+
+def test_dml_kinds_are_dispatched_on_in_one_module():
+    offenders = [
+        f"src/repro/{name}:{line}"
+        for name, tree in _modules()
+        if name != DISPATCHER
+        for line in _dml_kind_references(tree)
+    ]
+    assert not offenders, (
+        f"only {DISPATCHER}'s handler table may branch on a DML statement's "
+        "kind; route through SoftDB.run_statement instead of:\n  "
+        + "\n  ".join(offenders)
+    )
+    dispatcher = ast.parse((SRC / DISPATCHER).read_text())
+    assert _dml_kind_references(dispatcher), "the lint lost sight of the table"
+
+
+def test_dml_where_is_compiled_in_the_applier_only():
+    offenders = []
+    for name, tree in _modules():
+        for line, mentions_where in _compile_predicate_calls(tree):
+            if name not in PREDICATE_COMPILERS:
+                offenders.append(
+                    f"src/repro/{name}:{line} compiles a predicate; if it "
+                    f"is a DML WHERE use repro.dml.locate, else list the "
+                    f"module in PREDICATE_COMPILERS"
+                )
+            elif mentions_where and name != APPLIER:
+                offenders.append(
+                    f"src/repro/{name}:{line} compiles a WHERE outside "
+                    f"repro.dml; use repro.dml.locate"
+                )
+    assert not offenders, "\n  ".join(offenders)
+    applier = ast.parse((SRC / APPLIER).read_text())
+    assert any(
+        where for _, where in _compile_predicate_calls(applier)
+    ), "the lint lost sight of the applier's compile"
