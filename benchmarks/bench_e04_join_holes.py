@@ -117,7 +117,7 @@ def test_e04_report_discovery_linearity(report, benchmark):
             grid_size=24,
         )
         elapsed = time.perf_counter() - started
-        join_size = sum(1 for _ in constraint.join_pairs(db.database))
+        join_size = sum(1 for _ in constraint.path.join_pairs(db.database))
         timings.append((join_size, elapsed))
         rows.append([scale, join_size, round(elapsed * 1000, 1),
                      round(elapsed / join_size * 1e6, 2)])

@@ -2,8 +2,7 @@
 
 There are exactly two executors (DESIGN §3b): the production path —
 batched, columnar scans and filters through the numpy kernels, compiled
-closures everywhere else, optional morsel-parallel scans — and the
-oracle, the interpreted row-at-a-time executor the differential suites
+closures everywhere else — and the oracle, the interpreted row-at-a-time executor the differential suites
 hold production to.  This file times the one against the other; both
 are paths that run.
 
@@ -12,12 +11,8 @@ interpreted batches, 3.1x) and the old E16 (columnar vs list batches,
 14.5x), whose baselines were executor cells nobody ran and which no
 longer exist.  Their pipelines are all here: E11's scan-filter-aggregate
 and hash-join probe, E12's predicate-heavy scan and join-project, E16's
-predicate-rich scan and integer aggregate.
-
-The morsel entry is core-count aware: on >=4 CPUs it gates 1.8x scaling
-at ``workers=4``; on smaller machines (where scaling is physically
-impossible) it gates the worker pool's *overhead* instead.  Emits
-``BENCH_e16.json`` for ``check_bench_regression.py``.
+predicate-rich scan and integer aggregate.  Emits ``BENCH_e16.json``
+for ``check_bench_regression.py``.
 
 ``E16_FAST=1`` shrinks the table for CI smoke runs; the recorded
 repository copy of ``BENCH_e16.json`` comes from a full run.
@@ -39,9 +34,6 @@ BATCH_SIZE = 4096
 #: Headline floor: half the 300k-row recorded run's 20.2x (see
 #: BENCH_e16.json), which also holds on the 60k-row smoke table.
 TARGET_SPEEDUP = 10.0
-WORKERS_TARGET = 1.8
-#: Allowed worker-pool overhead when the host lacks the cores to scale.
-WORKERS_MAX_SLOWDOWN = 1.35
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_e16.json"
 
 HEADLINE_SQL = (
@@ -97,8 +89,8 @@ def scenario() -> SoftDB:
     return db
 
 
-def _production(db: SoftDB, workers: int = 1) -> Executor:
-    return Executor(db.database, batch_size=BATCH_SIZE, workers=workers)
+def _production(db: SoftDB) -> Executor:
+    return Executor(db.database, batch_size=BATCH_SIZE)
 
 
 def _oracle(db: SoftDB) -> Executor:
@@ -155,7 +147,6 @@ def test_e16_report_speedup_and_emit_json(report, benchmark, scenario):
                 "target_speedup": TARGET_SPEEDUP if index == 0 else None,
             }
         )
-    pipelines.append(_morsel_entry(scenario))
     RESULTS_PATH.write_text(
         json.dumps(
             {
@@ -177,25 +168,6 @@ def test_e16_report_speedup_and_emit_json(report, benchmark, scenario):
         [
             [p["name"], p["oracle_s"], p["production_s"], p["speedup"]]
             for p in pipelines
-            if "oracle_s" in p
-        ],
-    )
-    report(
-        f"E16: morsel-parallel scan, workers=4 on {os.cpu_count()} CPU(s)",
-        ["entry", "workers=1 s", "workers=4 s", "gate"],
-        [
-            [
-                p["name"],
-                p["baseline_s"],
-                p["candidate_s"],
-                (
-                    f">={p['target_speedup']}x speedup"
-                    if p.get("target_speedup")
-                    else f"<={p['max_slowdown']}x overhead"
-                ),
-            ]
-            for p in pipelines
-            if "baseline_s" in p
         ],
     )
     assert pipelines[0]["speedup"] >= TARGET_SPEEDUP
@@ -203,45 +175,3 @@ def test_e16_report_speedup_and_emit_json(report, benchmark, scenario):
 
     assert check_regressions(RESULTS_PATH) == []
 
-
-def _morsel_entry(scenario):
-    """Core-count-aware workers=4 entry.
-
-    With >=4 CPUs the morsel pool must deliver 1.8x on the headline
-    scan; with fewer cores that scaling is physically impossible, so the
-    gate flips to an overhead bound — dispatching morsels to a pool the
-    host cannot service may cost at most ``WORKERS_MAX_SLOWDOWN``x.
-    """
-    cpus = os.cpu_count() or 1
-    plan = scenario.plan(HEADLINE_SQL)
-    serial = _production(scenario, workers=1)
-    parallel = _production(scenario, workers=4)
-    _assert_identical(parallel.execute(plan), serial.execute(plan))
-    serial_s = _best_of(lambda: serial.execute(plan), 5)
-    parallel_s = _best_of(lambda: parallel.execute(plan), 5)
-    entry = {
-        "name": "morsel-scan-workers-4",
-        "sql": HEADLINE_SQL,
-        "rows": ROWS,
-        "batch_size": BATCH_SIZE,
-        "cpu_count": cpus,
-        "baseline_s": round(serial_s, 4),
-        "candidate_s": round(parallel_s, 4),
-    }
-    if cpus >= 4:
-        entry["target_speedup"] = WORKERS_TARGET
-    else:
-        entry["max_slowdown"] = WORKERS_MAX_SLOWDOWN
-    return entry
-
-
-def test_e16_workers_bit_identical(scenario, benchmark):
-    """workers=4 must match workers=1 bit for bit, counters included."""
-    for _name, sql in PIPELINES[:2]:
-        plan = scenario.plan(sql)
-        _assert_identical(
-            _production(scenario, workers=4).execute(plan),
-            _production(scenario, workers=1).execute(plan),
-        )
-    plan = scenario.plan(HEADLINE_SQL)
-    benchmark(lambda: _production(scenario, workers=4).execute(plan))

@@ -37,6 +37,8 @@ HARD_FLOOR = 1.0
 #: a results file that *lost* its target_speedup field still gets gated.
 SCHEMAS: Dict[str, Tuple[str, str, float]] = {
     "BENCH_e13.json": ("static_s", "feedback_s", 1.5),
+    # BENCH_e14.json's ``steady_state`` section is gated on exact counts
+    # by :func:`_check_steady_state`; its pipeline is the recovery timing.
     "BENCH_e14.json": ("baseline_s", "candidate_s", 5.0),
     "BENCH_e16.json": ("oracle_s", "production_s", 10.0),
     # BENCH_e17.json has no timing pipelines: its ``sessions`` section is
@@ -139,6 +141,34 @@ def _check_sessions(sessions: dict) -> List[str]:
         )
     if not sessions.get("statements", 0):
         failures.append("sessions: traffic simulation served no statements")
+    return failures
+
+
+def _check_steady_state(steady: dict) -> List[str]:
+    """Gate a WAL steady-state section (``BENCH_e14.json``) on counts.
+
+    The log must hold exactly one record per row operation plus one
+    commit record per statement, and every commit must cost exactly one
+    flush.  The wall ratio against an in-memory run is recorded only:
+    as a gate it failed on an unchanged tree from disk noise.
+    """
+    failures: List[str] = []
+    commits = steady.get("commits", 0)
+    if not commits:
+        failures.append("steady_state: the churn committed nothing")
+        return failures
+    expected = steady.get("operations", 0) + commits
+    if steady.get("wal_records") != expected:
+        failures.append(
+            f"steady_state: {steady.get('wal_records')} WAL records for "
+            f"{steady.get('operations')} row operations + {commits} "
+            f"commits (expected {expected})"
+        )
+    if steady.get("wal_flushes") != commits:
+        failures.append(
+            f"steady_state: {steady.get('wal_flushes')} WAL flushes for "
+            f"{commits} commits (expected one per commit)"
+        )
     return failures
 
 
@@ -251,6 +281,8 @@ def check_regressions(path: Path) -> List[str]:
         failures.extend(_check_corpus(payload["corpus"]))
     if isinstance(payload.get("sessions"), dict):
         failures.extend(_check_sessions(payload["sessions"]))
+    if isinstance(payload.get("steady_state"), dict):
+        failures.extend(_check_steady_state(payload["steady_state"]))
     if isinstance(payload.get("replication"), dict):
         failures.extend(_check_replication(payload["replication"]))
     if isinstance(payload.get("failover"), dict):
@@ -315,6 +347,13 @@ def _speedups(path: Path) -> List[str]:
             f"win rate {corpus.get('win_rate', 0.0)}, "
             f"{corpus.get('regressions', 0)} regressions, "
             f"{corpus.get('validation_mismatches', 0)} mismatches"
+        )
+    steady = payload.get("steady_state")
+    if isinstance(steady, dict):
+        lines.append(
+            f"ok: {path.name} steady state {steady.get('wal_records')} WAL "
+            f"records, {steady.get('flushes_per_commit')} flushes/commit, "
+            f"wall {steady.get('wall_ratio')}x (recorded, not gated)"
         )
     sessions = payload.get("sessions")
     if isinstance(sessions, dict):

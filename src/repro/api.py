@@ -124,7 +124,6 @@ class SoftDB:
             self.registry,
             batch_size=self.config.batch_size,
             feedback=self.feedback,
-            workers=self.config.workers if self.config.workers else None,
         )
         return plan_cache, executor
 
@@ -694,8 +693,7 @@ class SoftDB:
             condition=ast.UnaryOp("not", select.where),
         )
         self.registry.register(rule)
-        rule.verify(self.database)
-        self.registry.activate(rule.name)
+        self.registry.activate(rule.name, verify_first=True)
         ExceptionTable(self.database, rule, statement.name)
 
     # ------------------------------------------------------------ introspection

@@ -150,7 +150,7 @@ class HoleMiner:
         )
         pairs = [
             (a, b)
-            for a, b in constraint.join_pairs(database)
+            for a, b in constraint.path.join_pairs(database)
             if a is not None and b is not None
         ]
         constraint.holes = self.holes_from_pairs(pairs)

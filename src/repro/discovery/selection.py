@@ -9,8 +9,9 @@ be weighed against its utility."
 Scoring model
 -------------
 Each candidate gets ``benefit`` (workload frequency of queries the SC can
-help, scaled by how much it helps) minus ``maintenance_cost`` (a per-class
-per-update cost times the table's update weight).  Absolute candidates can
+help, scaled by how much it helps: the kind's ``workload_match``) minus
+``maintenance_cost`` (the kind's per-update cost times the table's update
+weight).  Absolute candidates can
 serve rewrite *and* estimation; statistical candidates only estimation, so
 their benefit is discounted.  The engine returns scores sorted descending
 and can apply a *probation* cut: keep the top N, activate those above an
@@ -25,24 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.engine.database import Database
 from repro.discovery.workload_model import Workload
 from repro.softcon.base import SoftConstraint
-from repro.softcon.checksc import CheckSoftConstraint
-from repro.softcon.fd import FunctionalDependencySC
-from repro.softcon.holes import JoinHolesSC
-from repro.softcon.linear import LinearCorrelationSC
-from repro.softcon.minmax import MinMaxSC
-
-# Relative synchronous-maintenance cost per update, by SC class.  Join
-# holes require a join probe (expensive); FDs an index lookup; row-local
-# checks are cheap; SSCs cost nothing at update time (handled by caller).
-MAINTENANCE_COST = {
-    "minmax": 1.0,
-    "check": 1.0,
-    "linear": 1.0,
-    "fd": 3.0,
-    "join_holes": 10.0,
-    "join_linear": 10.0,
-    "soft": 2.0,
-}
 
 ESTIMATION_ONLY_DISCOUNT = 0.4
 
@@ -111,14 +94,13 @@ class SelectionEngine:
         workload: Workload,
         database: Optional[Database] = None,
     ) -> UtilityScore:
-        matched, helpfulness = self._match(candidate, workload, database)
+        matched, helpfulness = candidate.workload_match(workload, database)
         benefit = matched * helpfulness
         if candidate.is_statistical:
             benefit *= ESTIMATION_ONLY_DISCOUNT
             maintenance = 0.0  # SSCs are not checked at update time
         else:
-            per_update = MAINTENANCE_COST.get(candidate.kind, 2.0)
-            maintenance = per_update * self.update_weight
+            maintenance = candidate.maintenance_cost * self.update_weight
         if self.feedback is not None:
             benefit *= self._feedback_boost(candidate)
         return UtilityScore(candidate, benefit, maintenance, matched)
@@ -142,86 +124,6 @@ class SelectionEngine:
                 if set(pair) <= tables and q > boost:
                     boost = q
         return min(FEEDBACK_BOOST_CAP, boost)
-
-    def _match(
-        self,
-        candidate: SoftConstraint,
-        workload: Workload,
-        database: Optional[Database],
-    ) -> Tuple[float, float]:
-        """(matched workload frequency, helpfulness in [0, 1])."""
-        if isinstance(candidate, LinearCorrelationSC):
-            table = candidate.table_name
-            matched = workload.predicate_frequency(table, candidate.column_b)
-            helpfulness = 0.5
-            if database is not None:
-                index = database.catalog.find_index(table, [candidate.column_a])
-                has_b_index = (
-                    database.catalog.find_index(table, [candidate.column_b])
-                    is not None
-                )
-                if index is not None and not has_b_index:
-                    helpfulness = 1.0  # opens an otherwise-unavailable path
-                elif index is None:
-                    helpfulness = 0.3  # estimation-only value
-            return matched, helpfulness
-        from repro.softcon.joinlinear import JoinLinearSC
-
-        if isinstance(candidate, JoinLinearSC):
-            matched = workload.join_frequency(
-                candidate.table_one,
-                candidate.join_column_one,
-                candidate.table_two,
-                candidate.join_column_two,
-            )
-            ranged = workload.predicate_frequency(
-                candidate.table_two, candidate.column_b
-            ) + workload.predicate_frequency(
-                candidate.table_one, candidate.column_a
-            )
-            helpfulness = 0.5
-            if database is not None and (
-                database.catalog.find_index(
-                    candidate.table_one, [candidate.column_a]
-                )
-                is not None
-            ):
-                helpfulness = 0.9
-            return min(matched, ranged) if ranged else 0.0, helpfulness
-        if isinstance(candidate, JoinHolesSC):
-            matched = workload.join_frequency(
-                candidate.table_one,
-                candidate.join_column_one,
-                candidate.table_two,
-                candidate.join_column_two,
-            )
-            ranged = max(
-                workload.range_frequency(candidate.table_one, candidate.column_a),
-                workload.range_frequency(candidate.table_two, candidate.column_b),
-            )
-            return min(matched, ranged) if ranged else 0.0, 0.8
-        if isinstance(candidate, FunctionalDependencySC):
-            matched = workload.grouping_frequency(
-                candidate.table_name,
-                candidate.determinants + candidate.dependents,
-            )
-            return matched, 0.6
-        if isinstance(candidate, MinMaxSC):
-            matched = workload.range_frequency(
-                candidate.table_name, candidate.column_name
-            )
-            return matched, 0.4
-        if isinstance(candidate, CheckSoftConstraint):
-            from repro.expr.analysis import columns_in
-
-            table = candidate.table_name
-            columns = {ref.column for ref in columns_in(candidate.expression)}
-            matched = sum(
-                workload.predicate_frequency(table, column)
-                for column in columns
-            )
-            return matched, 0.5
-        return 0.0, 0.0
 
     # -- selection -----------------------------------------------------------------
 

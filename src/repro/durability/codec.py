@@ -35,20 +35,8 @@ from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 from repro.errors import WALCorruptionError
 from repro.expr.eval import compile_predicate
-from repro.softcon.base import SCState, SoftConstraint
-from repro.softcon.checksc import CheckSoftConstraint
+from repro.softcon import MaintenancePolicy, SCState, SoftConstraint
 from repro.softcon.currency import CurrencyModel
-from repro.softcon.fd import FunctionalDependencySC
-from repro.softcon.holes import JoinHolesSC, Rectangle
-from repro.softcon.joinlinear import JoinLinearSC
-from repro.softcon.linear import LinearCorrelationSC
-from repro.softcon.maintenance import (
-    AsyncRepairPolicy,
-    DropPolicy,
-    MaintenancePolicy,
-    RepairPolicy,
-)
-from repro.softcon.minmax import MinMaxSC
 from repro.sql.parser import parse_expression
 from repro.sql.printer import sql_of
 
@@ -280,110 +268,40 @@ def decode_constraint(state: Dict[str, Any]) -> Constraint:
 # -- soft constraints -------------------------------------------------------
 
 
+#: Lifecycle bookkeeping every kind shares, recorded verbatim.
+_SC_LIFECYCLE = (
+    "updates_since_verified",
+    "verified_epoch",
+    "violation_count",
+    "validity_version",
+    "values_version",
+)
+
+
 def encode_soft_constraint(sc: SoftConstraint) -> Dict[str, Any]:
+    """Lifecycle fields here; the statement is the kind's own
+    :meth:`~repro.softcon.base.SoftConstraint.record_fields`."""
     state: Dict[str, Any] = {
         "class": type(sc).__name__,
         "name": sc.name,
         "confidence": sc.confidence,
         "state": sc.state.value,
-        "updates_since_verified": sc.updates_since_verified,
-        "verified_epoch": sc.verified_epoch,
-        "violation_count": sc.violation_count,
-        "validity_version": sc.validity_version,
-        "values_version": sc.values_version,
     }
-    if isinstance(sc, MinMaxSC):
-        state.update(
-            table=sc.table_name, column=sc.column_name, low=sc.low,
-            high=sc.high,
-        )
-    elif isinstance(sc, CheckSoftConstraint):
-        state.update(table=sc.table_name, condition=sql_of(sc.expression))
-    elif isinstance(sc, FunctionalDependencySC):
-        state.update(
-            table=sc.table_name,
-            determinants=list(sc.determinants),
-            dependents=list(sc.dependents),
-        )
-    elif isinstance(sc, LinearCorrelationSC):
-        state.update(
-            table=sc.table_name, column_a=sc.column_a, column_b=sc.column_b,
-            slope=sc.slope, intercept=sc.intercept, epsilon=sc.epsilon,
-        )
-    elif isinstance(sc, JoinHolesSC):
-        state.update(
-            table_one=sc.table_one, column_a=sc.column_a,
-            table_two=sc.table_two, column_b=sc.column_b,
-            join_column_one=sc.join_column_one,
-            join_column_two=sc.join_column_two,
-            holes=[
-                [hole.a_low, hole.a_high, hole.b_low, hole.b_high]
-                for hole in sc.holes
-            ],
-        )
-    elif isinstance(sc, JoinLinearSC):
-        state.update(
-            table_one=sc.path.table_one, column_a=sc.path.column_a,
-            table_two=sc.path.table_two, column_b=sc.path.column_b,
-            join_column_one=sc.path.join_column_one,
-            join_column_two=sc.path.join_column_two,
-            slope=sc.slope, intercept=sc.intercept, epsilon=sc.epsilon,
-        )
-    else:
-        raise WALCorruptionError(
-            f"cannot serialize soft constraint class {type(sc).__name__}"
-        )
+    state.update((field, getattr(sc, field)) for field in _SC_LIFECYCLE)
+    state.update(sc.record_fields())
     return state
 
 
 def decode_soft_constraint(state: Dict[str, Any]) -> SoftConstraint:
-    cls_name = state["class"]
-    name = state["name"]
-    confidence = state["confidence"]
-    if cls_name == "MinMaxSC":
-        sc: SoftConstraint = MinMaxSC(
-            name, state["table"], state["column"], state["low"],
-            state["high"], confidence,
-        )
-    elif cls_name == "CheckSoftConstraint":
-        sc = CheckSoftConstraint(
-            name, state["table"], state["condition"], confidence
-        )
-    elif cls_name == "FunctionalDependencySC":
-        sc = FunctionalDependencySC(
-            name, state["table"], state["determinants"],
-            state["dependents"], confidence,
-        )
-    elif cls_name == "LinearCorrelationSC":
-        sc = LinearCorrelationSC(
-            name, state["table"], state["column_a"], state["column_b"],
-            state["slope"], state["intercept"], state["epsilon"], confidence,
-        )
-    elif cls_name == "JoinHolesSC":
-        sc = JoinHolesSC(
-            name, state["table_one"], state["column_a"], state["table_two"],
-            state["column_b"], state["join_column_one"],
-            state["join_column_two"],
-            holes=[Rectangle(*hole) for hole in state["holes"]],
-            confidence=confidence,
-        )
-    elif cls_name == "JoinLinearSC":
-        sc = JoinLinearSC(
-            name, state["table_one"], state["column_a"], state["table_two"],
-            state["column_b"], state["join_column_one"],
-            state["join_column_two"], state["slope"], state["intercept"],
-            state["epsilon"], confidence,
-        )
-    else:
+    kind = SoftConstraint.kind_named(state["class"])
+    if kind is None:
         raise WALCorruptionError(
-            f"cannot deserialize soft constraint class {cls_name!r}"
+            f"cannot deserialize soft constraint class {state['class']!r}"
         )
+    sc = kind.from_record(state)
     sc.state = SCState(state["state"])
-    sc.updates_since_verified = state["updates_since_verified"]
-    sc.verified_epoch = state["verified_epoch"]
-    sc.violation_count = state["violation_count"]
-    sc.validity_version = state["validity_version"]
-    sc.values_version = state["values_version"]
+    for field in _SC_LIFECYCLE:
+        setattr(sc, field, state[field])
     return sc
 
 
@@ -391,32 +309,15 @@ def decode_soft_constraint(state: Dict[str, Any]) -> SoftConstraint:
 
 
 def encode_policy(policy: Optional[MaintenancePolicy]) -> Optional[Dict]:
-    if policy is None:
-        return None
-    if isinstance(policy, AsyncRepairPolicy):
-        return {
-            "type": "AsyncRepairPolicy",
-            "drop_threshold": policy.drop_threshold,
-            "queue": [sc.name for sc in policy.queue],
-        }
-    if isinstance(policy, RepairPolicy):
-        return {"type": "RepairPolicy"}
-    if isinstance(policy, DropPolicy):
-        return {"type": "DropPolicy"}
-    # Unknown user-defined policy: fall back to the registry default.
-    return None
+    # An unknown user-defined policy records None: the registry default.
+    return None if policy is None else policy.record()
 
 
 def decode_policy(state: Optional[Dict]) -> Optional[MaintenancePolicy]:
     if state is None:
         return None
-    if state["type"] == "AsyncRepairPolicy":
-        return AsyncRepairPolicy(drop_threshold=state["drop_threshold"])
-    if state["type"] == "RepairPolicy":
-        return RepairPolicy()
-    if state["type"] == "DropPolicy":
-        return DropPolicy()
-    return None
+    policy = MaintenancePolicy.named(state["type"])
+    return None if policy is None else policy.from_record(state)
 
 
 def encode_currency(model: Optional[CurrencyModel]) -> Optional[Dict]:

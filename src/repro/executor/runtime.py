@@ -13,7 +13,6 @@ when ``batch_size`` is 0 or the plan carries no compiled closures.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.database import Database
@@ -46,19 +45,6 @@ from repro.optimizer.physical import (
 RowDict = Dict[str, Any]
 
 
-def default_workers() -> int:
-    """Scan-morsel worker count from ``REPRO_WORKERS`` (default 1).
-
-    ``1`` means strictly sequential scans; anything larger enables the
-    morsel-parallel seq-scan path for observation-free scans (see
-    :func:`repro.executor.scans.run_seq_scan_batched`).
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 class ExecutionResult:
     """Rows plus the I/O the plan actually performed."""
 
@@ -77,7 +63,7 @@ class ExecutionResult:
     #: only; None when the run completed).
     guard_breach: Optional[Exception] = None
     #: Which executor ran, as EXPLAIN ANALYZE prints it: ``"oracle"`` or
-    #: ``"production (batch_size=…, workers=…)"``.
+    #: ``"production (batch_size=…)"``.
     executor: str = "oracle"
 
     def __init__(
@@ -152,13 +138,11 @@ class Executor:
         registry: Optional[Any] = None,
         batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
         feedback: Optional[Any] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self.database = database
         self.registry = registry
         self.batch_size = batch_size
         self.feedback = feedback
-        self.workers = default_workers() if workers is None else workers
 
     def execute(
         self,
@@ -168,7 +152,6 @@ class Executor:
         collect_feedback: Optional[bool] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
-        workers: Optional[int] = None,
     ) -> ExecutionResult:
         """Run a plan.  With ``instrument``, every operator's actual output
         row count is recorded on the node (``actual_rows``; production runs
@@ -187,11 +170,7 @@ class Executor:
         ``"partial"`` policy — returns the rows produced so far with
         ``truncated=True``.  Feedback is harvested only from successful,
         untruncated executions, so partial operator counters never pollute
-        the store.
-
-        ``workers`` overrides the executor's default for this one
-        execution (production path only): ``workers>1`` enables
-        morsel-parallel seq scans for observation-free executions."""
+        the store."""
         self._guard_freshness(plan)
         collect = (
             self.feedback is not None
@@ -207,7 +186,6 @@ class Executor:
             instrument = True
         active = self._arm(guard, cancel)
         size = self.batch_size if batch_size is None else batch_size
-        use_workers = self.workers if workers is None else workers
         production = bool(size) and plan.compiled
         before_reads = self.database.counters.page_reads
         before_rows = self.database.counters.rows_read
@@ -221,7 +199,6 @@ class Executor:
                     instrument=instrument,
                     collect=collect,
                     guard=active,
-                    workers=use_workers,
                 )
                 if active is None:
                     rows = interpreter.rows(plan.root)
@@ -256,9 +233,7 @@ class Executor:
             rows_read=self.database.counters.rows_read - before_rows,
         )
         if production:
-            result.executor = (
-                f"production (batch_size={size}, workers={use_workers})"
-            )
+            result.executor = f"production (batch_size={size})"
         result.truncated = truncated
         if truncated:
             result.guard_breach = breach

@@ -19,8 +19,6 @@ work.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.database import Database
@@ -298,7 +296,7 @@ def _quota_chunks(
 def _page_chunks(
     runs: Iterator[List[Tuple[Any, ...]]], batch_size: int
 ) -> Iterator[List[Tuple[Any, ...]]]:
-    """Re-cut page-at-a-time row runs into fixed ``batch_size`` morsels."""
+    """Re-cut page-at-a-time row runs into fixed ``batch_size`` chunks."""
     buffer: List[Tuple[Any, ...]] = []
     for run in runs:
         buffer.extend(run)
@@ -309,24 +307,6 @@ def _page_chunks(
         yield buffer
 
 
-#: One lazily-built worker pool per ``workers`` setting, shared by every
-#: morsel-parallel scan in the process (pool startup would otherwise
-#: dominate small scans).  Workers only ever run :func:`_emit_batch`
-#: on already-fetched row tuples: all storage I/O, counter updates and
-#: guard interaction stay on the caller's thread.
-_POOLS: Dict[int, ThreadPoolExecutor] = {}
-
-
-def _worker_pool(workers: int) -> ThreadPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-morsel"
-        )
-        _POOLS[workers] = pool
-    return pool
-
-
 def run_seq_scan_batched(
     database: Database,
     node: SeqScan,
@@ -334,25 +314,13 @@ def run_seq_scan_batched(
     count_input: bool = False,
     guard: Any = None,
     quota: Optional[ScanQuota] = None,
-    workers: int = 1,
 ) -> Iterator[RowBatch]:
     """Batched sequential scan, filtered through the vector kernel.
 
     Without a LIMIT quota rows are read page-at-a-time via
     :meth:`~repro.engine.table.HeapTable.scan_row_runs` (identical I/O
     accounting to the row scan) and cut into fixed ``batch_size``
-    morsels.  With ``workers > 1`` morsels are dispatched to a thread
-    pool — numpy kernels release the GIL — and merged back **in
-    submission order**, so results, row order and every counter are
-    bit-identical to the single-worker run.
-
-    Determinism contract: morsel parallelism only engages on
-    *observation-free* scans.  A LIMIT quota clamps fetch sizes (no
-    read-ahead allowed, so rows are pulled one at a time from storage),
-    an armed guard observes page-read deltas at every tick, and a
-    snapshot scan reconstructs row versions from shared mutable state,
-    so all three run sequentially; see
-    :func:`repro.resilience.guards.permits_readahead`.
+    chunks; under a quota each fetch is clamped to what LIMIT still needs.
     """
     table = database.table(node.table_name)
     names = _qualified_names(node, table)
@@ -368,8 +336,6 @@ def run_seq_scan_batched(
         )
     if count_input:
         chunks = _count_scanned(chunks, node, len)
-    if workers > 1 and quota is None and guard is None and snapshot is None:
-        return _morsel_scan(chunks, names, node, kernel, workers)
     return _scan_chunks(chunks, names, node, kernel, guard)
 
 
@@ -386,38 +352,6 @@ def _scan_chunks(
         batch = _emit_batch(names, chunk, node, kernel)
         if batch is not None:
             yield batch
-
-
-def _morsel_scan(
-    chunks: Iterator[List[Tuple[Any, ...]]],
-    names: Tuple[str, ...],
-    node: SeqScan,
-    kernel: Any,
-    workers: int,
-) -> Iterator[RowBatch]:
-    """Fan fixed-size morsels out to the worker pool, merge in order.
-
-    The caller's thread does every storage read (and so every counter
-    update); at most ``workers`` morsels are in flight; results — and
-    any evaluation error — surface strictly in morsel order, making the
-    merge deterministic by construction.
-    """
-    pool = _worker_pool(workers)
-    pending: "deque" = deque()
-    try:
-        for chunk in chunks:
-            while len(pending) >= workers:
-                batch = pending.popleft().result()
-                if batch is not None:
-                    yield batch
-            pending.append(pool.submit(_emit_batch, names, chunk, node, kernel))
-        while pending:
-            batch = pending.popleft().result()
-            if batch is not None:
-                yield batch
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def run_index_scan_batched(

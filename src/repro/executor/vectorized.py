@@ -13,9 +13,7 @@ predicates run as vector kernels (:mod:`repro.expr.vector`), and only
 surviving rows are materialized into Python lists — late
 materialization.  A kernel that declines a batch
 (:class:`~repro.expr.vector.VectorFallback`) hands that one batch to the
-compiled batch closure.  ``workers > 1`` additionally fans
-sequential-scan morsels out to a thread pool with a deterministic
-in-order merge (see :func:`repro.executor.scans.run_seq_scan_batched`).
+compiled batch closure.
 
 Semantics — result rows and their order, row counts, and page-I/O
 accounting — match the row-at-a-time interpreter in
@@ -71,8 +69,8 @@ class BatchedInterpreter:
     """Interprets a physical plan batch-at-a-time.
 
     One instance serves one execution: it carries the ``batch_size``
-    and worker count and, when instrumented, records per-node actual
-    row *and batch* counts for EXPLAIN ANALYZE.
+    and, when instrumented, records per-node actual row *and batch*
+    counts for EXPLAIN ANALYZE.
     """
 
     def __init__(
@@ -82,14 +80,11 @@ class BatchedInterpreter:
         instrument: bool = False,
         collect: bool = False,
         guard: Any = None,
-        workers: int = 1,
     ) -> None:
         if batch_size < 1:
             raise ExecutionError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        if workers < 1:
-            raise ExecutionError(f"workers must be >= 1, got {workers}")
         self.database = database
         self.batch_size = batch_size
         # Feedback collection implies instrumentation and additionally
@@ -99,7 +94,6 @@ class BatchedInterpreter:
         # An armed ActiveGuard (repro.resilience.guards) or None; threaded
         # to the operators that can burn unbounded work.
         self.guard = guard
-        self.workers = workers
 
     def rows(self, root: PhysicalNode) -> List[RowDict]:
         """Run the plan and materialize the result as row dicts."""
@@ -146,7 +140,6 @@ class BatchedInterpreter:
                 count_input=self.collect,
                 guard=self.guard,
                 quota=quota,
-                workers=self.workers,
             )
         if isinstance(node, IndexScan):
             return run_index_scan_batched(

@@ -88,8 +88,7 @@ class FeedbackAdjuster:
                 continue
             was_absolute = constraint.is_absolute
             before = constraint.confidence
-            violations, total = constraint.verify(self.database)
-            self.registry.refresh_currency(constraint, self.database)
+            violations, total = self.registry.reverify(constraint)
             if was_absolute and violations > 0:
                 # The predicted-empty hole is not empty: maintenance time.
                 policy = self.registry.policy_for(constraint)

@@ -69,13 +69,6 @@ class OptimizerConfig:
     # repro.executor.batch.DEFAULT_BATCH_SIZE, kept literal here so the
     # optimizer package never imports the executor.
     batch_size: int = 1024
-    # Morsel-parallel seq scans: >1 dispatches scan morsels to a worker
-    # pool (observation-free scans only — guarded/LIMIT scans stay
-    # sequential so accounting is bit-identical).  0/None here means
-    # "use the REPRO_WORKERS environment default" at executor
-    # construction time; kept as a plain int so the optimizer package
-    # never imports the executor.
-    workers: int = 0
     # Lower plan expressions to specialized closures at optimize time
     # (repro.expr.compile).  The production executor needs them: a plan
     # built with False carries none, so Executor.execute runs it on the

@@ -29,9 +29,7 @@ from repro.optimizer.logical import LogicalPlan, QueryBlock, UnionPlan
 from repro.optimizer.rewrite import derive
 from repro.optimizer.rewrite.engine import RewriteContext
 from repro.softcon.base import SCState
-from repro.softcon.checksc import CheckSoftConstraint
 from repro.softcon.exceptions_ast import ExceptionTable
-from repro.softcon.linear import LinearCorrelationSC
 from repro.sql import ast
 
 
@@ -106,14 +104,7 @@ def _route_block(
 
 def _condition_expression(constraint, binding: str) -> ast.Expression:
     """The SC's defining condition, qualified to the query's binding."""
-    from repro.expr import analysis
-
-    if isinstance(constraint, LinearCorrelationSC):
-        expression = constraint.introduced_predicate(
-            ast.ColumnRef(constraint.column_b), qualifier=None
-        )
-    else:
-        expression = constraint.expression
+    expression = constraint.row_condition()
     mapping = {
         reference.column: ast.ColumnRef(reference.column, binding)
         for reference in analysis.columns_in(expression)
@@ -130,32 +121,16 @@ def _derive_introduced(
     block: QueryBlock, binding: str, constraint
 ) -> Optional[tuple]:
     """(column, interval) the SC implies for conforming rows, if any."""
-    if isinstance(constraint, LinearCorrelationSC):
-        columns = [constraint.column_a, constraint.column_b]
-        known = derive.known_intervals_for_binding(
-            block.predicates, binding, columns
-        )
-        for target in columns:
-            if target in known:
-                continue
-            interval = derive.derive_for_linear_sc(constraint, target, known)
-            if not interval.is_unbounded:
-                return target, interval
-        return None
-    if isinstance(constraint, CheckSoftConstraint):
-        bounds = derive.difference_bounds(constraint.expression)
-        if not bounds:
-            return None
-        columns = sorted({b.x for b in bounds} | {b.y for b in bounds})
-        known = derive.known_intervals_for_binding(
-            block.predicates, binding, columns
-        )
-        for target in columns:
-            if target in known:
-                continue
-            interval = derive.derive_interval_from_bounds(bounds, target, known)
-            if not interval.is_unbounded:
-                return target, interval
+    columns = constraint.interval_columns()
+    known = derive.known_intervals_for_binding(
+        block.predicates, binding, columns
+    )
+    for target in columns:
+        if target in known:
+            continue
+        interval = constraint.implied_interval(target, known)
+        if not interval.is_unbounded:
+            return target, interval
     return None
 
 

@@ -9,8 +9,9 @@ contain any data that will satisfy the query".
 Constraint sources, per branch table:
 
 * hard and informational CHECK constraints from the catalog;
-* ACTIVE *absolute* check-style soft constraints (SSCs cannot knock out a
-  branch — some rows may disagree with the statement).
+* the row conjuncts of ACTIVE *absolute* soft constraints (check and
+  min/max kinds; SSCs cannot knock out a branch — some rows may disagree
+  with the statement).
 
 A branch is eliminated when, for some column, the interval implied by the
 branch's constraints does not overlap the interval demanded by the query.
@@ -24,8 +25,6 @@ from repro.engine.constraints import CheckConstraint
 from repro.expr import analysis
 from repro.optimizer.logical import LogicalPlan, QueryBlock, UnionPlan
 from repro.optimizer.rewrite.engine import RewriteContext
-from repro.softcon.checksc import CheckSoftConstraint
-from repro.softcon.minmax import MinMaxSC
 from repro.sql import ast
 
 
@@ -67,19 +66,9 @@ def _block_is_empty(block: QueryBlock, context: RewriteContext) -> bool:
                 )
         if context.registry is not None:
             for soft in context.registry.rewrite_usable(bound.table_name):
-                if isinstance(soft, CheckSoftConstraint):
-                    constraint_conjuncts.extend(
-                        analysis.split_conjuncts(soft.expression)
-                    )
-                    sc_names.append(soft.name)
-                elif isinstance(soft, MinMaxSC):
-                    constraint_conjuncts.append(
-                        ast.BetweenExpr(
-                            ast.ColumnRef(soft.column_name),
-                            ast.Literal(soft.low),
-                            ast.Literal(soft.high),
-                        )
-                    )
+                conjuncts = soft.row_conjuncts()
+                if conjuncts:
+                    constraint_conjuncts.extend(conjuncts)
                     sc_names.append(soft.name)
         if not constraint_conjuncts:
             continue

@@ -26,7 +26,6 @@ from typing import List, Set, Tuple
 from repro.engine.constraints import UniqueConstraint
 from repro.optimizer.logical import LogicalPlan, QueryBlock
 from repro.optimizer.rewrite.engine import RewriteContext, map_blocks
-from repro.softcon.fd import FunctionalDependencySC
 from repro.sql import ast
 
 
@@ -57,14 +56,10 @@ def _fds_for_table(
             fds.append((key, all_columns - key, f"key:{constraint.name}"))
     if context.registry is not None:
         for soft in context.registry.rewrite_usable(table_name):
-            if isinstance(soft, FunctionalDependencySC):
-                fds.append(
-                    (
-                        set(soft.determinants),
-                        set(soft.dependents),
-                        f"sc:{soft.name}",
-                    )
-                )
+            fd = soft.functional_dependency()
+            if fd is not None:
+                determinants, dependents = fd
+                fds.append((set(determinants), set(dependents), f"sc:{soft.name}"))
     return fds
 
 

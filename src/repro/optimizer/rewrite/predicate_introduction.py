@@ -1,17 +1,19 @@
 """Predicate introduction and range trimming (paper Section 2, [10], [8]).
 
-Three rewrites live here, all driven by ACTIVE *absolute* soft
-constraints:
+The rewrites here are all driven by ACTIVE *absolute* soft constraints:
 
-* **linear-correlation introduction** — an ASC ``a ~= k*b + c ± eps``
-  plus a query interval on ``b`` introduces
-  ``a BETWEEN ...`` which may open an index on ``a``;
-* **difference-bound introduction** — check-style ASCs like
-  ``ship_date <= order_date + 21`` introduce the implied range on the
-  other column (the paper's Section 4.4 example);
+* **interval introduction** — an SC relating columns of one table
+  (:meth:`~repro.softcon.base.SoftConstraint.implied_interval`) plus a
+  query interval on one of them introduces the implied range on another
+  when that may open an index: ``a BETWEEN ...`` from a linear
+  correlation ``a ~= k*b + c ± eps`` and a range on ``b``, or the other
+  column of a check-style difference bound like
+  ``ship_date <= order_date + 21`` (the paper's Section 4.4 example);
 * **join-hole range trimming** — for a query over a hole SC's join path,
   the query's (a, b) rectangle is trimmed against the holes, shrinking
   the ranges to scan;
+* **join-path bands** — an inter-table linear correlation carries a
+  range on one side of its join path to the other;
 * **min/max abbreviation** — Sybase-style: query ranges are intersected
   with the known min/max; an empty intersection turns the whole block
   into a constant-FALSE scan.
@@ -22,15 +24,13 @@ constraints with ``usable_in_rewrite`` (ACTIVE and absolute).
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator, Tuple
+
 from repro.expr import analysis
 from repro.expr.intervals import Interval
 from repro.optimizer.logical import LogicalPlan, QueryBlock
 from repro.optimizer.rewrite import derive
 from repro.optimizer.rewrite.engine import RewriteContext, map_blocks
-from repro.softcon.checksc import CheckSoftConstraint
-from repro.softcon.holes import JoinHolesSC
-from repro.softcon.linear import LinearCorrelationSC
-from repro.softcon.minmax import MinMaxSC
 from repro.sql import ast
 
 
@@ -49,12 +49,10 @@ def _introduce_in_block(
         return block
     for bound in block.tables:
         for constraint in context.registry.rewrite_usable(bound.table_name):
-            if isinstance(constraint, LinearCorrelationSC):
-                _introduce_linear(block, bound.binding, constraint, context)
-            elif isinstance(constraint, CheckSoftConstraint):
-                _introduce_difference(block, bound.binding, constraint, context)
-            elif isinstance(constraint, MinMaxSC):
-                _abbreviate_minmax(block, bound.binding, constraint, context)
+            _introduce_interval(block, bound, constraint, context)
+            bounds = constraint.column_bounds()
+            if bounds is not None:
+                _abbreviate(block, bound.binding, constraint, *bounds, context)
     _trim_against_holes(block, context)
     _introduce_join_linear(block, context)
     return block
@@ -124,87 +122,56 @@ def _append_interval_predicate(
     return True
 
 
-def _introduce_linear(
-    block: QueryBlock,
-    binding: str,
-    constraint: LinearCorrelationSC,
-    context: RewriteContext,
+def _introduce_interval(
+    block: QueryBlock, bound, constraint, context: RewriteContext
 ) -> None:
+    """Introduce the ranges an SC implies between columns of one table."""
+    binding = bound.binding
     known = derive.known_intervals_for_binding(
-        block.predicates, binding, [constraint.column_b]
-    )
-    if constraint.column_b not in known:
-        return
-    if not _worth_introducing(
-        context, constraint.table_name, binding, constraint.column_a, block
-    ):
-        return
-    interval = constraint.predict_interval_for_b_range(
-        known[constraint.column_b]
-    )
-    _append_interval_predicate(
-        block,
-        binding,
-        constraint.column_a,
-        interval,
-        context,
-        constraint.name,
-        f"{constraint.name}: introduced range on "
-        f"{binding}.{constraint.column_a} from {binding}.{constraint.column_b}",
-    )
-
-
-def _introduce_difference(
-    block: QueryBlock,
-    binding: str,
-    constraint: CheckSoftConstraint,
-    context: RewriteContext,
-) -> None:
-    bounds = derive.difference_bounds(constraint.expression)
-    if not bounds:
-        return
-    columns = {bound.x for bound in bounds} | {bound.y for bound in bounds}
-    known = derive.known_intervals_for_binding(
-        block.predicates, binding, sorted(columns)
+        block.predicates, binding, constraint.interval_columns()
     )
     if not known:
         return
-    for target in sorted(columns - set(known)):
+    for target, source in constraint.introduction_targets(known):
         if not _worth_introducing(
-            context, constraint.table_name, binding, target, block
+            context, bound.table_name, binding, target, block
         ):
             continue
-        interval = derive.derive_interval_from_bounds(bounds, target, known)
+        detail = f"{constraint.name}: introduced range on {binding}.{target}"
+        if source is not None:
+            detail += f" from {binding}.{source}"
         _append_interval_predicate(
             block,
             binding,
             target,
-            interval,
+            constraint.implied_interval(target, known),
             context,
             constraint.name,
-            f"{constraint.name}: introduced range on {binding}.{target}",
+            detail,
         )
 
 
-def _abbreviate_minmax(
+def _abbreviate(
     block: QueryBlock,
     binding: str,
-    constraint: MinMaxSC,
+    constraint,
+    column: str,
+    known_range: Interval,
     context: RewriteContext,
 ) -> None:
     query_interval = analysis.column_interval(
-        block.predicates, ast.ColumnRef(constraint.column_name, binding)
+        block.predicates, ast.ColumnRef(column, binding)
     )
     if query_interval.is_unbounded:
         return
-    intersected = query_interval.intersect(constraint.interval)
+    intersected = query_interval.intersect(known_range)
     if intersected.is_empty:
         block.predicates.append(ast.Literal(False))
         context.depend_on(constraint.name)
         context.record(
             "predicate_introduction",
             f"{constraint.name}: query range outside known min/max "
-            f"of {binding}.{constraint.column_name} — block is empty",
+            f"of {binding}.{column} — block is empty",
         )
         return
     # Tighten a half-open query range using the known bounds (this is the
@@ -217,8 +184,8 @@ def _abbreviate_minmax(
             # Section 4.2: parameterize the SC-contributed bound(s) so the
             # plan reads the *current* min/max at execution time and
             # survives widening repairs without invalidation.
-            reference = ast.ColumnRef(constraint.column_name, binding)
-            if query_interval.low is None and constraint.low is not None:
+            reference = ast.ColumnRef(column, binding)
+            if query_interval.low is None and known_range.low is not None:
                 block.predicates.append(
                     ast.BinaryOp(
                         ">=",
@@ -226,7 +193,7 @@ def _abbreviate_minmax(
                         ast.RuntimeParameter(constraint, "low"),
                     )
                 )
-            if query_interval.high is None and constraint.high is not None:
+            if query_interval.high is None and known_range.high is not None:
                 block.predicates.append(
                     ast.BinaryOp(
                         "<=",
@@ -238,37 +205,46 @@ def _abbreviate_minmax(
             context.record(
                 "predicate_introduction",
                 f"{constraint.name}: abbreviated range on "
-                f"{binding}.{constraint.column_name} (runtime parameters)",
+                f"{binding}.{column} (runtime parameters)",
             )
             return
         _append_interval_predicate(
             block,
             binding,
-            constraint.column_name,
+            column,
             intersected,
             context,
             constraint.name,
-            f"{constraint.name}: abbreviated range on "
-            f"{binding}.{constraint.column_name}",
+            f"{constraint.name}: abbreviated range on {binding}.{column}",
         )
+
+
+def on_join_path(
+    block: QueryBlock, constraints: Iterable
+) -> Iterator[Tuple[object, object, str, str]]:
+    """(constraint, path, one_binding, two_binding) for each inter-table
+    SC whose join path the block joins along."""
+    for constraint in constraints:
+        path = constraint.join_path()
+        if path is None:
+            continue
+        one_binding = block.binding_of(path.table_one)
+        two_binding = block.binding_of(path.table_two)
+        if one_binding is None or two_binding is None:
+            continue
+        if _join_path_present(block, path, one_binding, two_binding):
+            yield constraint, path, one_binding, two_binding
 
 
 def _trim_against_holes(block: QueryBlock, context: RewriteContext) -> None:
     if context.registry is None or not context.config.enable_hole_trimming:
         return
-    seen = set()
-    for constraint in context.registry.rewrite_usable():
-        if not isinstance(constraint, JoinHolesSC) or constraint.name in seen:
-            continue
-        seen.add(constraint.name)
-        one_binding = block.binding_of(constraint.table_one)
-        two_binding = block.binding_of(constraint.table_two)
-        if one_binding is None or two_binding is None:
-            continue
-        if not _join_path_present(block, constraint, one_binding, two_binding):
-            continue
-        a_reference = ast.ColumnRef(constraint.column_a, one_binding)
-        b_reference = ast.ColumnRef(constraint.column_b, two_binding)
+    usable = context.registry.rewrite_usable()
+    for constraint, path, one_binding, two_binding in on_join_path(
+        block, usable
+    ):
+        a_reference = ast.ColumnRef(path.column_a, one_binding)
+        b_reference = ast.ColumnRef(path.column_b, two_binding)
         a_range = analysis.column_interval(block.predicates, a_reference)
         b_range = analysis.column_interval(block.predicates, b_reference)
         if a_range.is_unbounded and b_range.is_unbounded:
@@ -278,82 +254,74 @@ def _trim_against_holes(block: QueryBlock, context: RewriteContext) -> None:
             _append_interval_predicate(
                 block,
                 one_binding,
-                constraint.column_a,
+                path.column_a,
                 trimmed_a,
                 context,
                 constraint.name,
                 f"{constraint.name}: trimmed range on "
-                f"{one_binding}.{constraint.column_a}",
+                f"{one_binding}.{path.column_a}",
             )
         if trimmed_b != b_range:
             _append_interval_predicate(
                 block,
                 two_binding,
-                constraint.column_b,
+                path.column_b,
                 trimmed_b,
                 context,
                 constraint.name,
                 f"{constraint.name}: trimmed range on "
-                f"{two_binding}.{constraint.column_b}",
+                f"{two_binding}.{path.column_b}",
             )
+
+
+def join_bands(
+    block: QueryBlock, constraints: Iterable
+) -> Iterator[Tuple[object, str, str, Interval]]:
+    """(constraint, binding, column, band) for each side of each join path
+    the block joins along: a range on one side's column implies the
+    model's band on the other side's.  Lazy, so a band the caller adds
+    to ``block.predicates`` narrows the range the next band starts from.
+    """
+    for constraint, path, one_binding, two_binding in on_join_path(
+        block, constraints
+    ):
+        b_range = analysis.column_interval(
+            block.predicates, ast.ColumnRef(path.column_b, two_binding)
+        )
+        if not b_range.is_unbounded:
+            band = constraint.forward_interval(b_range)
+            yield constraint, one_binding, path.column_a, band
+        a_range = analysis.column_interval(
+            block.predicates, ast.ColumnRef(path.column_a, one_binding)
+        )
+        if not a_range.is_unbounded:
+            band = constraint.inverse_interval(a_range)
+            yield constraint, two_binding, path.column_b, band
 
 
 def _introduce_join_linear(block: QueryBlock, context: RewriteContext) -> None:
     """Introduce bands from inter-table linear correlations (Section 2:
-    correlations "across common join paths").
-
-    For a query over the SC's join path, a range on one side's column
-    implies the model's band on the other side's column — a predicate on
-    the *join result*, pushable to the other table's scan.
-    """
+    correlations "across common join paths") — predicates on the *join
+    result*, pushable to the other table's scan."""
     if context.registry is None:
         return
-    from repro.softcon.joinlinear import JoinLinearSC
-
-    seen = set()
-    for constraint in context.registry.rewrite_usable():
-        if not isinstance(constraint, JoinLinearSC) or constraint.name in seen:
-            continue
-        seen.add(constraint.name)
-        one_binding = block.binding_of(constraint.table_one)
-        two_binding = block.binding_of(constraint.table_two)
-        if one_binding is None or two_binding is None:
-            continue
-        if not _join_path_present(block, constraint, one_binding, two_binding):
-            continue
-        b_range = analysis.column_interval(
-            block.predicates, ast.ColumnRef(constraint.column_b, two_binding)
+    usable = context.registry.rewrite_usable()
+    for constraint, binding, column, band in join_bands(block, usable):
+        _append_interval_predicate(
+            block,
+            binding,
+            column,
+            band,
+            context,
+            constraint.name,
+            f"{constraint.name}: introduced join-path band on "
+            f"{binding}.{column}",
         )
-        if not b_range.is_unbounded:
-            _append_interval_predicate(
-                block,
-                one_binding,
-                constraint.column_a,
-                constraint.predict_a_interval(b_range),
-                context,
-                constraint.name,
-                f"{constraint.name}: introduced join-path band on "
-                f"{one_binding}.{constraint.column_a}",
-            )
-        a_range = analysis.column_interval(
-            block.predicates, ast.ColumnRef(constraint.column_a, one_binding)
-        )
-        if not a_range.is_unbounded:
-            _append_interval_predicate(
-                block,
-                two_binding,
-                constraint.column_b,
-                constraint.predict_b_interval(a_range),
-                context,
-                constraint.name,
-                f"{constraint.name}: introduced join-path band on "
-                f"{two_binding}.{constraint.column_b}",
-            )
 
 
 def _join_path_present(
     block: QueryBlock,
-    constraint,
+    path,
     one_binding: str,
     two_binding: str,
 ) -> bool:
@@ -364,14 +332,14 @@ def _join_path_present(
         left, right = pair
         if (
             left.table == one_binding
-            and left.column == constraint.join_column_one
+            and left.column == path.join_column_one
             and right.table == two_binding
-            and right.column == constraint.join_column_two
+            and right.column == path.join_column_two
         ) or (
             right.table == one_binding
-            and right.column == constraint.join_column_one
+            and right.column == path.join_column_one
             and left.table == two_binding
-            and left.column == constraint.join_column_two
+            and left.column == path.join_column_two
         ):
             return True
     return False

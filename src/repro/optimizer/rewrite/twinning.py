@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.expr import analysis
+from repro.expr.difference import difference_bounds
 from repro.optimizer.logical import EstimationPredicate, LogicalPlan, QueryBlock
 from repro.optimizer.rewrite import derive
 from repro.optimizer.rewrite.engine import RewriteContext, map_blocks
-from repro.softcon.checksc import CheckSoftConstraint
-from repro.softcon.linear import LinearCorrelationSC
+from repro.optimizer.rewrite.predicate_introduction import join_bands
 from repro.sql import ast
 from repro.sql.printer import sql_of
 
@@ -41,10 +42,7 @@ def _twin_in_block(block: QueryBlock, context: RewriteContext) -> QueryBlock:
         return block
     for bound in block.tables:
         for constraint in context.registry.estimation_usable(bound.table_name):
-            if isinstance(constraint, LinearCorrelationSC):
-                _twin_linear(block, bound.binding, constraint, context)
-            elif isinstance(constraint, CheckSoftConstraint):
-                _twin_difference(block, bound.binding, constraint, context)
+            _twin_interval(block, bound.binding, constraint, context)
         _hint_difference_predicates(block, bound.binding, bound.table_name, context)
     _twin_join_linear(block, context)
     return block
@@ -70,22 +68,21 @@ def _hint_difference_predicates(
     assert context.registry is not None
     points: Dict[tuple, List[tuple]] = {}
     for constraint in context.registry.estimation_usable(table_name):
-        if not isinstance(constraint, CheckSoftConstraint):
+        bounds = constraint.difference_bounds()
+        if not bounds:
             continue
-        confidence = _effective_confidence(context, constraint)
-        for bound in derive.difference_bounds(constraint.expression):
+        confidence = context.registry.effective_confidence(constraint)
+        for bound in bounds:
             points.setdefault((bound.x, bound.y), []).append(
                 (bound.bound, confidence, constraint.name)
             )
     if not points:
         return
-    from repro.expr import analysis
-
     existing = {p.expression for p in block.estimation_predicates}
     for conjunct in block.predicates:
         if analysis.tables_in(conjunct) != {binding}:
             continue
-        query_bounds = derive.difference_bounds(conjunct)
+        query_bounds = difference_bounds(conjunct)
         if len(query_bounds) != 1:
             continue
         query_bound = query_bounds[0]
@@ -140,56 +137,14 @@ def _interpolate_fraction(bound: float, points: List[tuple]) -> float:
 
 def _twin_join_linear(block: QueryBlock, context: RewriteContext) -> None:
     """Estimation-only bands from inter-table correlations (any confidence)."""
-    from repro.expr import analysis
-    from repro.optimizer.rewrite.predicate_introduction import (
-        _join_path_present,
-    )
-    from repro.softcon.joinlinear import JoinLinearSC
-
     assert context.registry is not None
-    seen = set()
-    for constraint in context.registry.estimation_usable():
-        if not isinstance(constraint, JoinLinearSC) or constraint.name in seen:
-            continue
-        seen.add(constraint.name)
-        one_binding = block.binding_of(constraint.table_one)
-        two_binding = block.binding_of(constraint.table_two)
-        if one_binding is None or two_binding is None:
-            continue
-        if not _join_path_present(block, constraint, one_binding, two_binding):
-            continue
-        confidence = _effective_confidence(context, constraint)
-        b_range = analysis.column_interval(
-            block.predicates, ast.ColumnRef(constraint.column_b, two_binding)
+    usable = context.registry.estimation_usable()
+    for constraint, binding, column, band in join_bands(block, usable):
+        _attach(
+            block, binding, column, band,
+            context.registry.effective_confidence(constraint), constraint.name,
+            context,
         )
-        if not b_range.is_unbounded:
-            _attach(
-                block,
-                one_binding,
-                constraint.column_a,
-                constraint.predict_a_interval(b_range),
-                confidence,
-                constraint.name,
-                context,
-            )
-        a_range = analysis.column_interval(
-            block.predicates, ast.ColumnRef(constraint.column_a, one_binding)
-        )
-        if not a_range.is_unbounded:
-            _attach(
-                block,
-                two_binding,
-                constraint.column_b,
-                constraint.predict_b_interval(a_range),
-                confidence,
-                constraint.name,
-                context,
-            )
-
-
-def _effective_confidence(context: RewriteContext, constraint) -> float:
-    assert context.registry is not None
-    return context.registry.effective_confidence(constraint)
 
 
 def _attach(
@@ -204,8 +159,6 @@ def _attach(
 ) -> None:
     if interval.is_unbounded or interval.is_empty:
         return
-    from repro.expr import analysis
-
     existing = analysis.column_interval(
         block.predicates, ast.ColumnRef(column, binding)
     )
@@ -238,46 +191,23 @@ def _attach(
     )
 
 
-def _twin_linear(
+def _twin_interval(
     block: QueryBlock,
     binding: str,
-    constraint: LinearCorrelationSC,
+    constraint,
     context: RewriteContext,
 ) -> None:
-    columns = [constraint.column_a, constraint.column_b]
-    known = derive.known_intervals_for_binding(
-        block.predicates, binding, columns
-    )
-    confidence = _effective_confidence(context, constraint)
-    linked = (constraint.column_a, constraint.column_b)
-    for target in columns:
-        interval = derive.derive_for_linear_sc(constraint, target, known)
-        _attach(
-            block, binding, target, interval, confidence, constraint.name,
-            context, linked_columns=linked,
-        )
-
-
-def _twin_difference(
-    block: QueryBlock,
-    binding: str,
-    constraint: CheckSoftConstraint,
-    context: RewriteContext,
-) -> None:
-    bounds = derive.difference_bounds(constraint.expression)
-    if not bounds:
-        return
-    columns = sorted({b.x for b in bounds} | {b.y for b in bounds})
+    """Twin every interval the SC implies between the binding's columns."""
+    columns = constraint.interval_columns()
     known = derive.known_intervals_for_binding(
         block.predicates, binding, columns
     )
     if not known:
         return
-    confidence = _effective_confidence(context, constraint)
-    linked = tuple(columns)
+    confidence = context.registry.effective_confidence(constraint)
     for target in columns:
-        interval = derive.derive_interval_from_bounds(bounds, target, known)
         _attach(
-            block, binding, target, interval, confidence, constraint.name,
-            context, linked_columns=linked,
+            block, binding, target,
+            constraint.implied_interval(target, known), confidence,
+            constraint.name, context, linked_columns=tuple(columns),
         )

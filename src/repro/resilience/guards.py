@@ -346,19 +346,3 @@ def format_guard_report(report: Dict[str, Any]) -> str:
     parts.append(f"tripped={tripped if tripped else 'no'}")
     return "guard: " + " ".join(parts)
 
-
-def permits_readahead(active_guard: Optional["ActiveGuard"]) -> bool:
-    """Whether a scan may read storage ahead of consumption.
-
-    Morsel-parallel scans keep up to ``workers`` morsels in flight, so
-    storage reads (and their counter updates) run ahead of the rows the
-    consumer has actually seen.  Under an armed guard that read-ahead
-    would be observable: page-budget deltas are checked at every tick,
-    and a ``partial`` breach snapshot would include pages the truncated
-    result never consumed.  The executor therefore only engages morsel
-    parallelism on observation-free scans — no armed guard, no LIMIT
-    quota — and this predicate is the single place that contract lives.
-    Guarded scans still run the sequential columnar path, whose
-    accounting is identical to the row-at-a-time oracle's.
-    """
-    return active_guard is None

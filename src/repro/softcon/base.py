@@ -12,17 +12,29 @@ current state is an **absolute** soft constraint (ASC) and may be used in
 semantics-preserving rewrites; an SC with confidence < 1.0 is a
 **statistical** soft constraint (SSC) and may only steer cardinality
 estimation.
+
+Each SC *kind* is one subclass, and everything that differs between
+kinds — its durable record, its synchronous check and cheap repair, its
+selection utility, and the plain data the rewrite rules consume — is a
+method here with a neutral default, overridden only where a kind
+differs.  The registry, the policies, the codec, selection and the rules
+call these methods and never name a kind.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, Type, TYPE_CHECKING
 
 from repro.errors import SoftConstraintStateError
+from repro.expr.intervals import Interval
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.discovery.workload_model import Workload
     from repro.engine.database import Database
+    from repro.expr.difference import DifferenceBound
+    from repro.softcon.joinpath import JoinPathSpec
+    from repro.sql import ast
 
 
 class SCState(enum.Enum):
@@ -43,6 +55,10 @@ _ALLOWED_TRANSITIONS = {
     SCState.DROPPED: set(),
 }
 
+#: Every kind by class name, filled as each subclass is defined; the
+#: codec's ``class`` field resolves through it.
+_KINDS: Dict[str, Type["SoftConstraint"]] = {}
+
 
 class SoftConstraint:
     """Base class for all soft-constraint kinds.
@@ -62,6 +78,18 @@ class SoftConstraint:
     """
 
     kind = "soft"
+    #: Relative synchronous-maintenance cost per update, weighed against
+    #: utility by selection (Section 3.2).
+    maintenance_cost = 2.0
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        _KINDS[cls.__name__] = cls
+
+    @staticmethod
+    def kind_named(class_name: str) -> Optional[Type["SoftConstraint"]]:
+        """The kind a durable record's ``class`` field names, if known."""
+        return _KINDS.get(class_name)
 
     def __init__(self, name: str, confidence: float = 1.0) -> None:
         if not 0.0 < confidence <= 1.0:
@@ -168,6 +196,117 @@ class SoftConstraint:
         )
         self.violation_count = violations
         self.updates_since_verified = 0
+
+    # -- durability ------------------------------------------------------------
+
+    def record_fields(self) -> Dict[str, Any]:
+        """The kind's statement as WAL/checkpoint record fields.
+
+        The codec adds the name, confidence and lifecycle fields;
+        :meth:`from_record` is the inverse.
+        """
+        raise NotImplementedError
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "SoftConstraint":
+        """Rebuild a CANDIDATE from a record :meth:`record_fields` wrote."""
+        raise NotImplementedError
+
+    # -- maintenance (Section 4.3) ---------------------------------------------
+
+    def check_new_row(
+        self, database: "Database", table_name: str, row: Dict[str, Any]
+    ) -> Tuple[Optional[Dict[str, Any]], int]:
+        """Synchronously check one inserted or updated row.
+
+        Returns what violates (handed to the maintenance policy; None when
+        nothing does) and how many rows deciding it examined, for the
+        registry's ``check_rows_probed``.  The default judges the row
+        alone.
+        """
+        return (row if self.row_satisfies(row) is False else None), 1
+
+    def repair(self, violating: Dict[str, Any]) -> bool:
+        """Cheap synchronous repair to admit ``violating`` (what
+        :meth:`check_new_row` returned).  False when the kind has none;
+        the repair policy then demotes the constraint to an SSC."""
+        return False
+
+    # -- selection (Section 3.2) ---------------------------------------------
+
+    def workload_match(
+        self, workload: "Workload", database: Optional["Database"]
+    ) -> Tuple[float, float]:
+        """(workload frequency of queries this SC can help, helpfulness
+        in [0, 1])."""
+        return 0.0, 0.0
+
+    # -- what the rewrite rules consume ------------------------------------------
+
+    def row_conjuncts(self) -> List["ast.Expression"]:
+        """Unqualified conjuncts every conforming row satisfies, for
+        UNION ALL branch elimination."""
+        return []
+
+    def row_condition(self) -> "ast.Expression":
+        """The statement as one unqualified row predicate: the conforming
+        branch of an exception-table union (Section 4.4)."""
+        raise NotImplementedError
+
+    def interval_columns(self) -> List[str]:
+        """Columns of one table between which :meth:`implied_interval`
+        carries intervals (introduction, twinning, AST routing)."""
+        return []
+
+    def implied_interval(
+        self, target_column: str, known: Dict[str, Interval]
+    ) -> Interval:
+        """The interval the statement implies for ``target_column`` given
+        ``known`` intervals on the other :meth:`interval_columns`."""
+        return Interval.unbounded()
+
+    def introduction_targets(
+        self, known: Dict[str, Interval]
+    ) -> List[Tuple[str, Optional[str]]]:
+        """(target, source) columns predicate introduction may bound,
+        given what the query already bounds; ``source`` names the column
+        the range comes from when there is exactly one."""
+        return [(c, None) for c in self.interval_columns() if c not in known]
+
+    def difference_bounds(self) -> List["DifferenceBound"]:
+        """``x - y <= c`` bounds the statement implies (twinning's
+        selectivity hints for difference predicates)."""
+        return []
+
+    def column_bounds(self) -> Optional[Tuple[str, Interval]]:
+        """(column, [min, max]) when the statement bounds one column's
+        values, for min/max abbreviation.  A kind that returns bounds
+        keeps them as live ``low``/``high`` attributes, which runtime
+        parameters read at execution time (Section 4.2)."""
+        return None
+
+    def functional_dependency(self) -> Optional[Tuple[List[str], List[str]]]:
+        """(determinants, dependents) for GROUP BY / ORDER BY pruning."""
+        return None
+
+    def join_path(self) -> Optional["JoinPathSpec"]:
+        """The join path an inter-table kind characterizes."""
+        return None
+
+    def trim(
+        self, a_range: Interval, b_range: Interval
+    ) -> Tuple[Interval, Interval]:
+        """The join path's (a, b) query rectangle with provably empty
+        edge slabs shaved off (join holes)."""
+        return a_range, b_range
+
+    def forward_interval(self, b_interval: Interval) -> Interval:
+        """The band on ``a`` implied when ``b`` lies in ``b_interval``."""
+        return Interval.unbounded()
+
+    def inverse_interval(self, a_interval: Interval) -> Interval:
+        """The band on ``b`` implied when ``a`` lies in ``a_interval``."""
+        return Interval.unbounded()
 
     def describe(self) -> str:
         if self.is_absolute:

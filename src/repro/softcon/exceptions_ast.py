@@ -122,8 +122,7 @@ class ExceptionTable:
     def _populate(self) -> None:
         base = self.database.table(self.base_table)
         for row in list(base.scan_rows()):
-            row_dict = dict(zip(self._column_names, row))
-            if self.constraint.row_satisfies(row_dict) is False:
+            if self._violates(row):
                 self.database.insert(self.name, row)
 
     def refresh(self) -> None:

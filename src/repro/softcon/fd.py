@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.softcon.base import SoftConstraint
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.discovery.workload_model import Workload
     from repro.engine.database import Database
 
 
@@ -27,6 +28,7 @@ class FunctionalDependencySC(SoftConstraint):
     """
 
     kind = "fd"
+    maintenance_cost = 3.0
 
     def __init__(
         self,
@@ -59,6 +61,31 @@ class FunctionalDependencySC(SoftConstraint):
             "an FD is a whole-table property; use verify()"
         )
 
+    def record_fields(self) -> Dict[str, Any]:
+        return {
+            "table": self.table_name,
+            "determinants": list(self.determinants),
+            "dependents": list(self.dependents),
+        }
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "FunctionalDependencySC":
+        return cls(
+            state["name"], state["table"], state["determinants"],
+            state["dependents"], state["confidence"],
+        )
+
+    def workload_match(
+        self, workload: "Workload", database: Optional["Database"]
+    ) -> Tuple[float, float]:
+        matched = workload.grouping_frequency(
+            self.table_name, self.determinants + self.dependents
+        )
+        return matched, 0.6
+
+    def functional_dependency(self) -> Optional[Tuple[List[str], List[str]]]:
+        return self.determinants, self.dependents
+
     def verify(self, database: "Database") -> Tuple[int, int]:
         """Count rows whose determinant group maps to >1 dependent image.
 
@@ -88,6 +115,11 @@ class FunctionalDependencySC(SoftConstraint):
         return violations, total
 
     # -- incremental check support ------------------------------------------------
+
+    def check_new_row(
+        self, database: "Database", table_name: str, row: Dict[str, Any]
+    ) -> Tuple[Optional[Dict[str, Any]], int]:
+        return (row if self.row_conflicts(database, row) else None), 1
 
     def row_conflicts(
         self, database: "Database", row: Dict[str, Any]

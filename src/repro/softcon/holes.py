@@ -18,9 +18,10 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.expr.intervals import Interval
-from repro.softcon.base import SoftConstraint
+from repro.softcon.joinpath import JoinPathSC
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.discovery.workload_model import Workload
     from repro.engine.database import Database
 
 
@@ -73,7 +74,7 @@ class Rectangle:
         )
 
 
-class JoinHolesSC(SoftConstraint):
+class JoinHolesSC(JoinPathSC):
     """Empty 2-D regions of ``table_one ⋈ table_two`` w.r.t. (a, b).
 
     Parameters
@@ -87,6 +88,9 @@ class JoinHolesSC(SoftConstraint):
     holes:
         Maximal empty rectangles (typically found by the discovery
         algorithm in :mod:`repro.discovery.hole_miner`).
+
+    A violation is a join-result tuple inside a hole (holes must be
+    empty).
     """
 
     kind = "join_holes"
@@ -103,74 +107,53 @@ class JoinHolesSC(SoftConstraint):
         holes: Iterable[Rectangle] = (),
         confidence: float = 1.0,
     ) -> None:
-        super().__init__(name, confidence)
-        self.table_one = table_one.lower()
-        self.table_two = table_two.lower()
-        self.column_a = column_a.lower()
-        self.column_b = column_b.lower()
-        self.join_column_one = join_column_one.lower()
-        self.join_column_two = join_column_two.lower()
+        super().__init__(
+            name, table_one, column_a, table_two, column_b,
+            join_column_one, join_column_two, confidence,
+        )
         self.holes: List[Rectangle] = list(holes)
 
-    def table_names(self) -> List[str]:
-        return [self.table_one, self.table_two]
-
     def statement_sql(self) -> str:
+        path = self.path
         return (
-            f"HOLES({len(self.holes)}) OVER {self.table_one}.{self.column_a} "
-            f"x {self.table_two}.{self.column_b} ALONG "
-            f"{self.table_one}.{self.join_column_one} = "
-            f"{self.table_two}.{self.join_column_two}"
+            f"HOLES({len(self.holes)}) OVER {path.table_one}.{path.column_a} "
+            f"x {path.table_two}.{path.column_b} ALONG "
+            f"{path.table_one}.{path.join_column_one} = "
+            f"{path.table_two}.{path.join_column_two}"
         )
 
-    def row_satisfies(self, row: Dict[str, Any]) -> Optional[bool]:
-        raise NotImplementedError(
-            "join holes are a two-table property; use verify()"
+    def record_fields(self) -> Dict[str, Any]:
+        fields = super().record_fields()
+        fields["holes"] = [
+            [hole.a_low, hole.a_high, hole.b_low, hole.b_high]
+            for hole in self.holes
+        ]
+        return fields
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "JoinHolesSC":
+        return cls(
+            state["name"], *cls.path_args(state),
+            holes=[Rectangle(*hole) for hole in state["holes"]],
+            confidence=state["confidence"],
         )
 
-    # -- verification --------------------------------------------------------
+    def workload_match(
+        self, workload: "Workload", database: Optional["Database"]
+    ) -> Tuple[float, float]:
+        path = self.path
+        matched = self._workload_join_frequency(workload)
+        ranged = max(
+            workload.range_frequency(path.table_one, path.column_a),
+            workload.range_frequency(path.table_two, path.column_b),
+        )
+        return min(matched, ranged) if ranged else 0.0, 0.8
 
-    def verify(self, database: "Database") -> Tuple[int, int]:
-        """Count join tuples falling inside any hole.
-
-        A violation is a join-result tuple inside a hole (holes must be
-        empty).  This performs the join — exactly the expense the paper
-        notes makes absolute maintenance of inter-table SCs costly
-        (Section 4.3).
-        """
-        violations = 0
-        total = 0
-        for a_value, b_value in self.join_pairs(database):
-            total += 1
-            if self.point_in_hole(a_value, b_value):
-                violations += 1
-        self.record_verification(violations, total)
-        return violations, total
-
-    def join_pairs(self, database: "Database") -> Iterable[Tuple[Any, Any]]:
-        """Yield (a, b) for every tuple of the join result (hash join)."""
-        one = database.table(self.table_one)
-        two = database.table(self.table_two)
-        a_pos = one.schema.position(self.column_a)
-        join_one_pos = one.schema.position(self.join_column_one)
-        b_pos = two.schema.position(self.column_b)
-        join_two_pos = two.schema.position(self.join_column_two)
-        build: Dict[Any, List[Any]] = {}
-        for row in two.scan_rows():
-            key = row[join_two_pos]
-            if key is not None:
-                build.setdefault(key, []).append(row[b_pos])
-        for row in one.scan_rows():
-            key = row[join_one_pos]
-            if key is None:
-                continue
-            for b_value in build.get(key, ()):
-                yield row[a_pos], b_value
+    def pair_satisfies(self, a_value: Any, b_value: Any) -> bool:
+        return not self.point_in_hole(a_value, b_value)
 
     def point_in_hole(self, a_value: Any, b_value: Any) -> bool:
-        if a_value is None or b_value is None:
-            return False
-        return any(hole.contains_point(a_value, b_value) for hole in self.holes)
+        return bool(self.holes_hit_by(a_value, b_value))
 
     # -- range trimming ----------------------------------------------------------
 
@@ -201,6 +184,13 @@ class JoinHolesSC(SoftConstraint):
         return a_current, b_current
 
     # -- maintenance support ---------------------------------------------------------
+
+    def repair(self, violating: Dict[str, Any]) -> bool:
+        """Split every hole the violating pair landed in around it."""
+        a_value, b_value = violating.get("__a__"), violating.get("__b__")
+        for hole in self.holes_hit_by(a_value, b_value):
+            self.split_hole(hole, a_value, b_value)
+        return True
 
     def holes_hit_by(self, a_value: Any, b_value: Any) -> List[Rectangle]:
         """Holes a new (a, b) join pair lands in (these must be repaired)."""

@@ -20,17 +20,17 @@ inter-table check constraints).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.expr.intervals import Interval
-from repro.softcon.base import SoftConstraint
-from repro.softcon.joinpath import JoinPathSpec
+from repro.softcon.joinpath import JoinPathSC
+from repro.softcon.linear import LinearBand
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.discovery.workload_model import Workload
     from repro.engine.database import Database
 
 
-class JoinLinearSC(SoftConstraint):
+class JoinLinearSC(LinearBand, JoinPathSC):
     """``one.a ~= slope * two.b + intercept ± epsilon`` over ``one ⋈ two``."""
 
     kind = "join_linear"
@@ -49,115 +49,53 @@ class JoinLinearSC(SoftConstraint):
         epsilon: float,
         confidence: float = 1.0,
     ) -> None:
-        super().__init__(name, confidence)
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        self.path = JoinPathSpec(
-            table_one, column_a, table_two, column_b,
-            join_column_one, join_column_two,
+        JoinPathSC.__init__(
+            self, name, table_one, column_a, table_two, column_b,
+            join_column_one, join_column_two, confidence,
         )
-        self.slope = float(slope)
-        self.intercept = float(intercept)
-        self.epsilon = float(epsilon)
-
-    # -- convenience passthroughs -------------------------------------------
-
-    @property
-    def table_one(self) -> str:
-        return self.path.table_one
-
-    @property
-    def table_two(self) -> str:
-        return self.path.table_two
-
-    @property
-    def column_a(self) -> str:
-        return self.path.column_a
-
-    @property
-    def column_b(self) -> str:
-        return self.path.column_b
-
-    @property
-    def join_column_one(self) -> str:
-        return self.path.join_column_one
-
-    @property
-    def join_column_two(self) -> str:
-        return self.path.join_column_two
-
-    def table_names(self) -> List[str]:
-        return [self.path.table_one, self.path.table_two]
+        LinearBand.__init__(self, slope, intercept, epsilon)
 
     def statement_sql(self) -> str:
+        path = self.path
         return (
-            f"JOINCHECK ({self.table_one}.{self.column_a} BETWEEN "
-            f"{self.slope:g} * {self.table_two}.{self.column_b} + "
+            f"JOINCHECK ({path.table_one}.{path.column_a} BETWEEN "
+            f"{self.slope:g} * {path.table_two}.{path.column_b} + "
             f"{self.intercept:g} - {self.epsilon:g} AND {self.slope:g} * "
-            f"{self.table_two}.{self.column_b} + {self.intercept:g} + "
-            f"{self.epsilon:g}) ALONG {self.table_one}."
-            f"{self.path.join_column_one} = {self.table_two}."
-            f"{self.path.join_column_two}"
+            f"{path.table_two}.{path.column_b} + {self.intercept:g} + "
+            f"{self.epsilon:g}) ALONG {path.table_one}."
+            f"{path.join_column_one} = {path.table_two}."
+            f"{path.join_column_two}"
         )
 
-    def row_satisfies(self, row: Dict[str, Any]) -> Optional[bool]:
-        raise NotImplementedError(
-            "a join-path correlation is a two-table property; use verify()"
+    def record_fields(self) -> Dict[str, Any]:
+        fields = JoinPathSC.record_fields(self)
+        fields.update(
+            slope=self.slope, intercept=self.intercept, epsilon=self.epsilon
+        )
+        return fields
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "JoinLinearSC":
+        return cls(
+            state["name"], *cls.path_args(state), state["slope"],
+            state["intercept"], state["epsilon"], state["confidence"],
         )
 
-    # -- the model -------------------------------------------------------------
+    def workload_match(
+        self, workload: "Workload", database: Optional["Database"]
+    ) -> Tuple[float, float]:
+        path = self.path
+        matched = self._workload_join_frequency(workload)
+        ranged = workload.predicate_frequency(
+            path.table_two, path.column_b
+        ) + workload.predicate_frequency(path.table_one, path.column_a)
+        indexed = database is not None and (
+            database.catalog.find_index(path.table_one, [path.column_a]) is not None
+        )
+        return min(matched, ranged) if ranged else 0.0, 0.9 if indexed else 0.5
 
-    def pair_residual(self, a_value: Any, b_value: Any) -> Optional[float]:
-        if a_value is None or b_value is None:
-            return None
-        return float(a_value) - (self.slope * float(b_value) + self.intercept)
+    def _severity(self, a_value: Any, b_value: Any) -> float:
+        return abs(self.residual(a_value, b_value) or 0.0)
 
-    def pair_satisfies(self, a_value: Any, b_value: Any) -> bool:
-        residual = self.pair_residual(a_value, b_value)
-        return residual is None or abs(residual) <= self.epsilon
-
-    def predict_a_interval(self, b_interval: Interval) -> Interval:
-        """The band of ``one.a`` implied when ``two.b`` lies in a range."""
-        if b_interval.is_empty:
-            return Interval.empty()
-        if b_interval.low is None or b_interval.high is None:
-            return Interval.unbounded()
-        corners = [
-            self.slope * float(b_interval.low) + self.intercept,
-            self.slope * float(b_interval.high) + self.intercept,
-        ]
-        return Interval(min(corners) - self.epsilon, max(corners) + self.epsilon)
-
-    def predict_b_interval(self, a_interval: Interval) -> Interval:
-        """The inverse band of ``two.b`` when ``one.a`` lies in a range."""
-        if self.slope == 0.0:
-            return Interval.unbounded()
-        if a_interval.is_empty:
-            return Interval.empty()
-        if a_interval.low is None or a_interval.high is None:
-            return Interval.unbounded()
-        corners = [
-            (float(a_interval.low) - self.intercept) / self.slope,
-            (float(a_interval.high) - self.intercept) / self.slope,
-        ]
-        spread = self.epsilon / abs(self.slope)
-        return Interval(min(corners) - spread, max(corners) + spread)
-
-    # -- verification / maintenance ------------------------------------------------
-
-    def verify(self, database: "Database") -> Tuple[int, int]:
-        """Re-check every join pair against the band (requires the join)."""
-        violations = 0
-        total = 0
-        for a_value, b_value in self.path.join_pairs(database):
-            total += 1
-            if not self.pair_satisfies(a_value, b_value):
-                violations += 1
-        self.record_verification(violations, total)
-        return violations, total
-
-    def widen_to_pair(self, a_value: Any, b_value: Any) -> None:
-        """Synchronous repair: widen epsilon to admit a violating pair."""
-        residual = self.pair_residual(a_value, b_value)
-        if residual is not None:
-            self.epsilon = max(self.epsilon, abs(residual))
+    def repair(self, violating: Dict[str, Any]) -> bool:
+        return self.widen(violating.get("__a__"), violating.get("__b__"))

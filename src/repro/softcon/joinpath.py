@@ -2,15 +2,19 @@
 
 Both join holes (:mod:`repro.softcon.holes`) and inter-table linear
 correlations (:mod:`repro.softcon.joinlinear`) characterize attribute
-pairs (one.a, two.b) over ``one ⋈ two``.  This module factors out the two
-operations they share: enumerating the join result's (a, b) pairs, and
-probing the pairs a single new row creates (the expensive synchronous
-maintenance step of Section 4.3).
+pairs (one.a, two.b) over ``one ⋈ two``.  :class:`JoinPathSpec` holds the
+path and the two operations on it: enumerating the join result's (a, b)
+pairs, and probing the pairs a single new row creates (the expensive
+synchronous maintenance step of Section 4.3).  :class:`JoinPathSC` is
+what the two kinds share on top: verification and the synchronous check
+are "every pair satisfies the kind's pair predicate".
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+
+from repro.softcon.base import SoftConstraint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import Database
@@ -118,3 +122,80 @@ def _mate_values(
         if row is not None and row[position] is not None:
             values.append(row[position])
     return values
+
+
+class JoinPathSC(SoftConstraint):
+    """A soft constraint on the attribute pair (one.a, two.b) of
+    ``one ⋈ two``: it holds when every join pair satisfies the kind's
+    ``pair_satisfies(a, b)``."""
+
+    maintenance_cost = 10.0  # each check joins the new row to the other side
+
+    def __init__(
+        self,
+        name: str,
+        table_one: str,
+        column_a: str,
+        table_two: str,
+        column_b: str,
+        join_column_one: str,
+        join_column_two: str,
+        confidence: float = 1.0,
+    ) -> None:
+        super().__init__(name, confidence)
+        self.path = JoinPathSpec(
+            table_one, column_a, table_two, column_b,
+            join_column_one, join_column_two,
+        )
+
+    def table_names(self) -> List[str]:
+        return [self.path.table_one, self.path.table_two]
+
+    def join_path(self) -> JoinPathSpec:
+        return self.path
+
+    def _severity(self, a_value: Any, b_value: Any) -> float:
+        """Rank among a new row's violating pairs; the worst one is
+        reported so a single repair covers them all."""
+        return 0.0
+
+    def record_fields(self) -> Dict[str, Any]:
+        return {field: getattr(self.path, field) for field in JoinPathSpec.__slots__}
+
+    @staticmethod
+    def path_args(state: Dict[str, Any]) -> List[str]:
+        """The constructor's path arguments, from a record."""
+        return [state[field] for field in JoinPathSpec.__slots__]
+
+    # -- verification / maintenance ------------------------------------------------
+
+    def verify(self, database: "Database") -> Tuple[int, int]:
+        """Check every join pair.  This performs the join — exactly the
+        expense the paper notes makes absolute maintenance of inter-table
+        SCs costly (Section 4.3)."""
+        violations = 0
+        total = 0
+        for a_value, b_value in self.path.join_pairs(database):
+            total += 1
+            if not self.pair_satisfies(a_value, b_value):
+                violations += 1
+        self.record_verification(violations, total)
+        return violations, total
+
+    def check_new_row(
+        self, database: "Database", table_name: str, row: Dict[str, Any]
+    ) -> Tuple[Optional[Dict[str, Any]], int]:
+        """Join the new row to the other table and check its pairs."""
+        pairs = self.path.pairs_for_new_row(database, table_name, row)
+        violating = [pair for pair in pairs if not self.pair_satisfies(*pair)]
+        if not violating:
+            return None, len(pairs)
+        a_value, b_value = max(violating, key=lambda pair: self._severity(*pair))
+        return {"__a__": a_value, "__b__": b_value}, len(pairs)
+
+    def _workload_join_frequency(self, workload: Any) -> float:
+        path = self.path
+        return workload.join_frequency(
+            path.table_one, path.join_column_one,
+            path.table_two, path.join_column_two,
+        )

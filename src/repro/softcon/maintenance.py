@@ -5,11 +5,12 @@ applies the constraint's maintenance policy:
 
 * :class:`DropPolicy` — "the maintenance policy of last resort": overturn
   the ASC (state VIOLATED), invalidating every dependent cached plan.
-* :class:`RepairPolicy` — *synchronous repair* where the constraint class
-  supports a cheap one: min/max bounds widen, linear correlations widen
-  their deviation, join holes are split around the violating point (the
-  suboptimal-but-sound repair the paper describes), and plain check SCs
-  are demoted to statistical (their confidence absorbs the violation).
+* :class:`RepairPolicy` — *synchronous repair* where the constraint kind
+  supports a cheap one (:meth:`~repro.softcon.base.SoftConstraint.repair`):
+  min/max bounds widen, linear correlations widen their deviation, join
+  holes are split around the violating point (the suboptimal-but-sound
+  repair the paper describes); kinds without one (check SCs, FDs) are
+  demoted to statistical (their confidence absorbs the violation).
 * :class:`AsyncRepairPolicy` — overturn now, queue the constraint for a
   full re-verification later (``run_pending``), which reinstates it with a
   freshly-measured confidence or drops it below a threshold.
@@ -19,13 +20,9 @@ Every policy action is counted so E8 can report maintenance overhead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, Type, TYPE_CHECKING
 
 from repro.softcon.base import SCState, SoftConstraint
-from repro.softcon.holes import JoinHolesSC
-from repro.softcon.joinlinear import JoinLinearSC
-from repro.softcon.linear import LinearCorrelationSC
-from repro.softcon.minmax import MinMaxSC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import Database
@@ -45,6 +42,20 @@ class MaintenancePolicy:
     ) -> None:
         raise NotImplementedError
 
+    def record(self) -> Optional[Dict[str, Any]]:
+        """The WAL/checkpoint record; None for a policy recovery cannot
+        rebuild (the registry default applies to its constraint)."""
+        return None
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "MaintenancePolicy":
+        return cls()
+
+    @staticmethod
+    def named(type_name: str) -> Optional[Type["MaintenancePolicy"]]:
+        """The policy a record's ``type`` field names, if known."""
+        return _POLICIES.get(type_name)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
 
@@ -62,6 +73,9 @@ class DropPolicy(MaintenancePolicy):
     ) -> None:
         registry.overturn(constraint)
 
+    def record(self) -> Optional[Dict[str, Any]]:
+        return {"type": "DropPolicy"}
+
 
 class RepairPolicy(MaintenancePolicy):
     """Synchronous, class-specific repair; falls back to demotion/drop.
@@ -71,9 +85,9 @@ class RepairPolicy(MaintenancePolicy):
     (runtime-parameterized ranges, FD simplification) survive.  The
     *values* channel does fire — a widened bound or split hole changes the
     statement, and any plan that inlined the old values must be dropped
-    (it would silently lose rows).  A generic check SC has no widening
-    form, so it is demoted to a statistical SC instead, invalidating both
-    channels.
+    (it would silently lose rows).  A kind with no cheap repair (a
+    generic check SC, an FD) is demoted to a statistical SC instead,
+    invalidating both channels.
     """
 
     name = "repair"
@@ -85,33 +99,15 @@ class RepairPolicy(MaintenancePolicy):
         violating_row: Optional[dict],
     ) -> None:
         registry.repairs_performed += 1
-        if isinstance(constraint, MinMaxSC) and violating_row is not None:
-            constraint.widen_to(violating_row.get(constraint.column_name))
-            # The statement changed: plans that inlined the old bounds
+        if violating_row is not None and constraint.repair(violating_row):
+            # The statement changed: plans that inlined the old values
             # would silently drop the new row.
             registry.statement_changed(constraint)
-            return
-        if isinstance(constraint, LinearCorrelationSC) and violating_row is not None:
-            residual = constraint.residual(violating_row)
-            if residual is not None:
-                constraint.epsilon = max(constraint.epsilon, abs(residual))
-                registry.statement_changed(constraint)
-                return
-        if isinstance(constraint, JoinHolesSC) and violating_row is not None:
-            a_value = violating_row.get("__a__")
-            b_value = violating_row.get("__b__")
-            for hole in constraint.holes_hit_by(a_value, b_value):
-                constraint.split_hole(hole, a_value, b_value)
-            registry.statement_changed(constraint)
-            return
-        if isinstance(constraint, JoinLinearSC) and violating_row is not None:
-            constraint.widen_to_pair(
-                violating_row.get("__a__"), violating_row.get("__b__")
-            )
-            registry.statement_changed(constraint)
-            return
-        # No cheap repair: demote to statistical (check SCs, FDs).
-        registry.demote(constraint)
+        else:
+            registry.demote(constraint)
+
+    def record(self) -> Optional[Dict[str, Any]]:
+        return {"type": "RepairPolicy"}
 
 
 class AsyncRepairPolicy(MaintenancePolicy):
@@ -151,6 +147,18 @@ class AsyncRepairPolicy(MaintenancePolicy):
         if constraint not in self.queue:
             self.queue.append(constraint)
 
+    def record(self) -> Optional[Dict[str, Any]]:
+        return {
+            "type": "AsyncRepairPolicy",
+            "drop_threshold": self.drop_threshold,
+            "queue": [sc.name for sc in self.queue],
+        }
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "AsyncRepairPolicy":
+        # The queue is re-resolved by name at restore time.
+        return cls(drop_threshold=state["drop_threshold"])
+
     def run_pending(
         self, registry: "SoftConstraintRegistry", database: "Database"
     ) -> List[Tuple[str, str]]:
@@ -161,16 +169,23 @@ class AsyncRepairPolicy(MaintenancePolicy):
             if constraint.state is SCState.DROPPED:
                 outcomes.append((constraint.name, "already-dropped"))
                 continue
-            violations, total = constraint.verify(database)
+            violations, _ = registry.reverify(constraint, self._settle)
             registry.async_repairs_run += 1
-            if violations == 0:
-                constraint.transition(SCState.ACTIVE)
-                outcomes.append((constraint.name, "reinstated"))
-            elif constraint.confidence >= self.drop_threshold:
-                constraint.transition(SCState.ACTIVE)
-                outcomes.append((constraint.name, "demoted"))
-            else:
-                constraint.transition(SCState.DROPPED)
+            if constraint.state is SCState.DROPPED:
                 outcomes.append((constraint.name, "dropped"))
-            registry.refresh_currency(constraint, database)
+            else:
+                outcome = "demoted" if violations else "reinstated"
+                outcomes.append((constraint.name, outcome))
         return outcomes
+
+    def _settle(self, constraint: SoftConstraint) -> SCState:
+        """Reinstate (as an SSC when partly violated) or give up."""
+        if constraint.confidence >= self.drop_threshold:
+            return SCState.ACTIVE
+        return SCState.DROPPED
+
+
+_POLICIES: Dict[str, Type[MaintenancePolicy]] = {
+    policy.__name__: policy
+    for policy in (DropPolicy, RepairPolicy, AsyncRepairPolicy)
+}

@@ -12,16 +12,22 @@ with expensive classes (join holes) that E8 measures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.expr.intervals import Interval
+from repro.sql import ast
 from repro.softcon.base import SoftConstraint
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.discovery.workload_model import Workload
+    from repro.engine.database import Database
 
 
 class MinMaxSC(SoftConstraint):
     """``low <= column <= high`` over one table."""
 
     kind = "minmax"
+    maintenance_cost = 1.0
 
     def __init__(
         self,
@@ -59,7 +65,41 @@ class MinMaxSC(SoftConstraint):
             return True
         return self.interval.contains(value)
 
+    def record_fields(self) -> Dict[str, Any]:
+        return {
+            "table": self.table_name, "column": self.column_name,
+            "low": self.low, "high": self.high,
+        }
+
+    @classmethod
+    def from_record(cls, state: Dict[str, Any]) -> "MinMaxSC":
+        return cls(
+            state["name"], state["table"], state["column"], state["low"],
+            state["high"], state["confidence"],
+        )
+
+    def workload_match(
+        self, workload: "Workload", database: Optional["Database"]
+    ) -> Tuple[float, float]:
+        return workload.range_frequency(self.table_name, self.column_name), 0.4
+
+    def column_bounds(self) -> Optional[Tuple[str, Interval]]:
+        return self.column_name, self.interval
+
+    def row_conjuncts(self) -> List[ast.Expression]:
+        return [
+            ast.BetweenExpr(
+                ast.ColumnRef(self.column_name),
+                ast.Literal(self.low),
+                ast.Literal(self.high),
+            )
+        ]
+
     # -- self repair -----------------------------------------------------------
+
+    def repair(self, violating: Dict[str, Any]) -> bool:
+        self.widen_to(violating.get(self.column_name))
+        return True
 
     def widen_to(self, value: Any) -> bool:
         """Widen the bounds to admit ``value``; True when anything changed.

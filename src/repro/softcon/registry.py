@@ -23,20 +23,18 @@ update for hard ICs vs. informational vs. ASC vs. SSC.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.database import ChangeEvent, Database
 from repro.errors import DuplicateObjectError, UnknownObjectError
 from repro.softcon.base import SCState, SoftConstraint
-from repro.softcon.checksc import CheckSoftConstraint
 from repro.softcon.currency import CurrencyModel
-from repro.softcon.fd import FunctionalDependencySC
-from repro.softcon.holes import JoinHolesSC
-from repro.softcon.joinlinear import JoinLinearSC
-from repro.softcon.joinpath import JoinPathSpec
-from repro.softcon.linear import LinearCorrelationSC
 from repro.softcon.maintenance import DropPolicy, MaintenancePolicy
-from repro.softcon.minmax import MinMaxSC
+
+
+_ACTIVE = (SCState.ACTIVE,)
+#: Maintained (ticked on every change) but only ACTIVE ones are checked.
+_MAINTAINED = (SCState.ACTIVE, SCState.PROBATION)
 
 
 class SoftConstraintRegistry:
@@ -159,36 +157,57 @@ class SoftConstraintRegistry:
         """
         constraint = self.get(name)
         if verify_first:
-            constraint.verify(self.database)
-            self.refresh_currency(constraint, self.database)
+            self.reverify(constraint, lambda _: SCState.ACTIVE)
+            return constraint
         if constraint.state is not SCState.ACTIVE:
             constraint.transition(SCState.ACTIVE)
         self._log_durable(constraint)
         return constraint
 
+    def reverify(
+        self,
+        constraint: SoftConstraint,
+        settle: Optional[Callable[[SoftConstraint], SCState]] = None,
+    ) -> Tuple[int, int]:
+        """Re-measure a constraint against the data and make it durable.
+
+        Verifies (refreshing confidence), applies the lifecycle state
+        ``settle`` chooses from the measurement, resets the currency
+        model, and logs the result — every re-verification goes through
+        here so none can leave the WAL holding a stale snapshot.
+        """
+        violations, total = constraint.verify(self.database)
+        if settle is not None:
+            state = settle(constraint)
+            if state is not constraint.state:
+                constraint.transition(state)
+        self.refresh_currency(constraint, self.database)
+        self._log_durable(constraint)
+        return violations, total
+
     def overturn(self, constraint: SoftConstraint) -> None:
         """Mark an ASC violated and invalidate dependent plans."""
         if constraint.state is SCState.ACTIVE:
             constraint.transition(SCState.VIOLATED)
-        constraint.validity_version += 1
-        constraint.values_version += 1
         self.overturn_events += 1
-        self.database.catalog.fire_invalidation(
-            f"softconstraint:{constraint.name}"
-        )
-        self.database.catalog.fire_invalidation(
-            f"softconstraint-values:{constraint.name}"
-        )
-        self._log_durable(constraint)
+        self._invalidate(constraint)
 
     def statement_changed(self, constraint: SoftConstraint) -> None:
         """A repair altered the constraint's statement (e.g. widened
         bounds): plans that inlined the old values must be dropped, but
         plans depending only on the constraint's *validity* survive."""
+        self._invalidate(constraint, validity=False)
+
+    def _invalidate(self, constraint: SoftConstraint, validity: bool = True) -> None:
+        """Bump the plan-dependency versions, drop the dependent cached
+        plans (Section 4.1) — values-only when ``validity`` is False —
+        and log the constraint."""
+        catalog = self.database.catalog
+        if validity:
+            constraint.validity_version += 1
+            catalog.fire_invalidation(f"softconstraint:{constraint.name}")
         constraint.values_version += 1
-        self.database.catalog.fire_invalidation(
-            f"softconstraint-values:{constraint.name}"
-        )
+        catalog.fire_invalidation(f"softconstraint-values:{constraint.name}")
         self._log_durable(constraint)
 
     def demote(self, constraint: SoftConstraint) -> None:
@@ -202,15 +221,7 @@ class SoftConstraintRegistry:
         total = max(1, rows + 1)
         satisfied = constraint.confidence * rows
         constraint.confidence = max(1e-9, min(satisfied / total, 1.0 - 1e-9))
-        constraint.validity_version += 1
-        constraint.values_version += 1
-        self.database.catalog.fire_invalidation(
-            f"softconstraint:{constraint.name}"
-        )
-        self.database.catalog.fire_invalidation(
-            f"softconstraint-values:{constraint.name}"
-        )
-        self._log_durable(constraint)
+        self._invalidate(constraint)
 
     # ------------------------------------------------------------- probation
 
@@ -248,9 +259,7 @@ class SoftConstraintRegistry:
         promoted = []
         for name in self.probation_names():
             if self.probation_uses.get(name, 0) >= min_uses:
-                constraint = self.get(name)
-                constraint.transition(SCState.ACTIVE)
-                self._log_durable(constraint)
+                self.activate(name)
                 promoted.append(name)
         return promoted
 
@@ -262,33 +271,30 @@ class SoftConstraintRegistry:
     def drop(self, name: str) -> None:
         constraint = self.get(name)
         constraint.transition(SCState.DROPPED)
-        constraint.validity_version += 1
-        constraint.values_version += 1
-        self.database.catalog.fire_invalidation(f"softconstraint:{name.lower()}")
-        self.database.catalog.fire_invalidation(
-            f"softconstraint-values:{name.lower()}"
-        )
-        self._log_durable(constraint)
+        self._invalidate(constraint)
 
     # ------------------------------------------------------------ optimizer views
 
     def rewrite_usable(self, table_name: Optional[str] = None) -> List[SoftConstraint]:
         """ACTIVE ASCs (optionally restricted to one table)."""
-        return [
-            sc
-            for sc in self._constraints.values()
-            if sc.usable_in_rewrite
-            and (table_name is None or sc.affected_by(table_name))
-        ]
+        return self._usable(_ACTIVE, True, table_name)
 
     def estimation_usable(
         self, table_name: Optional[str] = None
     ) -> List[SoftConstraint]:
         """ACTIVE SCs of any confidence (optionally for one table)."""
+        return self._usable(_ACTIVE, False, table_name)
+
+    def _usable(
+        self, states, absolute: bool, table_name: Optional[str]
+    ) -> List[SoftConstraint]:
+        """Constraints in ``states`` (ASCs only when ``absolute``),
+        optionally restricted to those a table's updates affect."""
         return [
             sc
             for sc in self._constraints.values()
-            if sc.usable_in_estimation
+            if sc.state in states
+            and (sc.is_absolute or not absolute)
             and (table_name is None or sc.affected_by(table_name))
         ]
 
@@ -326,15 +332,7 @@ class SoftConstraintRegistry:
     # ------------------------------------------------------------ change events
 
     def _on_change(self, event: ChangeEvent) -> None:
-        for constraint in list(self._constraints.values()):
-            if constraint.state not in (SCState.ACTIVE, SCState.PROBATION):
-                continue
-            if not constraint.affected_by(event.table_name):
-                continue
-            constraint.updates_since_verified += 1
-            model = self._currency.get(constraint.name)
-            if model is not None:
-                model.record_update()
+        for constraint in self.replay_tick(event.table_name):
             if constraint.state is SCState.PROBATION:
                 continue  # probation: inexpensively maintained, not checked
             if not constraint.is_absolute:
@@ -346,109 +344,46 @@ class SoftConstraintRegistry:
                     self, constraint, violating_row
                 )
 
-    def replay_tick(self, table_name: str) -> None:
-        """Redo-replay's stand-in for :meth:`_on_change` (recovery only).
+    def replay_tick(self, table_name: str) -> List[SoftConstraint]:
+        """Advance staleness for one row change; returns the maintained
+        (ACTIVE or PROBATION) constraints the change touched.
 
-        A replayed row change must advance the same staleness counters a
+        Every change event starts here; redo replay calls it alone.  A
+        replayed row change must advance the same staleness counters a
         live change would — ``updates_since_verified`` and the currency
         model — or recovered currency drifts from a never-crashed run.
-        Violation handling is deliberately absent: its outcome is already
-        in the log as ``sc_state`` snapshots, which replay installs
-        verbatim right after this tick.
+        Violation handling is :meth:`_on_change`'s: during replay its
+        outcome is already in the log as ``sc_state`` snapshots, which
+        replay installs verbatim right after this tick.
         """
-        for constraint in list(self._constraints.values()):
-            if constraint.state not in (SCState.ACTIVE, SCState.PROBATION):
-                continue
-            if not constraint.affected_by(table_name):
-                continue
+        touched = self._usable(_MAINTAINED, False, table_name)
+        for constraint in touched:
             constraint.updates_since_verified += 1
             model = self._currency.get(constraint.name)
             if model is not None:
                 model.record_update()
+        return touched
 
     def _synchronous_check(
         self, constraint: SoftConstraint, event: ChangeEvent
     ) -> Optional[Dict[str, Any]]:
         """Check one event against one ACTIVE ASC.
 
-        Returns the violating row (as a dict) or None.  Deletions cannot
-        introduce violations for any supported constraint class, so only
-        the *new* row of an insert/update is examined.
+        Returns what violates (a row dict, or a join pair) or None.
+        Deletions cannot introduce violations for any supported
+        constraint kind, so only the *new* row of an insert/update is
+        examined.
         """
         if event.new_row is None:
             return None
         self.checks_performed += 1
         schema = self.database.table(event.table_name).schema
         row = dict(zip(schema.column_names(), event.new_row))
-        if isinstance(constraint, (CheckSoftConstraint, MinMaxSC, LinearCorrelationSC)):
-            self.check_rows_probed += 1
-            if constraint.row_satisfies(row) is False:
-                return row
-            return None
-        if isinstance(constraint, FunctionalDependencySC):
-            self.check_rows_probed += 1
-            if constraint.row_conflicts(self.database, row):
-                return row
-            return None
-        if isinstance(constraint, JoinHolesSC):
-            spec = JoinPathSpec(
-                constraint.table_one,
-                constraint.column_a,
-                constraint.table_two,
-                constraint.column_b,
-                constraint.join_column_one,
-                constraint.join_column_two,
-            )
-            return self._check_join_pairs(
-                spec,
-                event.table_name,
-                row,
-                lambda a, b: not constraint.point_in_hole(a, b),
-            )
-        if isinstance(constraint, JoinLinearSC):
-            return self._check_join_pairs(
-                constraint.path,
-                event.table_name,
-                row,
-                constraint.pair_satisfies,
-                # Report the worst deviation so a widening repair covers
-                # every pair the new row created, not just the first.
-                rank=lambda a, b: abs(constraint.pair_residual(a, b) or 0.0),
-            )
-        # Unknown class: be conservative — full verify.
-        violations, _ = constraint.verify(self.database)
-        return row if violations else None
-
-    def _check_join_pairs(
-        self,
-        spec: JoinPathSpec,
-        table_name: str,
-        row: Dict[str, Any],
-        pair_satisfies,
-        rank=None,
-    ) -> Optional[Dict[str, Any]]:
-        """Probe whether a new row creates a violating join pair.
-
-        Joining the new row to the other table is the expensive
-        synchronous maintenance the paper calls out for inter-table SCs
-        (Section 4.3).  Returns a violating (a, b) pair — the worst one
-        under ``rank`` when given, so a single widening repair covers all
-        of the new row's violations.
-        """
-        pairs = spec.pairs_for_new_row(self.database, table_name, row)
-        self.check_rows_probed += len(pairs)
-        violating = [
-            (a_value, b_value)
-            for a_value, b_value in pairs
-            if not pair_satisfies(a_value, b_value)
-        ]
-        if not violating:
-            return None
-        if rank is not None:
-            a_value, b_value = max(violating, key=lambda pair: rank(*pair))
-        else:
-            a_value, b_value = violating[0]
-        return {"__a__": a_value, "__b__": b_value}
+        violating, probed = constraint.check_new_row(
+            self.database, event.table_name, row
+        )
+        self.check_rows_probed += probed
+        return violating
 
     # --------------------------------------------------------------- reporting
 
@@ -461,9 +396,6 @@ class SoftConstraintRegistry:
             "repairs_performed": self.repairs_performed,
             "async_repairs_run": self.async_repairs_run,
         }
-
-    def describe_all(self) -> List[str]:
-        return [sc.describe() for sc in self._constraints.values()]
 
 
 class ProbationShadowView:
@@ -479,27 +411,13 @@ class ProbationShadowView:
     def __init__(self, registry: SoftConstraintRegistry) -> None:
         self._registry = registry
 
-    def _usable(self, constraint: SoftConstraint) -> bool:
-        return constraint.state in (SCState.ACTIVE, SCState.PROBATION)
-
     def rewrite_usable(self, table_name: Optional[str] = None) -> List[SoftConstraint]:
-        return [
-            sc
-            for sc in self._registry.all()
-            if self._usable(sc)
-            and sc.is_absolute
-            and (table_name is None or sc.affected_by(table_name))
-        ]
+        return self._registry._usable(_MAINTAINED, True, table_name)
 
     def estimation_usable(
         self, table_name: Optional[str] = None
     ) -> List[SoftConstraint]:
-        return [
-            sc
-            for sc in self._registry.all()
-            if self._usable(sc)
-            and (table_name is None or sc.affected_by(table_name))
-        ]
+        return self._registry._usable(_MAINTAINED, False, table_name)
 
     def effective_confidence(self, constraint: SoftConstraint) -> float:
         return self._registry.effective_confidence(constraint)

@@ -1,8 +1,7 @@
 """Differential equivalence: the production executor against the oracle.
 
 Every query runs on the production executor (columnar + compiled) at
-each batch size, and with morsel-parallel scans (``workers=4``); the
-interpreted row-at-a-time executor is the oracle.  Every mode must
+each batch size; the interpreted row-at-a-time executor is the oracle.  Every mode must
 produce identical sorted result multisets, row counts, page-read totals,
 *and errors* (a query that raises must raise the same error type and
 message in every mode).  Corpora: the property SQL oracle generators
@@ -46,14 +45,10 @@ CONFIGS = {
 }
 
 
-def _executor(
-    db: SoftDB, batch_size: int, config: OptimizerConfig, workers: int
-) -> Executor:
+def _executor(db: SoftDB, batch_size: int, config: OptimizerConfig) -> Executor:
     """An executor for one mode; feedback-collecting when configured."""
     feedback = FeedbackStore() if config.collect_feedback else None
-    return Executor(
-        db.database, batch_size=batch_size, feedback=feedback, workers=workers
-    )
+    return Executor(db.database, batch_size=batch_size, feedback=feedback)
 
 
 def _outcome(fn):
@@ -81,11 +76,8 @@ def _plans(db: SoftDB, sql: str, config: OptimizerConfig):
     return interpreted, compiled
 
 
-#: (name, batch_size, workers) per production mode: every batch size,
-#: and the default size with morsel-parallel seq scans.
-MODES = [(f"production-{size}", size, 1) for size in BATCH_SIZES] + [
-    ("production-workers4-1024", 1024, 4)
-]
+#: (name, batch_size) per production mode: every batch size.
+MODES = [(f"production-{size}", size) for size in BATCH_SIZES]
 
 
 def assert_differential(db: SoftDB, sql: str, config: OptimizerConfig) -> None:
@@ -94,11 +86,9 @@ def assert_differential(db: SoftDB, sql: str, config: OptimizerConfig) -> None:
     oracle = _outcome(
         lambda: Executor(db.database, batch_size=0).execute(interpreted)
     )
-    for name, batch_size, workers in MODES:
+    for name, batch_size in MODES:
         result = _outcome(
-            lambda: _executor(db, batch_size, config, workers).execute(
-                compiled
-            )
+            lambda: _executor(db, batch_size, config).execute(compiled)
         )
         context = f"{sql!r} ({name})"
         if oracle[0] == "error":

@@ -1,22 +1,19 @@
-"""The production executor: mutation guards, morsel determinism, LIMIT I/O.
+"""The production executor: mutation guards, LIMIT I/O, aggregate folds.
 
 Covers the contracts of the columnar pipeline: frozen (tuple-backed) join build sides that make aliased
-in-place mutation raise instead of corrupting sibling batches,
-bit-identical results and I/O accounting between ``workers=1`` and
-``workers=4`` morsel scans, LIMIT page-read parity with the
-row-at-a-time oracle, and the numpy aggregate folds.
+in-place mutation raise instead of corrupting sibling batches, LIMIT
+page-read parity with the row-at-a-time oracle, and the numpy aggregate
+folds.
 """
 
 import pytest
 
 from repro import SoftDB
-from repro.errors import QueryGuardError
 from repro.executor.batch import RowBatch
 from repro.executor.runtime import Executor
 from repro.executor.vectorized import BatchedInterpreter
 from repro.expr.vector import VectorFallback, filter_indices
 from repro.optimizer.logical import Aggregate
-from repro.resilience.guards import QueryGuard
 
 pytestmark = pytest.mark.differential
 
@@ -69,69 +66,6 @@ class TestFrozenBatches:
         assert aliased, "expected at least one frozen (aliased) column"
         with pytest.raises(TypeError):
             aliased[0][0] = -1
-
-
-# ------------------------------------- morsel-parallel determinism
-
-
-class TestWorkerDeterminism:
-    QUERIES = [
-        "SELECT a, b FROM t WHERE a % 3 = 1 AND b < 9",
-        "SELECT b, count(*) AS n, sum(a) AS s FROM t GROUP BY b",
-        "SELECT a FROM t WHERE b = 4 ORDER BY a DESC",
-        "SELECT count(*) AS n FROM t WHERE c LIKE 'v1%'",
-    ]
-
-    def test_workers4_bit_identical_to_workers1(self):
-        db = _db()
-        for sql in self.QUERIES:
-            plan = db.optimizer.optimize(sql)
-            serial = Executor(db.database, workers=1).execute(plan)
-            parallel = Executor(db.database, workers=4).execute(plan)
-            assert parallel.tuples() == serial.tuples(), sql
-            assert parallel.page_reads == serial.page_reads, sql
-            assert parallel.rows_read == serial.rows_read, sql
-
-    def test_workers4_feedback_counters_identical(self):
-        db = _db()
-        sql = "SELECT a FROM t WHERE b = 7"
-        plan1 = db.optimizer.optimize(sql)
-        Executor(db.database, workers=1).execute(
-            plan1, collect_feedback=True
-        )
-        counters1 = [
-            (type(n).__name__, n.actual_rows, getattr(n, "actual_rows_scanned", None))
-            for n in _walk(plan1.root)
-        ]
-        plan4 = db.optimizer.optimize(sql)
-        Executor(db.database, workers=4).execute(
-            plan4, collect_feedback=True
-        )
-        counters4 = [
-            (type(n).__name__, n.actual_rows, getattr(n, "actual_rows_scanned", None))
-            for n in _walk(plan4.root)
-        ]
-        assert counters4 == counters1
-
-    def test_guarded_scan_breaches_identically_under_workers(self):
-        db = _db()
-        plan = db.optimizer.optimize("SELECT a FROM t WHERE b = 1")
-        outcomes = []
-        for workers in (1, 4):
-            guard = QueryGuard(max_page_reads=3)
-            with pytest.raises(QueryGuardError) as info:
-                Executor(db.database, workers=workers).execute(
-                    db.optimizer.optimize("SELECT a FROM t WHERE b = 1"),
-                    guard=guard,
-                )
-            outcomes.append(str(info.value))
-        assert outcomes[0] == outcomes[1]
-
-
-def _walk(node):
-    yield node
-    for child in getattr(node, "children", lambda: [])():
-        yield from _walk(child)
 
 
 # ---------------------------------------------- LIMIT I/O accounting

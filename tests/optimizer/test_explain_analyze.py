@@ -38,7 +38,7 @@ class TestInstrumentedExecution:
         assert "est=" in text
         assert "act=" in text
         assert "qerr=" in text
-        assert "pages read, executor=production (batch_size=1024, " in text
+        assert text.endswith("pages read, executor=production (batch_size=1024)")
 
     def test_explain_analyze_names_the_path_that_ran(self):
         # No closures on the plan: the default executor ran the oracle.

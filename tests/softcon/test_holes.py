@@ -116,7 +116,7 @@ class TestVerifyAndRepair:
         assert violations >= 1
 
     def test_join_pairs_follow_join_key(self, sc, database):
-        pairs = list(sc.join_pairs(database))
+        pairs = list(sc.path.join_pairs(database))
         assert len(pairs) == 20  # one match per key
 
     def test_split_hole_excludes_point(self, sc):

@@ -35,32 +35,32 @@ def make_sc(epsilon=10.0, confidence=1.0) -> JoinLinearSC:
 class TestModel:
     def test_pair_residual_and_satisfies(self):
         sc = make_sc(epsilon=4.0)
-        assert sc.pair_residual(3.0 * 10 + 50 + 2.0, 10.0) == pytest.approx(2.0)
+        assert sc.residual(3.0 * 10 + 50 + 2.0, 10.0) == pytest.approx(2.0)
         assert sc.pair_satisfies(3.0 * 10 + 50 + 2.0, 10.0)
         assert not sc.pair_satisfies(3.0 * 10 + 50 + 9.0, 10.0)
         assert sc.pair_satisfies(None, 10.0)  # NULLs exempt
 
     def test_predict_a_interval(self):
         sc = make_sc(epsilon=4.0)
-        interval = sc.predict_a_interval(Interval(10.0, 20.0))
+        interval = sc.forward_interval(Interval(10.0, 20.0))
         assert interval == Interval(80.0 - 4.0, 110.0 + 4.0)
 
     def test_predict_b_interval_inverts(self):
         sc = make_sc(epsilon=6.0)
-        interval = sc.predict_b_interval(Interval(80.0, 110.0))
+        interval = sc.inverse_interval(Interval(80.0, 110.0))
         assert interval == Interval(10.0 - 2.0, 20.0 + 2.0)
 
     def test_unbounded_ranges_stay_unbounded(self):
         sc = make_sc()
-        assert sc.predict_a_interval(Interval.at_least(1.0)).is_unbounded
-        assert sc.predict_b_interval(Interval.unbounded()).is_unbounded
+        assert sc.forward_interval(Interval.at_least(1.0)).is_unbounded
+        assert sc.inverse_interval(Interval.unbounded()).is_unbounded
 
     def test_zero_slope_cannot_invert(self):
         sc = JoinLinearSC(
             "flat", "freight", "cost", "shipments", "weight",
             "region_id", "region_id", 0.0, 5.0, 1.0,
         )
-        assert sc.predict_b_interval(Interval(0.0, 1.0)).is_unbounded
+        assert sc.inverse_interval(Interval(0.0, 1.0)).is_unbounded
 
     def test_table_names_and_statement(self):
         sc = make_sc()

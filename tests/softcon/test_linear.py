@@ -15,24 +15,24 @@ def sc() -> LinearCorrelationSC:
 
 class TestModel:
     def test_predict_interval(self, sc):
-        interval = sc.predict_interval(5.0)
+        interval = sc.forward_interval(Interval.point(5.0))
         assert interval == Interval(17.0, 23.0)
 
     def test_predict_for_b_range(self, sc):
-        interval = sc.predict_interval_for_b_range(Interval(0.0, 10.0))
+        interval = sc.forward_interval(Interval(0.0, 10.0))
         assert interval == Interval(7.0, 33.0)
 
     def test_predict_for_negative_slope(self):
         negative = LinearCorrelationSC("n", "t", "a", "b", -1.0, 0.0, 1.0)
-        interval = negative.predict_interval_for_b_range(Interval(0.0, 10.0))
+        interval = negative.forward_interval(Interval(0.0, 10.0))
         assert interval == Interval(-11.0, 1.0)
 
     def test_predict_for_unbounded_range_stays_unbounded(self, sc):
-        interval = sc.predict_interval_for_b_range(Interval.at_least(5.0))
+        interval = sc.forward_interval(Interval.at_least(5.0))
         assert interval.is_unbounded
 
     def test_predict_for_empty_range_is_empty(self, sc):
-        assert sc.predict_interval_for_b_range(Interval.empty()).is_empty
+        assert sc.forward_interval(Interval.empty()).is_empty
 
     def test_row_satisfies_inside_band(self, sc):
         assert sc.row_satisfies({"a": 20.0, "b": 5.0}) is True
@@ -45,8 +45,8 @@ class TestModel:
         assert sc.row_satisfies({"a": None, "b": 5.0}) is True
 
     def test_residual(self, sc):
-        assert sc.residual({"a": 25.0, "b": 5.0}) == pytest.approx(5.0)
-        assert sc.residual({"a": None, "b": 5.0}) is None
+        assert sc.residual(25.0, 5.0) == pytest.approx(5.0)
+        assert sc.residual(None, 5.0) is None
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
