@@ -787,31 +787,7 @@ class DurabilityManager:
                     index.update(old_row, old_rid, row, new_rid)
                 self._replay_tick(table.name)
             return len(record["rids"])
-        if op == "insert":
-            table = database.table(record["table"])
-            rid = codec.decode_rid(record["rid"])
-            row = codec.decode_row(record["row"])
-            table.place_at(rid, row)
-            for index in database.catalog.indexes_on(table.name):
-                index.insert(row, rid)
-            self._replay_tick(table.name)
-        elif op == "delete":
-            table = database.table(record["table"])
-            rid = codec.decode_rid(record["rid"])
-            row = table.delete(rid)
-            for index in database.catalog.indexes_on(table.name):
-                index.delete(row, rid)
-            self._replay_tick(table.name)
-        elif op == "update":
-            table = database.table(record["table"])
-            old_rid = codec.decode_rid(record["old_rid"])
-            new_rid = codec.decode_rid(record["new_rid"])
-            row = codec.decode_row(record["row"])
-            old_row = table.apply_update(old_rid, new_rid, row)
-            for index in database.catalog.indexes_on(table.name):
-                index.update(old_row, old_rid, row, new_rid)
-            self._replay_tick(table.name)
-        elif op == "create_table":
+        if op == "create_table":
             database.create_table(codec.decode_schema(record["schema"]))
         elif op == "create_index":
             database.create_index(

@@ -19,14 +19,12 @@ to observe the edge's true selectivity.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import ColumnarBatch
 from repro.expr.eval import evaluate
-from repro.expr.vector import VectorFallback, compile_vector
+from repro.expr.vector import key_columns
 from repro.optimizer.physical import HashJoin, NestedLoopJoin
-from repro.sql import ast
 
 RowDict = Dict[str, Any]
 RowIterator = Iterator[RowDict]
@@ -200,38 +198,13 @@ def run_nested_loop_join_batched(
                 merged = RowBatch(columns, data, k * m)
                 if node.condition is not None:
                     merged = merged.filter_true(
-                        node.compiled_condition[1](merged)
+                        node.compiled_condition.batch(merged)
                     )
                 if len(merged):
                     yield merged
     finally:
         if count_pairs:
             node.actual_pairs = pairs
-
-
-def _key_columns(
-    exprs: Sequence[ast.Expression],
-    compiled: Sequence[Tuple[Any, Any]],
-    batch: RowBatch,
-) -> List[List[Any]]:
-    """Evaluate join key expressions over a batch.
-
-    *Computed* keys (anything but a plain column reference, whose list
-    the compiled closure already returns with zero copying) are
-    extracted through the vector kernels and materialized back to Python
-    values; a :class:`VectorFallback` on any key reverts the whole batch
-    to the list closures for exact error parity.
-    """
-    if any(not isinstance(expr, ast.ColumnRef) for expr in exprs):
-        columnar_batch = ColumnarBatch.from_row_batch(batch)
-        try:
-            return [
-                compile_vector(expr)(columnar_batch).to_list()
-                for expr in exprs
-            ]
-        except VectorFallback:
-            pass
-    return [pair[1](batch) for pair in compiled]
 
 
 def run_hash_join_batched(
@@ -256,11 +229,9 @@ def run_hash_join_batched(
         # Build columns are gathered into every output batch; freeze
         # them so aliased in-place mutation fails loudly (see RowBatch).
         build_side.freeze()
-        key_columns = _key_columns(
-            node.right_keys, node.compiled_right_keys, build_side
-        )
+        build_keys = key_columns(node.compiled_right_keys, build_side)
         for i in range(len(build_side)):
-            key = tuple(column[i] for column in key_columns)
+            key = tuple(column[i] for column in build_keys)
             if any(part is None for part in key):
                 continue
             build.setdefault(key, []).append(i)
@@ -269,13 +240,11 @@ def run_hash_join_batched(
         if not build:
             return  # empty build side: skip scanning the probe input entirely
         for left in run_child(node.left):
-            key_columns = _key_columns(
-                node.left_keys, node.compiled_left_keys, left
-            )
+            probe_keys = key_columns(node.compiled_left_keys, left)
             probe_idx: List[int] = []
             build_idx: List[int] = []
             for i in range(len(left)):
-                key = tuple(column[i] for column in key_columns)
+                key = tuple(column[i] for column in probe_keys)
                 if any(part is None for part in key):
                     continue
                 matches = build.get(key)
@@ -298,7 +267,7 @@ def run_hash_join_batched(
                 data[name] = [column[j] for j in build_idx]
             merged = RowBatch(columns, data, len(probe_idx))
             if node.residual is not None:
-                merged = merged.filter_true(node.compiled_residual[1](merged))
+                merged = merged.filter_true(node.compiled_residual.batch(merged))
             if len(merged):
                 yield merged
     finally:

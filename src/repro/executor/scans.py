@@ -25,7 +25,7 @@ from repro.engine.database import Database
 from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import ColumnarBatch
 from repro.expr.eval import evaluate
-from repro.expr.vector import VectorFallback, compile_vector, filter_indices
+from repro.expr.vector import select_rows
 from repro.optimizer.physical import IndexScan, SeqScan
 from repro.sql import ast
 
@@ -245,36 +245,21 @@ def _qualified_names(node: "SeqScan | IndexScan", table: Any) -> Tuple[str, ...]
     )
 
 
-def _kernel(node: "SeqScan | IndexScan") -> Any:
-    """The pushed-down predicate's vector kernel (None: nothing to filter)."""
-    return compile_vector(node.predicate) if node.predicate is not None else None
-
-
 def _emit_batch(
     names: Tuple[str, ...],
     rows: List[Tuple[Any, ...]],
     node: "SeqScan | IndexScan",
-    kernel: Any,
 ) -> Optional[RowBatch]:
     """Transpose one chunk of fetched row tuples into numpy vectors, run
-    the pushed-down predicate as a vector kernel, and materialize only
-    the survivors (late materialization).  On :class:`VectorFallback`
-    the chunk is re-evaluated through the compiled batch closure, which
-    reproduces the interpreter's semantics (and errors)."""
-    if kernel is None:
+    the pushed-down predicate's kernel, and materialize only the
+    survivors (late materialization); a chunk the kernel declines goes
+    through the compiled batch closure instead (see
+    :func:`~repro.expr.vector.select_rows`)."""
+    if node.compiled_predicate is None:
         return RowBatch.from_tuples(names, rows)
     columnar = ColumnarBatch.from_tuples(names, rows)
-    try:
-        indices = filter_indices(kernel, columnar)
-    except VectorFallback:
-        batch = RowBatch.from_tuples(names, rows)
-        batch = batch.filter_true(node.compiled_predicate[1](batch))
-        return batch if len(batch) else None
-    if indices is None:
-        return columnar.to_row_batch()
-    if not len(indices):
-        return None
-    return columnar.to_row_batch(indices)
+    batch = select_rows(node.compiled_predicate, columnar, columnar.to_row_batch)
+    return batch if len(batch) else None
 
 
 def _quota_chunks(
@@ -324,7 +309,6 @@ def run_seq_scan_batched(
     """
     table = database.table(node.table_name)
     names = _qualified_names(node, table)
-    kernel = _kernel(node)
     snapshot = _active_snapshot(database)
     if quota is not None:
         chunks = _quota_chunks(_seq_source(database, table), batch_size, quota)
@@ -336,20 +320,19 @@ def run_seq_scan_batched(
         )
     if count_input:
         chunks = _count_scanned(chunks, node, len)
-    return _scan_chunks(chunks, names, node, kernel, guard)
+    return _scan_chunks(chunks, names, node, guard)
 
 
 def _scan_chunks(
     chunks: Iterator[List[Tuple[Any, ...]]],
     names: Tuple[str, ...],
     node: "SeqScan | IndexScan",
-    kernel: Any,
     guard: Any,
 ) -> Iterator[RowBatch]:
     for chunk in chunks:
         if guard is not None:
             guard.tick(len(chunk))
-        batch = _emit_batch(names, chunk, node, kernel)
+        batch = _emit_batch(names, chunk, node)
         if batch is not None:
             yield batch
 
@@ -373,6 +356,4 @@ def run_index_scan_batched(
     chunks = _quota_chunks(_index_rows(database, node), batch_size, quota)
     if count_input:
         chunks = _count_scanned(chunks, node, len)
-    return _scan_chunks(
-        chunks, _qualified_names(node, table), node, _kernel(node), guard
-    )
+    return _scan_chunks(chunks, _qualified_names(node, table), node, guard)

@@ -78,7 +78,7 @@ def run_sort_batched(
     indices = list(range(len(materialized)))
     passes = [
         (batch_fn(materialized), ascending)
-        for _row_fn, batch_fn, ascending in reversed(node.compiled_order)
+        for batch_fn, ascending in reversed(node.compiled_order)
     ]
     if len(passes) == 1:
         values, ascending = passes[0]

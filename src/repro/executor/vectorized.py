@@ -1,19 +1,22 @@
 """The production executor: the batched (vectorized) plan interpreter.
 
 Operators exchange :class:`~repro.executor.batch.RowBatch` objects instead
-of single row dicts: projections, join keys, residuals and HAVING run
-once per batch through the plan's compiled closures
-(:mod:`repro.expr.compile` — this interpreter only runs plans that carry
-them), and the per-row overhead (dict materialization, recursive
-expression dispatch) is amortized over ``batch_size`` rows.
+of single row dicts: projections, group keys, aggregate arguments,
+residuals, sort keys and HAVING run once per batch through the batch
+closures of the plan's compiled expressions (:mod:`repro.expr.compile`
+— this interpreter only runs plans that carry them), and the per-row
+overhead (dict materialization, recursive expression dispatch) is
+amortized over ``batch_size`` rows.  A GROUP BY builds its output as one
+batch, so HAVING and the FD-carried columns are evaluated once over all
+groups.
 
-Scans and filters go further: row tuples are transposed into numpy
-vectors with explicit null masks (:mod:`repro.executor.vecbatch`),
-predicates run as vector kernels (:mod:`repro.expr.vector`), and only
-surviving rows are materialized into Python lists — late
-materialization.  A kernel that declines a batch
-(:class:`~repro.expr.vector.VectorFallback`) hands that one batch to the
-compiled batch closure.
+Scans, filters and computed hash-join keys go further: row tuples are
+transposed into numpy vectors with explicit null masks
+(:mod:`repro.executor.vecbatch`), the same compiled expressions run as
+numpy kernels, and only surviving rows are materialized into Python
+lists — late materialization.  Whether a batch runs on the kernel or,
+when the kernel declines it, on the batch closure is decided in one
+place, :mod:`repro.expr.vector`.
 
 Semantics — result rows and their order, row counts, and page-I/O
 accounting — match the row-at-a-time interpreter in
@@ -45,7 +48,7 @@ from repro.executor.scans import (
 )
 from repro.executor.sorts import run_sort_batched
 from repro.executor.vecbatch import ColumnarBatch
-from repro.expr.vector import VectorFallback, compile_vector, filter_indices
+from repro.expr.vector import select_rows
 from repro.optimizer.physical import (
     Distinct,
     EmptyResult,
@@ -197,19 +200,12 @@ class BatchedInterpreter:
     def _run_filter(
         self, node: Filter, quota: Optional[ScanQuota]
     ) -> Iterator[RowBatch]:
-        kernel = compile_vector(node.predicate)
-        batch_fn = node.compiled_predicate[1]
         for batch in self.run(node.child, quota):
-            try:
-                indices = filter_indices(
-                    kernel, ColumnarBatch.from_row_batch(batch)
-                )
-            except VectorFallback:
-                survivors = batch.filter_true(batch_fn(batch))
-            else:
-                survivors = (
-                    batch if indices is None else batch.take(indices.tolist())
-                )
+            survivors = select_rows(
+                node.compiled_predicate,
+                ColumnarBatch.from_row_batch(batch),
+                lambda: batch,
+            )
             if len(survivors):
                 yield survivors
 
@@ -224,7 +220,7 @@ class BatchedInterpreter:
             for index, output in enumerate(node.outputs):
                 # Evaluated against the child batch, as the row form
                 # evaluates against the original row.
-                data[output.name] = compiled[index][1](batch)
+                data[output.name] = compiled[index].batch(batch)
                 if output.name not in present:
                     columns.append(output.name)
                     present.add(output.name)
@@ -293,15 +289,17 @@ class BatchedInterpreter:
         for batch in self.run(node.child):
             n = len(batch)
             aggregate_columns = [
-                None if pair is None else pair[1](batch)
-                for pair in node.compiled_aggregate_args
+                None if compiled is None else compiled.batch(batch)
+                for compiled in node.compiled_aggregate_args
             ]
             # Partition the batch's rows by group key, preserving
             # first-seen order so the global group order matches the
             # row-at-a-time interpreter.
             local: Dict[Tuple[Any, ...], List[int]] = {}
             if has_keys:
-                key_columns = [pair[1](batch) for pair in node.compiled_keys]
+                key_columns = [
+                    compiled.batch(batch) for compiled in node.compiled_keys
+                ]
                 if len(key_columns) == 1:
                     for i, value in enumerate(key_columns[0]):
                         key = (value,)
@@ -338,32 +336,31 @@ class BatchedInterpreter:
                     else:
                         state.update_values([column[i] for i in indices])
 
-        out_rows: List[RowDict] = []
         if not groups and not has_keys:
             # Scalar aggregation over an empty input: one all-default row.
-            empty: RowDict = {}
-            for state in new_states(node.aggregates):
-                empty[state.spec.output_name] = state.result()
-            if node.having is None or self._having_ok(node, empty):
-                out_rows.append(empty)
-        else:
-            for key in order:
-                first_row, states = groups[key]
-                out: RowDict = {}
-                for column, value in zip(node.keys, key):
-                    out[column.qualified] = value
-                    out[column.column] = value
-                for column, pair in zip(node.carried, node.compiled_carried):
-                    value = pair[0](first_row)
-                    out[column.qualified] = value
-                    out[column.column] = value
-                for state in states:
-                    out[state.spec.output_name] = state.result()
-                if node.having is None or self._having_ok(node, out):
-                    out_rows.append(out)
-        for start in range(0, len(out_rows), self.batch_size):
-            yield RowBatch.from_rows(out_rows[start : start + self.batch_size])
-
-    @staticmethod
-    def _having_ok(node: GroupBy, row: RowDict) -> bool:
-        return node.compiled_having[0](row) is True
+            groups[()] = ({}, new_states(node.aggregates))
+            order.append(())
+        if not order:
+            return
+        # The output batch, built column-major with the row form's names:
+        # each key and carried column under its qualified and bare name,
+        # then the aggregate outputs.
+        data: Dict[str, List[Any]] = {}
+        for position, column in enumerate(node.keys):
+            values = [key[position] for key in order]
+            data[column.qualified] = values
+            data[column.column] = values
+        if node.carried:
+            # Group-constant by an FD: read once, off the groups' first rows.
+            firsts = RowBatch.from_rows([groups[key][0] for key in order])
+            for column, compiled in zip(node.carried, node.compiled_carried):
+                values = compiled.batch(firsts)
+                data[column.qualified] = values
+                data[column.column] = values
+        states = [groups[key][1] for key in order]
+        for position, spec in enumerate(node.aggregates):
+            data[spec.output_name] = [group[position].result() for group in states]
+        out = RowBatch(list(data), data, len(order))
+        if node.having is not None:
+            out = out.filter_true(node.compiled_having.batch(out))
+        yield from out.split(self.batch_size)

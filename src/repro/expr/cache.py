@@ -1,13 +1,14 @@
-"""The bounded cache shared by both expression lowering targets.
+"""The bounded cache of lowered expressions.
 
-:mod:`repro.expr.compile` (row/batch closures) and
-:mod:`repro.expr.vector` (numpy kernels) each keep one
-:class:`LoweringCache` keyed structurally by the expression node.
-Literals are part of the key, so a workload of fresh constants would
-grow an unbounded dict forever; entries not used since they were last
-considered for eviction are dropped past :data:`CAPACITY` instead.
-Eviction never breaks a plan — compiled closures live on the plan's
-nodes, and a scan whose kernel was evicted simply lowers it again.
+:mod:`repro.expr.compile` keeps one :class:`LoweringCache` keyed
+structurally by the expression node; each entry is a compiled
+expression carrying its batch closure and, once a scan, filter or join
+key has run it, its numpy kernel.  Literals are part of the key, so a
+workload of fresh constants would grow an unbounded dict forever;
+entries not used since they were last considered for eviction are
+dropped past :data:`CAPACITY` instead.  Eviction never breaks a plan —
+compiled expressions live on the plan's nodes, and an evicted one is
+simply lowered again the next time a plan needs it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, List, Tuple
 
-#: Entries kept per lowering target (about 0.7 KB each).  A repeated
-#: workload the size of the 106-query corpus (about 1 000 distinct
-#: nodes) stays all-hits.  Fresh-literal traffic still re-uses a literal
-#: now and then (a date, a customer id): on the benchmark's
-#: ``template_point`` 4 096 entries forgot enough of those to cost about
-#: 12 % of throughput against an unbounded cache, 16 384 about half
-#: that, and still cap each cache near 12 MB.
+#: Entries kept (about 0.7 KB each, more once a kernel is lowered onto
+#: one).  A repeated workload the size of the 106-query corpus (about
+#: 1 000 distinct nodes) stays all-hits.  Fresh-literal traffic still
+#: re-uses a literal now and then (a date, a customer id): on the
+#: benchmark's ``template_point`` 4 096 entries forgot enough of those
+#: to cost about 12 % of throughput against an unbounded cache, 16 384
+#: about half that, and still cap the cache near 12 MB of closures.
 CAPACITY = 16384
 
 

@@ -1,12 +1,11 @@
-"""Plan-time expression compilation to specialized closures.
+"""Plan-time expression compilation: one lowered form per expression.
 
-:func:`compile_row` and :func:`compile_batch` lower an
-:class:`~repro.sql.ast.Expression` *once* into a plain Python closure —
-``Callable[[RowDict], Any]`` and ``Callable[[RowBatch], List[Any]]``
-respectively — so that repeated executions of a cached plan pay no
-per-evaluation AST dispatch.  Work that the interpreter in
-:mod:`repro.expr.eval` redoes on every row (or batch) is hoisted to
-compile time:
+:func:`compile_expr` lowers an :class:`~repro.sql.ast.Expression` *once*
+into a :class:`CompiledExpr` whose ``batch`` closure maps a
+:class:`~repro.executor.batch.RowBatch` to the list of per-row values,
+so repeated executions of a cached plan pay no per-evaluation AST
+dispatch.  Work that the interpreter in :mod:`repro.expr.eval` redoes on
+every row is hoisted to compile time:
 
 * operator callables, column key strings and LIKE regexes are resolved
   and bound as closure locals;
@@ -20,30 +19,31 @@ compile time:
   raising the identical :class:`~repro.errors.ExpressionError` at call
   time — never at plan time.
 
-Semantics are pinned to the interpreter: for every expression and every
-row, the row closure returns the same value — or raises the same error —
-as :func:`~repro.expr.eval.evaluate`, and the batch closure returns what
-``evaluate`` returns applied to each row of the batch.  A batch in which
-some row errors makes the batch closure raise an error one of its rows
-raises under ``evaluate`` — it works a column at a time, so not
-necessarily the first such row's.  The differential suites in
-``tests/executor/test_batched_differential.py`` and the unit oracle in
-``tests/expr/test_compile.py`` hold the two paths together.
+The same object also carries the expression's numpy kernel, lowered by
+:mod:`repro.expr.vector` on first use and kept in its ``kernel`` slot.
 
-Compiled closures are shared through a bounded module-level
+Semantics are pinned to the interpreter: the batch closure returns what
+:func:`~repro.expr.eval.evaluate` returns applied to each row of the
+batch.  A batch in which some row errors makes the closure raise an
+error one of its rows raises under ``evaluate`` — it works a column at
+a time, so not necessarily the first such row's.  The differential
+suites in ``tests/executor/test_batched_differential.py`` and the unit
+oracle in ``tests/expr/test_compile.py`` hold the paths together.
+
+Compiled expressions are shared through one bounded module-level
 :class:`~repro.expr.cache.LoweringCache` keyed by the expression node
 itself (expression dataclasses hash structurally;
 :class:`~repro.sql.ast.RuntimeParameter` compares by identity, so plans
 parameterized on different soft constraints never alias).  Identical
 predicates across plans — the common case under
 :class:`~repro.optimizer.planner.PlanCache` recompiles — therefore reuse
-one closure; :func:`cache_stats` exposes the hit/miss counters EXPLAIN
-reports.
+one closure and one kernel; :func:`cache_stats` exposes the hit/miss
+counters EXPLAIN reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.expr.cache import LoweringCache
@@ -58,37 +58,40 @@ from repro.expr.eval import (  # noqa: F401 - shared semantics helpers
     _require_comparable,
     _require_number,
     _values_equal,
-    RowDict,
     evaluate,
 )
 from repro.sql import ast
 
-RowFn = Callable[[RowDict], Any]
 BatchFn = Callable[[Any], List[Any]]
 
 
 class CompiledExpr:
-    """A lowered expression: one row closure, one batch closure.
+    """A lowered expression: one batch closure and, once lowered, one kernel.
 
     ``constant`` marks closures produced by constant folding; ``value``
-    is only meaningful when ``constant`` is true.
+    is only meaningful when ``constant`` is true.  ``children`` are the
+    operands' compiled forms, which kernel lowering walks instead of
+    looking them up again; None marks a node that only ever runs through
+    its closure (a deferred error, an unknown node type).  ``kernel`` is
+    None until :func:`repro.expr.vector.kernel_of` lowers it.
     """
 
-    __slots__ = ("expression", "row", "batch", "constant", "value")
+    __slots__ = ("expression", "batch", "children", "constant", "value", "kernel")
 
     def __init__(
         self,
         expression: ast.Expression,
-        row: RowFn,
         batch: BatchFn,
+        children: Optional[Sequence["CompiledExpr"]] = (),
         constant: bool = False,
         value: Any = None,
     ) -> None:
         self.expression = expression
-        self.row = row
         self.batch = batch
+        self.children = children
         self.constant = constant
         self.value = value
+        self.kernel: Any = None
 
     def __repr__(self) -> str:
         kind = f"const {self.value!r}" if self.constant else "closure"
@@ -105,23 +108,13 @@ def compile_expr(expression: ast.Expression) -> CompiledExpr:
     return _CACHE.get_or_build(expression, _compile)
 
 
-def compile_row(expression: ast.Expression) -> RowFn:
-    """Lower ``expression`` to a ``row -> value`` closure (cached)."""
-    return compile_expr(expression).row
-
-
-def compile_batch(expression: ast.Expression) -> BatchFn:
-    """Lower ``expression`` to a ``batch -> [value]`` closure (cached)."""
-    return compile_expr(expression).batch
-
-
 def cache_stats() -> Tuple[int, int]:
     """``(hits, misses)`` of the process-wide compile cache."""
     return _CACHE.stats()
 
 
 def clear_cache() -> None:
-    """Drop every cached closure and reset the counters (tests/benchmarks)."""
+    """Drop every cached expression and reset the counters (tests/benchmarks)."""
     _CACHE.clear()
 
 
@@ -164,32 +157,22 @@ def _is_constant(expression: ast.Expression) -> bool:
 
 
 def _constant(expression: ast.Expression, value: Any) -> CompiledExpr:
-    def row_fn(row: RowDict, _v: Any = value) -> Any:
-        return _v
-
     def batch_fn(batch: Any, _v: Any = value) -> List[Any]:
         return [_v] * len(batch)
 
-    return CompiledExpr(expression, row_fn, batch_fn, constant=True, value=value)
+    return CompiledExpr(expression, batch_fn, constant=True, value=value)
 
 
 def _raising(expression: ast.Expression, message: str) -> CompiledExpr:
-    """A subtree whose evaluation raises whatever the row holds.
-
-    The row form raises on every call, as the interpreter would per row;
-    the batch form is that applied per row, so it never reaches the
-    raise over an empty batch.
-    """
-
-    def row_fn(row: RowDict, _m: str = message) -> Any:
-        raise ExpressionError(_m)
+    """A subtree whose evaluation raises whatever the row holds: applied
+    per row, so it never reaches the raise over an empty batch."""
 
     def batch_fn(batch: Any, _m: str = message) -> List[Any]:
         if len(batch) == 0:
             return []
         raise ExpressionError(_m)
 
-    return CompiledExpr(expression, row_fn, batch_fn)
+    return CompiledExpr(expression, batch_fn, children=None)
 
 
 def _try_fold(expression: ast.Expression) -> Optional[CompiledExpr]:
@@ -216,10 +199,10 @@ def _compile(expression: ast.Expression) -> CompiledExpr:
         # "cannot evaluate" eval-time raise included) stay identical.
         return CompiledExpr(
             expression,
-            lambda row, _e=expression: evaluate(_e, row),
             lambda batch, _e=expression: [
                 evaluate(_e, row) for row in batch.to_rows()
             ],
+            children=None,
         )
     return compiler(expression)
 
@@ -231,27 +214,17 @@ def _compile_literal(node: ast.Literal) -> CompiledExpr:
 def _compile_runtime_parameter(node: ast.RuntimeParameter) -> CompiledExpr:
     current = node.current_value
 
-    def row_fn(row: RowDict) -> Any:
-        return current()
-
     def batch_fn(batch: Any) -> List[Any]:
         # One read per batch: the value cannot change mid-statement.
         return [current()] * len(batch)
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn)
 
 
 def _compile_column(node: ast.ColumnRef) -> CompiledExpr:
     bare = node.column
     if node.table is not None:
         key = f"{node.table}.{bare}"
-
-        def row_fn(row: RowDict) -> Any:
-            if key in row:
-                return row[key]
-            if bare in row:
-                return row[bare]
-            raise ExpressionError(f"unknown column {key!r}")
 
         def batch_fn(batch: Any) -> List[Any]:
             data = batch.data
@@ -263,19 +236,9 @@ def _compile_column(node: ast.ColumnRef) -> CompiledExpr:
                 return column
             raise ExpressionError(f"unknown column {key!r}")
 
-        return CompiledExpr(node, row_fn, batch_fn)
+        return CompiledExpr(node, batch_fn)
 
     suffix = f".{bare}"
-
-    def row_fn(row: RowDict) -> Any:
-        if bare in row:
-            return row[bare]
-        matches = [k for k in row if k.endswith(suffix)]
-        if len(matches) == 1:
-            return row[matches[0]]
-        if len(matches) > 1:
-            raise ExpressionError(f"ambiguous column {bare!r}")
-        raise ExpressionError(f"unknown column {bare!r}")
 
     def batch_fn(batch: Any) -> List[Any]:
         column = batch.data.get(bare)
@@ -288,7 +251,7 @@ def _compile_column(node: ast.ColumnRef) -> CompiledExpr:
             raise ExpressionError(f"ambiguous column {bare!r}")
         raise ExpressionError(f"unknown column {bare!r}")
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn)
 
 
 def _bool_error(value: Any) -> ExpressionError:
@@ -297,18 +260,8 @@ def _bool_error(value: Any) -> ExpressionError:
 
 def _compile_unary(node: ast.UnaryOp) -> CompiledExpr:
     child = compile_expr(node.operand)
-    child_row, child_batch = child.row, child.batch
+    child_batch = child.batch
     if node.op == "not":
-
-        def row_fn(row: RowDict) -> Any:
-            value = child_row(row)
-            if value is True:
-                return False
-            if value is False:
-                return True
-            if value is None:
-                return None
-            raise _bool_error(value)
 
         def batch_fn(batch: Any) -> List[Any]:
             out: List[Any] = []
@@ -324,17 +277,7 @@ def _compile_unary(node: ast.UnaryOp) -> CompiledExpr:
                     raise _bool_error(value)
             return out
 
-        return CompiledExpr(node, row_fn, batch_fn)
-
-    def row_fn(row: RowDict) -> Any:
-        value = child_row(row)
-        if value is None:
-            return None
-        if type(value) is int or type(value) is float:
-            return -value
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ExpressionError(f"cannot negate {value!r}")
-        return -value
+        return CompiledExpr(node, batch_fn, (child,))
 
     def batch_fn(batch: Any) -> List[Any]:
         out: List[Any] = []
@@ -350,29 +293,17 @@ def _compile_unary(node: ast.UnaryOp) -> CompiledExpr:
                 append(-value)
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, (child,))
 
 
-def _compile_and(node: ast.BinaryOp) -> CompiledExpr:
+def _compile_logical(node: ast.BinaryOp) -> CompiledExpr:
+    """AND/OR with short-circuit: the right side runs only on the rows
+    whose left value does not already decide the row (a definite False
+    for AND, a definite True for OR) — a selection vector."""
     left = compile_expr(node.left)
     right = compile_expr(node.right)
-    left_row, right_row = left.row, right.row
     left_batch, right_batch = left.batch, right.batch
-
-    def row_fn(row: RowDict) -> Any:
-        lv = left_row(row)
-        if lv is False:
-            return False
-        if lv is not True and lv is not None:
-            raise _bool_error(lv)
-        rv = right_row(row)
-        if rv is False:
-            return False
-        if rv is not True and rv is not None:
-            raise _bool_error(rv)
-        if lv is None or rv is None:
-            return None
-        return True
+    decided = node.op == "or"
 
     def batch_fn(batch: Any) -> List[Any]:
         lefts: List[Any] = []
@@ -382,71 +313,22 @@ def _compile_and(node: ast.BinaryOp) -> CompiledExpr:
                 append_left(value)
             else:
                 raise _bool_error(value)
-        out: List[Any] = [False] * len(lefts)
-        # Selection vector: the rows a row-at-a-time AND would evaluate
-        # the right side for (everything but a definite False).
-        need = [i for i, value in enumerate(lefts) if value is not False]
+        out: List[Any] = [decided] * len(lefts)
+        need = [i for i, value in enumerate(lefts) if value is not decided]
         if not need:
             return out
         sub = batch if len(need) == len(lefts) else batch.take(need)
         rights = right_batch(sub)
         for position, i in enumerate(need):
             rv = rights[position]
-            if rv is False:
+            if rv is decided:
                 continue
-            if rv is not True and rv is not None:
+            if rv is not True and rv is not False and rv is not None:
                 raise _bool_error(rv)
-            out[i] = None if (lefts[i] is None or rv is None) else True
+            out[i] = None if (lefts[i] is None or rv is None) else not decided
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
-
-
-def _compile_or(node: ast.BinaryOp) -> CompiledExpr:
-    left = compile_expr(node.left)
-    right = compile_expr(node.right)
-    left_row, right_row = left.row, right.row
-    left_batch, right_batch = left.batch, right.batch
-
-    def row_fn(row: RowDict) -> Any:
-        lv = left_row(row)
-        if lv is True:
-            return True
-        if lv is not False and lv is not None:
-            raise _bool_error(lv)
-        rv = right_row(row)
-        if rv is True:
-            return True
-        if rv is not False and rv is not None:
-            raise _bool_error(rv)
-        if lv is None or rv is None:
-            return None
-        return False
-
-    def batch_fn(batch: Any) -> List[Any]:
-        lefts: List[Any] = []
-        append_left = lefts.append
-        for value in left_batch(batch):
-            if value is True or value is False or value is None:
-                append_left(value)
-            else:
-                raise _bool_error(value)
-        out: List[Any] = [True] * len(lefts)
-        need = [i for i, value in enumerate(lefts) if value is not True]
-        if not need:
-            return out
-        sub = batch if len(need) == len(lefts) else batch.take(need)
-        rights = right_batch(sub)
-        for position, i in enumerate(need):
-            rv = rights[position]
-            if rv is True:
-                continue
-            if rv is not False and rv is not None:
-                raise _bool_error(rv)
-            out[i] = None if (lefts[i] is None or rv is None) else False
-        return out
-
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, (left, right))
 
 
 def _class_check(constant: Any) -> Optional[Callable[[Any], bool]]:
@@ -469,22 +351,18 @@ def _compile_comparison(node: ast.BinaryOp) -> CompiledExpr:
     op = _COMPARATORS[node.op]
     left = compile_expr(node.left)
     right = compile_expr(node.right)
-    left_row, right_row = left.row, right.row
     left_batch, right_batch = left.batch, right.batch
+    children = (left, right)
 
     if right.constant and not left.constant:
         constant = right.value
         if constant is None:
             # NULL comparand: the left side is still evaluated (it may
             # raise), then the comparison is UNKNOWN.
-            def row_fn(row: RowDict) -> Any:
-                left_row(row)
-                return None
-
             def batch_fn(batch: Any) -> List[Any]:
                 return [None] * len(left_batch(batch))
 
-            return CompiledExpr(node, row_fn, batch_fn)
+            return CompiledExpr(node, batch_fn, children)
 
         check = _class_check(constant)
         if isinstance(constant, (int, float)) and not isinstance(
@@ -513,24 +391,7 @@ def _compile_comparison(node: ast.BinaryOp) -> CompiledExpr:
                     for v in left_batch(batch)
                 ]
 
-        def row_fn(row: RowDict) -> Any:
-            v = left_row(row)
-            if v is None:
-                return None
-            if check(v):
-                return op(v, constant)
-            return _compare_slow(v, constant, op)
-
-        return CompiledExpr(node, row_fn, batch_fn)
-
-    def row_fn(row: RowDict) -> Any:
-        lv = left_row(row)
-        rv = right_row(row)
-        if lv is None or rv is None:
-            return None
-        if type(lv) is type(rv):
-            return op(lv, rv)
-        return _compare_slow(lv, rv, op)
+        return CompiledExpr(node, batch_fn, children)
 
     def batch_fn(batch: Any) -> List[Any]:
         lefts = left_batch(batch)
@@ -546,7 +407,7 @@ def _compile_comparison(node: ast.BinaryOp) -> CompiledExpr:
                 append(_compare_slow(lv, rv, op))
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, children)
 
 
 def _compare_slow(left: Any, right: Any, op: Callable[[Any, Any], Any]) -> Any:
@@ -559,8 +420,8 @@ def _compile_arithmetic(node: ast.BinaryOp) -> CompiledExpr:
     guard_zero = node.op in ("/", "%")
     left = compile_expr(node.left)
     right = compile_expr(node.right)
-    left_row, right_row = left.row, right.row
     left_batch, right_batch = left.batch, right.batch
+    children = (left, right)
 
     if (
         right.constant
@@ -570,15 +431,6 @@ def _compile_arithmetic(node: ast.BinaryOp) -> CompiledExpr:
         and not (guard_zero and right.value == 0)
     ):
         constant = right.value
-
-        def row_fn(row: RowDict) -> Any:
-            v = left_row(row)
-            if v is None:
-                return None
-            if type(v) is int or type(v) is float:
-                return op(v, constant)
-            _require_number(v)
-            return op(v, constant)
 
         def batch_fn(batch: Any) -> List[Any]:
             return [
@@ -590,22 +442,7 @@ def _compile_arithmetic(node: ast.BinaryOp) -> CompiledExpr:
                 for v in left_batch(batch)
             ]
 
-        return CompiledExpr(node, row_fn, batch_fn)
-
-    def row_fn(row: RowDict) -> Any:
-        lv = left_row(row)
-        rv = right_row(row)
-        if lv is None or rv is None:
-            return None
-        if not (
-            (type(lv) is int or type(lv) is float)
-            and (type(rv) is int or type(rv) is float)
-        ):
-            _require_number(lv)
-            _require_number(rv)
-        if guard_zero and rv == 0:
-            raise ExpressionError("division by zero")
-        return op(lv, rv)
+        return CompiledExpr(node, batch_fn, children)
 
     def batch_fn(batch: Any) -> List[Any]:
         lefts = left_batch(batch)
@@ -627,7 +464,7 @@ def _compile_arithmetic(node: ast.BinaryOp) -> CompiledExpr:
             append(op(lv, rv))
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, children)
 
 
 def _arith_slow(left: Any, right: Any, op: Callable[[Any, Any], Any]) -> Any:
@@ -638,28 +475,18 @@ def _arith_slow(left: Any, right: Any, op: Callable[[Any, Any], Any]) -> Any:
 def _compile_like(node: ast.BinaryOp) -> CompiledExpr:
     left = compile_expr(node.left)
     right = compile_expr(node.right)
-    left_row, right_row = left.row, right.row
     left_batch, right_batch = left.batch, right.batch
+    children = (left, right)
 
     if right.constant and not left.constant:
         pattern = right.value
         if pattern is None:
 
-            def row_fn(row: RowDict) -> Any:
-                left_row(row)
-                return None
-
             def batch_fn(batch: Any) -> List[Any]:
                 return [None] * len(left_batch(batch))
 
-            return CompiledExpr(node, row_fn, batch_fn)
+            return CompiledExpr(node, batch_fn, children)
         if not isinstance(pattern, str):
-
-            def row_fn(row: RowDict) -> Any:
-                value = left_row(row)
-                if value is None:
-                    return None
-                raise ExpressionError("LIKE requires string operands")
 
             def batch_fn(batch: Any) -> List[Any]:
                 out: List[Any] = []
@@ -671,18 +498,9 @@ def _compile_like(node: ast.BinaryOp) -> CompiledExpr:
                         raise ExpressionError("LIKE requires string operands")
                 return out
 
-            return CompiledExpr(node, row_fn, batch_fn)
+            return CompiledExpr(node, batch_fn, children)
 
-        regex = _like_regex(pattern)
-        fullmatch = regex.fullmatch
-
-        def row_fn(row: RowDict) -> Any:
-            value = left_row(row)
-            if value is None:
-                return None
-            if type(value) is str:
-                return fullmatch(value) is not None
-            return _like(value, pattern)
+        fullmatch = _like_regex(pattern).fullmatch
 
         def batch_fn(batch: Any) -> List[Any]:
             return [
@@ -694,14 +512,7 @@ def _compile_like(node: ast.BinaryOp) -> CompiledExpr:
                 for v in left_batch(batch)
             ]
 
-        return CompiledExpr(node, row_fn, batch_fn)
-
-    def row_fn(row: RowDict) -> Any:
-        lv = left_row(row)
-        rv = right_row(row)
-        if lv is None or rv is None:
-            return None
-        return _like(lv, rv)
+        return CompiledExpr(node, batch_fn, children)
 
     def batch_fn(batch: Any) -> List[Any]:
         lefts = left_batch(batch)
@@ -711,15 +522,13 @@ def _compile_like(node: ast.BinaryOp) -> CompiledExpr:
             for lv, rv in zip(lefts, rights)
         ]
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, children)
 
 
 def _compile_binary(node: ast.BinaryOp) -> CompiledExpr:
     op = node.op
-    if op == "and":
-        return _compile_and(node)
-    if op == "or":
-        return _compile_or(node)
+    if op in ("and", "or"):
+        return _compile_logical(node)
     if op == "like":
         return _compile_like(node)
     if op in _COMPARATORS:
@@ -733,9 +542,8 @@ def _compile_between(node: ast.BetweenExpr) -> CompiledExpr:
     operand = compile_expr(node.operand)
     low = compile_expr(node.low)
     high = compile_expr(node.high)
-    operand_row, operand_batch = operand.row, operand.batch
-    low_row, low_batch = low.row, low.batch
-    high_row, high_batch = high.row, high.batch
+    operand_batch, low_batch, high_batch = operand.batch, low.batch, high.batch
+    children = (operand, low, high)
     negated = node.negated
 
     if (
@@ -748,16 +556,6 @@ def _compile_between(node: ast.BetweenExpr) -> CompiledExpr:
     ):
         lo, hi = low.value, high.value
         check = _class_check(lo)
-
-        def row_fn(row: RowDict) -> Any:
-            v = operand_row(row)
-            if v is None:
-                return None
-            if check(v):
-                verdict = lo <= v <= hi
-            else:
-                verdict = _compare_ge(v, lo) and _compare_le(v, hi)
-            return (not verdict) if negated else verdict
 
         def batch_fn(batch: Any) -> List[Any]:
             out: List[Any] = []
@@ -773,25 +571,7 @@ def _compile_between(node: ast.BetweenExpr) -> CompiledExpr:
                     append((not verdict) if negated else verdict)
             return out
 
-        return CompiledExpr(node, row_fn, batch_fn)
-
-    def row_fn(row: RowDict) -> Any:
-        value = operand_row(row)
-        lo = low_row(row)
-        hi = high_row(row)
-        if value is None:
-            return None
-        lower_ok = None if lo is None else _compare_ge(value, lo)
-        upper_ok = None if hi is None else _compare_le(value, hi)
-        if lower_ok is False or upper_ok is False:
-            verdict: Optional[bool] = False
-        elif lower_ok is None or upper_ok is None:
-            verdict = None
-        else:
-            verdict = True
-        if negated and verdict is not None:
-            return not verdict
-        return verdict
+        return CompiledExpr(node, batch_fn, children)
 
     def batch_fn(batch: Any) -> List[Any]:
         values = operand_batch(batch)
@@ -816,7 +596,7 @@ def _compile_between(node: ast.BetweenExpr) -> CompiledExpr:
             append(verdict)
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, children)
 
 
 def _class_of(value: Any) -> Optional[str]:
@@ -833,7 +613,8 @@ def _class_of(value: Any) -> Optional[str]:
 def _compile_in(node: ast.InExpr) -> CompiledExpr:
     operand = compile_expr(node.operand)
     items = [compile_expr(item) for item in node.items]
-    operand_row, operand_batch = operand.row, operand.batch
+    operand_batch = operand.batch
+    children = (operand, *items)
     negated = node.negated
 
     if all(item.constant for item in items):
@@ -843,34 +624,15 @@ def _compile_in(node: ast.InExpr) -> CompiledExpr:
         classes = {_class_of(v) for v in non_null}
         if not non_null:
             # Every item is NULL: any non-NULL operand compares UNKNOWN.
-            def row_fn(row: RowDict) -> Any:
-                operand_row(row)
-                return None
-
             def batch_fn(batch: Any) -> List[Any]:
                 return [None] * len(operand_batch(batch))
 
-            return CompiledExpr(node, row_fn, batch_fn)
+            return CompiledExpr(node, batch_fn, children)
         if len(classes) == 1 and None not in classes:
             members = frozenset(non_null)
             representative = non_null[0]
             check = _class_check(representative)
             hit = not negated
-
-            def row_fn(row: RowDict) -> Any:
-                v = operand_row(row)
-                if v is None:
-                    return None
-                if not check(v):
-                    # Raises for incomparable operands exactly where the
-                    # interpreter's first candidate comparison would;
-                    # passes for comparable oddballs (int subclasses).
-                    _require_comparable(v, representative)
-                if v in members:
-                    return hit
-                if saw_null:
-                    return None
-                return negated
 
             def batch_fn(batch: Any) -> List[Any]:
                 out: List[Any] = []
@@ -880,6 +642,9 @@ def _compile_in(node: ast.InExpr) -> CompiledExpr:
                         append(None)
                         continue
                     if not check(v):
+                        # Raises for incomparable operands exactly where
+                        # the interpreter's first candidate comparison
+                        # would; passes for comparable oddballs.
                         _require_comparable(v, representative)
                     if v in members:
                         append(hit)
@@ -889,25 +654,9 @@ def _compile_in(node: ast.InExpr) -> CompiledExpr:
                         append(negated)
                 return out
 
-            return CompiledExpr(node, row_fn, batch_fn)
+            return CompiledExpr(node, batch_fn, children)
 
-    item_rows = [item.row for item in items]
     item_batches = [item.batch for item in items]
-
-    def row_fn(row: RowDict) -> Any:
-        value = operand_row(row)
-        if value is None:
-            return None
-        saw_null = False
-        for item_row in item_rows:
-            candidate = item_row(row)
-            if candidate is None:
-                saw_null = True
-            elif _values_equal(value, candidate):
-                return not negated
-        if saw_null:
-            return None
-        return negated
 
     def batch_fn(batch: Any) -> List[Any]:
         values = operand_batch(batch)
@@ -933,22 +682,20 @@ def _compile_in(node: ast.InExpr) -> CompiledExpr:
             append(verdict)
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, children)
 
 
 def _compile_is_null(node: ast.IsNullExpr) -> CompiledExpr:
     child = compile_expr(node.operand)
-    child_row, child_batch = child.row, child.batch
+    child_batch = child.batch
     if node.negated:
         return CompiledExpr(
             node,
-            lambda row: child_row(row) is not None,
             lambda batch: [v is not None for v in child_batch(batch)],
+            (child,),
         )
     return CompiledExpr(
-        node,
-        lambda row: child_row(row) is None,
-        lambda batch: [v is None for v in child_batch(batch)],
+        node, lambda batch: [v is None for v in child_batch(batch)], (child,)
     )
 
 
@@ -962,31 +709,17 @@ def _compile_function(node: ast.FunctionCall) -> CompiledExpr:
         return _raising(node, f"unknown function {node.name!r}")
 
     args = [compile_expr(arg) for arg in node.args]
-    arg_rows = [arg.row for arg in args]
     arg_batches = [arg.batch for arg in args]
 
     if len(args) == 1:
-        only_row = arg_rows[0]
         only_batch = arg_batches[0]
-
-        def row_fn(row: RowDict) -> Any:
-            value = only_row(row)
-            if value is None:
-                return None
-            return function(value)
 
         def batch_fn(batch: Any) -> List[Any]:
             return [
                 None if v is None else function(v) for v in only_batch(batch)
             ]
 
-        return CompiledExpr(node, row_fn, batch_fn)
-
-    def row_fn(row: RowDict) -> Any:
-        values = [arg_row(row) for arg_row in arg_rows]
-        if any(value is None for value in values):
-            return None
-        return function(*values)
+        return CompiledExpr(node, batch_fn, args)
 
     def batch_fn(batch: Any) -> List[Any]:
         arg_columns = [arg_batch(batch) for arg_batch in arg_batches]
@@ -1000,7 +733,7 @@ def _compile_function(node: ast.FunctionCall) -> CompiledExpr:
                 append(function(*values))
         return out
 
-    return CompiledExpr(node, row_fn, batch_fn)
+    return CompiledExpr(node, batch_fn, args)
 
 
 _COMPILERS: Dict[type, Callable[[Any], CompiledExpr]] = {

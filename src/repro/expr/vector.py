@@ -1,11 +1,15 @@
-"""The second expression lowering target: vectorized numpy kernels.
+"""Vectorized numpy kernels, and the one kernel-or-closure decision.
 
-:func:`compile_vector` lowers an :class:`~repro.sql.ast.Expression` into
-a kernel ``Callable[[ColumnarBatch], Vec]`` that evaluates the whole
+:func:`kernel_of` lowers a :class:`~repro.expr.compile.CompiledExpr`
+into a kernel ``Callable[[ColumnarBatch], Vec]`` that evaluates the whole
 column at once with numpy — comparisons, arithmetic, ``IN`` via
 ``np.isin``, ``LIKE`` over object arrays, and masked Kleene (3VL)
-AND/OR — alongside the row and batch closures of
-:mod:`repro.expr.compile`.
+AND/OR.  The kernel is lowered on first use and kept in the compiled
+expression's ``kernel`` slot, so it is shared exactly as widely as the
+batch closure beside it (through :mod:`repro.expr.compile`'s cache).
+Lowering walks the compiled operands, never the cache.  Two sessions
+racing to lower one kernel may both build it; the equivalent results
+overwrite each other harmlessly.
 
 Parity contract
 ---------------
@@ -16,32 +20,30 @@ cannot reproduce the interpreter bit-for-bit — object-dtype columns,
 type-mismatch errors, division by zero, int64 overflow risk, lossy
 int64→float64 casts past ``2**53``, non-constant ``IN``/``LIKE``
 operands, unknown functions — the kernel raises :class:`VectorFallback`
-(at compile time when the shape is statically unsupported, at run time
-when the data decides) and the caller re-evaluates the batch through the
-compiled list closure, which raises the error.  Because kernels themselves never raise
-``ExpressionError``, full-width evaluation of ``AND``/``OR`` operands is
-safe: a side that *could* error on a row the other side's short-circuit
-would have skipped always falls back instead, and the list closure's
-selection-vector evaluation reproduces the skip exactly.
-
-Like :mod:`repro.expr.compile`, kernels are shared through a bounded
-module-level :class:`~repro.expr.cache.LoweringCache` keyed structurally
-by the expression node.
+(on every call when the shape is statically unsupported, on the batch
+when the data decides).  :func:`select_rows` and :func:`key_columns` —
+the only places that catch it — then re-evaluate the batch through the
+batch closures, which raise the error.  Because kernels themselves never
+raise ``ExpressionError``, full-width evaluation of ``AND``/``OR``
+operands is safe: a side that *could* error on a row the other side's
+short-circuit would have skipped always falls back instead, and the
+closure's selection-vector evaluation reproduces the skip exactly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import FLOAT_EXACT_INT, ColumnarBatch, Vec
-from repro.expr.cache import LoweringCache
-from repro.expr.compile import compile_expr
+from repro.expr.compile import CompiledExpr
 from repro.expr.eval import _like_regex
 from repro.sql import ast
 
 VectorFn = Callable[[ColumnarBatch], Vec]
+Children = Sequence[CompiledExpr]
 
 #: int arithmetic operands are bounded well inside int64 so that +, -,
 #: and (pairwise-bounded) * can never wrap; anything bigger falls back.
@@ -50,28 +52,72 @@ _INT_SAFE = 2**62
 
 class VectorFallback(Exception):
     """The vector kernel cannot reproduce interpreter semantics for this
-    expression/batch; the caller must re-evaluate via the list closure."""
+    expression/batch; the batch closure must evaluate it instead."""
 
 
-# ------------------------------------------------------------ kernel cache
-
-_CACHE = LoweringCache()
-
-
-def compile_vector(expression: ast.Expression) -> VectorFn:
-    """Lower ``expression`` to a columnar kernel (cached structurally)."""
-    return _CACHE.get_or_build(expression, _compile)
-
-
-def cache_stats() -> Tuple[int, int]:
-    return _CACHE.stats()
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
+def kernel_of(compiled: CompiledExpr) -> VectorFn:
+    """``compiled``'s kernel, lowered on first use and kept on it."""
+    kernel = compiled.kernel
+    if kernel is None:
+        kernel = compiled.kernel = _lower(compiled)
+    return kernel
 
 
 # ------------------------------------------------------------- entry points
+
+
+def select_rows(
+    predicate: CompiledExpr,
+    columnar: ColumnarBatch,
+    rows: Callable[[], RowBatch],
+) -> RowBatch:
+    """The rows of ``columnar`` that ``predicate`` keeps (WHERE semantics:
+    only a definite ``True``), materialized late from the kernel's
+    surviving positions — or, when the kernel declines, filtered from
+    ``rows()`` by the batch closure."""
+    (kept,) = _kernel_or_closure(
+        (predicate,),
+        columnar,
+        rows,
+        lambda kernel: columnar.to_row_batch(filter_indices(kernel, columnar)),
+        RowBatch.filter_true,
+    )
+    return kept
+
+
+def key_columns(keys: Sequence[CompiledExpr], batch: RowBatch) -> List[List[Any]]:
+    """One value list per join key over ``batch``.
+
+    Plain column references come straight from their closure (the
+    batch's own list, zero copy).  A batch with any computed key runs
+    every key's kernel; if one declines, every key's closure instead.
+    """
+    if all(isinstance(key.expression, ast.ColumnRef) for key in keys):
+        return [key.batch(batch) for key in keys]
+    columnar = ColumnarBatch.from_row_batch(batch)
+    return _kernel_or_closure(
+        keys,
+        columnar,
+        lambda: batch,
+        lambda kernel: kernel(columnar).to_list(),
+        lambda _batch, values: values,
+    )
+
+
+def _kernel_or_closure(
+    compiled: Sequence[CompiledExpr],
+    columnar: ColumnarBatch,
+    rows: Callable[[], RowBatch],
+    from_kernel: Callable[[VectorFn], Any],
+    from_closure: Callable[[RowBatch, List[Any]], Any],
+) -> List[Any]:
+    """Every expression through its kernel, or — if any kernel declines
+    the batch — every expression through its closure over ``rows()``."""
+    try:
+        return [from_kernel(kernel_of(expr)) for expr in compiled]
+    except VectorFallback:
+        batch = rows()
+        return [from_closure(batch, expr.batch(batch)) for expr in compiled]
 
 
 def filter_indices(
@@ -95,14 +141,6 @@ def filter_indices(
     if keep.all():
         return None
     return np.flatnonzero(keep)
-
-
-def vector_values(
-    expression: ast.Expression, batch: ColumnarBatch
-) -> List[Any]:
-    """Kernel-evaluate ``expression`` and return plain Python values
-    (``None`` at masked slots) — the tests' parity hook."""
-    return compile_vector(expression)(batch).to_list()
 
 
 # ----------------------------------------------------------------- helpers
@@ -139,7 +177,7 @@ def _union_mask(
 
 def _broadcast(value: Any, length: int) -> Vec:
     """A constant as a full-width Vec; raises VectorFallback for values
-    no kernel consumes (the list closure handles them)."""
+    no kernel consumes (the batch closure handles them)."""
     if value is None:
         return _all_null(length)
     if isinstance(value, bool):
@@ -199,8 +237,7 @@ def _require_bool(vector: Vec) -> None:
 # ------------------------------------------------------------ node kernels
 
 
-def _compile(expression: ast.Expression) -> VectorFn:
-    compiled = compile_expr(expression)
+def _lower(compiled: CompiledExpr) -> VectorFn:
     if compiled.constant:
         value = compiled.value
 
@@ -208,15 +245,16 @@ def _compile(expression: ast.Expression) -> VectorFn:
             return _broadcast(value, batch.length)
 
         return constant_kernel
+    expression = compiled.expression
     handler = _DISPATCH.get(type(expression))
-    if handler is None:
+    if handler is None or compiled.children is None:
         return _static_fallback(
             f"no vector lowering for {type(expression).__name__}"
         )
-    return handler(expression)
+    return handler(expression, compiled.children)
 
 
-def _compile_column(node: ast.ColumnRef) -> VectorFn:
+def _lower_column(node: ast.ColumnRef, _children: Children) -> VectorFn:
     if node.table is not None:
         qualified = f"{node.table}.{node.column}"
         bare = node.column
@@ -239,29 +277,22 @@ def _compile_column(node: ast.ColumnRef) -> VectorFn:
             return vector
         matches = [name for name in batch.columns if name.endswith(suffix)]
         if len(matches) != 1:
-            # Ambiguous / unknown: the list closure raises the exact error.
+            # Ambiguous / unknown: the batch closure raises the exact error.
             raise VectorFallback(f"unresolvable column {bare!r}")
         return batch.vec(matches[0])
 
     return bare_kernel
 
 
-def _compile_runtime_parameter(node: ast.RuntimeParameter) -> VectorFn:
+def _lower_runtime_parameter(
+    node: ast.RuntimeParameter, _children: Children
+) -> VectorFn:
     def parameter_kernel(batch: ColumnarBatch) -> Vec:
         # Read the live constraint value on every call: plans built on
         # runtime parameters must see value-changing repairs.
         return _broadcast(node.current_value(), batch.length)
 
     return parameter_kernel
-
-
-def _compile_literal(node: ast.Literal) -> VectorFn:
-    value = node.value
-
-    def literal_kernel(batch: ColumnarBatch) -> Vec:
-        return _broadcast(value, batch.length)
-
-    return literal_kernel
 
 
 _COMPARISON_UFUNCS = {
@@ -331,7 +362,7 @@ def _arithmetic_kernel(
         if op in ("/", "%"):
             live = (b == 0) if mask is None else ((b == 0) & ~mask)
             if live.any():
-                # The list closure raises "division by zero" at the row.
+                # The batch closure raises "division by zero".
                 raise VectorFallback("zero divisor")
             if mask is not None:
                 # Masked filler zeros would still trip numpy warnings.
@@ -378,7 +409,7 @@ def _logical_kernel(
         # Both sides full-width: legal because kernels never raise the
         # per-row errors short-circuiting would have skipped — a side
         # that could raise falls back, taking the whole expression with
-        # it to the selection-vector list closure.
+        # it to the selection-vector batch closure.
         left = left_fn(batch)
         right = right_fn(batch)
         _require_bool(left)
@@ -388,33 +419,28 @@ def _logical_kernel(
     return kernel
 
 
-def _compile_binary(node: ast.BinaryOp) -> VectorFn:
+def _lower_binary(node: ast.BinaryOp, children: Children) -> VectorFn:
     op = node.op
-    if op in ("and", "or"):
-        return _logical_kernel(
-            op, compile_vector(node.left), compile_vector(node.right)
-        )
     if op == "like":
-        return _compile_like(node)
-    left_fn = compile_vector(node.left)
-    right_fn = compile_vector(node.right)
+        return _lower_like(children)
+    left_fn, right_fn = kernel_of(children[0]), kernel_of(children[1])
+    if op in ("and", "or"):
+        return _logical_kernel(op, left_fn, right_fn)
     ufunc = _COMPARISON_UFUNCS.get(op)
     if ufunc is not None:
         return _comparison_kernel(left_fn, right_fn, ufunc)
-    if op in ("+", "-", "*", "/", "%"):
-        return _arithmetic_kernel(op, left_fn, right_fn)
-    return _static_fallback(f"unknown operator {op!r}")
+    return _arithmetic_kernel(op, left_fn, right_fn)
 
 
-def _compile_like(node: ast.BinaryOp) -> VectorFn:
-    pattern_compiled = compile_expr(node.right)
+def _lower_like(children: Children) -> VectorFn:
+    operand_compiled, pattern_compiled = children
     if not pattern_compiled.constant:
         return _static_fallback("non-constant LIKE pattern")
     pattern = pattern_compiled.value
     if pattern is not None and not isinstance(pattern, str):
-        # Every non-NULL operand row raises; the list closure does that.
+        # Every non-NULL operand row raises; the batch closure does that.
         return _static_fallback("non-string LIKE pattern")
-    operand_fn = compile_vector(node.left)
+    operand_fn = kernel_of(operand_compiled)
     regex = None if pattern is None else _like_regex(pattern)
 
     def like_kernel(batch: ColumnarBatch) -> Vec:
@@ -423,7 +449,7 @@ def _compile_like(node: ast.BinaryOp) -> VectorFn:
             return _all_null(batch.length)
         if operand.values.dtype != object:
             # Numeric/bool operands raise "LIKE requires string operands"
-            # per non-NULL row — list closure territory.
+            # per non-NULL row — batch closure territory.
             raise VectorFallback("LIKE over non-string dtype")
         out = np.zeros(batch.length, dtype=bool)
         fullmatch = regex.fullmatch
@@ -439,8 +465,8 @@ def _compile_like(node: ast.BinaryOp) -> VectorFn:
     return like_kernel
 
 
-def _compile_unary(node: ast.UnaryOp) -> VectorFn:
-    operand_fn = compile_vector(node.operand)
+def _lower_unary(node: ast.UnaryOp, children: Children) -> VectorFn:
+    operand_fn = kernel_of(children[0])
     if node.op == "not":
 
         def not_kernel(batch: ColumnarBatch) -> Vec:
@@ -466,17 +492,10 @@ def _compile_unary(node: ast.UnaryOp) -> VectorFn:
     return negate_kernel
 
 
-def _compile_between(node: ast.BetweenExpr) -> VectorFn:
-    lower_fn = _comparison_kernel(
-        compile_vector(node.operand),
-        compile_vector(node.low),
-        np.greater_equal,
-    )
-    upper_fn = _comparison_kernel(
-        compile_vector(node.operand),
-        compile_vector(node.high),
-        np.less_equal,
-    )
+def _lower_between(node: ast.BetweenExpr, children: Children) -> VectorFn:
+    operand_fn, low_fn, high_fn = (kernel_of(child) for child in children)
+    lower_fn = _comparison_kernel(operand_fn, low_fn, np.greater_equal)
+    upper_fn = _comparison_kernel(operand_fn, high_fn, np.less_equal)
     negated = node.negated
 
     def between_kernel(batch: ColumnarBatch) -> Vec:
@@ -488,17 +507,16 @@ def _compile_between(node: ast.BetweenExpr) -> VectorFn:
     return between_kernel
 
 
-def _compile_in(node: ast.InExpr) -> VectorFn:
+def _lower_in(node: ast.InExpr, children: Children) -> VectorFn:
     members: List[Any] = []
     saw_null_constant = False
-    for item in node.items:
-        item_compiled = compile_expr(item)
-        if not item_compiled.constant:
+    for item in children[1:]:
+        if not item.constant:
             return _static_fallback("non-constant IN list")
-        if item_compiled.value is None:
+        if item.value is None:
             saw_null_constant = True
         else:
-            members.append(item_compiled.value)
+            members.append(item.value)
     member_types = set(map(type, members))
     if not member_types <= {int, float}:
         return _static_fallback("non-numeric IN list")
@@ -511,7 +529,7 @@ def _compile_in(node: ast.InExpr) -> VectorFn:
         member_array = np.asarray(members, dtype=np.int64)
     else:
         member_array = np.asarray(members, dtype=np.float64)
-    operand_fn = compile_vector(node.operand)
+    operand_fn = kernel_of(children[0])
     negated = node.negated
 
     def in_kernel(batch: ColumnarBatch) -> Vec:
@@ -520,7 +538,7 @@ def _compile_in(node: ast.InExpr) -> VectorFn:
             return _all_null(batch.length)
         if operand.values.dtype.kind not in ("i", "f"):
             # String/mixed operands compare via _values_equal, which can
-            # raise class-mismatch errors row by row: list closure.
+            # raise class-mismatch errors row by row: batch closure.
             raise VectorFallback("non-numeric IN operand dtype")
         if (
             operand.values.dtype.kind == "i"
@@ -541,8 +559,8 @@ def _compile_in(node: ast.InExpr) -> VectorFn:
     return in_kernel
 
 
-def _compile_is_null(node: ast.IsNullExpr) -> VectorFn:
-    operand_fn = compile_vector(node.operand)
+def _lower_is_null(node: ast.IsNullExpr, children: Children) -> VectorFn:
+    operand_fn = kernel_of(children[0])
     negated = node.negated
 
     def is_null_kernel(batch: ColumnarBatch) -> Vec:
@@ -558,18 +576,17 @@ def _compile_is_null(node: ast.IsNullExpr) -> VectorFn:
     return is_null_kernel
 
 
-def _compile_function(node: ast.FunctionCall) -> VectorFn:
+def _lower_function(node: ast.FunctionCall, _children: Children) -> VectorFn:
     return _static_fallback(f"no vector lowering for {node.name}()")
 
 
-_DISPATCH: Dict[type, Callable[[Any], VectorFn]] = {
-    ast.Literal: _compile_literal,
-    ast.RuntimeParameter: _compile_runtime_parameter,
-    ast.ColumnRef: _compile_column,
-    ast.UnaryOp: _compile_unary,
-    ast.BinaryOp: _compile_binary,
-    ast.BetweenExpr: _compile_between,
-    ast.InExpr: _compile_in,
-    ast.IsNullExpr: _compile_is_null,
-    ast.FunctionCall: _compile_function,
+_DISPATCH: Dict[type, Callable[[Any, Children], VectorFn]] = {
+    ast.RuntimeParameter: _lower_runtime_parameter,
+    ast.ColumnRef: _lower_column,
+    ast.UnaryOp: _lower_unary,
+    ast.BinaryOp: _lower_binary,
+    ast.BetweenExpr: _lower_between,
+    ast.InExpr: _lower_in,
+    ast.IsNullExpr: _lower_is_null,
+    ast.FunctionCall: _lower_function,
 }

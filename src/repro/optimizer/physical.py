@@ -67,7 +67,7 @@ class SeqScan(PhysicalNode):
         self.table_name = table_name
         self.binding = binding
         self.predicate = predicate
-        # (row_fn, batch_fn) closures attached by the optimizer when
+        # CompiledExpr attached by the optimizer when
         # OptimizerConfig.compile_expressions is on; None = interpret.
         self.compiled_predicate = None
         # Input rows examined before the filter; set only when feedback
@@ -269,7 +269,7 @@ class Sort(PhysicalNode):
         super().__init__()
         self.child = child
         self.order = order
-        # Parallel to ``order``: (row_fn, batch_fn, ascending) triples.
+        # Parallel to ``order``: (batch closure, ascending) pairs.
         self.compiled_order = None
         # Rows materialized for sorting — unlike ``actual_rows`` this
         # survives LIMIT truncation (the sort input is always fully

@@ -7,8 +7,9 @@ produce identical sorted result multisets, row counts, page-read totals,
 message in every mode).  Corpora: the property SQL oracle generators
 (reused from ``tests/property/test_property_sql_oracle.py``), rewrite
 on/off optimizer configurations including every individual rewrite
-switch, and an error workload (division by zero, type errors, folded
-constant errors).
+switch, an error workload (division by zero, type errors, folded
+constant errors, a raising HAVING), and GROUP BY output: HAVING over
+groups and over a scalar aggregate of no rows, and FD-carried columns.
 """
 
 import dataclasses
@@ -18,9 +19,17 @@ from hypothesis import given, settings
 
 from repro import SoftDB
 from repro.executor.runtime import ExecutionResult, Executor
+from repro.expr.compile import CompiledExpr
 from repro.feedback import FeedbackStore
 from repro.harness.runner import all_off
-from repro.optimizer.planner import Optimizer, OptimizerConfig
+from repro.optimizer.physical import GroupBy
+from repro.optimizer.planner import (
+    Optimizer,
+    OptimizerConfig,
+    attach_compiled_expressions,
+)
+from repro.softcon.fd import FunctionalDependencySC
+from repro.sql.parser import parse_expression
 from repro.sql.printer import sql_of
 
 from tests.property.test_property_sql_oracle import (
@@ -193,6 +202,8 @@ WORKLOAD = [
     "GROUP BY dept_id",
     "SELECT DISTINCT age FROM emp WHERE salary > 45.0 ORDER BY age",
     "SELECT id FROM emp WHERE age > 25 ORDER BY salary DESC LIMIT 17",
+    "SELECT dept_id, count(*) AS n FROM emp GROUP BY dept_id "
+    "HAVING avg(salary) > 43.0 OR count(*) < 60",
 ]
 
 REWRITE_SWITCHES = [
@@ -236,6 +247,8 @@ ERROR_WORKLOAD = [
     "SELECT id FROM emp WHERE age LIKE 'x%'",
     "SELECT id FROM emp WHERE NOT salary",
     "SELECT id FROM emp WHERE (salary > 1.0) AND age",
+    "SELECT dept_id, count(*) AS n FROM emp GROUP BY dept_id "
+    "HAVING 1 / (count(*) - count(*)) > 0",
 ]
 
 
@@ -251,6 +264,76 @@ def test_error_workload_differential(sql):
         lambda: Executor(db.database, batch_size=0).execute(interpreted)
     )
     assert outcome[0] == "error", sql
+
+
+# -- GROUP BY output: HAVING over the groups, FD-carried columns -------------
+
+
+@pytest.mark.parametrize(
+    "having, rows", [("n = 0", 1), ("n > 0", 0), ("1 / (n - n) > 0", None)]
+)
+def test_scalar_having_over_empty_input_differential(having, rows):
+    """A scalar aggregate over no rows emits one all-default row, which
+    HAVING keeps, drops, or fails on.  The grammar takes HAVING only
+    after GROUP BY, so the HAVING is set on the plans by hand."""
+    db = _workload_db()
+    sql = "SELECT count(*) AS n FROM emp WHERE age > 1000"
+    interpreted, compiled = _plans(db, sql, OptimizerConfig())
+    for plan in (interpreted, compiled):
+        (group,) = [
+            node for node in _nodes(plan.root) if isinstance(node, GroupBy)
+        ]
+        assert not group.keys
+        group.having = parse_expression(having)
+    attach_compiled_expressions(compiled)
+    oracle = _outcome(
+        lambda: Executor(db.database, batch_size=0).execute(interpreted)
+    )
+    if rows is None:
+        assert oracle[0] == "error"
+    else:
+        assert oracle[1].row_count == rows
+    for name, batch_size in MODES:
+        result = _outcome(
+            lambda: Executor(db.database, batch_size=batch_size).execute(
+                compiled
+            )
+        )
+        if rows is None:
+            assert result == oracle, name
+        else:
+            _assert_same(oracle[1], result[1], f"{sql} HAVING {having}", name)
+
+
+def _fd_db() -> SoftDB:
+    db = SoftDB()
+    db.execute(
+        "CREATE TABLE addr (id INT PRIMARY KEY, city INT, state INT, pop INT)"
+    )
+    db.database.insert_many(
+        "addr", [(i, i % 12, i % 12 % 4, i % 37) for i in range(300)]
+    )
+    db.runstats_all()
+    db.add_soft_constraint(
+        FunctionalDependencySC("fd_city_state", "addr", ["city"], ["state"]),
+        verify_first=True,
+    )
+    return db
+
+
+def test_fd_carried_group_columns_differential():
+    """An FD soft constraint drops ``state`` from the hash key; the group
+    operator still emits it, carried from each group's first row."""
+    db = _fd_db()
+    sql = (
+        "SELECT city, state, count(*) AS n, sum(pop) AS p FROM addr "
+        "GROUP BY city, state HAVING sum(pop) > 440"
+    )
+    _, compiled = _plans(db, sql, OptimizerConfig())
+    (group,) = [node for node in _nodes(compiled.root) if isinstance(node, GroupBy)]
+    assert [column.column for column in group.carried] == ["state"]
+    for config in CONFIGS.values():
+        assert_differential(db, sql, config)
 
 
 # -- routing: batch_size == 0 or no closures means the oracle ---------------
@@ -275,12 +358,13 @@ def test_uncompiled_plan_runs_on_the_oracle():
 
 
 def test_batch_size_zero_interprets_a_compiled_plan():
-    """The oracle never calls a closure, even when the plan carries them:
-    with every closure poisoned, ``batch_size=0`` still answers."""
+    """The oracle never calls anything compiled, even when the plan
+    carries it: with every closure and kernel poisoned, ``batch_size=0``
+    still answers — while the production executor trips the poison."""
     db = _workload_db()
 
     def poisoned(*_args):
-        raise AssertionError("the oracle called a compiled closure")
+        raise AssertionError("called a compiled closure or kernel")
 
     for sql in WORKLOAD:
         interpreted, compiled = _plans(db, sql, OptimizerConfig())
@@ -292,11 +376,18 @@ def test_batch_size_zero_interprets_a_compiled_plan():
         result = Executor(db.database, batch_size=0).execute(compiled)
         assert result.executor == "oracle"
         assert result.tuples() == expected.tuples(), sql
+        with pytest.raises(AssertionError, match="compiled closure or kernel"):
+            Executor(db.database).execute(compiled)
 
 
 def _poison(slot, poisoned):
-    """Replace every callable in a ``compiled_*`` slot (a pair, or a list
-    of pairs / None entries, sort passes carrying a trailing flag)."""
+    """Poison a ``compiled_*`` slot: a compiled expression (its closure
+    and its kernel), a ``(closure, ascending)`` sort pass, or a list of
+    either with None entries."""
     if isinstance(slot, list):
-        return [None if pair is None else _poison(pair, poisoned) for pair in slot]
-    return tuple(poisoned if callable(fn) else fn for fn in slot)
+        return [None if item is None else _poison(item, poisoned) for item in slot]
+    if isinstance(slot, tuple):
+        return (poisoned, slot[1])
+    compiled = CompiledExpr(slot.expression, poisoned)
+    compiled.kernel = poisoned
+    return compiled

@@ -78,7 +78,7 @@ class TestLimitAccounting:
         quota-clamped predicate scans filter through the vector kernels,
         dropping to the batch closure only for a batch a kernel declines
         (here: the one holding the int64-overflowing ``b``)."""
-        from repro.executor import scans
+        from repro.expr import vector
 
         kernel_calls = []
 
@@ -90,7 +90,7 @@ class TestLimitAccounting:
                 kernel_calls[-1] = "fallback"
                 raise
 
-        monkeypatch.setattr(scans, "filter_indices", spying_filter)
+        monkeypatch.setattr(vector, "filter_indices", spying_filter)
         db = _db()
         db.execute(f"UPDATE t SET b = {2**70} WHERE a = 40")
         for sql, falls_back in (

@@ -1,27 +1,28 @@
 """The expression compiler against the interpreter oracle.
 
-Every assertion here is differential: the compiled row and batch
-closures from :mod:`repro.expr.compile` must return the same value — or
-raise the same :class:`~repro.errors.ExpressionError` — as
-:func:`~repro.expr.eval.evaluate` applied to each row.  Targeted
-corpora cover NULL propagation, short-circuit AND/OR, BETWEEN/IN with
-NULLs, LIKE edge cases, constant folding (including deferred fold
-errors), and the compile cache.
+Every assertion here is differential: the batch closure from
+:mod:`repro.expr.compile` — and the kernel-or-closure entry points of
+:mod:`repro.expr.vector`, on the kernel path and on a forced fallback
+to the closure — must return what :func:`~repro.expr.eval.evaluate`
+returns applied to each row, or raise an error one of those rows
+raises.  Targeted corpora cover NULL propagation, short-circuit AND/OR,
+BETWEEN/IN with NULLs, LIKE edge cases, constant folding (including
+deferred fold errors), kernel lowering, and the compile cache.
 """
+
+from unittest import mock
 
 import pytest
 
 from repro.errors import ExpressionError
 from repro.executor.batch import RowBatch
+from repro.executor.vecbatch import ColumnarBatch
 from repro.expr import cache as lowering_cache
-from repro.expr.compile import (
-    cache_stats,
-    clear_cache,
-    compile_batch,
-    compile_expr,
-    compile_row,
-)
+from repro.expr import vector
+from repro.expr.compile import cache_stats, clear_cache, compile_expr
 from repro.expr.eval import evaluate
+from repro.expr.vector import VectorFallback, key_columns, kernel_of, select_rows
+from repro.sql import ast
 from repro.sql.parser import parse_expression
 
 
@@ -43,12 +44,14 @@ def _outcome(fn):
         return ("error", str(error))
 
 
-def assert_batch_parity(expression, batch_fn, batch, context):
+def assert_batch_parity(expression, batch_fn, batch, context, expect=None):
     """``batch_fn`` agrees with :func:`evaluate` applied per row of ``batch``.
 
-    An erroring batch: the closure works a column at a time, so it may
-    meet a later row's error before an earlier row's.  It must raise iff
-    some row raises, and the error must be one a row of the batch raises.
+    ``expect`` maps the batch and its per-row values to what ``batch_fn``
+    should return (default: the values themselves).  An erroring batch:
+    the closure works a column at a time, so it may meet a later row's
+    error before an earlier row's.  It must raise iff some row raises,
+    and the error must be one a row of the batch raises.
     """
     per_row = [
         _outcome(lambda: evaluate(expression, row)) for row in batch.to_rows()
@@ -58,23 +61,48 @@ def assert_batch_parity(expression, batch_fn, batch, context):
     if errors:
         assert got in errors, context
     else:
-        assert got == ("ok", [value for _, value in per_row]), context
+        values = [value for _, value in per_row]
+        expected = values if expect is None else expect(batch, values)
+        assert got == ("ok", expected), context
+
+
+def _kept(batch, values):
+    """WHERE semantics: the rows whose value is exactly True."""
+    return [row for row, value in zip(batch.to_rows(), values) if value is True]
+
+
+def _declining(_compiled):
+    def kernel(_batch):
+        raise VectorFallback("forced")
+
+    return kernel
 
 
 def assert_parity(text, rows):
-    """Compiled row/batch closures agree with the interpreter on ``rows``."""
+    """The batch closure and both kernel-or-closure entry points — kernel
+    path and forced fallback — agree with the interpreter on ``rows``."""
     expression = parse_expression(text)
-    row_fn = compile_row(expression)
-    for row in rows:
-        expected = _outcome(lambda: evaluate(expression, row))
-        got = _outcome(lambda: row_fn(row))
-        assert got == expected, f"{text!r} over {row!r}"
-    assert_batch_parity(
-        expression,
-        compile_batch(expression),
-        _batch_of(rows),
-        f"{text!r} over batch {rows!r}",
-    )
+    compiled = compile_expr(expression)
+    batch = _batch_of(rows)
+    context = f"{text!r} over batch {rows!r}"
+    assert_batch_parity(expression, compiled.batch, batch, context)
+
+    def values(batch):
+        return key_columns([compiled], batch)[0]
+
+    def kept(batch):
+        columnar = ColumnarBatch.from_row_batch(batch)
+        return select_rows(compiled, columnar, lambda: batch).to_rows()
+
+    def check(path):
+        assert_batch_parity(expression, values, batch, f"{context} {path}")
+        assert_batch_parity(
+            expression, kept, batch, f"{context} {path}", expect=_kept
+        )
+
+    check("kernel")
+    with mock.patch.object(vector, "kernel_of", _declining):
+        check("fallback")
 
 
 ROWS = [
@@ -192,7 +220,6 @@ class TestConstantFolding:
         compiled = compile_expr(parse_expression("1 + 2 * 3"))
         assert compiled.constant
         assert compiled.value == 7
-        assert compiled.row({}) == 7
         assert compiled.batch(_batch_of([{}, {}])) == [7, 7]
 
     def test_three_valued_folding(self):
@@ -202,8 +229,6 @@ class TestConstantFolding:
     def test_folded_error_defers_to_call_time(self):
         compiled = compile_expr(parse_expression("1 / 0"))
         assert not compiled.constant
-        with pytest.raises(ExpressionError, match="division by zero"):
-            compiled.row({})
         # No row, no evaluation: an empty batch never raises.
         assert compiled.batch(_batch_of([])) == []
         with pytest.raises(ExpressionError, match="division by zero"):
@@ -223,14 +248,45 @@ class TestAggregateAndUnknownFunctions:
 
     def test_aggregate_over_empty_batch_is_empty(self):
         # The per-row reference evaluates nothing over no rows.
-        assert compile_batch(parse_expression("count(a)"))(_batch_of([])) == []
+        assert compile_expr(parse_expression("count(a)")).batch(_batch_of([])) == []
 
     def test_scalar_function_arity_error_matches(self):
         expression = parse_expression("abs(1, 2)")
         with pytest.raises(TypeError):
             evaluate(expression, {})
         with pytest.raises(TypeError):
-            compile_row(expression)({})
+            compile_expr(expression).batch(_batch_of([{}]))
+
+
+class TestKernelLowering:
+    def test_kernel_is_lowered_once_and_kept(self):
+        clear_cache()
+        compiled = compile_expr(parse_expression("a + 1 > b AND a IN (1, 2)"))
+        assert compiled.kernel is None
+        before = cache_stats()
+        kernel = kernel_of(compiled)
+        # Lowering walks the compiled operands, not the compile cache.
+        assert cache_stats() == before
+        assert compiled.kernel is kernel
+        assert kernel_of(compiled) is kernel
+        # A structurally equal expression is the same object, kernel included.
+        again = compile_expr(parse_expression("a + 1 > b AND a IN (1, 2)"))
+        assert again is compiled and again.kernel is kernel
+
+    def test_runtime_parameter_kernel_reads_the_live_value(self):
+        class Bound:
+            name = "mm"
+            high = 5
+
+        bound = Bound()
+        predicate = ast.BinaryOp(
+            "<=", ast.ColumnRef("a"), ast.RuntimeParameter(bound, "high")
+        )
+        kernel = kernel_of(compile_expr(predicate))
+        batch = ColumnarBatch.from_row_batch(_batch_of([{"a": 3}, {"a": 7}]))
+        assert kernel(batch).to_list() == [True, False]
+        bound.high = 10
+        assert kernel(batch).to_list() == [True, True]
 
 
 class TestColumnResolution:

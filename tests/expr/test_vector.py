@@ -2,13 +2,14 @@
 
 Every assertion is differential: the reference is the row interpreter
 (:func:`~repro.expr.eval.evaluate`) applied to each row of the batch,
-and both lowering targets — the compiled batch closure and the numpy
-vector kernels (:mod:`repro.expr.vector`) — must reproduce it.  No batch
+and both halves of one compiled expression — its batch closure and its
+numpy kernel (:mod:`repro.expr.vector`) — must reproduce it.  No batch
 here errors under the reference (a kernel never raises an expression
 error, it falls back; ``tests/expr/test_compile.py`` states how an
-erroring batch is compared for the closures).  Targeted corpora cover NULL-vs-NaN distinctness, the object-dtype
-fallback for mixed-type columns, empty batches, 3VL constant folding,
-and the dtype-promotion rules of :mod:`repro.executor.vecbatch`.
+erroring batch is compared, and runs the fallback path).  Targeted
+corpora cover NULL-vs-NaN distinctness, the object-dtype fallback for
+mixed-type columns, empty batches, 3VL constant folding, and the
+dtype-promotion rules of :mod:`repro.executor.vecbatch`.
 """
 
 import math
@@ -20,13 +21,17 @@ from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import ColumnarBatch, promote, try_int64
 from repro.expr.compile import compile_expr
 from repro.expr.eval import evaluate
-from repro.expr.vector import (
-    VectorFallback,
-    compile_vector,
-    filter_indices,
-    vector_values,
-)
+from repro.expr.vector import VectorFallback, filter_indices, kernel_of
 from repro.sql.parser import parse_expression
+
+
+def _kernel(expression):
+    return kernel_of(compile_expr(expression))
+
+
+def _kernel_values(expression, batch):
+    """Kernel-evaluate ``expression``: plain values, None at masked slots."""
+    return _kernel(expression)(batch).to_list()
 
 
 def _batch(rows):
@@ -61,7 +66,7 @@ def assert_three_way(text, rows):
     batch = _batch(rows)
     row_results = [evaluate(expression, row) for row in batch.to_rows()]
     compiled_results = compile_expr(expression).batch(batch)
-    vec_results = vector_values(expression, _cbatch(rows))
+    vec_results = _kernel_values(expression, _cbatch(rows))
     assert _same(compiled_results, row_results), text
     assert _same(vec_results, row_results), text
 
@@ -78,7 +83,7 @@ class TestNullVersusNan:
     ]
 
     def test_is_null_sees_only_none(self):
-        assert vector_values(
+        assert _kernel_values(
             parse_expression("b IS NULL"), _cbatch(self.ROWS)
         ) == [False, True, False, False]
 
@@ -88,7 +93,7 @@ class TestNullVersusNan:
     def test_nan_compares_false_null_compares_null(self):
         # NaN = NaN is False (IEEE), NULL = NULL is NULL (3VL) — the
         # mask must keep the two regimes apart.
-        assert vector_values(
+        assert _kernel_values(
             parse_expression("b = b"), _cbatch(self.ROWS)
         ) == [True, None, False, True]
 
@@ -123,27 +128,27 @@ class TestMixedTypeFallback:
 
     def test_numeric_kernel_falls_back_on_object_column(self):
         rows = [{"a": 1}, {"a": "x"}]
-        kernel = compile_vector(parse_expression("a + 1"))
+        kernel = _kernel(parse_expression("a + 1"))
         with pytest.raises(VectorFallback):
             kernel(_cbatch(rows))
 
     def test_filter_falls_back_on_object_predicate(self):
         rows = [{"a": "x"}, {"a": "y"}]
-        kernel = compile_vector(parse_expression("a"))
+        kernel = _kernel(parse_expression("a"))
         with pytest.raises(VectorFallback):
             filter_indices(kernel, _cbatch(rows))
 
     def test_string_equality_falls_back_but_like_does_not(self):
         rows = [{"c": "apple"}, {"c": None}, {"c": "apricot"}]
         with pytest.raises(VectorFallback):
-            compile_vector(parse_expression("c = 'apple'"))(_cbatch(rows))
-        assert vector_values(
+            _kernel(parse_expression("c = 'apple'"))(_cbatch(rows))
+        assert _kernel_values(
             parse_expression("c LIKE 'ap%'"), _cbatch(rows)
         ) == [True, None, True]
 
     def test_all_null_column_stays_null(self):
         rows = [{"a": None}, {"a": None}]
-        assert vector_values(
+        assert _kernel_values(
             parse_expression("a + 1"), _cbatch(rows)
         ) == [None, None]
 
@@ -167,13 +172,13 @@ class TestEmptyBatches:
             RowBatch(("a",), {"a": []}, 0)
         )
         for text in self.EMPTY:
-            assert vector_values(parse_expression(text), batch) == [], text
+            assert _kernel_values(parse_expression(text), batch) == [], text
 
     def test_filter_indices_empty(self):
         batch = ColumnarBatch.from_row_batch(
             RowBatch(("a",), {"a": []}, 0)
         )
-        kernel = compile_vector(parse_expression("a = 1"))
+        kernel = _kernel(parse_expression("a = 1"))
         indices = filter_indices(kernel, batch)
         assert indices is None or len(indices) == 0
 
@@ -181,8 +186,8 @@ class TestEmptyBatches:
 # ------------------------------------------- 3VL constant-fold parity
 
 
-#: Constant 3VL expressions: the row target folds them at compile time,
-#: the vector target broadcasts the folded constant — all three must
+#: Constant 3VL expressions: compilation folds them, the kernel
+#: broadcasts the folded constant — closure, kernel and interpreter must
 #: agree elementwise.
 CONSTANT_3VL = [
     "1 = 1 AND NULL",
@@ -263,7 +268,7 @@ def test_int_division_truncates_toward_zero():
         {"a": 7, "b": -2},
         {"a": -7, "b": -2},
     ]
-    assert vector_values(
+    assert _kernel_values(
         parse_expression("a / b"), _cbatch(rows)
     ) == [3, -3, -3, 3]
     assert_three_way("a / b", rows)
@@ -271,7 +276,7 @@ def test_int_division_truncates_toward_zero():
 
 def test_division_by_zero_falls_back():
     rows = [{"a": 1, "b": 0}]
-    kernel = compile_vector(parse_expression("a / b"))
+    kernel = _kernel(parse_expression("a / b"))
     with pytest.raises(VectorFallback):
         kernel(_cbatch(rows))
 
@@ -280,7 +285,7 @@ def test_null_divisor_does_not_fall_back():
     # Row semantics return NULL before the zero check; the kernel must
     # not treat the masked slot's 0 filler as a real zero divisor.
     rows = [{"a": 1, "b": None}, {"a": 8, "b": 2}]
-    assert vector_values(
+    assert _kernel_values(
         parse_expression("a / b"), _cbatch(rows)
     ) == [None, 4]
 
@@ -330,19 +335,19 @@ def test_filter_indices_non_boolean_numeric_drops_all():
     # none — in the row pipeline; the vector filter must agree, not
     # raise.
     rows = [{"a": 1}, {"a": 0}]
-    kernel = compile_vector(parse_expression("a"))
+    kernel = _kernel(parse_expression("a"))
     indices = filter_indices(kernel, _cbatch(rows))
     assert indices is not None and len(indices) == 0
 
 
 def test_filter_indices_all_true_returns_none():
     rows = [{"a": 1}, {"a": 2}]
-    kernel = compile_vector(parse_expression("a > 0"))
+    kernel = _kernel(parse_expression("a > 0"))
     assert filter_indices(kernel, _cbatch(rows)) is None
 
 
 def test_filter_indices_partial():
     rows = [{"a": 1}, {"a": None}, {"a": 5}]
-    kernel = compile_vector(parse_expression("a > 2"))
+    kernel = _kernel(parse_expression("a > 2"))
     indices = filter_indices(kernel, _cbatch(rows))
     assert list(indices) == [2]
