@@ -282,9 +282,11 @@ class SoftDB:
         ``_read_scope()`` (a context manager around a query's execution:
         a session pins its snapshot there), its transaction (``_begin()``,
         ``_commit()``, ``_rollback()``, and ``_txn``, None when none is
-        open) and ``_run_dml(apply)``, which calls one of the
-        :mod:`repro.dml` appliers with that context's ``rows``, ``txn``
-        and ``claim`` and returns the affected-row count.
+        open) and ``_run_dml(apply, table_name)``, which calls one of the
+        :mod:`repro.dml` appliers with that context's ``txn`` and
+        ``claim`` and returns the affected-row count (a session first
+        intent-locks the statement's table and installs its snapshot,
+        which the applier locates victims under).
 
         The DML failure rule is the same everywhere: an autocommit
         statement is atomic by itself; inside an open transaction a
@@ -578,7 +580,7 @@ class SoftDB:
     def _rollback(self) -> None:
         self._end().rollback()
 
-    def _run_dml(self, apply: Callable[..., int]) -> int:
+    def _run_dml(self, apply: Callable[..., int], table_name: str) -> int:
         if self._txn is None:
             with self.database._statement_scope():
                 return apply()
@@ -749,7 +751,9 @@ def _dml(apply: Callable[..., int]) -> Handler:
     """A DML statement: the applier, under the context's discipline."""
 
     def handler(db, statement, context, options):
-        return context._run_dml(partial(apply, db.database, statement))
+        return context._run_dml(
+            partial(apply, db.optimizer, statement), statement.table
+        )
 
     return handler
 

@@ -309,8 +309,9 @@ class ConcurrencyEngine:
         low_inclusive: bool,
         high_inclusive: bool,
         snapshot: Snapshot,
-    ) -> Iterator[Tuple[Any, ...]]:
-        """Index range scan as of ``snapshot``, merged in key order.
+    ) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
+        """Index range scan as of ``snapshot``: (rid, image) pairs merged
+        in key order.
 
         The index reflects the *current* heap, so entries for rows
         touched by any versioned writer are set aside and re-derived
@@ -377,4 +378,4 @@ class ConcurrencyEngine:
                 counters.page_reads += 1
                 buffered_page_id = rid.page_id
             counters.rows_read += 1
-            yield row
+            yield rid, row

@@ -298,7 +298,7 @@ class Session:
             if release:
                 self.cc.release_snapshot(snapshot)
 
-    def _run_dml(self, apply: Callable[..., int]) -> int:
+    def _run_dml(self, apply: Callable[..., int], table_name: str) -> int:
         if self._txn is None and not self.cc.tracking:
             # Single-session fast path: the facade's autocommit.
             with self.db.database._statement_scope():
@@ -307,10 +307,11 @@ class Session:
         if own:
             self._begin()
         try:
+            # Intent-lock the table before locating victims, which the
+            # applier reads as of the snapshot installed here.
+            self.cc.locks.lock_table_ix(self._cc_id, table_name)
             with self.cc.writing(self._cc_id), self.cc.reading(self._snapshot):
-                count = apply(
-                    rows=self._writable_rows, txn=self._txn, claim=self._claim
-                )
+                count = apply(txn=self._txn, claim=self._claim)
             # The session may have been closed while this statement was
             # blocked on a lock; it must not commit into a closed
             # session.
@@ -328,12 +329,6 @@ class Session:
         if own:
             self._commit()
         return count
-
-    def _writable_rows(self, table):
-        """Row source for a writer: intent-lock the table, then scan the
-        rows this transaction's snapshot can see."""
-        self.cc.locks.lock_table_ix(self._cc_id, table.name)
-        return self.cc.visible_scan(table, self._snapshot)
 
     def _claim(self, table, rid: RowId) -> Tuple[Any, ...]:
         """X-lock one row the statement writes; returns its current heap

@@ -2,14 +2,10 @@
 
 Every context a statement runs in — the facade in autocommit or inside
 ``BEGIN``, a lone :class:`~repro.concurrency.session.Session`, a session
-under MVCC — calls the same three ``apply_*`` functions and differs only
-in three arguments:
+under MVCC — calls the same three ``apply_*`` functions with the shared
+:class:`~repro.optimizer.planner.Optimizer` (whose database is written)
+and differs only in two arguments:
 
-``rows``
-    ``rows(table)`` yields the ``(rid, image)`` pairs victims are located
-    among: by default the heap scan, for a snapshot session its visible
-    scan.  :func:`locate` is the one seam where an optimizer-planned rid
-    stream (ROADMAP item 2) replaces the scan.
 ``txn``
     The caller's open :class:`~repro.engine.transactions.Transaction`, or
     None for an autocommit statement, which is then atomic by itself
@@ -21,16 +17,28 @@ in three arguments:
     returns the row's current image: before a located victim is changed
     (the change is computed from that image) and after a fresh row is
     inserted.  Sessions X-lock the row here.
+
+Victims come from :func:`locate`, which reads the access path the
+optimizer plans for the WHERE as of the snapshot a session installs.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, List, Optional, Tuple
 
 from repro.engine.row import RowId
 from repro.engine.table import HeapTable
 from repro.errors import ExecutionError
+from repro.executor.scans import scan_rids
 from repro.expr.eval import compile_predicate, evaluate
+from repro.optimizer.physical import (
+    EmptyResult,
+    Extend,
+    IndexScan,
+    Project,
+    SeqScan,
+)
 from repro.sql import ast
 
 
@@ -52,24 +60,47 @@ def insert_rows(table: HeapTable, statement: ast.Insert) -> List[List[Any]]:
 
 
 def locate(
-    table: HeapTable, where: Optional[ast.Expression], rows=None
+    optimizer, table: HeapTable, where: Optional[ast.Expression]
 ) -> List[Tuple[RowId, Tuple[Any, ...]]]:
-    """The ``(rid, image)`` pairs of ``rows(table)`` that satisfy ``where``,
-    all found before the first write so a statement never sees its own
-    changes."""
-    source = table.scan() if rows is None else rows(table)
-    if where is None:
-        return list(source)
-    predicate = compile_predicate(where)
+    """The ``(rid, image)`` pairs of ``table`` that satisfy ``where``, in
+    rid order, all found before the first write so a statement never sees
+    its own changes.
+
+    ``SELECT * FROM table WHERE where`` is planned (not compiled) and its
+    leaf read if it is a scan or an empty result of ``table``; any other
+    shape — AST routing's UNION ALL over an exception table, whose rids
+    are not this table's — is read as a sequential scan.  Candidates are
+    checked against ``where`` alone: an introduced conjunct is implied by
+    it and an active soft constraint.  Rid order keeps the writes (the
+    WAL, change events, row forwarding) those of a heap scan.
+    """
+    query = ast.SelectStatement(
+        select_items=[ast.SelectItem(star=True)],
+        from_clause=[ast.TableRef(table.name)],
+        where=where,
+    )
+    node = optimizer.choose_plan(query).root
+    while isinstance(node, (Project, Extend)):
+        node = node.child
+    if not (
+        isinstance(node, (SeqScan, IndexScan, EmptyResult))
+        and node.table_name == table.name
+    ):
+        node = SeqScan(table.name, table.name, where)
+    if isinstance(node, EmptyResult):
+        return []
+    predicate = None if where is None else compile_predicate(where)
     names = table.schema.column_names()
-    return [
+    victims = [
         (rid, row)
-        for rid, row in source
-        if predicate(dict(zip(names, row))) is True
+        for rid, row in scan_rids(optimizer.database, node)
+        if predicate is None or predicate(dict(zip(names, row))) is True
     ]
+    return sorted(victims, key=itemgetter(0))
 
 
-def apply_insert(database, statement, rows=None, txn=None, claim=None) -> int:
+def apply_insert(optimizer, statement, txn=None, claim=None) -> int:
+    database = optimizer.database
     table = database.table(statement.table)
     values = insert_rows(table, statement)
     with database.statement_writer(len(values), txn) as writer:
@@ -80,9 +111,10 @@ def apply_insert(database, statement, rows=None, txn=None, claim=None) -> int:
     return len(values)
 
 
-def apply_delete(database, statement, rows=None, txn=None, claim=None) -> int:
+def apply_delete(optimizer, statement, txn=None, claim=None) -> int:
+    database = optimizer.database
     table = database.table(statement.table)
-    victims = locate(table, statement.where, rows)
+    victims = locate(optimizer, table, statement.where)
     with database.statement_writer(len(victims), txn) as writer:
         for rid, _image in victims:
             if claim is not None:
@@ -91,17 +123,22 @@ def apply_delete(database, statement, rows=None, txn=None, claim=None) -> int:
     return len(victims)
 
 
-def apply_update(database, statement, rows=None, txn=None, claim=None) -> int:
+def apply_update(optimizer, statement, txn=None, claim=None) -> int:
+    database = optimizer.database
     table = database.table(statement.table)
     names = table.schema.column_names()
-    victims = locate(table, statement.where, rows)
+    assignments = [
+        (table.schema.position(column), expression)
+        for column, expression in statement.assignments
+    ]
+    victims = locate(optimizer, table, statement.where)
     with database.statement_writer(len(victims), txn) as writer:
         for rid, image in victims:
             if claim is not None:
                 image = claim(table, rid)
             old = dict(zip(names, image))
-            new = dict(old)
-            for column, expression in statement.assignments:
-                new[column] = evaluate(expression, old)
-            writer.update(table.name, rid, [new[name] for name in names])
+            new = list(image)
+            for position, expression in assignments:
+                new[position] = evaluate(expression, old)
+            writer.update(table.name, rid, new)
     return len(victims)

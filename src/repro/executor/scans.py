@@ -22,6 +22,7 @@ import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.database import Database
+from repro.engine.row import RowId
 from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import ColumnarBatch
 from repro.expr.eval import evaluate
@@ -82,15 +83,26 @@ def _active_snapshot(database: Database):
     return concurrency.current_snapshot()
 
 
-def _seq_source(database: Database, table: Any) -> Iterator[Tuple[Any, ...]]:
-    """Row-tuple source for a sequential scan, snapshot-aware."""
+def scan_rids(
+    database: Database, node: "SeqScan | IndexScan"
+) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
+    """The ``(rid, image)`` pairs a scan reads before its filter, as of
+    this thread's snapshot: the one row source under both scan kinds and
+    under DML (:func:`repro.dml.locate`)."""
+    if isinstance(node, IndexScan):
+        return _index_rows(database, node)
+    table = database.table(node.table_name)
     snapshot = _active_snapshot(database)
     if snapshot is None:
-        return table.scan_rows()
-    return (
-        row
-        for _rid, row in database.concurrency.visible_scan(table, snapshot)
-    )
+        return table.scan()
+    return database.concurrency.visible_scan(table, snapshot)
+
+
+def _scan_rows(
+    database: Database, node: "SeqScan | IndexScan"
+) -> Iterator[Tuple[Any, ...]]:
+    """:func:`scan_rids` without the rids, for the query scans."""
+    return (row for _rid, row in scan_rids(database, node))
 
 
 def _guard_ticks(
@@ -141,7 +153,7 @@ def run_seq_scan(
 ) -> Iterator[RowDict]:
     table = database.table(node.table_name)
     names = tuple(table.schema.column_names())
-    source = _seq_source(database, table)
+    source = _scan_rows(database, node)
     if count_input:
         source = _count_scanned(source, node)
     if guard is not None:
@@ -159,8 +171,9 @@ def run_seq_scan(
 
 def _index_rows(
     database: Database, node: IndexScan
-) -> Iterator[Tuple[Any, ...]]:
-    """Range scan the index and fetch each RID's storage row.
+) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
+    """Range scan the index and fetch each RID's storage row, yielding
+    ``(rid, row)``.
 
     Row fetches go through a one-page buffer: consecutive RIDs on the same
     heap page cost a single page read.  Over a clustered index this makes a
@@ -197,7 +210,7 @@ def _index_rows(
         if row is None:
             continue
         counters.rows_read += 1
-        yield row
+        yield row_id, row
 
 
 def run_index_scan(
@@ -209,7 +222,7 @@ def run_index_scan(
     """Range scan the index, fetch each RID, apply the residual filter."""
     table = database.table(node.table_name)
     names = tuple(table.schema.column_names())
-    source = _index_rows(database, node)
+    source = _scan_rows(database, node)
     if count_input:
         source = _count_scanned(source, node)
     if guard is not None:
@@ -311,7 +324,7 @@ def run_seq_scan_batched(
     names = _qualified_names(node, table)
     snapshot = _active_snapshot(database)
     if quota is not None:
-        chunks = _quota_chunks(_seq_source(database, table), batch_size, quota)
+        chunks = _quota_chunks(_scan_rows(database, node), batch_size, quota)
     elif snapshot is None:
         chunks = _page_chunks(table.scan_row_runs(), batch_size)
     else:
@@ -353,7 +366,7 @@ def run_index_scan_batched(
     exactly — only the transpose/filter/materialize step is vectorized.
     """
     table = database.table(node.table_name)
-    chunks = _quota_chunks(_index_rows(database, node), batch_size, quota)
+    chunks = _quota_chunks(_scan_rows(database, node), batch_size, quota)
     if count_input:
         chunks = _count_scanned(chunks, node, len)
     return _scan_chunks(chunks, _qualified_names(node, table), node, guard)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.engine.database import Database
 from repro.errors import OptimizerError
@@ -117,6 +117,21 @@ class Optimizer:
             sql = sql_of(statement)
         if not ast.is_query(statement):
             raise OptimizerError("only SELECT statements can be optimized")
+        plan = self.choose_plan(statement, sql)
+        if self.config.compile_expressions:
+            attach_compiled_expressions(plan)
+        if self.config.track_probation_usage:
+            self._assess_probation(statement, plan.sc_dependencies)
+        return plan
+
+    def choose_plan(
+        self,
+        statement: Union[ast.SelectStatement, ast.UnionAll],
+        sql: str = "",
+    ) -> PhysicalPlan:
+        """:meth:`optimize` without its tail (expression compilation, the
+        probation pass): what :func:`repro.dml.locate` plans a WHERE with,
+        so writes do not fill the compile cache with one-off literals."""
         logical = build_logical_plan(self.database, statement)
         context = RewriteContext(self.database, self.registry, self.config)
         logical = self.rewrite_engine.rewrite(logical, context)
@@ -140,10 +155,6 @@ class Optimizer:
         plan.rewrites_applied = context.applied
         plan.estimation_notes = context.estimation_notes
         self._snapshot_versions(plan)
-        if self.config.compile_expressions:
-            attach_compiled_expressions(plan)
-        if self.config.track_probation_usage:
-            self._assess_probation(statement, context)
         return plan
 
     def _snapshot_versions(self, plan: PhysicalPlan) -> None:
@@ -160,15 +171,15 @@ class Optimizer:
 
     def _assess_probation(
         self, statement: Union[ast.SelectStatement, ast.UnionAll],
-        real_context: RewriteContext,
+        used: Set[str],
     ) -> None:
         """Shadow rewrite pass crediting PROBATION SCs (Section 3.2).
 
         Re-runs the rewrite pipeline with probation constraints treated as
         active; any probation constraint the shadow pass depends on (but
-        the real pass did not) would have helped this query, so its usage
-        counter is bumped.  Nothing from the shadow pass reaches the real
-        plan.
+        the real pass, whose dependencies are ``used``, did not) would have
+        helped this query, so its usage counter is bumped.  Nothing from
+        the shadow pass reaches the real plan.
         """
         registry = self.registry
         if registry is None or not hasattr(registry, "probation_names"):
@@ -181,9 +192,7 @@ class Optimizer:
         )
         shadow_logical = build_logical_plan(self.database, statement)
         self.rewrite_engine.rewrite(shadow_logical, shadow_context)
-        would_have_used = (
-            shadow_context.sc_dependencies - real_context.sc_dependencies
-        ) & probation
+        would_have_used = (shadow_context.sc_dependencies - used) & probation
         for name in would_have_used:
             registry.record_probation_use(name)
 

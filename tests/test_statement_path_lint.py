@@ -1,5 +1,5 @@
 """Statement-path lint: one dispatch on DML kinds, one place a DML WHERE
-is compiled.
+is compiled, and victims read only from the planned access path.
 
 The paper's contract — maintenance synchronous with every update, a
 rewrite never changing an answer — has to hold on every copy of "find
@@ -140,3 +140,31 @@ def test_dml_where_is_compiled_in_the_applier_only():
     assert any(
         where for _, where in _compile_predicate_calls(applier)
     ), "the lint lost sight of the applier's compile"
+
+
+#: Heap scans a DML statement could locate its victims with instead of
+#: the access path the optimizer planned.
+HEAP_SCANS = {"scan", "visible_scan"}
+
+
+def test_dml_victims_come_only_from_the_planned_stream():
+    applier = ast.parse((SRC / APPLIER).read_text())
+    calls = [
+        (getattr(node.func, "id", None) or getattr(node.func, "attr", None),
+         node.lineno)
+        for node in ast.walk(applier)
+        if isinstance(node, ast.Call)
+    ]
+    offenders = [
+        f"src/repro/{APPLIER}:{line} calls {name}()"
+        for name, line in calls
+        if name in HEAP_SCANS
+    ]
+    assert not offenders, (
+        "repro.dml must read victims from the planned rid stream "
+        "(executor.scans.scan_rids), not a heap scan:\n  "
+        + "\n  ".join(offenders)
+    )
+    assert any(name == "scan_rids" for name, _ in calls), (
+        "the lint lost sight of the planned stream"
+    )
