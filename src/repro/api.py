@@ -72,8 +72,9 @@ class SoftDB:
         :meth:`SoftDB.open` provide crash recovery; without it the
         session is purely in-memory (the historical behavior).
     crash_points:
-        Optional :class:`~repro.resilience.faults.CrashSchedule` arming
-        the durability layer's deterministic crash sites (testing only).
+        Optional :class:`~repro.resilience.faults.FaultInjector` whose
+        ``crash`` specs arm the durability layer's deterministic crash
+        sites (testing only).
     """
 
     def __init__(

@@ -29,7 +29,6 @@ the chaos suite's "typed errors only" contract extends over the wire.
 from __future__ import annotations
 
 import asyncio
-import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency.server import SessionClient
@@ -40,76 +39,9 @@ from repro.errors import (
     ReplicaUnavailableError,
     ShutdownError,
 )
-from repro.resilience.guards import VirtualClock
+from repro.resilience.faults import BackoffPolicy
 
 __all__ = ["BackoffPolicy", "FailoverClient"]
-
-
-class BackoffPolicy:
-    """Capped exponential backoff with seeded jitter and an overall
-    elapsed-time budget.
-
-    ``max_elapsed`` bounds the *total* virtual time a caller may spend
-    backing off across a retry sequence: when granting one more delay
-    would push the cumulative total past the budget, :meth:`delay`
-    raises :class:`~repro.errors.ReplicaUnavailableError` instead —
-    chained (``from cause``) to the failure that provoked the retry, so
-    the caller's traceback still names the real problem.  A delay that
-    lands the total exactly on ``max_elapsed`` is still granted; only
-    exceeding it trips.  Time is accounted on a
-    :class:`~repro.resilience.guards.VirtualClock`, so budget tests are
-    deterministic and sleep-free.
-    """
-
-    def __init__(
-        self,
-        base_delay: float = 0.01,
-        multiplier: float = 2.0,
-        cap: float = 0.5,
-        jitter: float = 0.5,
-        seed: int = 0,
-        max_elapsed: Optional[float] = None,
-        clock: Optional[VirtualClock] = None,
-    ) -> None:
-        self.base_delay = base_delay
-        self.multiplier = multiplier
-        self.cap = cap
-        self.jitter = jitter
-        self.rng = random.Random(seed)
-        self.max_elapsed = max_elapsed
-        self.clock = clock if clock is not None else VirtualClock()
-        self.elapsed = 0.0
-        self.exhaustions = 0
-
-    def delay(
-        self, attempt: int, cause: Optional[BaseException] = None
-    ) -> float:
-        """Sleep before retry number ``attempt`` (0-based): capped
-        exponential, then jittered down by up to ``jitter`` of itself.
-
-        Raises :class:`~repro.errors.ReplicaUnavailableError` (chained
-        to ``cause``) when granting this delay would exceed the
-        ``max_elapsed`` budget.
-        """
-        base = min(self.cap, self.base_delay * (self.multiplier ** attempt))
-        chosen = base * (1.0 - self.jitter * self.rng.random())
-        if (
-            self.max_elapsed is not None
-            and self.elapsed + chosen > self.max_elapsed
-        ):
-            self.exhaustions += 1
-            raise ReplicaUnavailableError(
-                f"retry budget exhausted: {self.elapsed:.4f}s of backoff "
-                f"spent and the next {chosen:.4f}s delay would exceed "
-                f"max_elapsed={self.max_elapsed}"
-            ) from cause
-        self.elapsed += chosen
-        self.clock.sleep(chosen)
-        return chosen
-
-    def reset(self) -> None:
-        """Open a fresh budget window (a new logical operation)."""
-        self.elapsed = 0.0
 
 
 class FailoverClient:
@@ -122,11 +54,11 @@ class FailoverClient:
     connect_timeout / statement_timeout:
         Bounds per attempt; breaches classify as
         :class:`~repro.errors.NetworkError`.
-    max_attempts:
-        Total statement attempts (across endpoints) before giving up
-        with :class:`~repro.errors.ReplicaUnavailableError`.
     backoff:
-        A :class:`BackoffPolicy`; defaults to a fast seeded one.
+        A :class:`~repro.resilience.faults.BackoffPolicy`; defaults to a
+        fast seeded one.  Its ``max_attempts`` is the total statement
+        attempts (across endpoints) before giving up with
+        :class:`~repro.errors.ReplicaUnavailableError`.
     """
 
     def __init__(
@@ -134,7 +66,6 @@ class FailoverClient:
         endpoints: Sequence[Tuple[str, int]],
         connect_timeout: float = 2.0,
         statement_timeout: float = 10.0,
-        max_attempts: int = 6,
         backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         self.endpoints: List[Tuple[str, int]] = list(endpoints)
@@ -144,7 +75,6 @@ class FailoverClient:
             )
         self.connect_timeout = connect_timeout
         self.statement_timeout = statement_timeout
-        self.max_attempts = max_attempts
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self._client: Optional[SessionClient] = None
         self._endpoint_index = 0
@@ -171,7 +101,7 @@ class FailoverClient:
         they retry regardless.
         """
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.backoff.max_attempts):
             if attempt:
                 self.retries += 1
                 await asyncio.sleep(
@@ -207,7 +137,7 @@ class FailoverClient:
                     raise
         raise ReplicaUnavailableError(
             f"all {len(self.endpoints)} endpoint(s) failed after "
-            f"{self.max_attempts} attempts: {last_error}"
+            f"{self.backoff.max_attempts} attempts: {last_error}"
         ) from last_error
 
     async def close(self) -> None:

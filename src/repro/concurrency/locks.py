@@ -160,12 +160,3 @@ class LockManager:
                     else:
                         del self._locks[key]
             self._cond.notify_all()
-
-    def held_by(self, txn_id: int) -> Set[LockKey]:
-        with self._mutex:
-            return set(self._held.get(txn_id, ()))
-
-    @property
-    def locks_held(self) -> int:
-        with self._mutex:
-            return sum(len(keys) for keys in self._held.values())

@@ -31,7 +31,7 @@ the chains under the aborted stamp, and both roads lead to the same row.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.engine.row import RowId
 from repro.errors import TransactionError
@@ -273,13 +273,6 @@ class VersionStore:
         if entry is None:
             return None
         return entry.stamps.get(rid)
-
-    def touched_rids(self, table_name: str) -> Iterator[RowId]:
-        entry = self._tables.get(table_name)
-        if entry is None:
-            return
-        for rid in list(entry.chains.keys()):
-            yield rid
 
     # -- vacuum -------------------------------------------------------------
 

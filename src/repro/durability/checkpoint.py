@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 
 from repro.durability.codec import canonical_dumps
 from repro.errors import WALCorruptionError
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, crash_if_due
 
 __all__ = ["write_checkpoint", "load_checkpoint"]
 
@@ -36,7 +36,7 @@ __all__ = ["write_checkpoint", "load_checkpoint"]
 def write_checkpoint(
     path: Path,
     payload: Dict[str, Any],
-    crash_points: Optional[CrashSchedule] = None,
+    crash_points: Optional[FaultInjector] = None,
 ) -> None:
     """Write ``payload`` to ``path`` via tmp-file + atomic rename."""
     path = Path(path)
@@ -48,12 +48,7 @@ def write_checkpoint(
         handle.write(body)
         handle.flush()
         os.fsync(handle.fileno())
-    if crash_points is not None and crash_points.should_crash(
-        "checkpoint_write"
-    ):
-        raise SimulatedCrash(
-            "simulated crash before checkpoint rename", site="checkpoint_write"
-        )
+    crash_if_due(crash_points, "checkpoint_write")
     os.replace(tmp, path)
 
 

@@ -52,7 +52,7 @@ from repro.errors import (
     ReproError,
     TransactionError,
 )
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, crash_if_due
 from repro.softcon.base import SCState
 
 WAL_NAME = "wal.log"
@@ -77,7 +77,7 @@ class DurabilityManager:
     def __init__(
         self,
         path: Any,
-        crash_points: Optional[CrashSchedule] = None,
+        crash_points: Optional[FaultInjector] = None,
     ) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
@@ -477,7 +477,7 @@ class DurabilityManager:
     def _build_payload(self) -> Dict[str, Any]:
         database = self.database
         catalog = database.catalog
-        schedule = self.crash_points
+        crash_points = self.crash_points
         if self.promotion_epoch:
             # The image must carry the epoch even when it was recovered
             # from a promote WAL record alone: a compacting checkpoint
@@ -488,13 +488,7 @@ class DurabilityManager:
         for table in catalog.tables.values():
             pages = []
             for page in table.pages.pages:
-                if schedule is not None and schedule.should_crash(
-                    "page_flush"
-                ):
-                    raise SimulatedCrash(
-                        "simulated crash flushing a checkpoint page",
-                        site="page_flush",
-                    )
+                crash_if_due(crash_points, "page_flush")
                 pages.append(codec.encode_page(page))
             tables.append(
                 {
@@ -504,11 +498,7 @@ class DurabilityManager:
                     "insert_hint": table.pages._insert_hint,
                 }
             )
-        if schedule is not None and schedule.should_crash("catalog_serialize"):
-            raise SimulatedCrash(
-                "simulated crash serializing the catalog",
-                site="catalog_serialize",
-            )
+        crash_if_due(crash_points, "catalog_serialize")
         summary_tables = []
         for name, definition in catalog.summary_tables().items():
             constraint = getattr(definition, "constraint", None)

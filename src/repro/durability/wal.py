@@ -16,10 +16,13 @@ committed, by WAL ordering, so nothing is lost).  A torn record anywhere
 *before* the tail means real corruption and raises
 :class:`~repro.errors.WALCorruptionError`.
 
-Crash injection: when a :class:`~repro.resilience.faults.CrashSchedule`
-fires at the ``wal_append`` site, the log writes only a prefix of the
-framed record — a torn final record, exactly what a real crash leaves —
-and raises :class:`~repro.resilience.faults.SimulatedCrash`.
+Crash injection: when the ``crash_points``
+:class:`~repro.resilience.faults.FaultInjector` schedules a crash at the
+``wal_append`` site, the log writes only a prefix of the framed record —
+a torn final record, exactly what a real crash leaves — and raises
+:class:`~repro.resilience.faults.SimulatedCrash`.  A replica mirrors the
+primary's lines through the same :meth:`WriteAheadLog.append_line`, so
+it dies the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.codec import canonical_dumps
 from repro.errors import WALCorruptionError
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 
 __all__ = ["WriteAheadLog"]
 
@@ -51,7 +54,7 @@ class WriteAheadLog:
     """
 
     def __init__(
-        self, path: Path, crash_points: Optional[CrashSchedule] = None
+        self, path: Path, crash_points: Optional[FaultInjector] = None
     ) -> None:
         self.path = Path(path)
         self.crash_points = crash_points
@@ -84,18 +87,19 @@ class WriteAheadLog:
         self.append_line(_frame(record))
 
     def append_line(self, line: bytes) -> None:
-        """Buffer one pre-framed line (the hot DML fast path).
+        """Buffer one pre-framed line, verbatim.
 
-        The durability manager composes row *run* records as framed
-        bytes directly — they dominate the log, and the generic
-        dict-encode path costs more than the engine work being logged.
-        Crash-site accounting is identical to :meth:`append`: every
-        record append is one ``wal_append`` visit.
+        Two callers: the durability manager, which composes row *run*
+        records as framed bytes directly (they dominate the log, and the
+        generic dict-encode path costs more than the engine work being
+        logged), and a replica mirroring the primary's lines — its log
+        must stay a byte prefix of the primary's.  Every call is one
+        ``wal_append`` visit, exactly like :meth:`append`.
         """
         if self.dead:
             return
-        schedule = self.crash_points
-        if schedule is not None and schedule.should_crash("wal_append"):
+        injector = self.crash_points
+        if injector is not None and injector.decide("wal_append") == "crash":
             # A crash mid-append leaves a prefix of the framed bytes on
             # disk: the torn final record recovery must tolerate.
             self._file.write(line[: max(1, len(line) // 2)])
@@ -106,27 +110,6 @@ class WriteAheadLog:
             )
         self._file.write(line)
         self.appended += 1
-
-    def mirror_line(self, line: bytes) -> None:
-        """Append one already-framed line verbatim (the replica path).
-
-        No crash-site consult and no re-framing: a replica's log must
-        stay a byte prefix of the primary's, and the replica's ingest
-        layer owns its own crash simulation (see :meth:`tear`).
-        """
-        if self.dead:
-            return
-        self._file.write(line)
-        self.appended += 1
-
-    def tear(self, line: bytes) -> None:
-        """Simulate dying mid-append of ``line``: a torn prefix reaches
-        the disk and the log is latched dead (replica kill support)."""
-        if self.dead:
-            return
-        self._file.write(line[: max(1, len(line) // 2)])
-        self._file.flush()
-        self.dead = True
 
     def flush(self) -> None:
         if self.dead:

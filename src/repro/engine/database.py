@@ -242,6 +242,13 @@ class Database:
             return _NULL_SCOPE
         return concurrency.latch
 
+    def _pinned(self, table_name: str):
+        """Tombstones a row placement must skip (none without sessions)."""
+        concurrency = self.concurrency
+        if concurrency is None:
+            return None
+        return concurrency.pinned(table_name)
+
     @contextmanager
     def statement_writer(self, count: int, txn=None):
         """Yield what one DML statement writes its ``count`` rows through
@@ -280,7 +287,7 @@ class Database:
             if not constraint.is_informational:
                 constraint.check_insert(self, row)
         with self._mutation_guard(), self._statement_scope():
-            row_id = table.insert(row)
+            row_id = table.insert(row, self._pinned(table.name))
             for index in self.catalog.indexes_on(table.name):
                 index.insert(row, row_id)
             if self.concurrency is not None:
@@ -349,7 +356,9 @@ class Database:
             if old_key != new_key:
                 fk.check_parent_delete(self, old_row)
         with self._mutation_guard(), self._statement_scope():
-            new_id, _ = table.update(row_id, new_row)
+            new_id, _ = table.update(
+                row_id, new_row, self._pinned(table.name)
+            )
             for index in self.catalog.indexes_on(table.name):
                 index.update(old_row, row_id, new_row, new_id)
             if self.concurrency is not None:

@@ -235,7 +235,7 @@ class BTreeIndex:
         last_error: Optional[Exception] = None
         for attempt in range(injector.retry.max_attempts):
             if attempt:
-                injector.clock.sleep(injector.retry.delay(attempt - 1))
+                injector.retry.delay(attempt - 1)
                 self.counters.page_reads += self.height
             kind = injector.decide("index_probe")
             if kind == "transient":

@@ -17,7 +17,7 @@ injector the read path is exactly the two-line fast path it always was.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import PageCorruptionError, PageOverflowError, TransientIOError
 
@@ -26,6 +26,10 @@ _PAGE_HEADER = 32
 
 #: Largest row a page can hold (checked before any write is attempted).
 MAX_ROW_BYTES = PAGE_SIZE - _PAGE_HEADER
+
+#: ``(page_id, slot_no) -> True`` for a tombstone an insert must not
+#: reuse (see :meth:`repro.concurrency.engine.ConcurrencyEngine.pinned`).
+Pinned = Callable[[int, int], bool]
 
 
 def _slot_hash(slot_no: int, value: Any) -> int:
@@ -56,35 +60,51 @@ class Page:
     def live_rows(self) -> int:
         return sum(1 for slot in self.slots if slot is not None)
 
-    def can_fit(self, row_bytes: int) -> bool:
-        """Room for a row: fresh free space or a large-enough tombstone."""
+    def _reusable_slot(
+        self, row_bytes: int, pinned: Optional[Pinned] = None
+    ) -> Optional[int]:
+        """The first tombstone that can hold the row and is not
+        ``pinned``, or None."""
+        for slot_no, slot in enumerate(self.slots):
+            if (
+                slot is None
+                and self.slot_sizes[slot_no] >= row_bytes
+                and not (pinned and pinned(self.page_id, slot_no))
+            ):
+                return slot_no
+        return None
+
+    def can_fit(self, row_bytes: int, pinned: Optional[Pinned] = None) -> bool:
+        """Room for a row: fresh free space or a reusable tombstone."""
         if row_bytes <= self.free_bytes:
             return True
-        return any(
-            slot is None and size >= row_bytes
-            for slot, size in zip(self.slots, self.slot_sizes)
-        )
+        return self._reusable_slot(row_bytes, pinned) is not None
 
-    def insert(self, row: Tuple[Any, ...], row_bytes: int) -> int:
+    def insert(
+        self,
+        row: Tuple[Any, ...],
+        row_bytes: int,
+        pinned: Optional[Pinned] = None,
+    ) -> int:
         """Place a row on this page, returning the slot number.
 
-        Reuses a tombstoned slot when one can hold the row; otherwise
-        appends a new slot.
+        Reuses a tombstoned slot when one can hold the row and is not
+        ``pinned``; otherwise appends a new slot.
         """
         if row_bytes > MAX_ROW_BYTES:
             raise PageOverflowError(
                 f"row of {row_bytes} bytes exceeds page capacity"
             )
-        for slot_no, slot in enumerate(self.slots):
-            if slot is None and self.slot_sizes[slot_no] >= row_bytes:
-                self.checksum ^= _slot_hash(slot_no, None) ^ _slot_hash(
-                    slot_no, row
-                )
-                self.slots[slot_no] = row
-                # The slot keeps its original size: the simulated layout
-                # does not compact within a page.
-                return slot_no
-        if not self.can_fit(row_bytes):
+        slot_no = self._reusable_slot(row_bytes, pinned)
+        if slot_no is not None:
+            self.checksum ^= _slot_hash(slot_no, None) ^ _slot_hash(
+                slot_no, row
+            )
+            self.slots[slot_no] = row
+            # The slot keeps its original size: the simulated layout
+            # does not compact within a page.
+            return slot_no
+        if row_bytes > self.free_bytes:
             raise PageOverflowError("page full")
         slot_no = len(self.slots)
         self.slots.append(row)
@@ -208,10 +228,12 @@ class PageManager:
         self.pages.append(page)
         return page
 
-    def page_for_insert(self, row_bytes: int) -> Page:
+    def page_for_insert(
+        self, row_bytes: int, pinned: Optional[Pinned] = None
+    ) -> Page:
         """Find (or allocate) a page with room for ``row_bytes``."""
         for page_id in range(self._insert_hint, len(self.pages)):
-            if self.pages[page_id].can_fit(row_bytes):
+            if self.pages[page_id].can_fit(row_bytes, pinned):
                 self._insert_hint = page_id
                 return self.pages[page_id]
         page = self.allocate()
@@ -245,7 +267,7 @@ class PageManager:
         last_error: Optional[Exception] = None
         for attempt in range(injector.retry.max_attempts):
             if attempt:
-                injector.clock.sleep(injector.retry.delay(attempt - 1))
+                injector.retry.delay(attempt - 1)
                 self.counters.page_reads += 1
             kind = injector.decide("page_read")
             if kind == "transient":
@@ -287,7 +309,7 @@ class PageManager:
         last_error: Optional[Exception] = None
         for attempt in range(injector.retry.max_attempts):
             if attempt:
-                injector.clock.sleep(injector.retry.delay(attempt - 1))
+                injector.retry.delay(attempt - 1)
             kind = injector.decide("page_write")
             if kind is None:
                 return

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.page import MAX_ROW_BYTES, IOCounters, PageManager
+from repro.engine.page import MAX_ROW_BYTES, IOCounters, PageManager, Pinned
 from repro.engine.row import RowId
 from repro.engine.schema import TableSchema
 from repro.errors import PageOverflowError, StorageError
@@ -53,12 +53,14 @@ class HeapTable:
 
     # -- DML ------------------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> RowId:
+    def insert(
+        self, values: Sequence[Any], pinned: Optional[Pinned] = None
+    ) -> RowId:
         """Validate, coerce and store one row; returns its new RowId.
 
         All failure modes (validation, overflow, a surfaced write fault)
         are checked *before* any page mutates, so a raising insert leaves
-        the heap image untouched.
+        the heap image untouched.  ``pinned`` tombstones are not reused.
         """
         row = self.schema.validate_row(values)
         row_bytes = self.schema.row_size(row)
@@ -66,9 +68,9 @@ class HeapTable:
             raise PageOverflowError(
                 f"row of {row_bytes} bytes exceeds page capacity"
             )
-        page = self.pages.page_for_insert(row_bytes)
+        page = self.pages.page_for_insert(row_bytes, pinned)
         self.pages.touch_write()
-        slot_no = page.insert(row, row_bytes)
+        slot_no = page.insert(row, row_bytes, pinned)
         self.pages.wrote_row()
         self._row_count += 1
         return RowId(page.page_id, slot_no)
@@ -109,12 +111,18 @@ class HeapTable:
         self._row_count -= 1
         return row
 
-    def update(self, row_id: RowId, values: Sequence[Any]) -> Tuple[RowId, Tuple[Any, ...]]:
+    def update(
+        self,
+        row_id: RowId,
+        values: Sequence[Any],
+        pinned: Optional[Pinned] = None,
+    ) -> Tuple[RowId, Tuple[Any, ...]]:
         """Replace a row's image.
 
         Returns ``(new_row_id, old_image)``.  When the new image does not
         fit in place the row moves (delete + insert), exactly as a
-        disk-based heap would forward it.
+        disk-based heap would forward it — never into a ``pinned``
+        tombstone.
         """
         new_row = self.schema.validate_row(values)
         row_bytes = self.schema.row_size(new_row)
@@ -134,10 +142,10 @@ class HeapTable:
         # target page) are charged up front so a surfaced write fault
         # raises before either page mutates; only then are the delete and
         # the placement applied, which cannot fail.
-        target = self.pages.page_for_insert(row_bytes)
+        target = self.pages.page_for_insert(row_bytes, pinned)
         self.pages.touch_write(2)
         page.delete(row_id.slot_no)
-        slot_no = target.insert(new_row, row_bytes)
+        slot_no = target.insert(new_row, row_bytes, pinned)
         self.pages.wrote_row()
         return RowId(target.page_id, slot_no), old_row
 
@@ -152,8 +160,11 @@ class HeapTable:
         the original chose against (e.g. after a rolled-back statement
         left tombstones that the replayed prefix does not recreate).
         Pages are allocated up to the target, slot gaps are padded with
-        tombstones, and the incremental XOR checksum is maintained so
-        :meth:`~repro.engine.page.Page.verify` holds afterwards.
+        0-byte tombstones, and the incremental XOR checksum is maintained
+        so :meth:`~repro.engine.page.Page.verify` holds afterwards.  No
+        row is 0 bytes, so a 0-byte tombstone is such a gap — a replica
+        applying transactions in commit order fills slots out of log
+        order — and the row takes it, charged as an append would be.
         """
         from repro.engine.page import _slot_hash
 
@@ -163,23 +174,27 @@ class HeapTable:
             self.pages.allocate()
         page = self.pages.pages[row_id.page_id]
         self.pages.touch_write()
-        if row_id.slot_no < len(page.slots):
-            if page.slots[row_id.slot_no] is not None:
+        slot_no = row_id.slot_no
+        if slot_no < len(page.slots):
+            if page.slots[slot_no] is not None:
                 raise StorageError(
                     f"redo replay cannot place a row at occupied {row_id}"
                 )
-            if page.slot_sizes[row_id.slot_no] < row_bytes:
+            if page.slot_sizes[slot_no] == 0:
+                page.slot_sizes[slot_no] = row_bytes
+                page.used_bytes += row_bytes
+            elif page.slot_sizes[slot_no] < row_bytes:
                 raise StorageError(
                     f"redo replay row does not fit the tombstone at {row_id}"
                 )
-            page.checksum ^= _slot_hash(row_id.slot_no, None)
-            page.checksum ^= _slot_hash(row_id.slot_no, row)
+            page.checksum ^= _slot_hash(slot_no, None)
+            page.checksum ^= _slot_hash(slot_no, row)
             # Mirror Page.insert's tombstone reuse: the slot keeps its
             # original size (no within-page compaction), so the replayed
             # page image stays bit-identical to the original run's.
-            page.slots[row_id.slot_no] = row
+            page.slots[slot_no] = row
         else:
-            while len(page.slots) < row_id.slot_no:
+            while len(page.slots) < slot_no:
                 gap = len(page.slots)
                 page.slots.append(None)
                 page.slot_sizes.append(0)
@@ -187,7 +202,7 @@ class HeapTable:
             page.slots.append(row)
             page.slot_sizes.append(row_bytes)
             page.used_bytes += row_bytes
-            page.checksum ^= _slot_hash(row_id.slot_no, row)
+            page.checksum ^= _slot_hash(slot_no, row)
         self.pages.wrote_row()
         self._row_count += 1
         # Mirror page_for_insert: the hint follows the last placement.

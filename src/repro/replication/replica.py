@@ -43,7 +43,7 @@ from repro.errors import (
     ReproError,
     ResyncRequiredError,
 )
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 from repro.softcon.currency import CurrencyModel
 from repro.sql.ast import Statement, is_query
 
@@ -83,17 +83,19 @@ class Replica:
     name:
         Display/routing name; defaults to the directory name.
     crash_points:
-        Optional :class:`~repro.resilience.faults.CrashSchedule`.  The
-        ``wal_append`` site is visited once per mirrored record, so a
-        scheduled crash kills the replica mid-stream with a torn final
-        record — exactly what the primary-side crash suite inflicts.
+        Optional :class:`~repro.resilience.faults.FaultInjector` for the
+        replica's own durability layer.  Mirrored records go through the
+        same WAL append as the primary's, one ``wal_append`` visit each,
+        so a scheduled crash kills the replica mid-stream with a torn
+        final record — exactly what the primary-side crash suite
+        inflicts.
     """
 
     def __init__(
         self,
         path: Any,
         name: Optional[str] = None,
-        crash_points: Optional[CrashSchedule] = None,
+        crash_points: Optional[FaultInjector] = None,
     ) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
@@ -319,16 +321,11 @@ class Replica:
 
     def _ingest(self, line: bytes, record: Dict[str, Any]) -> None:
         """Mirror one framed line and dispatch its record."""
-        wal = self.db.durability.wal
-        schedule = self.crash_points
-        if schedule is not None and schedule.should_crash("wal_append"):
-            wal.tear(line)
+        try:
+            self.db.durability.wal.append_line(line)
+        except SimulatedCrash:
             self.dead = True
-            raise SimulatedCrash(
-                "simulated replica crash during WAL mirror",
-                site="wal_append",
-            )
-        wal.mirror_line(line)
+            raise
         self.lines_received += 1
         op = record.get("op")
         txn = record.get("txn")

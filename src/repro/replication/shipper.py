@@ -28,7 +28,7 @@ replica from a fresh primary image rather than shipping across a gap.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     ReplicaUnavailableError,
@@ -296,11 +296,6 @@ class WalShipper:
         )
         replica.note_lag(durable, behind)
         return replica.lag()
-
-    def lag_report(self) -> Dict[str, Any]:
-        return {
-            name: link.replica.lag() for name, link in self.links.items()
-        }
 
     # -- internals -----------------------------------------------------------
 

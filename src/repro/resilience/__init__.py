@@ -10,12 +10,16 @@ safety substrate the paper assumed from DB2:
   deadline, rows-materialized, page-read and join-pair budgets, checked
   cooperatively at row/batch boundaries by both executors, with an
   ``abort`` or ``partial`` (truncated result) breach policy;
-* :class:`~repro.resilience.faults.FaultInjector` — seeded,
-  deterministic transient-I/O and bit-flip-corruption injection at the
-  page-read / page-write / index-probe sites, backed by per-page and
-  per-index checksums, bounded retry-with-backoff on a
+* :class:`~repro.resilience.faults.FaultInjector` — the one seeded,
+  deterministic fault schedule, consulted at every site of
+  :data:`~repro.resilience.faults.SITE_KINDS`: transient I/O and
+  bit-flip corruption at the page-read / page-write / index-probe sites
+  (backed by per-page and per-index checksums, retry on a
+  :class:`~repro.resilience.faults.BackoffPolicy` over a
   :class:`~repro.resilience.guards.VirtualClock`, and index quarantine +
-  rebuild-from-heap;
+  rebuild-from-heap), lossy-network kinds at the replication sites, and
+  process death (:class:`~repro.resilience.faults.SimulatedCrash`) at
+  the durability crash sites;
 * the chaos differential harness (``pytest -m chaos``) proves that under
   injection every query yields either the fault-free answer or a typed
   :class:`~repro.errors.ReproError` — never a silently wrong result.
@@ -26,13 +30,11 @@ mark a plan suspect exactly like a large q-error would (see
 """
 
 from repro.resilience.faults import (
-    KINDS,
-    NETWORK_KINDS,
-    NETWORK_SITES,
-    SITES,
+    SITE_KINDS,
+    BackoffPolicy,
     FaultInjector,
     FaultSpec,
-    RetryPolicy,
+    SimulatedCrash,
 )
 from repro.resilience.guards import (
     ActiveGuard,
@@ -44,15 +46,13 @@ from repro.resilience.guards import (
 
 __all__ = [
     "ActiveGuard",
+    "BackoffPolicy",
     "CancellationToken",
     "FaultInjector",
     "FaultSpec",
-    "KINDS",
-    "NETWORK_KINDS",
-    "NETWORK_SITES",
     "QueryGuard",
-    "RetryPolicy",
-    "SITES",
+    "SITE_KINDS",
+    "SimulatedCrash",
     "VirtualClock",
     "format_guard_report",
 ]

@@ -1,32 +1,46 @@
-"""Deterministic storage fault injection.
+"""Deterministic fault injection: one seeded schedule for every fault site.
 
-A :class:`FaultInjector` is attached to a database (see
-:meth:`repro.engine.database.Database.attach_fault_injector`) and
-consulted at the storage *sites*:
+A :class:`FaultInjector` holds :class:`FaultSpec` entries (site + kind +
+cadence) and is consulted at every visit of a named *site*.
+:data:`SITE_KINDS` is the whole vocabulary: a spec naming a fault its
+site would not inflict raises :class:`~repro.errors.ExecutionError`.
 
-* ``page_read`` — every counted :meth:`PageManager.read_page`;
-* ``page_write`` — every counted logical page write;
-* ``index_probe`` — every B-tree descent (equality probe, range scan,
-  min/max lookup).
+**Storage sites** (attach with
+:meth:`repro.engine.database.Database.attach_fault_injector`):
+``page_read`` is every counted :meth:`PageManager.read_page`,
+``page_write`` every counted logical page write, ``index_probe`` every
+B-tree descent.  ``transient`` is a simulated transient I/O error,
+retried on the injector's :class:`BackoffPolicy` (virtual clock, no real
+sleeps) until :class:`~repro.errors.TransientIOError` surfaces with the
+attempt budget spent.  ``corrupt`` is a bit flip caught by checksums: a
+page read heals the torn buffered copy and retries, an index is
+quarantined until rebuilt from the heap, and a page write treats it as a
+failed write-verify and retries — it never lands corrupted.
 
-Each :class:`FaultSpec` schedules one fault *kind* at one site, either
-probabilistically (seeded RNG — identical seed, identical fault
-sequence) or on an every-Nth-visit cadence, optionally bounded by a
-total injection ``limit``.  Kinds:
+**Network sites** (:mod:`repro.replication`): a ``net_frame`` visit is
+one shipment of framed WAL to one replica's link, a ``heartbeat`` visit
+one lease-renewal heartbeat to the failure detector.  ``drop`` loses it
+(the pull cursor re-ships; a lost heartbeat renews nothing),
+``truncate`` delivers a torn prefix (the CRC check rejects the torn
+frame), ``delay`` parks it for late delivery (a duplicate by then, or a
+late renewal the detector counts as a flap), and ``sever`` cuts the
+connection until restored.  The heartbeat also honours
+``asym_partition``: the control direction is cut while data still
+flows — the canonical split-brain inducer, where only fencing keeps
+history single.
 
-* ``"transient"`` — a simulated transient I/O error; the storage layer
-  retries with exponential backoff on the injector's
-  :class:`~repro.resilience.guards.VirtualClock` (no real sleeps) and
-  raises :class:`~repro.errors.TransientIOError` only when the retry
-  budget is exhausted;
-* ``"corrupt"`` — bit-flip corruption of the target's contents, detected
-  by checksums.  A corrupted *page* read is treated as a torn buffered
-  copy: the page is healed (re-read from the intact simulated disk
-  image) and retried.  A corrupted *index* is quarantined and must be
-  rebuilt from the heap.
+**Crash sites** (:mod:`repro.durability`; pass the injector as
+``crash_points``): ``wal_append`` tears the final WAL record,
+``page_flush`` and ``catalog_serialize`` die mid-checkpoint
+serialization, ``checkpoint_write`` after the tmp image but before its
+rename.  ``crash`` models process death: :class:`SimulatedCrash`
+propagates and the only way forward is :meth:`repro.api.SoftDB.open`
+replaying the log.
 
-The injector is deterministic end to end: same seed and specs, same
-visit sequence, same faults.
+Cadences are checked in the order ``at_visit``, ``every_nth``, then
+``probability`` (the only one that draws from the seeded RNG), so the
+same seed and specs give the same visit sequence and the same faults.
+:meth:`FaultInjector.pause` stops injecting but keeps counting visits.
 """
 
 from __future__ import annotations
@@ -34,51 +48,24 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReplicaUnavailableError
 from repro.resilience.guards import VirtualClock
 
-SITES = ("page_read", "page_write", "index_probe")
-KINDS = ("transient", "corrupt")
+_STORAGE_KINDS = ("transient", "corrupt")
+_NETWORK_KINDS = ("drop", "truncate", "delay", "sever")
 
-#: Replication network fault sites (see :mod:`repro.replication`).  A
-#: ``net_frame`` visit is one shipment attempt of a chunk of framed WAL
-#: records from the primary's shipper to one replica's link.  A
-#: ``heartbeat`` visit is one framed lease-renewal heartbeat from the
-#: primary to the failure detector (see
-#: :mod:`repro.replication.failover`).
-NETWORK_SITES = ("net_frame", "heartbeat")
-
-#: Network fault kinds, modelling what an unreliable link does to a
-#: shipment: ``drop`` loses it entirely (the pull-style cursor re-ships
-#: it next pump; a dropped heartbeat simply never renews the lease),
-#: ``truncate`` delivers a torn prefix (the replica rejects the torn
-#: frame and the intact remainder is re-shipped; a torn heartbeat fails
-#: its CRC and is discarded), ``delay`` parks the shipment and delivers
-#: it late (by which time its offset no longer matches — the replica's
-#: gap check rejects it; a late heartbeat may renew an already-expired
-#: lease, which the detector surfaces as a flap, never a rewind of a
-#: promotion), ``sever`` cuts the connection (a partition of one
-#: replica until the link is restored), and ``asym_partition`` models
-#: an **asymmetric** partition: the control direction is cut (no
-#: heartbeat reaches the detector) while the data direction still
-#: flows.  At the ``heartbeat`` site this is the canonical split-brain
-#: inducer — the primary is alive and serving, yet its lease expires
-#: and a replica gets promoted, so fencing alone keeps history single.
-NETWORK_KINDS = ("drop", "truncate", "delay", "sever", "asym_partition")
-
-_ALL_SITES = SITES + NETWORK_SITES
-_ALL_KINDS = KINDS + NETWORK_KINDS
-
-#: Named durability crash points (see :mod:`repro.durability`).  Unlike
-#: the storage fault SITES above — which model *recoverable* I/O trouble
-#: — a crash point models process death, after which the only way
-#: forward is :meth:`repro.api.SoftDB.open` replaying the log.
-CRASH_SITES = (
-    "wal_append",  # mid-append: the final WAL record is torn
-    "page_flush",  # while serializing one heap page into a checkpoint
-    "checkpoint_write",  # after the tmp image, before the atomic rename
-    "catalog_serialize",  # while serializing the catalog section
-)
+#: Every fault site and the fault kinds it honours.
+SITE_KINDS: Dict[str, Tuple[str, ...]] = {
+    "page_read": _STORAGE_KINDS,
+    "page_write": _STORAGE_KINDS,
+    "index_probe": _STORAGE_KINDS,
+    "net_frame": _NETWORK_KINDS,
+    "heartbeat": _NETWORK_KINDS + ("asym_partition",),
+    "wal_append": ("crash",),
+    "page_flush": ("crash",),
+    "checkpoint_write": ("crash",),
+    "catalog_serialize": ("crash",),
+}
 
 
 class SimulatedCrash(Exception):
@@ -95,34 +82,81 @@ class SimulatedCrash(Exception):
         self.site = site
 
 
-class RetryPolicy:
-    """Bounded retry with exponential backoff (virtual time only)."""
+class BackoffPolicy:
+    """Bounded, capped exponential backoff with seeded jitter.
 
-    __slots__ = ("max_attempts", "base_delay", "multiplier")
+    :meth:`delay` sleeps on the policy's
+    :class:`~repro.resilience.guards.VirtualClock` — never in real time —
+    and returns the chosen delay.  ``max_attempts`` is the caller's whole
+    attempt budget (the first try included).  ``max_elapsed`` bounds the
+    *total* backoff across a retry sequence: when granting one more delay
+    would push the cumulative total past it, :meth:`delay` raises
+    :class:`~repro.errors.ReplicaUnavailableError` instead, chained
+    (``from cause``) to the failure that provoked the retry.  A delay
+    landing exactly on ``max_elapsed`` is still granted.  The jitter RNG
+    is the policy's own, so retrying never shifts a fault schedule.
+    """
 
     def __init__(
         self,
-        max_attempts: int = 3,
-        base_delay: float = 0.001,
+        base_delay: float = 0.01,
         multiplier: float = 2.0,
+        cap: float = 0.5,
+        jitter: float = 0.5,
+        seed: int = 0,
+        max_elapsed: Optional[float] = None,
+        clock: Optional[VirtualClock] = None,
+        max_attempts: int = 6,
     ) -> None:
         if max_attempts < 1:
             raise ExecutionError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
-        self.max_attempts = max_attempts
         self.base_delay = base_delay
         self.multiplier = multiplier
+        self.cap = cap
+        self.jitter = jitter
+        self.rng = random.Random(seed)
+        self.max_elapsed = max_elapsed
+        self.clock = clock if clock is not None else VirtualClock()
+        self.max_attempts = max_attempts
+        self.elapsed = 0.0
+        self.exhaustions = 0
 
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        return self.base_delay * (self.multiplier ** attempt)
+    def delay(
+        self, attempt: int, cause: Optional[BaseException] = None
+    ) -> float:
+        """Sleep before retry number ``attempt`` (0-based): capped
+        exponential, then jittered down by up to ``jitter`` of itself."""
+        base = min(self.cap, self.base_delay * (self.multiplier ** attempt))
+        chosen = base * (1.0 - self.jitter * self.rng.random())
+        if (
+            self.max_elapsed is not None
+            and self.elapsed + chosen > self.max_elapsed
+        ):
+            self.exhaustions += 1
+            raise ReplicaUnavailableError(
+                f"retry budget exhausted: {self.elapsed:.4f}s of backoff "
+                f"spent and the next {chosen:.4f}s delay would exceed "
+                f"max_elapsed={self.max_elapsed}"
+            ) from cause
+        self.elapsed += chosen
+        self.clock.sleep(chosen)
+        return chosen
+
+    def reset(self) -> None:
+        """Open a fresh budget window (a new logical operation)."""
+        self.elapsed = 0.0
 
 
 class FaultSpec:
-    """One scheduled fault: site + kind + cadence."""
+    """One scheduled fault: site + kind + cadence, bounded by ``limit``
+    firings (unbounded when None)."""
 
-    __slots__ = ("site", "kind", "probability", "every_nth", "limit", "hits")
+    __slots__ = (
+        "site", "kind", "probability", "every_nth", "at_visit", "limit",
+        "hits",
+    )
 
     def __init__(
         self,
@@ -130,15 +164,17 @@ class FaultSpec:
         kind: str,
         probability: float = 0.0,
         every_nth: Optional[int] = None,
+        at_visit: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> None:
-        if site not in _ALL_SITES:
+        honoured = SITE_KINDS.get(site)
+        if honoured is None:
             raise ExecutionError(
-                f"unknown fault site {site!r} (sites: {_ALL_SITES})"
+                f"unknown fault site {site!r} (sites: {tuple(SITE_KINDS)})"
             )
-        if kind not in _ALL_KINDS:
+        if kind not in honoured:
             raise ExecutionError(
-                f"unknown fault kind {kind!r} (kinds: {_ALL_KINDS})"
+                f"fault site {site!r} honours {honoured}, not {kind!r}"
             )
         if not 0.0 <= probability <= 1.0:
             raise ExecutionError(
@@ -146,42 +182,71 @@ class FaultSpec:
             )
         if every_nth is not None and every_nth < 1:
             raise ExecutionError(f"every_nth must be >= 1, got {every_nth}")
-        if probability == 0.0 and every_nth is None:
+        if at_visit is not None and at_visit < 1:
+            raise ExecutionError(f"at_visit must be >= 1, got {at_visit}")
+        if probability == 0.0 and every_nth is None and at_visit is None:
             raise ExecutionError(
-                "a FaultSpec needs a probability or an every_nth cadence"
+                "a FaultSpec needs at_visit, every_nth or a probability"
             )
         self.site = site
         self.kind = kind
         self.probability = probability
         self.every_nth = every_nth
+        self.at_visit = at_visit
         self.limit = limit
         self.hits = 0
 
+    def fires(self, visit: int, rng: random.Random) -> bool:
+        """Whether this spec injects at ``visit`` (draws from ``rng``
+        only for a probabilistic cadence)."""
+        if self.limit is not None and self.hits >= self.limit:
+            return False
+        if self.at_visit is not None and visit == self.at_visit:
+            return True
+        if self.every_nth is not None and visit % self.every_nth == 0:
+            return True
+        return self.probability > 0.0 and rng.random() < self.probability
+
     def __repr__(self) -> str:
-        cadence = (
-            f"every_nth={self.every_nth}"
-            if self.every_nth is not None
-            else f"p={self.probability}"
-        )
+        if self.at_visit is not None:
+            cadence = f"at_visit={self.at_visit}"
+        elif self.every_nth is not None:
+            cadence = f"every_nth={self.every_nth}"
+        else:
+            cadence = f"p={self.probability}"
         return f"FaultSpec({self.site}, {self.kind}, {cadence}, hits={self.hits})"
 
 
 class FaultInjector:
-    """Seeded, deterministic fault scheduler for the storage layer."""
+    """Seeded, deterministic fault scheduler for every fault site.
+
+    ``retry`` is the backoff the storage retry loops use; the default
+    sleeps on this injector's ``clock``.
+    """
 
     def __init__(
         self,
         seed: int = 0,
-        retry: Optional[RetryPolicy] = None,
+        retry: Optional[BackoffPolicy] = None,
         clock: Optional[VirtualClock] = None,
     ) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.retry = retry if retry is not None else RetryPolicy()
         self.clock = clock if clock is not None else VirtualClock()
+        self.retry = (
+            retry
+            if retry is not None
+            else BackoffPolicy(
+                base_delay=0.001,
+                multiplier=2.0,
+                jitter=0.0,
+                max_attempts=3,
+                clock=self.clock,
+            )
+        )
         self.enabled = True
         self.specs: List[FaultSpec] = []
-        self.visits: Dict[str, int] = {site: 0 for site in _ALL_SITES}
+        self.visits: Dict[str, int] = {site: 0 for site in SITE_KINDS}
         self.injected: Dict[Tuple[str, str], int] = {}
         # (page, slot_no, original value) of the live page corruption, so
         # a detected torn read can be healed (the simulated disk image is
@@ -196,11 +261,12 @@ class FaultInjector:
         kind: str,
         probability: float = 0.0,
         every_nth: Optional[int] = None,
+        at_visit: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> "FaultInjector":
         """Schedule a fault; returns self for chaining."""
         self.specs.append(
-            FaultSpec(site, kind, probability, every_nth, limit)
+            FaultSpec(site, kind, probability, every_nth, at_visit, limit)
         )
         return self
 
@@ -213,21 +279,16 @@ class FaultInjector:
 
     def decide(self, site: str) -> Optional[str]:
         """The fault kind to inject at this visit of ``site``, if any."""
+        if site not in self.visits:
+            raise ExecutionError(
+                f"unknown fault site {site!r} (sites: {tuple(SITE_KINDS)})"
+            )
         self.visits[site] += 1
         if not self.enabled:
             return None
         visit = self.visits[site]
         for spec in self.specs:
-            if spec.site != site:
-                continue
-            if spec.limit is not None and spec.hits >= spec.limit:
-                continue
-            hit = False
-            if spec.every_nth is not None:
-                hit = visit % spec.every_nth == 0
-            if not hit and spec.probability > 0.0:
-                hit = self.rng.random() < spec.probability
-            if hit:
+            if spec.site == site and spec.fires(visit, self.rng):
                 spec.hits += 1
                 key = (site, spec.kind)
                 self.injected[key] = self.injected.get(key, 0) + 1
@@ -301,132 +362,11 @@ class FaultInjector:
         )
 
 
-class CrashPoint:
-    """One scheduled crash: site + cadence (every-Nth, exact visit, or
-    seeded probability), bounded by ``limit`` firings (default one — a
-    process only dies once per run)."""
-
-    __slots__ = ("site", "every_nth", "at_visit", "probability", "limit", "hits")
-
-    def __init__(
-        self,
-        site: str,
-        every_nth: Optional[int] = None,
-        at_visit: Optional[int] = None,
-        probability: float = 0.0,
-        limit: int = 1,
-    ) -> None:
-        if site not in CRASH_SITES:
-            raise ExecutionError(
-                f"unknown crash site {site!r} (sites: {CRASH_SITES})"
-            )
-        if every_nth is not None and every_nth < 1:
-            raise ExecutionError(f"every_nth must be >= 1, got {every_nth}")
-        if at_visit is not None and at_visit < 1:
-            raise ExecutionError(f"at_visit must be >= 1, got {at_visit}")
-        if not 0.0 <= probability <= 1.0:
-            raise ExecutionError(
-                f"probability must be in [0, 1], got {probability}"
-            )
-        if every_nth is None and at_visit is None and probability == 0.0:
-            raise ExecutionError(
-                "a CrashPoint needs every_nth, at_visit, or a probability"
-            )
-        self.site = site
-        self.every_nth = every_nth
-        self.at_visit = at_visit
-        self.probability = probability
-        self.limit = limit
-        self.hits = 0
-
-    def __repr__(self) -> str:
-        if self.at_visit is not None:
-            cadence = f"at_visit={self.at_visit}"
-        elif self.every_nth is not None:
-            cadence = f"every_nth={self.every_nth}"
-        else:
-            cadence = f"p={self.probability}"
-        return f"CrashPoint({self.site}, {cadence}, hits={self.hits})"
-
-
-class CrashSchedule:
-    """Deterministic process-death scheduler for the durability layer.
-
-    The durability code calls :meth:`should_crash` at each named site
-    visit; a True return means the caller must simulate death — for WAL
-    appends, by leaving a torn final record and raising
-    :class:`SimulatedCrash`.  Same seed and points, same visit counts,
-    same crash — so every crash-differential failure replays exactly.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.points: List[CrashPoint] = []
-        self.visits: Dict[str, int] = {site: 0 for site in CRASH_SITES}
-        self.crashes: Dict[str, int] = {}
-        self.armed = True
-
-    def add(
-        self,
-        site: str,
-        every_nth: Optional[int] = None,
-        at_visit: Optional[int] = None,
-        probability: float = 0.0,
-        limit: int = 1,
-    ) -> "CrashSchedule":
-        """Schedule a crash point; returns self for chaining."""
-        self.points.append(
-            CrashPoint(site, every_nth, at_visit, probability, limit)
-        )
-        return self
-
-    def disarm(self) -> None:
-        """Stop crashing (visits still counted) until :meth:`arm`."""
-        self.armed = False
-
-    def arm(self) -> None:
-        self.armed = True
-
-    def should_crash(self, site: str) -> bool:
-        """Whether the process dies at this visit of ``site``."""
-        if site not in self.visits:
-            raise ExecutionError(
-                f"unknown crash site {site!r} (sites: {CRASH_SITES})"
-            )
-        self.visits[site] += 1
-        if not self.armed:
-            return False
-        visit = self.visits[site]
-        for point in self.points:
-            if point.site != site or point.hits >= point.limit:
-                continue
-            hit = False
-            if point.at_visit is not None:
-                hit = visit == point.at_visit
-            if not hit and point.every_nth is not None:
-                hit = visit % point.every_nth == 0
-            if not hit and point.probability > 0.0:
-                hit = self.rng.random() < point.probability
-            if hit:
-                point.hits += 1
-                self.crashes[site] = self.crashes.get(site, 0) + 1
-                return True
-        return False
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "armed": self.armed,
-            "visits": dict(self.visits),
-            "crashes": dict(sorted(self.crashes.items())),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CrashSchedule(seed={self.seed}, points={len(self.points)}, "
-            f"crashes={sum(self.crashes.values())})"
-        )
+def crash_if_due(injector: Optional[FaultInjector], site: str) -> None:
+    """Raise :class:`SimulatedCrash` when ``injector`` schedules a crash
+    at this visit of ``site`` (a crash site of :data:`SITE_KINDS`)."""
+    if injector is not None and injector.decide(site) == "crash":
+        raise SimulatedCrash(f"simulated crash at {site}", site=site)
 
 
 def _flip(value: Any) -> Any:

@@ -309,8 +309,10 @@ def test_connect_failure_raises_network_error():
 # -- failover client ----------------------------------------------------------
 
 
-def fast_backoff():
-    return BackoffPolicy(base_delay=0.001, cap=0.005, seed=7)
+def fast_backoff(max_attempts=6):
+    return BackoffPolicy(
+        base_delay=0.001, cap=0.005, seed=7, max_attempts=max_attempts
+    )
 
 
 def test_failover_client_rides_over_a_dying_server(db):
@@ -346,8 +348,7 @@ def test_failover_exhaustion_is_typed_with_cause():
         client = FailoverClient(
             [("127.0.0.1", 1), ("127.0.0.1", 2)],
             connect_timeout=0.2,
-            max_attempts=3,
-            backoff=fast_backoff(),
+            backoff=fast_backoff(max_attempts=3),
         )
         with pytest.raises(ReplicaUnavailableError) as caught:
             await client.execute("SELECT 1")
@@ -363,7 +364,7 @@ def test_overload_retries_same_endpoint_with_backoff(db):
         await server.start()
         endpoint = (server.host, server.port)
         client = FailoverClient(
-            [endpoint], max_attempts=4, backoff=fast_backoff()
+            [endpoint], backoff=fast_backoff(max_attempts=4)
         )
         try:
             with pytest.raises(ReplicaUnavailableError) as caught:
@@ -462,11 +463,11 @@ def test_exhausted_backoff_budget_cuts_retry_loop_short():
             cap=0.01,
             jitter=0.0,
             max_elapsed=0.001,
+            max_attempts=50,
         )
         client = FailoverClient(
             [("127.0.0.1", 1)],  # reserved port: connect always fails
             connect_timeout=0.2,
-            max_attempts=50,
             backoff=policy,
         )
         try:

@@ -2,7 +2,7 @@
 
 Two sessions run interleaved explicit transactions over one durable
 database — session A's statements alternate with session B's, and each
-round ends with the two COMMITs back to back.  A :class:`CrashSchedule`
+round ends with the two COMMITs back to back.  A ``crash`` spec
 tears the WAL mid-append at chosen visits, the in-memory state is
 abandoned, and recovery must reconstruct exactly the transactions whose
 commit record made it to disk — bit-identical to a serial twin that
@@ -23,7 +23,7 @@ the first round-mate and drop the second.
 import pytest
 
 from repro.api import SoftDB
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 
 from tests.crash.test_crash_differential import fingerprint
 
@@ -98,10 +98,10 @@ def run_script(db, script, upto=None):
 
 def census(tmp_path, seed):
     """Fault-free durable run recording the cumulative WAL-append visit
-    count after every statement (disarmed schedules still count)."""
-    schedule = CrashSchedule(seed=0)
-    schedule.disarm()
-    db = SoftDB.open(tmp_path / "census", crash_points=schedule)
+    count after every statement (a paused injector still counts)."""
+    crash_points = FaultInjector(seed=0)
+    crash_points.pause()
+    db = SoftDB.open(tmp_path / "census", crash_points=crash_points)
     for sql in setup_statements():
         db.execute(sql)
     script = build_script(seed)
@@ -109,7 +109,7 @@ def census(tmp_path, seed):
     after = []
     for owner, sql, _txn in script:
         sessions[owner].execute(sql)
-        after.append(schedule.visits[SITE])
+        after.append(crash_points.visits[SITE])
     for session in sessions.values():
         session.close()
     db.close()
@@ -173,8 +173,10 @@ def test_crash_between_concurrent_commits(tmp_path, seed):
     saw_split_round = False
     for at_visit in targets:
         path = tmp_path / f"visit{at_visit}"
-        schedule = CrashSchedule(seed=0).add(SITE, at_visit=at_visit)
-        db = SoftDB.open(path, crash_points=schedule)
+        crash_points = FaultInjector(seed=0).add(
+            SITE, "crash", at_visit=at_visit
+        )
+        db = SoftDB.open(path, crash_points=crash_points)
         for sql in setup_statements():
             db.execute(sql)
         crashed_at = run_script(db, script)

@@ -3,8 +3,8 @@ crash site, recover, and require the recovered state to match a
 never-crashed twin **bit for bit** for all committed work.
 
 The model: a seeded workload of DML/DDL/soft-constraint actions runs
-against a durable session with a :class:`CrashSchedule` armed at one
-site/visit.  When :class:`SimulatedCrash` fires mid-action ``i``, the
+against a durable session with a :class:`FaultInjector` ``crash`` spec
+armed at one site/visit.  When :class:`SimulatedCrash` fires mid-action ``i``, the
 in-memory session is discarded (that *is* the crash — nothing that only
 lived in memory survives) and ``SoftDB.open`` recovers from disk.  The
 twin is a plain in-memory session that applied exactly the committed
@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import SoftDB
 from repro.durability import codec
-from repro.resilience.faults import CRASH_SITES, CrashSchedule, SimulatedCrash
+from repro.resilience.faults import SITE_KINDS, FaultInjector, SimulatedCrash
 from repro.softcon.base import SCState
 from repro.softcon.maintenance import RepairPolicy
 from repro.softcon.minmax import MinMaxSC
@@ -30,6 +30,10 @@ from repro.softcon.minmax import MinMaxSC
 pytestmark = pytest.mark.crash
 
 SEEDS = (7, 23, 1009)
+
+CRASH_SITES = tuple(
+    site for site, kinds in SITE_KINDS.items() if "crash" in kinds
+)
 
 
 # -- the seeded workload ------------------------------------------------------
@@ -167,15 +171,17 @@ _CENSUS = {}
 
 def site_visit_counts(tmp_path, seed):
     """Total visits per crash site in a fault-free durable run (a
-    disarmed schedule still counts), so crashes can target first, middle
+    paused injector still counts), so crashes can target first, middle
     and last visits of every site."""
     if seed not in _CENSUS:
-        schedule = CrashSchedule(seed)
-        schedule.disarm()
-        db = SoftDB.open(tmp_path / "census", crash_points=schedule)
+        crash_points = FaultInjector(seed)
+        crash_points.pause()
+        db = SoftDB.open(tmp_path / "census", crash_points=crash_points)
         for action in build_workload(seed):
             apply_action(db, action)
-        _CENSUS[seed] = dict(schedule.visits)
+        _CENSUS[seed] = {
+            site: crash_points.visits[site] for site in CRASH_SITES
+        }
     return _CENSUS[seed]
 
 
@@ -184,8 +190,8 @@ def crash_and_recover(path, actions, site, at_visit):
 
     Returns ``(recovered, crashed_at)`` — the index of the action that
     died — or ``(None, None)`` if the schedule never fired."""
-    schedule = CrashSchedule(seed=0).add(site, at_visit=at_visit)
-    db = SoftDB.open(path, crash_points=schedule)
+    crash_points = FaultInjector(seed=0).add(site, "crash", at_visit=at_visit)
+    db = SoftDB.open(path, crash_points=crash_points)
     crashed_at = None
     for position, action in enumerate(actions):
         try:
@@ -196,7 +202,7 @@ def crash_and_recover(path, actions, site, at_visit):
     if crashed_at is None:
         return None, None
     # The crash: the in-memory session is simply abandoned.  Recovery
-    # opens the directory fresh, with no crash schedule.
+    # opens the directory fresh, with no crash points.
     del db
     return SoftDB.open(path), crashed_at
 

@@ -12,7 +12,7 @@ from repro.errors import (
     WALCorruptionError,
 )
 from repro.optimizer.planner import OptimizerConfig
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 from repro.softcon.base import SCState
 from repro.softcon.maintenance import RepairPolicy
 from repro.softcon.minmax import MinMaxSC
@@ -59,10 +59,12 @@ def test_checkpoint_load_rejects_corruption(tmp_path):
 def test_checkpoint_crash_leaves_previous_image_installed(tmp_path):
     target = tmp_path / "checkpoint.img"
     write_checkpoint(target, {"wal_offset": 1, "generation": "old"})
-    schedule = CrashSchedule(seed=1).add("checkpoint_write", at_visit=1)
+    crash_points = FaultInjector(seed=1).add(
+        "checkpoint_write", "crash", at_visit=1
+    )
     with pytest.raises(SimulatedCrash):
         write_checkpoint(
-            target, {"wal_offset": 2, "generation": "new"}, schedule
+            target, {"wal_offset": 2, "generation": "new"}, crash_points
         )
     # The tmp file may linger, but the installed image is the old one.
     assert load_checkpoint(target)["generation"] == "old"

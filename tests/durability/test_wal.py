@@ -5,7 +5,7 @@ import pytest
 
 from repro.durability.wal import WriteAheadLog, _decode_line, _frame
 from repro.errors import WALCorruptionError
-from repro.resilience.faults import CrashSchedule, SimulatedCrash
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 
 
 def test_append_scan_roundtrip(tmp_path):
@@ -104,8 +104,8 @@ def test_decode_line_rejects_malformed_frames():
 
 def test_wal_append_crash_site_tears_the_record(tmp_path):
     path = tmp_path / "wal.log"
-    schedule = CrashSchedule(seed=1).add("wal_append", at_visit=3)
-    wal = WriteAheadLog(path, schedule)
+    crash_points = FaultInjector(seed=1).add("wal_append", "crash", at_visit=3)
+    wal = WriteAheadLog(path, crash_points)
     wal.append({"op": "insert", "table": "t", "rid": [0, 0], "row": [1]})
     wal.append({"op": "commit", "txn": 1})
     with pytest.raises(SimulatedCrash):

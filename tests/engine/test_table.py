@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.page import IOCounters
+from repro.engine.row import RowId
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import HeapTable
 from repro.engine.types import INTEGER, VARCHAR
@@ -83,6 +84,37 @@ class TestDeleteUpdate:
         table.delete(ids[0])
         table.insert([99, "z" * 900])
         assert table.page_count == pages_before
+
+
+class TestPlaceAt:
+    """Redo replay's forced placement (``HeapTable.place_at``)."""
+
+    def test_rejects_a_real_tombstone_that_is_too_small(self, table):
+        row_id = table.insert([1, "ab"])
+        table.delete(row_id)
+        with pytest.raises(StorageError, match="does not fit"):
+            table.place_at(row_id, [1, "a much longer body"])
+
+    def test_rejects_an_occupied_slot(self, table):
+        row_id = table.insert([1, "ab"])
+        with pytest.raises(StorageError, match="occupied"):
+            table.place_at(row_id, [2, "cd"])
+
+    def test_fills_a_replay_gap_out_of_order(self, table):
+        """Slots placed out of log order end bit-identical to in-order
+        placement: the later slot pads a 0-byte gap the earlier row
+        then takes, charged as an append."""
+        in_order = HeapTable(table.schema)
+        in_order.place_at(RowId(0, 0), [10, "ten"])
+        in_order.place_at(RowId(0, 1), [11, "eleven"])
+        table.place_at(RowId(0, 1), [11, "eleven"])
+        table.place_at(RowId(0, 0), [10, "ten"])
+        expected, actual = in_order.pages.pages[0], table.pages.pages[0]
+        assert actual.slots == expected.slots
+        assert actual.slot_sizes == expected.slot_sizes
+        assert actual.used_bytes == expected.used_bytes
+        assert actual.checksum == expected.checksum
+        actual.verify()
 
 
 class TestScan:

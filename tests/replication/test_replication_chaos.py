@@ -26,11 +26,7 @@ from repro.api import SoftDB
 from repro.concurrency.routing import RoutedSession
 from repro.errors import ReplicaUnavailableError, ReproError
 from repro.replication import Replica, WalShipper
-from repro.resilience.faults import (
-    CrashSchedule,
-    FaultInjector,
-    SimulatedCrash,
-)
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 from tests.crash.test_crash_differential import (
     SEEDS,
     apply_action,
@@ -41,14 +37,17 @@ from tests.crash.test_crash_differential import (
 pytestmark = pytest.mark.replication
 
 
-def make_pair(tmp_path, replicas=1, injector=None, schedules=None):
-    """A durable primary with ``replicas`` attached twins."""
+def make_pair(tmp_path, replicas=1, injector=None, crash_points=None):
+    """A durable primary with ``replicas`` attached twins; the network
+    ``injector`` and each replica's ``crash_points`` stay separate."""
     primary = SoftDB.open(tmp_path / "primary")
     shipper = WalShipper(primary, injector=injector, max_chunk=256)
     fleet = []
     for n in range(replicas):
-        schedule = schedules[n] if schedules else None
-        replica = Replica(tmp_path / f"replica{n}", crash_points=schedule)
+        replica = Replica(
+            tmp_path / f"replica{n}",
+            crash_points=crash_points[n] if crash_points else None,
+        )
         shipper.attach(replica)
         fleet.append(replica)
     return primary, shipper, fleet
@@ -113,8 +112,10 @@ def test_replica_killed_mid_stream_restarts_bit_identical(tmp_path, seed):
     """A scheduled crash kills the replica mid-mirror (torn final
     record).  While dead it answers with typed errors only; restart runs
     real crash recovery over the mirrored prefix and re-ships the rest."""
-    schedule = CrashSchedule(seed=seed).add("wal_append", at_visit=12)
-    primary, shipper, fleet = make_pair(tmp_path, schedules=[schedule])
+    crash_points = FaultInjector(seed=seed).add(
+        "wal_append", "crash", at_visit=12
+    )
+    primary, shipper, fleet = make_pair(tmp_path, crash_points=[crash_points])
     replica = fleet[0]
     crashed = False
     for action in build_workload(seed):
@@ -202,9 +203,14 @@ def test_routed_reads_correct_at_snapshot_or_typed(tmp_path, seed):
     injector = FaultInjector(seed=seed)
     injector.add("net_frame", "drop", probability=0.15)
     injector.add("net_frame", "truncate", probability=0.15)
-    schedule = CrashSchedule(seed=seed).add("wal_append", at_visit=20)
+    crash_points = FaultInjector(seed=seed).add(
+        "wal_append", "crash", at_visit=20
+    )
     primary, shipper, fleet = make_pair(
-        tmp_path, replicas=2, injector=injector, schedules=[schedule, None]
+        tmp_path,
+        replicas=2,
+        injector=injector,
+        crash_points=[crash_points, None],
     )
     routed = RoutedSession(primary, shipper, max_staleness=0.0)
     probe = "SELECT id, salary FROM emp ORDER BY id"

@@ -21,7 +21,7 @@ from repro.api import SoftDB
 from repro.durability.wal import WriteAheadLog, _frame
 from repro.errors import ResyncRequiredError
 from repro.replication import Replica, WalShipper
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import FaultInjector, SimulatedCrash
 
 pytestmark = pytest.mark.replication
 
@@ -34,7 +34,8 @@ def record(n):
 
 
 def test_durable_offset_never_covers_torn_tail(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.log")
+    crash_points = FaultInjector().add("wal_append", "crash", at_visit=3)
+    wal = WriteAheadLog(tmp_path / "wal.log", crash_points)
     wal.append(record(1))
     wal.append(record(2))
     wal.flush()
@@ -42,7 +43,10 @@ def test_durable_offset_never_covers_torn_tail(tmp_path):
     assert durable == wal.offset()
     # Die mid-append: a torn prefix reaches the disk, but the durable
     # frontier — the shipping horizon — must not advance over it.
-    wal.tear(_frame(record(3)))
+    with pytest.raises(SimulatedCrash):
+        wal.append_line(_frame(record(3)))
+    assert wal.dead
+    wal.flush()
     assert wal.durable_offset == durable
     assert wal.durable_seq == 2
     wal.close()

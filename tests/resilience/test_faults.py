@@ -1,6 +1,7 @@
 """Fault injection: deterministic scheduling, retry, detection, recovery.
 
-Exercises the injector's scheduling semantics, the page read/write retry
+Exercises the site/kind vocabulary every spec is checked against, the
+injector's scheduling semantics, the page read/write retry
 machinery (transient faults, torn-read healing, persistent corruption),
 fail-before-mutate DML atomicity, and the index corruption → quarantine →
 rebuild-from-heap recovery path including the optimizer's degradation to
@@ -16,7 +17,15 @@ from repro.errors import (
     PageCorruptionError,
     TransientIOError,
 )
-from repro.resilience.faults import FaultInjector, FaultSpec, RetryPolicy
+from repro.resilience.faults import (
+    SITE_KINDS,
+    BackoffPolicy,
+    FaultInjector,
+    FaultSpec,
+)
+
+ALL_KINDS = sorted({kind for kinds in SITE_KINDS.values() for kind in kinds})
+CRASH_SITES = [site for site, kinds in SITE_KINDS.items() if "crash" in kinds]
 
 
 def _small_db() -> SoftDB:
@@ -25,6 +34,51 @@ def _small_db() -> SoftDB:
     db.database.insert_many("t", [(n, n * 10) for n in range(400)])
     db.runstats_all()
     return db
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize(
+        "site, kind",
+        [
+            (site, kind)
+            for site in SITE_KINDS
+            for kind in ALL_KINDS
+            if kind not in SITE_KINDS[site]
+        ],
+    )
+    def test_pair_outside_the_table_is_refused(self, site, kind):
+        with pytest.raises(ExecutionError):
+            FaultSpec(site, kind, every_nth=1)
+        with pytest.raises(ExecutionError):
+            FaultInjector().add(site, kind, every_nth=1)
+
+    def test_every_pair_in_the_table_is_accepted(self):
+        for site, kinds in SITE_KINDS.items():
+            for kind in kinds:
+                FaultSpec(site, kind, every_nth=1)
+
+    def test_decide_on_unknown_site_is_typed(self):
+        with pytest.raises(ExecutionError):
+            FaultInjector().decide("bogus")
+
+    def test_at_visit_fires_exactly_once(self):
+        injector = FaultInjector().add("wal_append", "crash", at_visit=3)
+        decisions = [injector.decide("wal_append") for _ in range(8)]
+        assert decisions == [None, None, "crash", None, None, None, None, None]
+        assert injector.injected == {("wal_append", "crash"): 1}
+
+    def test_paused_injector_still_counts_crash_site_visits(self):
+        injector = FaultInjector().add("page_flush", "crash", every_nth=1)
+        injector.pause()
+        for site in CRASH_SITES:
+            assert injector.decide(site) is None
+            assert injector.decide(site) is None
+        assert {site: injector.visits[site] for site in CRASH_SITES} == {
+            site: 2 for site in CRASH_SITES
+        }
+        assert injector.injected == {}
+        injector.resume()
+        assert injector.decide("page_flush") == "crash"
 
 
 class TestScheduling:
@@ -38,9 +92,11 @@ class TestScheduling:
         with pytest.raises(ExecutionError):
             FaultSpec("page_read", "transient", every_nth=0)
         with pytest.raises(ExecutionError):
+            FaultSpec("wal_append", "crash", at_visit=0)
+        with pytest.raises(ExecutionError):
             FaultSpec("page_read", "transient")  # no cadence at all
         with pytest.raises(ExecutionError):
-            RetryPolicy(max_attempts=0)
+            BackoffPolicy(max_attempts=0)
 
     def test_same_seed_same_fault_sequence(self):
         def sequence(seed):
@@ -72,8 +128,19 @@ class TestScheduling:
         assert injector.decide("page_read") == "transient"
 
     def test_backoff_delays_grow(self):
-        retry = RetryPolicy(max_attempts=4, base_delay=0.001, multiplier=2.0)
+        retry = BackoffPolicy(
+            base_delay=0.001, multiplier=2.0, jitter=0.0, max_attempts=4
+        )
         assert [retry.delay(n) for n in range(3)] == [0.001, 0.002, 0.004]
+        assert retry.clock.now == pytest.approx(0.007)
+
+    def test_default_retry_sleeps_on_the_injector_clock(self):
+        injector = FaultInjector()
+        assert injector.retry.max_attempts == 3
+        assert injector.retry.clock is injector.clock
+        injector.retry.delay(0)
+        injector.retry.delay(1)
+        assert injector.clock.now == pytest.approx(0.003)
 
 
 class TestPageReadFaults:
