@@ -1,7 +1,6 @@
 """E15 — The TPC-style corpus under WIN/REGRESSION classification.
 
-ROADMAP item 5's scale-out instrument: ~106 generated queries over the
-TPC-flavored warehouse (:mod:`repro.workload.tpc`) run under SC-on vs
+~106 generated queries over the TPC-flavored warehouse (:mod:`repro.workload.tpc`) run under SC-on vs
 SC-off (and cached vs uncached), each validated against the row-at-a-time
 interpreted oracle and classified per the querytorque-style contract
 (WIN >= 1.10x / IMPROVED >= 1.05x / NEUTRAL >= 0.95x / REGRESSION below;

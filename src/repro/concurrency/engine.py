@@ -30,7 +30,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 from repro.concurrency.groupcommit import DEFAULT_WINDOW, GroupCommitter
 from repro.concurrency.locks import LockManager
 from repro.concurrency.mvcc import Snapshot, TransactionManager, VersionStore
-from repro.engine.page import Pinned
 from repro.engine.row import RowId
 from repro.errors import TransactionConflictError
 
@@ -212,25 +211,6 @@ class ConcurrencyEngine:
         if writer is None:
             return
         self.versions.note_update(table_name, old_rid, new_rid, old_row, writer)
-
-    def pinned(self, table_name: str) -> Optional[Pinned]:
-        """The tombstones of ``table_name`` this thread's writer must not
-        reuse: slots whose newest version belongs to another transaction.
-
-        Until vacuum drops the chain the slot is still that transaction's:
-        it holds the row lock there, and if it rolls back, recovery finds
-        its row there.  The writer's own tombstones stay reusable, so its
-        rollback restores a deleted row in place.
-        """
-        versions = self.versions.table(table_name)
-        if versions is None:
-            return None
-        stamps = versions.stamps
-        writer = getattr(self._tls, "writer", None)
-        return (
-            lambda page_id, slot_no:
-            stamps.get(RowId(page_id, slot_no), writer) != writer
-        )
 
     # -- write-write conflicts ----------------------------------------------
 

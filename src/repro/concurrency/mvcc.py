@@ -24,8 +24,9 @@ stamp, so a chain containing an aborted writer reconstructs to the same
 image the restored heap holds, and vacuum can drop it wholesale.
 
 Rollback of an open transaction therefore needs no special handling
-here: the undo log restores the heap, the compensating operations extend
-the chains under the aborted stamp, and both roads lead to the same row.
+here: the undo log puts each old image back at its own rid, the
+compensating operations extend that rid's chain under the aborted stamp,
+and both roads lead to the same image at the same rid.
 """
 
 from __future__ import annotations

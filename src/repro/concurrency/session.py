@@ -336,8 +336,9 @@ class Session:
 
         The lock may force a wait behind another writer; once granted,
         first-updater-wins is checked against this session's snapshot
-        and the heap is re-read — a row forwarded away by the blocker's
-        rollback surfaces as a conflict, not a silent miss.  A row this
+        and the heap is re-read — a row the blocker deleted or forwarded
+        away surfaces as a conflict, not a silent miss (a blocker that
+        rolled back left the row where it was).  A row this
         statement just inserted is claimed the same way: strict 2PL
         keeps it ours to commit.
         """

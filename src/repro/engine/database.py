@@ -233,21 +233,15 @@ class Database:
     def _mutation_guard(self):
         """The concurrency engine's latch, or a no-op without sessions.
 
-        Held across one row's heap + index mutation and its version-note
-        so a snapshot reader (which latches per page) never observes a
-        half-applied change.
+        Held across one row's constraint checks, heap + index mutation
+        and version-note, so a snapshot reader (which latches per page)
+        never observes a half-applied change and no other writer changes
+        what a check read (a unique-key probe) before the write lands.
         """
         concurrency = self.concurrency
         if concurrency is None:
             return _NULL_SCOPE
         return concurrency.latch
-
-    def _pinned(self, table_name: str):
-        """Tombstones a row placement must skip (none without sessions)."""
-        concurrency = self.concurrency
-        if concurrency is None:
-            return None
-        return concurrency.pinned(table_name)
 
     @contextmanager
     def statement_writer(self, count: int, txn=None):
@@ -279,22 +273,36 @@ class Database:
                 raise
             own.commit()
 
-    def insert(self, table_name: str, values: Sequence[Any]) -> RowId:
-        """Insert one row, enforcing constraints and maintaining indexes."""
+    def insert(
+        self,
+        table_name: str,
+        values: Sequence[Any],
+        at: Optional[RowId] = None,
+    ) -> RowId:
+        """Insert one row, enforcing constraints and maintaining indexes.
+
+        ``at`` puts the row in that tombstone instead of a free slot: the
+        undo of a delete restores the row at its own rid.
+        """
         table = self.catalog.table(table_name)
         row = table.schema.validate_row(values)
-        for constraint in self.catalog.constraints_on(table.name):
-            if not constraint.is_informational:
-                constraint.check_insert(self, row)
-        with self._mutation_guard(), self._statement_scope():
-            row_id = table.insert(row, self._pinned(table.name))
-            for index in self.catalog.indexes_on(table.name):
-                index.insert(row, row_id)
-            if self.concurrency is not None:
-                self.concurrency.note_insert(table.name, row_id)
-            if self.durability is not None:
-                self.durability.log_insert(table.name, row_id, row)
-            self._publish(ChangeEvent("insert", table.name, None, row))
+        with self._mutation_guard():
+            for constraint in self.catalog.constraints_on(table.name):
+                if not constraint.is_informational:
+                    constraint.check_insert(self, row)
+            with self._statement_scope():
+                if at is None:
+                    row_id = table.insert(row)
+                else:
+                    table.place_at(at, row)
+                    row_id = at
+                for index in self.catalog.indexes_on(table.name):
+                    index.insert(row, row_id)
+                if self.concurrency is not None:
+                    self.concurrency.note_insert(table.name, row_id)
+                if self.durability is not None:
+                    self.durability.log_insert(table.name, row_id, row)
+                self._publish(ChangeEvent("insert", table.name, None, row))
         return row_id
 
     def insert_mapping(self, table_name: str, mapping: Dict[str, Any]) -> RowId:
@@ -313,63 +321,77 @@ class Database:
     def delete_row(self, table_name: str, row_id: RowId) -> Tuple[Any, ...]:
         """Delete one row by RowId (RESTRICT semantics for referencing FKs)."""
         table = self.catalog.table(table_name)
-        row = table.fetch(row_id)
-        for fk in self.catalog.foreign_keys_referencing(table.name):
-            if not fk.is_informational:
-                fk.check_parent_delete(self, row)
-        for constraint in self.catalog.constraints_on(table.name):
-            if not constraint.is_informational:
-                constraint.check_delete(self, row)
-        with self._mutation_guard(), self._statement_scope():
-            table.delete(row_id)
-            for index in self.catalog.indexes_on(table.name):
-                index.delete(row, row_id)
-            if self.concurrency is not None:
-                self.concurrency.note_delete(table.name, row_id, row)
-            if self.durability is not None:
-                self.durability.log_delete(table.name, row_id, row)
-            self._publish(ChangeEvent("delete", table.name, row, None))
+        with self._mutation_guard():
+            row = table.fetch(row_id)
+            for fk in self.catalog.foreign_keys_referencing(table.name):
+                if not fk.is_informational:
+                    fk.check_parent_delete(self, row)
+            for constraint in self.catalog.constraints_on(table.name):
+                if not constraint.is_informational:
+                    constraint.check_delete(self, row)
+            with self._statement_scope():
+                table.delete(row_id)
+                for index in self.catalog.indexes_on(table.name):
+                    index.delete(row, row_id)
+                if self.concurrency is not None:
+                    self.concurrency.note_delete(table.name, row_id, row)
+                if self.durability is not None:
+                    self.durability.log_delete(table.name, row_id, row)
+                self._publish(ChangeEvent("delete", table.name, row, None))
         return row
 
     def update_row(
-        self, table_name: str, row_id: RowId, values: Sequence[Any]
+        self,
+        table_name: str,
+        row_id: RowId,
+        values: Sequence[Any],
+        at: Optional[RowId] = None,
     ) -> RowId:
-        """Replace one row's image, enforcing constraints on the new image."""
+        """Replace one row's image, enforcing constraints on the new image.
+
+        ``at`` leaves the row at that rid instead of wherever the new
+        image fits: the undo of an update restores the row at its
+        pre-image rid.
+        """
         table = self.catalog.table(table_name)
         new_row = table.schema.validate_row(values)
-        old_row = table.fetch(row_id)
-        for constraint in self.catalog.constraints_on(table.name):
-            if not constraint.is_informational:
-                constraint.check_update(self, old_row, new_row)
-        # Parent-side restrict: if this table is referenced and the update
-        # changes referenced key columns, stranded children must block it.
-        for fk in self.catalog.foreign_keys_referencing(table.name):
-            if fk.is_informational:
-                continue
-            parent_schema = table.schema
-            old_key = tuple(
-                old_row[parent_schema.position(c)] for c in fk.parent_columns
-            )
-            new_key = tuple(
-                new_row[parent_schema.position(c)] for c in fk.parent_columns
-            )
-            if old_key != new_key:
-                fk.check_parent_delete(self, old_row)
-        with self._mutation_guard(), self._statement_scope():
-            new_id, _ = table.update(
-                row_id, new_row, self._pinned(table.name)
-            )
-            for index in self.catalog.indexes_on(table.name):
-                index.update(old_row, row_id, new_row, new_id)
-            if self.concurrency is not None:
-                self.concurrency.note_update(
-                    table.name, row_id, new_id, old_row
+        with self._mutation_guard():
+            old_row = table.fetch(row_id)
+            for constraint in self.catalog.constraints_on(table.name):
+                if not constraint.is_informational:
+                    constraint.check_update(self, old_row, new_row)
+            # Parent-side restrict: if this table is referenced and the
+            # update changes referenced key columns, stranded children
+            # must block it.
+            for fk in self.catalog.foreign_keys_referencing(table.name):
+                if fk.is_informational:
+                    continue
+                positions = [
+                    table.schema.position(c) for c in fk.parent_columns
+                ]
+                old_key = tuple(old_row[p] for p in positions)
+                new_key = tuple(new_row[p] for p in positions)
+                if old_key != new_key:
+                    fk.check_parent_delete(self, old_row)
+            with self._statement_scope():
+                if at is None:
+                    new_id, _ = table.update(row_id, new_row)
+                else:
+                    table.apply_update(row_id, at, new_row)
+                    new_id = at
+                for index in self.catalog.indexes_on(table.name):
+                    index.update(old_row, row_id, new_row, new_id)
+                if self.concurrency is not None:
+                    self.concurrency.note_update(
+                        table.name, row_id, new_id, old_row
+                    )
+                if self.durability is not None:
+                    self.durability.log_update(
+                        table.name, row_id, new_id, new_row
+                    )
+                self._publish(
+                    ChangeEvent("update", table.name, old_row, new_row)
                 )
-            if self.durability is not None:
-                self.durability.log_update(
-                    table.name, row_id, new_id, new_row
-                )
-            self._publish(ChangeEvent("update", table.name, old_row, new_row))
         return new_id
 
     # With ``insert``, the names a Transaction writes under: a database

@@ -17,7 +17,7 @@ injector the read path is exactly the two-line fast path it always was.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import PageCorruptionError, PageOverflowError, TransientIOError
 
@@ -26,10 +26,6 @@ _PAGE_HEADER = 32
 
 #: Largest row a page can hold (checked before any write is attempted).
 MAX_ROW_BYTES = PAGE_SIZE - _PAGE_HEADER
-
-#: ``(page_id, slot_no) -> True`` for a tombstone an insert must not
-#: reuse (see :meth:`repro.concurrency.engine.ConcurrencyEngine.pinned`).
-Pinned = Callable[[int, int], bool]
 
 
 def _slot_hash(slot_no: int, value: Any) -> int:
@@ -40,10 +36,15 @@ class Page:
     """One fixed-size page holding a list of row slots.
 
     A slot is either a row tuple or ``None`` (a tombstone left by DELETE;
-    the slot is reused by a later INSERT when the row fits).
+    the slot is reused by a later INSERT when the row fits).  ``reserved``
+    holds the slots of rows an open transaction deleted or updated: a
+    reserved tombstone is never reused, because that transaction's
+    rollback puts the row back there.
     """
 
-    __slots__ = ("page_id", "slots", "used_bytes", "slot_sizes", "checksum")
+    __slots__ = (
+        "page_id", "slots", "used_bytes", "slot_sizes", "checksum", "reserved"
+    )
 
     def __init__(self, page_id: int) -> None:
         self.page_id = page_id
@@ -51,6 +52,7 @@ class Page:
         self.slot_sizes: List[int] = []
         self.used_bytes = _PAGE_HEADER
         self.checksum = 0
+        self.reserved: Set[int] = set()
 
     @property
     def free_bytes(self) -> int:
@@ -60,42 +62,34 @@ class Page:
     def live_rows(self) -> int:
         return sum(1 for slot in self.slots if slot is not None)
 
-    def _reusable_slot(
-        self, row_bytes: int, pinned: Optional[Pinned] = None
-    ) -> Optional[int]:
-        """The first tombstone that can hold the row and is not
-        ``pinned``, or None."""
+    def _reusable_slot(self, row_bytes: int) -> Optional[int]:
+        """The first unreserved tombstone that can hold the row, or None."""
         for slot_no, slot in enumerate(self.slots):
             if (
                 slot is None
                 and self.slot_sizes[slot_no] >= row_bytes
-                and not (pinned and pinned(self.page_id, slot_no))
+                and slot_no not in self.reserved
             ):
                 return slot_no
         return None
 
-    def can_fit(self, row_bytes: int, pinned: Optional[Pinned] = None) -> bool:
+    def can_fit(self, row_bytes: int) -> bool:
         """Room for a row: fresh free space or a reusable tombstone."""
         if row_bytes <= self.free_bytes:
             return True
-        return self._reusable_slot(row_bytes, pinned) is not None
+        return self._reusable_slot(row_bytes) is not None
 
-    def insert(
-        self,
-        row: Tuple[Any, ...],
-        row_bytes: int,
-        pinned: Optional[Pinned] = None,
-    ) -> int:
+    def insert(self, row: Tuple[Any, ...], row_bytes: int) -> int:
         """Place a row on this page, returning the slot number.
 
-        Reuses a tombstoned slot when one can hold the row and is not
-        ``pinned``; otherwise appends a new slot.
+        Reuses an unreserved tombstone when one can hold the row;
+        otherwise appends a new slot.
         """
         if row_bytes > MAX_ROW_BYTES:
             raise PageOverflowError(
                 f"row of {row_bytes} bytes exceeds page capacity"
             )
-        slot_no = self._reusable_slot(row_bytes, pinned)
+        slot_no = self._reusable_slot(row_bytes)
         if slot_no is not None:
             self.checksum ^= _slot_hash(slot_no, None) ^ _slot_hash(
                 slot_no, row
@@ -228,12 +222,10 @@ class PageManager:
         self.pages.append(page)
         return page
 
-    def page_for_insert(
-        self, row_bytes: int, pinned: Optional[Pinned] = None
-    ) -> Page:
+    def page_for_insert(self, row_bytes: int) -> Page:
         """Find (or allocate) a page with room for ``row_bytes``."""
         for page_id in range(self._insert_hint, len(self.pages)):
-            if self.pages[page_id].can_fit(row_bytes, pinned):
+            if self.pages[page_id].can_fit(row_bytes):
                 self._insert_hint = page_id
                 return self.pages[page_id]
         page = self.allocate()

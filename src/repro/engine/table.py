@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.page import MAX_ROW_BYTES, IOCounters, PageManager, Pinned
+from repro.engine.page import MAX_ROW_BYTES, IOCounters, PageManager, _slot_hash
 from repro.engine.row import RowId
 from repro.engine.schema import TableSchema
 from repro.errors import PageOverflowError, StorageError
@@ -53,14 +53,12 @@ class HeapTable:
 
     # -- DML ------------------------------------------------------------------
 
-    def insert(
-        self, values: Sequence[Any], pinned: Optional[Pinned] = None
-    ) -> RowId:
+    def insert(self, values: Sequence[Any]) -> RowId:
         """Validate, coerce and store one row; returns its new RowId.
 
         All failure modes (validation, overflow, a surfaced write fault)
         are checked *before* any page mutates, so a raising insert leaves
-        the heap image untouched.  ``pinned`` tombstones are not reused.
+        the heap image untouched.  Reserved tombstones are not reused.
         """
         row = self.schema.validate_row(values)
         row_bytes = self.schema.row_size(row)
@@ -68,9 +66,9 @@ class HeapTable:
             raise PageOverflowError(
                 f"row of {row_bytes} bytes exceeds page capacity"
             )
-        page = self.pages.page_for_insert(row_bytes, pinned)
+        page = self.pages.page_for_insert(row_bytes)
         self.pages.touch_write()
-        slot_no = page.insert(row, row_bytes, pinned)
+        slot_no = page.insert(row, row_bytes)
         self.pages.wrote_row()
         self._row_count += 1
         return RowId(page.page_id, slot_no)
@@ -112,16 +110,13 @@ class HeapTable:
         return row
 
     def update(
-        self,
-        row_id: RowId,
-        values: Sequence[Any],
-        pinned: Optional[Pinned] = None,
+        self, row_id: RowId, values: Sequence[Any]
     ) -> Tuple[RowId, Tuple[Any, ...]]:
         """Replace a row's image.
 
         Returns ``(new_row_id, old_image)``.  When the new image does not
         fit in place the row moves (delete + insert), exactly as a
-        disk-based heap would forward it — never into a ``pinned``
+        disk-based heap would forward it — never into a reserved
         tombstone.
         """
         new_row = self.schema.validate_row(values)
@@ -142,23 +137,26 @@ class HeapTable:
         # target page) are charged up front so a surfaced write fault
         # raises before either page mutates; only then are the delete and
         # the placement applied, which cannot fail.
-        target = self.pages.page_for_insert(row_bytes, pinned)
+        target = self.pages.page_for_insert(row_bytes)
         self.pages.touch_write(2)
         page.delete(row_id.slot_no)
-        slot_no = target.insert(new_row, row_bytes, pinned)
+        slot_no = target.insert(new_row, row_bytes)
         self.pages.wrote_row()
         return RowId(target.page_id, slot_no), old_row
 
-    # -- redo replay (durability) ----------------------------------------------
+    # -- placement at a known rid (redo replay and undo) ---------------------
 
     def place_at(self, row_id: RowId, values: Sequence[Any]) -> None:
-        """Force one row into the exact slot a WAL record assigned it.
+        """Force one row into an exact slot: the one a WAL record assigned
+        it (redo replay) or the one it held before an aborted
+        transaction deleted it (undo).
 
-        Redo replay must land rows at their logged physical position —
-        free placement via :meth:`insert` could diverge from the original
-        run whenever the page image being recovered differs from the one
-        the original chose against (e.g. after a rolled-back statement
-        left tombstones that the replayed prefix does not recreate).
+        Rids must not move: replay lands every row at its logged position
+        and skips aborted transactions, so an undone DELETE has to put the
+        row back where replay keeps it.  Free placement via :meth:`insert`
+        could diverge whenever the page image differs from the one the
+        original run chose against.  The tombstone an undo fills is
+        reserved, so nothing else can have taken it.
         Pages are allocated up to the target, slot gaps are padded with
         0-byte tombstones, and the incremental XOR checksum is maintained
         so :meth:`~repro.engine.page.Page.verify` holds afterwards.  No
@@ -166,26 +164,28 @@ class HeapTable:
         applying transactions in commit order fills slots out of log
         order — and the row takes it, charged as an append would be.
         """
-        from repro.engine.page import _slot_hash
-
         row = self.schema.validate_row(values)
+        self.pages.touch_write()
+        self._place(row_id, row)
+
+    def _place(self, row_id: RowId, row: Tuple[Any, ...]) -> None:
+        """:meth:`place_at` once its page write is charged."""
         row_bytes = self.schema.row_size(row)
         while self.pages.page_count <= row_id.page_id:
             self.pages.allocate()
         page = self.pages.pages[row_id.page_id]
-        self.pages.touch_write()
         slot_no = row_id.slot_no
         if slot_no < len(page.slots):
             if page.slots[slot_no] is not None:
                 raise StorageError(
-                    f"redo replay cannot place a row at occupied {row_id}"
+                    f"cannot place a row at occupied {row_id}"
                 )
             if page.slot_sizes[slot_no] == 0:
                 page.slot_sizes[slot_no] = row_bytes
                 page.used_bytes += row_bytes
             elif page.slot_sizes[slot_no] < row_bytes:
                 raise StorageError(
-                    f"redo replay row does not fit the tombstone at {row_id}"
+                    f"row does not fit the tombstone at {row_id}"
                 )
             page.checksum ^= _slot_hash(slot_no, None)
             page.checksum ^= _slot_hash(slot_no, row)
@@ -212,28 +212,29 @@ class HeapTable:
     def apply_update(
         self, old_rid: RowId, new_rid: RowId, values: Sequence[Any]
     ) -> Tuple[Any, ...]:
-        """Redo one logged update, honouring its logged placement.
+        """Update the row at ``old_rid`` and leave it at ``new_rid``: redo
+        of a logged update, or undo of one (the row goes back to its
+        pre-image rid, a reserved tombstone if the update forwarded it).
 
-        Returns the pre-update image (for index maintenance).  In-place
-        updates stay in place; a forwarded update (``new_rid`` differs)
-        deletes the old slot and forces the new image at ``new_rid``.
+        Returns the replaced image (for index maintenance).  With equal
+        rids the update is in place; otherwise the old slot is deleted and
+        the image forced at ``new_rid``, both writes charged first so a
+        surfaced write fault leaves the heap untouched.
         """
         row = self.schema.validate_row(values)
         row_bytes = self.schema.row_size(row)
         page = self.pages.read_page(old_rid.page_id)
         old_row = page.slots[old_rid.slot_no]
         if old_row is None:
-            raise StorageError(
-                f"redo replay found no row to update at {old_rid}"
-            )
+            raise StorageError(f"no row to update at {old_rid}")
         if old_rid == new_rid and page.can_update(old_rid.slot_no, row_bytes):
             self.pages.touch_write()
             page.update(old_rid.slot_no, row, row_bytes)
             return old_row
-        self.pages.touch_write()
+        self.pages.touch_write(2)
         page.delete(old_rid.slot_no)
         self._row_count -= 1
-        self.place_at(new_rid, row)
+        self._place(new_rid, row)
         return old_row
 
     # -- scans -----------------------------------------------------------------

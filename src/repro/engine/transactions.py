@@ -7,6 +7,11 @@ with abort/commit — not full ARIES.  A :class:`Transaction` wraps a
 :class:`~repro.engine.database.Database`, records undo entries for every
 change made through it, and replays them in reverse on rollback.
 
+Undo is physical, as in ARIES: redo recovery and replicas skip an aborted
+transaction and keep its rows where they were, so rollback puts each row
+back at its own rid.  Slots the transaction frees stay reserved until it
+resolves, for every writer, itself included.
+
 Change events are published immediately (the soft-constraint manager is
 told about violations when they happen, matching the paper's synchronous
 maintenance); a rolled-back transaction publishes compensating events so
@@ -15,35 +20,24 @@ observers stay consistent.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
+from repro.engine.page import Page
 from repro.engine.row import RowId
 from repro.errors import RollbackError, TransactionError
 
 
-class _UndoEntry:
-    __slots__ = ("kind", "table_name", "row_id", "old_row", "pre_rid")
-
-    def __init__(
-        self,
-        kind: str,
-        table_name: str,
-        row_id: RowId,
-        old_row: Optional[Tuple[Any, ...]],
-        pre_rid: Optional[RowId] = None,
-    ) -> None:
-        self.kind = kind
-        self.table_name = table_name
-        # Where the compensating operation must be applied: the rid the
-        # row occupied *after* this change (for updates, the post-image
-        # rid — an update that did not fit in place forwarded the row).
-        self.row_id = row_id
-        self.old_row = old_row
-        # Where older undo entries know the row: the rid it occupied
-        # *before* this change.  Rollback records a remap from it when
-        # the compensation itself lands the row somewhere new.
-        self.pre_rid = pre_rid
+class _UndoEntry(NamedTuple):
+    kind: str  # "insert" | "delete" | "update"
+    table_name: str
+    # Where the change left the row (for a delete, its tombstone): the
+    # compensation is applied here.
+    row_id: RowId
+    # The image before the change; None for an insert.
+    old_row: Optional[Tuple[Any, ...]]
+    # An update's pre-image rid, where its compensation leaves the row.
+    pre_rid: Optional[RowId] = None
 
 
 class Transaction:
@@ -60,6 +54,7 @@ class Transaction:
     def __init__(self, database: Database) -> None:
         self.database = database
         self._undo: List[_UndoEntry] = []
+        self._reserved: List[Tuple[Page, int]] = []
         self._state = "active"
         # Durable transaction id: WAL records written while this
         # transaction is open are tagged with it, and recovery replays
@@ -84,53 +79,44 @@ class Transaction:
         self._state = "committed"
         if self._txn_id is not None:
             self.database.durability.txn_commit(self._txn_id)
+        # Only once the commit record is logged: a writer that reuses a
+        # freed slot must log after the change that freed it.
+        self._release()
 
     def rollback(self) -> None:
         """Undo every change made through this transaction, newest first.
+
+        Each compensation is the inverse change at the same rid, so every
+        entry's rids still hold when its turn comes: an undone delete
+        refills its reserved tombstone, an undone update leaves the old
+        image at the pre-image rid.  Compensations take the normal DML
+        paths (checked, versioned, logged, one compensating event each).
 
         Exception-safe: a failing undo entry (e.g. a storage fault mid
         recovery) does not abandon the rest of the log.  Every remaining
         entry is still applied, the transaction always deactivates, and
         the failures are re-raised aggregated in a single
         :class:`~repro.errors.RollbackError`.
-
-        Compensations replay in strict reverse order, and each
-        compensating event is published through the normal DML paths.  A
-        compensation can *move* the row: undoing a delete re-inserts at
-        a fresh rid, and undoing a forwarded update may restore the row
-        to yet another slot.  Older undo entries still reference the rid
-        the row had in their day, so rollback maintains a remap from
-        historical rids to the row's current location — without it, an
-        interleaved insert/update chain on one row rolls back against
-        stale rids and both leaks the row and drops its compensating
-        events.
         """
         self._require_active()
+        database = self.database
         failures: List[Exception] = []
-        remap: Dict[RowId, RowId] = {}
         try:
             for entry in reversed(self._undo):
                 try:
-                    at = remap.get(entry.row_id, entry.row_id)
                     if entry.kind == "insert":
-                        self.database.delete_row(entry.table_name, at)
+                        database.delete_row(entry.table_name, entry.row_id)
                     elif entry.kind == "delete":
-                        assert entry.old_row is not None
-                        restored = self.database.insert(
-                            entry.table_name, entry.old_row
+                        database.insert(
+                            entry.table_name, entry.old_row, at=entry.row_id
                         )
-                        # Unconditional (identity mappings included): a
-                        # later-undone entry may have left a stale remap
-                        # under this key, and this entry's placement is
-                        # now the authoritative one.
-                        remap[entry.row_id] = restored
                     else:  # update
-                        assert entry.old_row is not None
-                        assert entry.pre_rid is not None
-                        restored = self.database.update_row(
-                            entry.table_name, at, entry.old_row
+                        database.update_row(
+                            entry.table_name,
+                            entry.row_id,
+                            entry.old_row,
+                            at=entry.pre_rid,
                         )
-                        remap[entry.pre_rid] = restored
                 except Exception as error:  # noqa: BLE001 - aggregated below
                     failures.append(error)
         finally:
@@ -140,7 +126,8 @@ class Transaction:
                 # Compensations were logged under the same txn id, so
                 # the abort hides them *and* the original changes from
                 # recovery in one stroke.
-                self.database.durability.txn_abort(self._txn_id)
+                database.durability.txn_abort(self._txn_id)
+            self._release()
         if failures:
             raise RollbackError(
                 f"{len(failures)} undo entr"
@@ -160,6 +147,21 @@ class Transaction:
         else:
             self.rollback()
 
+    # -- slot reservation -----------------------------------------------------
+
+    def _reserve(self, table_name: str, row_id: RowId) -> None:
+        """Reserve a slot *before* the write that may free it, so no
+        concurrent placement slips in between (a slot left live is
+        unaffected)."""
+        page = self.database.table(table_name).pages.pages[row_id.page_id]
+        page.reserved.add(row_id.slot_no)
+        self._reserved.append((page, row_id.slot_no))
+
+    def _release(self) -> None:
+        for page, slot_no in self._reserved:
+            page.reserved.discard(slot_no)
+        self._reserved.clear()
+
     # -- DML ------------------------------------------------------------------
 
     def insert(self, table_name: str, values: Sequence[Any]) -> RowId:
@@ -168,13 +170,9 @@ class Transaction:
         self._undo.append(_UndoEntry("insert", table_name.lower(), row_id, None))
         return row_id
 
-    def insert_mapping(self, table_name: str, mapping: Dict[str, Any]) -> RowId:
-        self._require_active()
-        table = self.database.table(table_name)
-        return self.insert(table_name, table.schema.row_from_mapping(mapping))
-
     def delete(self, table_name: str, row_id: RowId) -> Tuple[Any, ...]:
         self._require_active()
+        self._reserve(table_name, row_id)
         old_row = self.database.delete_row(table_name, row_id)
         self._undo.append(_UndoEntry("delete", table_name.lower(), row_id, old_row))
         return old_row
@@ -185,10 +183,9 @@ class Transaction:
         self._require_active()
         table = self.database.table(table_name)
         old_row = table.fetch(row_id)
+        self._reserve(table_name, row_id)
         new_id = self.database.update_row(table_name, row_id, values)
         self._undo.append(
-            _UndoEntry(
-                "update", table_name.lower(), new_id, old_row, pre_rid=row_id
-            )
+            _UndoEntry("update", table_name.lower(), new_id, old_row, row_id)
         )
         return new_id

@@ -101,12 +101,17 @@ class TestExceptionSafeRollback:
         assert people_database.table("city").row_count == 3
 
 
+def rows_by_rid(database, table_name="city"):
+    return dict(database.table(table_name).scan())
+
+
 class TestCompensatingEvents:
     """Rollback must publish the exact inverse of every change, newest
     first, so observers (the soft-constraint manager) unwind in lockstep
-    with the data."""
+    with the data, and leave every row at its pre-transaction rid."""
 
     def test_inverse_events_in_strict_reverse_order(self, people_database):
+        before = rows_by_rid(people_database)
         txn = Transaction(people_database)
         rid = txn.insert("city", [9, "x"])
         rid = txn.update("city", rid, [9, "y"])
@@ -129,17 +134,18 @@ class TestCompensatingEvents:
         ]
         names = {row["name"] for row in people_database.scan_dicts("city")}
         assert names == {"toronto", "ottawa", "montreal"}
+        assert rows_by_rid(people_database) == before
 
-    def test_forwarded_update_chain_rolls_back_via_remap(
+    def test_forwarded_update_chain_undone_in_place(
         self, people_database, monkeypatch
     ):
         # Force every update down the forwarding path (delete +
         # re-insert at a new rid), as a full page would: each undo step
-        # then *moves* the row, and older undo entries only find it
-        # through the rollback remap.
+        # moves the row back to the rid it had before that update.
         monkeypatch.setattr(
             Page, "can_update", lambda self, slot_no, row_bytes: False
         )
+        before = rows_by_rid(people_database)
         txn = Transaction(people_database)
         rid = txn.insert("city", [9, "a"])
         rid = txn.update("city", rid, [9, "bb"])
@@ -161,6 +167,7 @@ class TestCompensatingEvents:
         assert people_database.table("city").row_count == 3
         ids = {row["id"] for row in people_database.scan_dicts("city")}
         assert 9 not in ids
+        assert rows_by_rid(people_database) == before
 
     def test_interleaved_delete_update_on_one_row(
         self, people_database, monkeypatch
@@ -172,6 +179,7 @@ class TestCompensatingEvents:
             (row["id"], row["name"])
             for row in people_database.scan_dicts("city")
         )
+        placed = rows_by_rid(people_database)
         txn = Transaction(people_database)
         (rid,) = people_database.lookup_key("city", ["id"], [3])
         rid = txn.update("city", rid, [3, "mtl"])
@@ -197,6 +205,7 @@ class TestCompensatingEvents:
             for row in people_database.scan_dicts("city")
         )
         assert after == before
+        assert rows_by_rid(people_database) == placed
 
 
 class TestStateMachine:

@@ -83,27 +83,3 @@ def test_insert_skips_a_slot_freed_by_an_uncommitted_delete(tmp_path):
     assert [row["id"] for row in recovered.query(PROBE)] == [1, 2, 3]
     assert fingerprint(recovered) == live
     recovered.close()
-
-
-@pytest.mark.crash
-def test_rollback_restores_its_own_deleted_row_in_place(tmp_path):
-    """The deleter's own tombstone stays reusable: its rollback puts the
-    row back where recovery (which never saw the delete) keeps it, so a
-    later delete of that row replays."""
-    db = SoftDB.open(tmp_path / "db")
-    db.execute("CREATE TABLE t (id INT, v VARCHAR(20))")
-    db.execute("INSERT INTO t VALUES (1, 'aaaa'), (2, 'bbbb')")
-    s1, s2 = db.session("s1"), db.session("s2")
-    before = fingerprint(db)
-    s1.execute("BEGIN")
-    s1.execute("DELETE FROM t WHERE id = 1")
-    s1.execute("ROLLBACK")
-    assert fingerprint(db) == before
-    s2.execute("DELETE FROM t WHERE id = 1")
-    s1.close()
-    s2.close()
-    db.close(checkpoint=False)
-
-    recovered = SoftDB.open(tmp_path / "db")
-    assert [row["id"] for row in recovered.query(PROBE)] == [2]
-    recovered.close()
