@@ -143,7 +143,7 @@ def _index_used(plan):
 def _run_workload(db: SoftDB):
     last = None
     for _ in range(EXECUTIONS):
-        last = db.execute(DRIFT_SQL, use_cache=True)
+        last = db.execute(DRIFT_SQL)
     return last
 
 
@@ -173,14 +173,14 @@ def test_e13_feedback_flips_the_index_choice(feedback_db, static_db):
     """Correctness of the loop itself, independent of wall time."""
     _reset_session(feedback_db)
     _reset_session(static_db)
-    first = feedback_db.execute(DRIFT_SQL, use_cache=True)
+    first = feedback_db.execute(DRIFT_SQL)
     # The stale histogram picked the drifted-column index ...
     assert first.max_qerror >= feedback_db.config.feedback_qerror_threshold
     assert feedback_db.plan_cache.feedback_invalidations == 1
     # ... and the reoptimized plan abandons it for the honest index.
     replanned = feedback_db.plan_cache.get_plan(DRIFT_SQL)
     assert _index_used(replanned) == "idx_b"
-    second = feedback_db.execute(DRIFT_SQL, use_cache=True)
+    second = feedback_db.execute(DRIFT_SQL)
     assert sorted(map(_row_key, second.tuples())) == sorted(
         map(_row_key, first.tuples())
     )
@@ -188,7 +188,7 @@ def test_e13_feedback_flips_the_index_choice(feedback_db, static_db):
     assert second.max_qerror < feedback_db.config.feedback_qerror_threshold
     assert feedback_db.plan_cache.feedback_invalidations == 1
     # The static session keeps replaying the stale choice every time.
-    static_db.execute(DRIFT_SQL, use_cache=True)
+    static_db.execute(DRIFT_SQL)
     assert _index_used(static_db.plan_cache.get_plan(DRIFT_SQL)) == "idx_a"
     assert static_db.plan_cache.invalidations == 0
 

@@ -80,7 +80,7 @@ def main() -> None:
     plan = cache.get_plan(hot)
     print(
         f"plan depends on: {sorted(plan.sc_dependencies)} "
-        f"(backup compiled: {len(cache._backups)} entries)"
+        f"(backup compiled: {cache.backups} entries)"
     )
     print("inserting an outlier that overturns the correlation...")
     db.execute("INSERT INTO metrics VALUES (100000, 42.0, 99999.0)")

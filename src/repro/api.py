@@ -41,6 +41,7 @@ from repro.errors import (
     QueryGuardError,
     QueryTimeoutError,
     SqlError,
+    StalePlanError,
     TransactionError,
 )
 from repro.executor.runtime import ExecutionResult, Executor
@@ -161,8 +162,6 @@ class SoftDB:
             self._constraint_sequence = manager.session_state.get(
                 "constraint_sequence", 0
             )
-            # Anything cached before recovery points at pre-crash objects.
-            self.plan_cache.clear()
 
     def checkpoint(self, compact: bool = False) -> int:
         """Write a full-state checkpoint (durable sessions only).
@@ -226,7 +225,6 @@ class SoftDB:
     def execute(
         self,
         sql: str,
-        use_cache: bool = False,
         batch_size: Optional[int] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
@@ -236,7 +234,9 @@ class SoftDB:
         Returns an :class:`ExecutionResult` for queries, the affected row
         count for DML, and None for DDL.  ``batch_size`` overrides the
         session's executor batch size for this query only (0 selects the
-        row-at-a-time interpreter).
+        row-at-a-time interpreter).  A query is planned once per shape:
+        a later one that differs only in its literals reuses the plan
+        from the plan cache (see :class:`PlanCache`).
 
         ``guard`` (a :class:`~repro.resilience.guards.QueryGuard`) caps
         this statement's resources; ``cancel`` (a
@@ -256,14 +256,13 @@ class SoftDB:
         successful, untruncated executions.
         """
         return self.run_statement(
-            parse_statement(sql), sql, use_cache, batch_size, guard, cancel
+            parse_statement(sql), sql, batch_size, guard, cancel
         )
 
     def run_statement(
         self,
         statement: ast.Statement,
         sql: str,
-        use_cache: bool = False,
         batch_size: Optional[int] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
@@ -274,7 +273,7 @@ class SoftDB:
         :meth:`execute` parses and calls this; a session, a replica and
         the router call it with the statement they parsed themselves, so
         no statement is parsed twice.  ``sql`` is the text ``statement``
-        was parsed from (the plan-cache key).
+        was parsed from.
 
         ``context`` is what differs between the places a statement runs —
         this facade (the default) or a
@@ -304,42 +303,40 @@ class SoftDB:
             self,
             statement,
             self if context is None else context,
-            (sql, use_cache, batch_size, guard, cancel),
+            (sql, batch_size, guard, cancel),
         )
 
     def _select(self, statement, context, options) -> ExecutionResult:
-        """The one SELECT runner: plan (or fetch the cached plan),
-        execute inside the context's read scope, then feed guard trips
-        and observed q-errors back."""
-        sql, use_cache, batch_size, guard, cancel = options
-        plan_cache = context.plan_cache if use_cache else None
-        if plan_cache is not None:
-            plan = plan_cache.get_plan(sql, statement)
-        else:
-            plan = self.optimizer.optimize(statement)
-        try:
+        """The one SELECT runner: fetch the plan from the context's plan
+        cache, execute it inside the context's read scope (re-issuing once
+        if it went stale meanwhile), then feed guard trips and observed
+        q-errors back."""
+        sql, batch_size, guard, cancel = options
+        plan_cache = context.plan_cache
+
+        def run(plan: PhysicalPlan) -> ExecutionResult:
             with context._read_scope():
-                result = context.executor.execute(
-                    plan,
-                    batch_size=batch_size,
-                    guard=guard,
-                    cancel=cancel,
+                return context.executor.execute(
+                    plan, batch_size=batch_size, guard=guard, cancel=cancel
                 )
+
+        plan = plan_cache.get_plan(sql, statement)
+        try:
+            plan, result = _reissuing(
+                run, plan, lambda: plan_cache.get_plan(sql, statement)
+            )
         except QueryGuardError as error:
-            self._note_guard_breach(plan_cache, sql, plan, error)
+            self._note_guard_breach(plan_cache, plan, error)
             raise
         if result.truncated:
-            self._note_guard_breach(
-                plan_cache, sql, plan, result.guard_breach
-            )
-        elif plan_cache is not None and self.feedback is not None:
-            plan_cache.note_execution(sql, result.max_qerror)
+            self._note_guard_breach(plan_cache, plan, result.guard_breach)
+        elif self.feedback is not None:
+            plan_cache.note_execution(plan, result.max_qerror)
         return result
 
     def _note_guard_breach(
         self,
-        plan_cache: Optional[PlanCache],
-        sql: str,
+        plan_cache: PlanCache,
         plan: PhysicalPlan,
         error: Optional[Exception],
     ) -> None:
@@ -347,9 +344,9 @@ class SoftDB:
 
         Budget and deadline breaches blame the plan: the trip is recorded
         against the plan's tables (repeated trips flag them suspect) and
-        the plan is evicted from ``plan_cache`` (the cache it came from,
-        None when it was not cached).  A cancellation blames nobody — it
-        is counted for reporting but neither marks tables nor evicts.
+        the plan is evicted from ``plan_cache``, the cache it came from.
+        A cancellation blames nobody — it is counted for reporting but
+        neither marks tables nor evicts.
         """
         cancelled = isinstance(error, QueryCancelledError)
         if self.feedback is not None:
@@ -364,8 +361,8 @@ class SoftDB:
             self.feedback.record_guard_trip(
                 kind, () if cancelled else tuple(sorted(plan.tables()))
             )
-        if plan_cache is not None and not cancelled:
-            plan_cache.note_guard_breach(sql)
+        if not cancelled:
+            plan_cache.note_guard_breach(plan)
 
     def query(self, sql: str) -> List[Dict[str, Any]]:
         """Run a SELECT and return its rows."""
@@ -374,7 +371,8 @@ class SoftDB:
         return result.rows
 
     def plan(self, sql: str) -> PhysicalPlan:
-        """Optimize without executing."""
+        """Optimize without executing (the statement as written: its
+        literals stay in the plan, as EXPLAIN shows them)."""
         return self.optimizer.optimize(sql)
 
     def execute_plan(
@@ -388,15 +386,13 @@ class SoftDB:
         of deadlock resolution.  So the user who issued [it] sees no
         difference except for more wait time."
         """
-        from repro.errors import StalePlanError
-
-        try:
+        if not retry_on_stale or not plan.sql:
             return self.executor.execute(plan)
-        except StalePlanError:
-            if not retry_on_stale or not plan.sql:
-                raise
-            fresh = self.optimizer.optimize(plan.sql)
-            return self.executor.execute(fresh)
+        return _reissuing(
+            self.executor.execute,
+            plan,
+            lambda: self.optimizer.optimize(plan.sql),
+        )[1]
 
     def explain(
         self,
@@ -508,12 +504,10 @@ class SoftDB:
         quarantined after corruption was detected.
 
         The rebuild changes the table's physical access paths out from
-        under the session, so every cached plan touching the table is
-        evicted and its statistics are marked stale (the next RUNSTATS
-        replaces them)."""
-        index = self.database.catalog.index(name)
-        self.database.rebuild_index(name)
-        self.plan_cache.invalidate_table(index.table_name)
+        under every session, so the catalog epoch moves (every cached plan
+        is planned again) and the table's statistics are marked stale (the
+        next RUNSTATS replaces them)."""
+        index = self.database.rebuild_index(name)
         stats = self.database.catalog.statistics(index.table_name)
         if stats is not None:
             stats.stale = True
@@ -744,6 +738,23 @@ class SoftDB:
 
 #: The facade's read scope: no snapshot to pin.
 _NO_SNAPSHOT = nullcontext()
+
+
+def _reissuing(
+    run: Callable[[PhysicalPlan], ExecutionResult],
+    plan: PhysicalPlan,
+    replan: Callable[[], PhysicalPlan],
+) -> Tuple[PhysicalPlan, ExecutionResult]:
+    """Run ``plan``; if an ASC it relies on changed since it was planned,
+    re-issue once with ``replan()`` — Section 4.1: "the re-issue can be
+    done behind the scenes just as is done in the case of deadlock
+    resolution."  Returns the plan that ran and its result."""
+    try:
+        return plan, run(plan)
+    except StalePlanError:
+        plan = replan()
+        return plan, run(plan)
+
 
 Handler = Callable[[SoftDB, Any, Any, tuple], Any]
 

@@ -166,7 +166,6 @@ class Session:
     def execute(
         self,
         sql: str,
-        use_cache: bool = False,
         batch_size: Optional[int] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
@@ -190,7 +189,6 @@ class Session:
                 return self.db.run_statement(
                     statement,
                     sql,
-                    use_cache,
                     batch_size,
                     guard if guard is not None else self.guard,
                     cancel,

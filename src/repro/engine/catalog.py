@@ -5,7 +5,11 @@ indexes, integrity constraints, table statistics, soft constraints, and
 summary tables (ASTs).  It also implements the *dependency / invalidation*
 protocol the paper needs for absolute soft constraints (Section 4.1): cached
 query plans register the soft constraints they relied on, and when an ASC is
-overturned the catalog invalidates every dependent plan.
+overturned the catalog invalidates every dependent plan.  Everything
+else a cached plan assumes of the catalog — tables, indexes, constraints,
+statistics, summary tables, which soft constraints exist — moves one
+counter, :attr:`Catalog.epoch`; a plan planned at an older epoch is
+planned again.
 
 Statistics and soft-constraint objects are stored by reference; their
 classes live in :mod:`repro.stats` and :mod:`repro.softcon` (above this
@@ -35,6 +39,13 @@ class Catalog:
         # Plan invalidation: dependency name -> callbacks to run when the
         # dependency is dropped/overturned.
         self._invalidation_hooks: Dict[str, List[Callable[[str], None]]] = {}
+        # Bumped by every change a cached plan may have planned around;
+        # never by ordinary DML.
+        self.epoch = 0
+
+    def bump_epoch(self) -> None:
+        """Tell every plan cache that plans made before now are stale."""
+        self.epoch += 1
 
     # ------------------------------------------------------------------ tables
 
@@ -45,6 +56,7 @@ class Catalog:
         self.tables[name] = table
         self._indexes_by_table[name] = []
         self._constraints[name] = {}
+        self.bump_epoch()
 
     def table(self, name: str) -> HeapTable:
         try:
@@ -65,6 +77,7 @@ class Catalog:
         self._indexes_by_table.pop(key, None)
         self._constraints.pop(key, None)
         self._statistics.pop(key, None)
+        self.bump_epoch()
         self.fire_invalidation(f"table:{key}")
 
     def table_names(self) -> List[str]:
@@ -82,6 +95,9 @@ class Catalog:
             )
         self.indexes[index.name] = index
         self._indexes_by_table[index.table_name].append(index.name)
+        # A quarantined index drops out of access-path selection.
+        index.on_quarantine = self.bump_epoch
+        self.bump_epoch()
 
     def index(self, name: str) -> BTreeIndex:
         try:
@@ -95,6 +111,7 @@ class Catalog:
         if index is None:
             raise UnknownObjectError(f"unknown index {name!r}")
         self._indexes_by_table[index.table_name].remove(key)
+        self.bump_epoch()
 
     def indexes_on(self, table_name: str) -> List[BTreeIndex]:
         """All indexes over a table, in creation order."""
@@ -134,6 +151,7 @@ class Catalog:
                 f"{constraint.table_name!r}"
             )
         table_constraints[constraint.name] = constraint
+        self.bump_epoch()
 
     def drop_constraint(self, table_name: str, constraint_name: str) -> None:
         table_constraints = self._constraints.get(table_name.lower(), {})
@@ -142,6 +160,7 @@ class Catalog:
                 f"unknown constraint {constraint_name!r} on {table_name!r}"
             )
         del table_constraints[constraint_name.lower()]
+        self.bump_epoch()
         self.fire_invalidation(f"constraint:{constraint_name.lower()}")
 
     def constraints_on(self, table_name: str) -> List[Constraint]:
@@ -182,6 +201,7 @@ class Catalog:
         if table_name.lower() not in self.tables:
             raise UnknownObjectError(f"unknown table {table_name!r}")
         self._statistics[table_name.lower()] = statistics
+        self.bump_epoch()
 
     def statistics(self, table_name: str) -> Optional[Any]:
         return self._statistics.get(table_name.lower())
@@ -197,6 +217,7 @@ class Catalog:
         # registered under the same name, so no collision check against
         # ``self.tables`` here.
         self._summary_tables[key] = definition
+        self.bump_epoch()
 
     def summary_table(self, name: str) -> Any:
         try:
@@ -212,6 +233,7 @@ class Catalog:
         if key not in self._summary_tables:
             raise UnknownObjectError(f"unknown summary table {name!r}")
         del self._summary_tables[key]
+        self.bump_epoch()
         self.fire_invalidation(f"ast:{key}")
 
     # ------------------------------------------------------- plan invalidation

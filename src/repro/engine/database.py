@@ -83,6 +83,7 @@ class Database:
 
         The heap scan bypasses injection (the injector is paused for the
         duration) so recovery itself cannot be re-poisoned mid-rebuild.
+        The rebuilt index is plannable again: the catalog epoch moves.
         """
         index = self.catalog.index(name)
         table = self.catalog.table(index.table_name)
@@ -93,6 +94,7 @@ class Database:
                 if key is not None:
                     entries.append((key, row_id))
             index.rebuild(entries)
+        self.catalog.bump_epoch()
         return index
 
     @contextmanager

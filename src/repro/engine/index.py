@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.page import IOCounters
 from repro.engine.row import RowId
@@ -95,6 +95,9 @@ class BTreeIndex:
         # rebuild from the heap (Database.rebuild_index).
         self.checksum = 0
         self.quarantined = False
+        # Called when a probe quarantines the index (the catalog's epoch
+        # bump, so cached plans stop scanning it).
+        self.on_quarantine: Optional[Callable[[], None]] = None
         self.fault_injector = None
 
     # -- geometry ----------------------------------------------------------
@@ -250,6 +253,8 @@ class BTreeIndex:
                 self.verify()
             except IndexCorruptionError:
                 self.quarantined = True
+                if self.on_quarantine is not None:
+                    self.on_quarantine()
                 raise
             return
         assert last_error is not None

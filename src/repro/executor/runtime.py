@@ -287,34 +287,13 @@ class Executor:
     def _guard_freshness(self, plan: PhysicalPlan) -> None:
         if self.registry is None:
             return
-        from repro.errors import StalePlanError
-        from repro.softcon.base import SCState
-
-        stale = []
-        for name, version in plan.sc_validity_snapshot.items():
-            try:
-                constraint = self.registry.get(name)
-            except Exception:  # noqa: BLE001 - dropped from the registry
-                stale.append(name)
-                continue
-            if (
-                constraint.state is not SCState.ACTIVE
-                or constraint.validity_version != version
-            ):
-                stale.append(name)
-        for name, version in plan.sc_value_snapshot.items():
-            try:
-                constraint = self.registry.get(name)
-            except Exception:  # noqa: BLE001
-                stale.append(name)
-                continue
-            if constraint.values_version != version:
-                stale.append(name)
+        stale = plan.stale_constraints(self.registry)
         if stale:
+            from repro.errors import StalePlanError
+
             raise StalePlanError(
-                f"plan relies on changed soft constraint(s): "
-                f"{sorted(set(stale))}",
-                stale_constraints=tuple(sorted(set(stale))),
+                f"plan relies on changed soft constraint(s): {stale}",
+                stale_constraints=tuple(stale),
             )
 
     # -- dispatch -------------------------------------------------------------

@@ -45,31 +45,43 @@ def conjoin(conjuncts: Sequence[ast.Expression]) -> Optional[ast.Expression]:
 def columns_in(expression: ast.Expression) -> Set[ast.ColumnRef]:
     """Every column reference occurring in the expression."""
     found: Set[ast.ColumnRef] = set()
-    _walk_columns(expression, found)
+    _walk_leaves(expression, ast.ColumnRef, found)
     return found
 
 
-def _walk_columns(node: ast.Expression, found: Set[ast.ColumnRef]) -> None:
-    if isinstance(node, ast.ColumnRef):
+def _walk_leaves(node: ast.Expression, kind: type, found: set) -> None:
+    if isinstance(node, kind):
         found.add(node)
     elif isinstance(node, ast.UnaryOp):
-        _walk_columns(node.operand, found)
+        _walk_leaves(node.operand, kind, found)
     elif isinstance(node, ast.BinaryOp):
-        _walk_columns(node.left, found)
-        _walk_columns(node.right, found)
+        _walk_leaves(node.left, kind, found)
+        _walk_leaves(node.right, kind, found)
     elif isinstance(node, ast.BetweenExpr):
-        _walk_columns(node.operand, found)
-        _walk_columns(node.low, found)
-        _walk_columns(node.high, found)
+        _walk_leaves(node.operand, kind, found)
+        _walk_leaves(node.low, kind, found)
+        _walk_leaves(node.high, kind, found)
     elif isinstance(node, ast.InExpr):
-        _walk_columns(node.operand, found)
+        _walk_leaves(node.operand, kind, found)
         for item in node.items:
-            _walk_columns(item, found)
+            _walk_leaves(item, kind, found)
     elif isinstance(node, ast.IsNullExpr):
-        _walk_columns(node.operand, found)
+        _walk_leaves(node.operand, kind, found)
     elif isinstance(node, ast.FunctionCall):
         for arg in node.args:
-            _walk_columns(arg, found)
+            _walk_leaves(arg, kind, found)
+
+
+def slots_in(expressions: Sequence[ast.Expression]) -> Set[int]:
+    """The binding slots the expressions' values follow (empty when none
+    depends on the statement binding)."""
+    found: Set[ast.RuntimeParameter] = set()
+    for expression in expressions:
+        _walk_leaves(expression, ast.RuntimeParameter, found)
+    slots: Set[int] = set()
+    for parameter in found:
+        slots |= parameter.slots()
+    return slots
 
 
 def tables_in(expression: ast.Expression) -> Set[str]:
@@ -290,6 +302,49 @@ def column_interval(
     return result
 
 
+def constraining(
+    conjuncts: Sequence[ast.Expression], column: ast.ColumnRef
+) -> List[ast.Expression]:
+    """The atoms of ``conjuncts`` :func:`column_interval` reads for
+    ``column``: re-reading just these gives the same interval."""
+    return [
+        conjunct
+        for top in conjuncts
+        for conjunct in split_conjuncts(top)
+        if interval_of_predicate(conjunct, column) is not None
+    ]
+
+
+def edge_operands(
+    expression: ast.Expression, column: ast.ColumnRef
+) -> Optional[Tuple[Optional[ast.Expression], Optional[ast.Expression]]]:
+    """The operands that set ``column``'s lower and upper edge in the
+    interval :func:`interval_of_predicate` reads from one predicate
+    (None for an edge it leaves open); an IN list's edges are literals."""
+    if isinstance(expression, ast.BinaryOp) and expression.op in _COMPARISON_OPS:
+        left, right, op = expression.left, expression.right, expression.op
+        if isinstance(right, ast.ColumnRef) and is_constant(left):
+            left, right, op = right, left, _FLIP[op]
+        if (
+            op == "<>"
+            or not isinstance(left, ast.ColumnRef)
+            or not _same_column(left, column)
+            or not is_constant(right)
+        ):
+            return None
+        return (
+            right if op in ("=", ">", ">=") else None,
+            right if op in ("=", "<", "<=") else None,
+        )
+    between = match_column_between(expression)
+    if between is not None and _same_column(between[0], column):
+        return expression.low, expression.high
+    interval = interval_of_predicate(expression, column)
+    if interval is None:
+        return None
+    return ast.Literal(interval.low), ast.Literal(interval.high)
+
+
 def _same_column(left: ast.ColumnRef, right: ast.ColumnRef) -> bool:
     """Column identity, tolerant of missing qualifiers on either side."""
     if left.column != right.column:
@@ -314,48 +369,72 @@ def substitute_columns(
     constraint's expression onto a query's alias and to translate AST
     definitions into query scope.
     """
-    if isinstance(expression, ast.ColumnRef):
-        if expression.table is not None:
-            qualified = f"{expression.table}.{expression.column}"
+
+    def replace(leaf: ast.Expression) -> ast.Expression:
+        if not isinstance(leaf, ast.ColumnRef):
+            return leaf
+        if leaf.table is not None:
+            qualified = f"{leaf.table}.{leaf.column}"
             if qualified in mapping:
                 return mapping[qualified]
-        if expression.column in mapping:
-            return mapping[expression.column]
-        return expression
-    if isinstance(expression, (ast.Literal, ast.RuntimeParameter)):
-        return expression
+        return mapping.get(leaf.column, leaf)
+
+    return _map_leaves(expression, replace)
+
+
+def bind_parameters(expression: ast.Expression) -> ast.Expression:
+    """The expression with each binding-dependent parameter replaced by
+    the literal it currently reads: what the statement says before
+    lifting, so feedback keys the same work the same way either way."""
+
+    def replace(leaf: ast.Expression) -> ast.Expression:
+        if isinstance(leaf, ast.RuntimeParameter) and leaf.per_statement:
+            return ast.Literal(
+                leaf.current_value(), getattr(leaf.source, "is_date", False)
+            )
+        return leaf
+
+    return _map_leaves(expression, replace)
+
+
+def _map_leaves(expression: ast.Expression, replace) -> ast.Expression:
+    """A copy of ``expression`` with ``replace`` applied to every leaf."""
+    if isinstance(
+        expression, (ast.ColumnRef, ast.Literal, ast.RuntimeParameter)
+    ):
+        return replace(expression)
     if isinstance(expression, ast.UnaryOp):
         return ast.UnaryOp(
-            expression.op, substitute_columns(expression.operand, mapping)
+            expression.op, _map_leaves(expression.operand, replace)
         )
     if isinstance(expression, ast.BinaryOp):
         return ast.BinaryOp(
             expression.op,
-            substitute_columns(expression.left, mapping),
-            substitute_columns(expression.right, mapping),
+            _map_leaves(expression.left, replace),
+            _map_leaves(expression.right, replace),
         )
     if isinstance(expression, ast.BetweenExpr):
         return ast.BetweenExpr(
-            substitute_columns(expression.operand, mapping),
-            substitute_columns(expression.low, mapping),
-            substitute_columns(expression.high, mapping),
+            _map_leaves(expression.operand, replace),
+            _map_leaves(expression.low, replace),
+            _map_leaves(expression.high, replace),
             negated=expression.negated,
         )
     if isinstance(expression, ast.InExpr):
         return ast.InExpr(
-            substitute_columns(expression.operand, mapping),
-            tuple(substitute_columns(item, mapping) for item in expression.items),
+            _map_leaves(expression.operand, replace),
+            tuple(_map_leaves(item, replace) for item in expression.items),
             negated=expression.negated,
         )
     if isinstance(expression, ast.IsNullExpr):
         return ast.IsNullExpr(
-            substitute_columns(expression.operand, mapping),
+            _map_leaves(expression.operand, replace),
             negated=expression.negated,
         )
     if isinstance(expression, ast.FunctionCall):
         return ast.FunctionCall(
             expression.name,
-            tuple(substitute_columns(arg, mapping) for arg in expression.args),
+            tuple(_map_leaves(arg, replace) for arg in expression.args),
             distinct=expression.distinct,
             star=expression.star,
         )

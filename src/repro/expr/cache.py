@@ -1,4 +1,4 @@
-"""The bounded cache of lowered expressions.
+"""The bounded second-chance LRU map behind the process's caches.
 
 :mod:`repro.expr.compile` keeps one :class:`LoweringCache` keyed
 structurally by the expression node; each entry is a compiled
@@ -9,6 +9,8 @@ entries not used since they were last considered for eviction are
 dropped past :data:`CAPACITY` instead.  Eviction never breaks a plan —
 compiled expressions live on the plan's nodes, and an evicted one is
 simply lowered again the next time a plan needs it.
+:class:`~repro.optimizer.planner.PlanCache` keeps its statement shapes
+in one too, with its own capacity.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ CAPACITY = 16384
 
 
 class LoweringCache:
-    """A least-recently-used map ``expression -> lowered form`` with
-    hit/miss counters.
+    """A least-recently-used map ``key -> value`` with hit/miss counters.
 
     Recency is kept the second-chance way: a hit only marks its entry
     (structural hashing of an expression tree is the expensive part of a
@@ -43,10 +44,11 @@ class LoweringCache:
     each other harmlessly.
     """
 
-    def __init__(self) -> None:
-        # expression -> [lowered, used since last considered for eviction]
+    def __init__(self, capacity: int = CAPACITY) -> None:
+        # key -> [value, used since last considered for eviction]
         self._entries: "OrderedDict[Any, List[Any]]" = OrderedDict()
         self._lock = threading.Lock()
+        self._capacity = capacity
         self._hits = 0
         self._misses = 0
 
@@ -68,12 +70,16 @@ class LoweringCache:
         if cacheable:
             with self._lock:
                 self._entries[expression] = [lowered, False]
-                while len(self._entries) > CAPACITY:
+                while len(self._entries) > self._capacity:
                     oldest, entry = self._entries.popitem(last=False)
                     if entry[1]:
                         entry[1] = False
                         self._entries[oldest] = entry
         return lowered
+
+    def values(self) -> List[Any]:
+        with self._lock:
+            return [entry[0] for entry in self._entries.values()]
 
     def stats(self) -> Tuple[int, int]:
         """``(hits, misses)`` since the last :meth:`clear`."""

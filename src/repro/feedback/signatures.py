@@ -11,7 +11,11 @@ under a different binding alias.  Signatures therefore:
   order and ``AND`` nesting don't matter;
 * round-trip through :func:`repro.sql.printer.sql_of`, the same printer
   both the estimator's conjunct lists and the physical scan predicates
-  (built via :func:`repro.expr.analysis.conjoin`) flow through.
+  (built via :func:`repro.expr.analysis.conjoin`) flow through;
+* print a parameter that follows the statement binding (a lifted
+  literal, a range derived from one) as the value it reads, so a cached
+  plan's execution keys the same observation as the statement written
+  out would.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ def conjunct_signature(conjuncts: Sequence[ast.Expression]) -> str:
     parts = set()
     for conjunct in conjuncts:
         for atom in analysis.split_conjuncts(conjunct):
-            parts.add(sql_of(analysis.strip_qualifiers(atom)))
+            parts.add(
+                sql_of(analysis.bind_parameters(analysis.strip_qualifiers(atom)))
+            )
     if not parts:
         return FULL_SCAN
     return " AND ".join(sorted(parts))
@@ -77,7 +83,9 @@ def theta_signature(
         binding_tables.get(binding, binding).lower()
         for binding in analysis.tables_in(condition)
     )
-    text = sql_of(analysis.strip_qualifiers(condition))
+    text = sql_of(
+        analysis.bind_parameters(analysis.strip_qualifiers(condition))
+    )
     return f"theta[{','.join(tables)}]:{text}"
 
 
@@ -120,10 +128,11 @@ def _render_key(key: Optional[Tuple[Any, ...]]) -> str:
 
 
 def _render_part(part: Any) -> str:
-    # Runtime parameters print their identity, not their current value:
-    # the *range expression* is what's stable across executions.
-    if isinstance(part, ast.RuntimeParameter):
-        return sql_of(part)
+    # A soft constraint's runtime parameter prints its identity, not its
+    # current value: the *range expression* is what's stable across
+    # executions.  One that follows the binding prints the bound value.
+    if isinstance(part, ast.RuntimeParameter) and part.per_statement:
+        return repr(part.current_value())
     if isinstance(part, ast.Expression):
         return sql_of(part)
     return repr(part)

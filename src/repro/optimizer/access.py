@@ -9,10 +9,11 @@ opens an index path, Section 2/[10]).  The cheapest wins.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, List, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.expr import analysis
+from repro.expr.intervals import Interval
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.costmodel import CostModel
 from repro.optimizer.logical import EstimationPredicate
@@ -93,15 +94,8 @@ class AccessPathSelector:
             matching = base_rows * selectivity.interval_fraction(
                 lead_column, interval
             )
-            # When a bound came from a runtime parameter (Section 4.2),
-            # put the parameter itself into the index key so the scan
-            # reads the constraint's current value at execution time.
-            low_parameter, high_parameter = _parameter_bounds(
-                conjuncts, lead_column, binding, interval
-            )
-            low_key = low_parameter if low_parameter is not None else interval.low
-            high_key = (
-                high_parameter if high_parameter is not None else interval.high
+            low_key, high_key = _key_bounds(
+                conjuncts, ast.ColumnRef(lead_column, binding), interval
             )
             node = IndexScan(
                 table_name=table_name,
@@ -158,30 +152,43 @@ def _is_constant_false(conjunct: ast.Expression) -> bool:
     return False
 
 
-def _parameter_bounds(conjuncts, column: str, binding: str, interval):
-    """Runtime-parameter bounds on ``column`` matching the interval edges.
+def _key_bounds(
+    conjuncts: Sequence[ast.Expression],
+    column: ast.ColumnRef,
+    interval: Interval,
+) -> Tuple[Any, Any]:
+    """The index key's low and high ends for ``interval`` on ``column``.
 
-    Finds conjuncts of the form ``col >= PARAM`` / ``col <= PARAM`` whose
-    parameter currently evaluates to the interval's corresponding bound —
-    i.e., the parameter is what produced that edge — and returns
-    (low_parameter, high_parameter), either possibly None.
+    An edge set by a runtime parameter (Section 4.2's soft-constraint
+    bounds, a binding slot, an interval derived from slots) is the
+    parameter itself, so the scan reads its value when it starts; any
+    other edge is its value.  Which conjunct sets an edge shared by
+    several depends on their values: when one of them follows the
+    binding, the slots involved are pinned, so a cached plan serves only
+    their values.
     """
-    low_parameter = None
-    high_parameter = None
-    wanted = ast.ColumnRef(column, binding)
+    lows: List[ast.Expression] = []
+    highs: List[ast.Expression] = []
     for top in conjuncts:
         for conjunct in analysis.split_conjuncts(top):
-            if not isinstance(conjunct, ast.BinaryOp):
-                continue
-            if not (
-                isinstance(conjunct.left, ast.ColumnRef)
-                and analysis.same_column(conjunct.left, wanted)
-                and isinstance(conjunct.right, ast.RuntimeParameter)
-            ):
-                continue
-            value = conjunct.right.current_value()
-            if conjunct.op == ">=" and value == interval.low:
-                low_parameter = conjunct.right
-            elif conjunct.op == "<=" and value == interval.high:
-                high_parameter = conjunct.right
-    return low_parameter, high_parameter
+            edges = analysis.edge_operands(conjunct, column)
+            if edges is not None:
+                for operands, operand in zip((lows, highs), edges):
+                    if operand is not None:
+                        operands.append(operand)
+    return _edge_key(lows, interval.low), _edge_key(highs, interval.high)
+
+
+def _edge_key(operands: List[ast.Expression], value: Any) -> Any:
+    if value is None:
+        return None
+    if len(operands) == 1 and isinstance(operands[0], ast.RuntimeParameter):
+        return operands[0]
+    ast.pin(analysis.slots_in(operands))
+    for operand in operands:
+        if (
+            isinstance(operand, ast.RuntimeParameter)
+            and operand.current_value() == value
+        ):
+            return operand
+    return value

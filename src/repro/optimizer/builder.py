@@ -72,7 +72,7 @@ class _Binder:
         """Return the expression with every column reference qualified."""
         if isinstance(expression, ast.ColumnRef):
             return self.resolve_column(expression)
-        if isinstance(expression, ast.Literal):
+        if isinstance(expression, (ast.Literal, ast.RuntimeParameter)):
             return expression
         if isinstance(expression, ast.UnaryOp):
             return ast.UnaryOp(expression.op, self.qualify(expression.operand))

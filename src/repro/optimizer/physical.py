@@ -397,6 +397,35 @@ class PhysicalPlan:
     def estimated_cost(self) -> float:
         return self.root.estimated_cost
 
+    def stale_constraints(self, registry: Any) -> List[str]:
+        """The soft constraints this plan used that changed since it was
+        compiled (Section 4.1): no longer ACTIVE, overturned or demoted
+        since, dropped from ``registry``, or — for inlined values —
+        repaired since."""
+        from repro.softcon.base import SCState
+
+        stale = set()
+        for name, version in self.sc_validity_snapshot.items():
+            try:
+                constraint = registry.get(name)
+            except Exception:  # noqa: BLE001 - dropped from the registry
+                stale.add(name)
+                continue
+            if (
+                constraint.state is not SCState.ACTIVE
+                or constraint.validity_version != version
+            ):
+                stale.add(name)
+        for name, version in self.sc_value_snapshot.items():
+            try:
+                constraint = registry.get(name)
+            except Exception:  # noqa: BLE001
+                stale.add(name)
+                continue
+            if constraint.values_version != version:
+                stale.add(name)
+        return sorted(stale)
+
     def tables(self) -> Set[str]:
         """The base tables this plan touches."""
         tables = set()

@@ -1,22 +1,26 @@
 """The optimizer facade: parse → bind → rewrite → cost-based compile.
 
 :class:`Optimizer` produces :class:`~repro.optimizer.physical.PhysicalPlan`
-objects; :class:`PlanCache` caches them by SQL text and registers
-invalidation on the soft constraints each plan depends on, reproducing the
-paper's plan-invalidation story (Section 4.1: when an ASC is overturned,
-"every pre-compiled query plan that employs a violated ASC in its plan
-must be dropped").
+objects; :class:`PlanCache` caches them per statement shape, with the
+literals bound at execution as runtime parameters (Section 4.2), and
+registers invalidation on the soft constraints each plan depends on,
+reproducing the paper's plan-invalidation story (Section 4.1: when an ASC
+is overturned, "every pre-compiled query plan that employs a violated ASC
+in its plan must be dropped").
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 from repro.engine.database import Database
 from repro.errors import OptimizerError
 from repro.expr import analysis
+from repro.expr.cache import LoweringCache
 from repro.optimizer.access import AccessPathSelector
 from repro.optimizer.builder import build_logical_plan
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -37,6 +41,7 @@ from repro.optimizer.physical import (
 )
 from repro.optimizer.rewrite.engine import RewriteContext, RewriteEngine
 from repro.sql import ast
+from repro.sql.lifting import lift
 from repro.sql.parser import parse_statement
 from repro.sql.printer import sql_of
 
@@ -179,19 +184,30 @@ class Optimizer:
         active; any probation constraint the shadow pass depends on (but
         the real pass, whose dependencies are ``used``, did not) would have
         helped this query, so its usage counter is bumped.  Nothing from
-        the shadow pass reaches the real plan.
+        the shadow pass reaches the real plan.  Only probation SCs on the
+        statement's tables can be credited, so without one the pass is
+        skipped.
         """
         registry = self.registry
         if registry is None or not hasattr(registry, "probation_names"):
             return
-        probation = set(registry.probation_names())
+        probation = registry.probation_names()
+        if probation:
+            tables = _statement_tables(statement)
+            probation = {
+                name
+                for name in probation
+                if any(registry.get(name).affected_by(t) for t in tables)
+            }
         if not probation:
             return
         shadow_context = RewriteContext(
             self.database, registry.probation_shadow(), self.config
         )
-        shadow_logical = build_logical_plan(self.database, statement)
-        self.rewrite_engine.rewrite(shadow_logical, shadow_context)
+        binding = ast.current_binding()
+        with ast.binding_scope(binding.values if binding else ()):
+            shadow_logical = build_logical_plan(self.database, statement)
+            self.rewrite_engine.rewrite(shadow_logical, shadow_context)
         would_have_used = (shadow_context.sc_dependencies - used) & probation
         for name in would_have_used:
             registry.record_probation_use(name)
@@ -316,12 +332,90 @@ class Optimizer:
         return node, names
 
 
-class PlanCache:
-    """Caches compiled plans and drops them when a dependency overturns.
+#: Statement shapes one cache holds; past this the least recently used go.
+CAPACITY = 1024
+#: Plans kept per shape, each for the bindings its rewrites hold under.
+VARIANTS = 4
 
-    Reproduces the package/plan invalidation of Section 4.1: each cached
-    plan registers invalidation hooks for every soft constraint it used —
-    on the *validity* channel (overturn/demotion/drop) and, for plans that
+
+def _statement_tables(
+    statement: Union[ast.SelectStatement, ast.UnionAll],
+) -> Set[str]:
+    """The base tables a statement's FROM clauses name."""
+    tables: Set[str] = set()
+
+    def visit(item: Union[ast.TableRef, ast.Join]) -> None:
+        if isinstance(item, ast.Join):
+            visit(item.left)
+            visit(item.right)
+        else:
+            tables.add(item.name)
+
+    selects = (
+        statement.branches if isinstance(statement, ast.UnionAll) else [statement]
+    )
+    for select in selects:
+        for item in select.from_clause:
+            visit(item)
+    return tables
+
+
+class _Entry:
+    """One cached plan of a shape, and what reusing it is conditional on."""
+
+    __slots__ = ("plan", "backup", "epoch", "pins", "guards")
+
+    def __init__(
+        self,
+        plan: PhysicalPlan,
+        backup: Optional[PhysicalPlan],
+        epoch: int,
+        pins: Tuple[Tuple[int, Any], ...],
+        guards: List[Callable[[], bool]],
+    ) -> None:
+        self.plan = plan
+        self.backup = backup
+        self.epoch = epoch
+        self.pins = pins
+        self.guards = guards
+
+    def serves(self, values: Tuple[Any, ...], epoch: int, registry: Any) -> bool:
+        """Whether the plan is right for these slot values now."""
+        return (
+            self.epoch == epoch
+            and all(values[slot] == value for slot, value in self.pins)
+            and not self.plan.stale_constraints(registry)
+            and all(check() for check in self.guards)
+        )
+
+
+class PlanCache:
+    """Plans each SELECT once per shape and drops plans whose
+    dependencies change.
+
+    **Shapes** (Section 4.2).  :meth:`get_plan` lifts the statement's
+    literals into slots (:mod:`repro.sql.lifting`) and binds their values
+    in the calling context, where planning peeks them and execution
+    reads them.  A later statement that differs only in those values
+    reuses the plan.  An entry serves a statement only while
+
+    * the catalog epoch it was planned at is current: DDL, statistics,
+      soft-constraint registration and activation move it;
+    * every slot pinned while planning has the same value: one a rewrite
+      or an index key copied into the plan, or one a rewrite's choice
+      turned on;
+    * every guard a rewrite recorded holds for the new values: a min/max
+      fold to the empty set is right only for ranges outside the bounds;
+    * the soft constraints it used are as it saw them.
+
+    Otherwise the statement is planned again and the plan kept beside
+    the shape's others, up to :data:`VARIANTS` per shape and
+    :data:`CAPACITY` shapes.  Estimates and access paths are peeked
+    without guards: they change the cost, never the rows.
+
+    **Invalidation** (Section 4.1).  Each cached plan registers
+    invalidation hooks for every soft constraint it used — on the
+    *validity* channel (overturn/demotion/drop) and, for plans that
     inlined SC values, on the *values* channel (a repair changed the
     statement).  ``invalidations`` counts evictions so E8 can report the
     cost of ASC violations on a precompiled workload.
@@ -357,16 +451,14 @@ class PlanCache:
         # public entry point (and the invalidation hooks, which fire on
         # whichever thread committed the overturning change) takes this
         # re-entrant lock, so concurrent lookups never observe a plan
-        # mid-eviction.
+        # mid-eviction.  Planning itself runs outside it.
         self._lock = threading.RLock()
-        self._plans: Dict[str, PhysicalPlan] = {}
-        self._backups: Dict[str, PhysicalPlan] = {}
-        self._reverted: set = set()
-        # (channel, sql) pairs with a live hook in the catalog.  Catalog
-        # hooks fire once (fire_invalidation pops them), so each entry is
-        # discarded when its hook runs; get_plan only registers when the
-        # pair is absent, preventing duplicate hooks from piling up
-        # across invalidate/recompile cycles for the same SQL.
+        # shape key -> [_Entry], most recently planned first.
+        self._shapes = LoweringCache(CAPACITY)
+        # Channels with a live hook in the catalog.  Catalog hooks fire
+        # once (fire_invalidation pops them), so each channel is
+        # discarded when its hook runs and hooked again by the next plan
+        # that depends on it: one hook per channel, however many plans.
         self._hooked: set = set()
         self.hits = 0
         self.misses = 0
@@ -380,93 +472,121 @@ class PlanCache:
         sql: str,
         statement: Optional[Union[ast.SelectStatement, ast.UnionAll]] = None,
     ) -> PhysicalPlan:
-        """The cached plan for ``sql``, compiled on a miss.
+        """The plan for ``sql``'s shape, compiled on a miss, with the
+        statement's literal values bound in the calling context until its
+        next lookup.
 
         A caller that already parsed ``sql`` passes the ``statement`` so
-        a miss does not parse it again; the cache key stays the text.
+        a miss does not parse it again.  A miss plans outside the cache
+        lock and keeps the plan only if the catalog epoch and the soft
+        constraints it used did not move meanwhile.
         """
+        if statement is None:
+            statement = parse_statement(sql)
+        lifted, values, key = lift(statement)
+        binding = ast.bind(values)
+        optimizer = self.optimizer
+        catalog = optimizer.database.catalog
         with self._lock:
-            cached = self._plans.get(sql)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-            plan = self.optimizer.optimize(
-                sql if statement is None else statement
+            shape = self._shapes.get_or_build(key, _new_shape)
+            epoch = catalog.epoch
+            plan = next(
+                (
+                    entry.plan
+                    for entry in shape
+                    if entry.serves(values, epoch, optimizer.registry)
+                ),
+                None,
             )
-            self._plans[sql] = plan
-            self._reverted.discard(sql)
-            if self.backup_plans and plan.sc_dependencies:
-                self._backups[sql] = self._compile_backup(sql)
-            for dependency in plan.sc_dependencies:
-                self._register_hook(f"softconstraint:{dependency}", sql)
-            for dependency in plan.sc_value_dependencies:
-                self._register_hook(
-                    f"softconstraint-values:{dependency}", sql
-                )
+            if plan is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        if plan is not None:
+            if optimizer.config.track_probation_usage:
+                # Credit PROBATION SCs exactly as planning fresh would.
+                optimizer._assess_probation(lifted, plan.sc_dependencies)
             return plan
+        plan = optimizer.optimize(lifted)
+        backup = None
+        if self.backup_plans and plan.sc_dependencies:
+            backup = self._compile_backup(lifted)
+        pins = tuple((slot, values[slot]) for slot in sorted(binding.pins))
+        with self._lock:
+            if catalog.epoch != epoch or plan.stale_constraints(
+                optimizer.registry
+            ):
+                return plan
+            shape.insert(0, _Entry(plan, backup, epoch, pins, binding.guards))
+            del shape[VARIANTS:]
+            for name in plan.sc_dependencies:
+                self._hook(f"softconstraint:{name}", name, "sc_dependencies")
+            for name in plan.sc_value_dependencies:
+                self._hook(
+                    f"softconstraint-values:{name}", name,
+                    "sc_value_dependencies",
+                )
+        return plan
 
-    def _register_hook(self, channel: str, sql: str) -> None:
-        key = (channel, sql)
-        if key in self._hooked:
+    def _hook(self, channel: str, name: str, uses: str) -> None:
+        """Invalidate, when ``channel`` fires, every entry whose plan
+        lists ``name`` among its ``uses``."""
+        if channel in self._hooked:
             return
-        self._hooked.add(key)
+        self._hooked.add(channel)
 
         def hook(_dep: str) -> None:
-            # The catalog popped this hook to fire it; the pair must be
-            # re-registered on the next compile of this SQL.
             with self._lock:
-                self._hooked.discard(key)
-                self._invalidate(sql)
+                self._hooked.discard(channel)
+                for shape, entry in self._entries():
+                    if name in getattr(entry.plan, uses):
+                        self._invalidate(shape, entry)
 
         self.optimizer.database.catalog.on_invalidate(channel, hook)
 
-    def _compile_backup(self, sql: str) -> PhysicalPlan:
+    def _compile_backup(
+        self, statement: Union[ast.SelectStatement, ast.UnionAll]
+    ) -> PhysicalPlan:
         """An equivalent plan that uses no soft constraints at all."""
         backup_optimizer = Optimizer(
             self.optimizer.database, registry=None, config=self.optimizer.config
         )
-        return backup_optimizer.optimize(sql)
+        return backup_optimizer.optimize(statement)
 
-    def _invalidate(self, sql: str) -> None:
-        with self._lock:
-            if sql in self._reverted or sql not in self._plans:
-                return
-            backup = self._backups.pop(sql, None)
-            if backup is not None:
-                # Section 4.1: "a flag is raised and packages revert to
-                # the alternative plans."
-                self._plans[sql] = backup
-                self._reverted.add(sql)
-                self.fallbacks += 1
-            else:
-                del self._plans[sql]
-            self.invalidations += 1
+    def _invalidate(self, shape: List[_Entry], entry: _Entry) -> None:
+        if entry.backup is not None:
+            # Section 4.1: "a flag is raised and packages revert to the
+            # alternative plans."
+            entry.plan, entry.backup = entry.backup, None
+            self.fallbacks += 1
+        else:
+            shape.remove(entry)
+        self.invalidations += 1
 
-    def note_execution(self, sql: str, max_qerror: Optional[float]) -> bool:
-        """Feedback-driven invalidation: drop the cached plan for ``sql``
-        if its execution's worst per-node q-error crossed the threshold.
+    def note_execution(
+        self, plan: PhysicalPlan, max_qerror: Optional[float]
+    ) -> bool:
+        """Feedback-driven invalidation: evict ``plan`` if its execution's
+        worst per-node q-error crossed the threshold.
 
         Returns True when a plan was evicted.  The eviction is full (no
         backup reversion) so the next ``get_plan`` recompiles with the
-        feedback store's corrected estimates; the reverted marker is also
-        cleared so a reverted backup plan can be replaced too.
+        feedback store's corrected estimates.
         """
         with self._lock:
             if (
                 self.qerror_threshold is None
                 or max_qerror is None
                 or max_qerror < self.qerror_threshold
-                or sql not in self._plans
+                or not self._evict(plan)
             ):
                 return False
-            self._evict_fully(sql)
             self.feedback_invalidations += 1
             return True
 
-    def note_guard_breach(self, sql: str) -> bool:
-        """A guarded execution of ``sql`` breached its resource budget:
-        evict the cached plan unconditionally.
+    def note_guard_breach(self, plan: PhysicalPlan) -> bool:
+        """A guarded execution of ``plan`` breached its resource budget:
+        evict it unconditionally.
 
         A breach is stronger evidence than any q-error — the plan did so
         much more work than predicted that governance had to stop it — so
@@ -475,46 +595,40 @@ class PlanCache:
         True when a plan was evicted.
         """
         with self._lock:
-            if sql not in self._plans:
+            if not self._evict(plan):
                 return False
-            self._evict_fully(sql)
             self.guard_invalidations += 1
             return True
 
-    def invalidate_table(self, table_name: str) -> int:
-        """Fully evict every cached plan that touches ``table_name``.
-
-        Used when a table's physical access paths change under the cache
-        (e.g. an index was rebuilt after corruption): cached plans may
-        carry the old index object or estimates keyed to it.  Full
-        eviction (no backup reversion — the backup reads the same table)
-        so the next ``get_plan`` recompiles.  Returns the eviction count.
-        """
-        name = table_name.lower()
-        evicted = 0
+    def _evict(self, plan: PhysicalPlan) -> bool:
+        """Drop the entry serving ``plan`` and its backup, if cached."""
         with self._lock:
-            for sql, plan in list(self._plans.items()):
-                if name in plan.tables():
-                    self._evict_fully(sql)
-                    evicted += 1
-        return evicted
+            for shape, entry in self._entries():
+                if entry.plan is plan:
+                    shape.remove(entry)
+                    self.invalidations += 1
+                    return True
+            return False
 
-    def _evict_fully(self, sql: str) -> None:
-        """Drop the plan and its backup (lock held; ``sql`` is cached)."""
-        del self._plans[sql]
-        self._backups.pop(sql, None)
-        self._reverted.discard(sql)
-        self.invalidations += 1
+    def _entries(self) -> Iterator[Tuple[List[_Entry], _Entry]]:
+        """Every cached entry with the shape list holding it."""
+        for shape in self._shapes.values():
+            for entry in list(shape):
+                yield shape, entry
 
-    # Kept as the historical name for direct eviction in tests/tools.
-    def _evict(self, sql: str) -> None:
-        self._invalidate(sql)
+    @property
+    def backups(self) -> int:
+        """Entries holding an ASC-free backup plan."""
+        with self._lock:
+            return sum(entry.backup is not None for _, entry in self._entries())
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return sum(1 for _ in self._entries())
 
     def clear(self) -> None:
         with self._lock:
-            self._plans.clear()
-            self._backups.clear()
-            self._reverted.clear()
+            self._shapes.clear()
+
+
+def _new_shape(_key: Any) -> List[_Entry]:
+    return []

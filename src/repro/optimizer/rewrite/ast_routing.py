@@ -87,6 +87,12 @@ def _route_block(
         exceptions.tables = [
             type(bound)(definition.name, bound.binding)
         ]
+        # The introduced range copies the query's bounds into the plan.
+        context.pin(
+            derive.source_conjuncts(
+                block.predicates, bound.binding, constraint.interval_columns()
+            )
+        )
         context.depend_on(constraint.name)
         context.record(
             "ast_routing",

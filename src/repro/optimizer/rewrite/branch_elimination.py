@@ -72,6 +72,8 @@ def _block_is_empty(block: QueryBlock, context: RewriteContext) -> bool:
                     sc_names.append(soft.name)
         if not constraint_conjuncts:
             continue
+        # Knocked out or not, the outcome follows from the query's values.
+        context.pin(block.predicates)
         if _contradicts(block, bound.binding, constraint_conjuncts):
             for name in sc_names:
                 context.depend_on(name)

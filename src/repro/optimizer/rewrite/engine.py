@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, TYPE_CHECKING, Union
+from typing import Callable, List, Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.engine.database import Database
+from repro.expr import analysis
 from repro.optimizer.logical import LogicalPlan, QueryBlock, UnionPlan
+from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.optimizer.planner import OptimizerConfig
@@ -50,6 +52,14 @@ class RewriteContext:
         demotion invalidates the plan.
         """
         self.sc_dependencies.add(constraint_name.lower())
+
+    @staticmethod
+    def pin(conjuncts: Sequence[ast.Expression]) -> None:
+        """The rule copied values it read from ``conjuncts`` into the
+        plan, or which way it went turned on them: a cached plan is reused
+        only for the same values of their binding slots (see
+        :mod:`repro.sql.lifting`)."""
+        ast.pin(analysis.slots_in(conjuncts))
 
 
 RewriteRule = Callable[[LogicalPlan, RewriteContext], LogicalPlan]

@@ -24,7 +24,7 @@ constraints with ``usable_in_rewrite`` (ACTIVE and absolute).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.expr import analysis
 from repro.expr.intervals import Interval
@@ -90,11 +90,20 @@ def _worth_introducing(
 
 
 def _already_implied(
-    block: QueryBlock, binding: str, column: str, interval: Interval
+    block: QueryBlock,
+    binding: str,
+    column: str,
+    interval: Interval,
+    context: RewriteContext,
+    live: Optional[derive.LiveInterval],
 ) -> bool:
-    existing = analysis.column_interval(
-        block.predicates, ast.ColumnRef(column, binding)
-    )
+    reference = ast.ColumnRef(column, binding)
+    sources = analysis.constraining(block.predicates, reference)
+    existing = analysis.column_interval(sources, reference)
+    if not existing.is_unbounded:
+        # Whether the range adds anything depends on both ranges' values.
+        context.pin(sources)
+        ast.pin(live.slots() if live is not None else ())
     return interval.contains_interval(existing)
 
 
@@ -106,12 +115,15 @@ def _append_interval_predicate(
     context: RewriteContext,
     constraint_name: str,
     rule_detail: str,
+    live: Optional[derive.LiveInterval] = None,
 ) -> bool:
+    """Introduce ``interval`` on ``column``; with ``live`` (the interval
+    follows the binding) as runtime parameters reading it."""
     if interval.is_unbounded:
         return False
-    if _already_implied(block, binding, column, interval):
+    if _already_implied(block, binding, column, interval, context, live):
         return False
-    predicate = derive.interval_to_predicate(column, binding, interval)
+    predicate = derive.interval_to_predicate(column, binding, interval, live)
     if predicate is None:
         return False
     # Append as individual conjuncts so downstream interval extraction and
@@ -127,11 +139,13 @@ def _introduce_interval(
 ) -> None:
     """Introduce the ranges an SC implies between columns of one table."""
     binding = bound.binding
+    columns = constraint.interval_columns()
     known = derive.known_intervals_for_binding(
-        block.predicates, binding, constraint.interval_columns()
+        block.predicates, binding, columns
     )
     if not known:
         return
+    sources = derive.source_conjuncts(block.predicates, binding, columns)
     for target, source in constraint.introduction_targets(known):
         if not _worth_introducing(
             context, bound.table_name, binding, target, block
@@ -140,6 +154,14 @@ def _introduce_interval(
         detail = f"{constraint.name}: introduced range on {binding}.{target}"
         if source is not None:
             detail += f" from {binding}.{source}"
+        live = derive.LiveInterval.over(
+            f"{constraint.name}:{binding}.{target}",
+            lambda target=target: constraint.implied_interval(
+                target,
+                derive.known_intervals_for_binding(sources, binding, columns),
+            ),
+            sources,
+        )
         _append_interval_predicate(
             block,
             binding,
@@ -148,7 +170,22 @@ def _introduce_interval(
             context,
             constraint.name,
             detail,
+            live,
         )
+
+
+def _min_max_outcome(query_interval: Interval, known_range: Interval) -> str:
+    """What abbreviation does with a bounded query range: ``"empty"``
+    (outside the known min/max), ``"abbreviate"`` (a half-open range the
+    bounds close) or ``"none"``."""
+    intersected = query_interval.intersect(known_range)
+    if intersected.is_empty:
+        return "empty"
+    if intersected != query_interval and (
+        query_interval.low is None or query_interval.high is None
+    ):
+        return "abbreviate"
+    return "none"
 
 
 def _abbreviate(
@@ -159,13 +196,24 @@ def _abbreviate(
     known_range: Interval,
     context: RewriteContext,
 ) -> None:
-    query_interval = analysis.column_interval(
-        block.predicates, ast.ColumnRef(column, binding)
-    )
+    reference = ast.ColumnRef(column, binding)
+    sources = analysis.constraining(block.predicates, reference)
+    query_interval = analysis.column_interval(sources, reference)
     if query_interval.is_unbounded:
         return
-    intersected = query_interval.intersect(known_range)
-    if intersected.is_empty:
+    outcome = _min_max_outcome(query_interval, known_range)
+    if analysis.slots_in(sources):
+        # The runtime-parameter abbreviation is right for any binding,
+        # the fold only for ranges outside the bounds: a cached plan
+        # serves the bindings that lead here again.
+        ast.guard(
+            lambda: _min_max_outcome(
+                analysis.column_interval(sources, reference),
+                constraint.column_bounds()[1],
+            )
+            == outcome
+        )
+    if outcome == "empty":
         block.predicates.append(ast.Literal(False))
         context.depend_on(constraint.name)
         context.record(
@@ -177,9 +225,7 @@ def _abbreviate(
     # Tighten a half-open query range using the known bounds (this is the
     # Sybase-style abbreviation: a bounded range can use an index range
     # scan on both ends).
-    if intersected != query_interval and (
-        query_interval.low is None or query_interval.high is None
-    ):
+    if outcome == "abbreviate":
         if context.config.enable_runtime_parameters:
             # Section 4.2: parameterize the SC-contributed bound(s) so the
             # plan reads the *current* min/max at execution time and
@@ -208,11 +254,13 @@ def _abbreviate(
                 f"{binding}.{column} (runtime parameters)",
             )
             return
+        # The intersection copies the query's own bound into the plan.
+        context.pin(sources)
         _append_interval_predicate(
             block,
             binding,
             column,
-            intersected,
+            query_interval.intersect(known_range),
             context,
             constraint.name,
             f"{constraint.name}: abbreviated range on {binding}.{column}",
@@ -249,6 +297,12 @@ def _trim_against_holes(block: QueryBlock, context: RewriteContext) -> None:
         b_range = analysis.column_interval(block.predicates, b_reference)
         if a_range.is_unbounded and b_range.is_unbounded:
             continue
+        # Whether the holes trim the ranges, and to what, follows from the
+        # query's values: the plan holds only for these.
+        context.pin(
+            analysis.constraining(block.predicates, a_reference)
+            + analysis.constraining(block.predicates, b_reference)
+        )
         trimmed_a, trimmed_b = constraint.trim(a_range, b_range)
         if trimmed_a != a_range:
             _append_interval_predicate(
@@ -276,27 +330,43 @@ def _trim_against_holes(block: QueryBlock, context: RewriteContext) -> None:
 
 def join_bands(
     block: QueryBlock, constraints: Iterable
-) -> Iterator[Tuple[object, str, str, Interval]]:
-    """(constraint, binding, column, band) for each side of each join path
-    the block joins along: a range on one side's column implies the
-    model's band on the other side's.  Lazy, so a band the caller adds
-    to ``block.predicates`` narrows the range the next band starts from.
+) -> Iterator[
+    Tuple[object, str, str, Interval, Optional[derive.LiveInterval]]
+]:
+    """(constraint, binding, column, band, live) for each side of each
+    join path the block joins along: a range on one side's column implies
+    the model's band on the other side's.  ``live`` recomputes the band
+    when the range follows the binding (None otherwise).  Lazy, so a
+    band the caller adds to ``block.predicates`` narrows the range the
+    next band starts from.
     """
     for constraint, path, one_binding, two_binding in on_join_path(
         block, constraints
     ):
-        b_range = analysis.column_interval(
-            block.predicates, ast.ColumnRef(path.column_b, two_binding)
-        )
-        if not b_range.is_unbounded:
-            band = constraint.forward_interval(b_range)
-            yield constraint, one_binding, path.column_a, band
-        a_range = analysis.column_interval(
-            block.predicates, ast.ColumnRef(path.column_a, one_binding)
-        )
-        if not a_range.is_unbounded:
-            band = constraint.inverse_interval(a_range)
-            yield constraint, two_binding, path.column_b, band
+        for extend, source, target in (
+            (
+                constraint.forward_interval,
+                ast.ColumnRef(path.column_b, two_binding),
+                ast.ColumnRef(path.column_a, one_binding),
+            ),
+            (
+                constraint.inverse_interval,
+                ast.ColumnRef(path.column_a, one_binding),
+                ast.ColumnRef(path.column_b, two_binding),
+            ),
+        ):
+            sources = analysis.constraining(block.predicates, source)
+            known = analysis.column_interval(sources, source)
+            if known.is_unbounded:
+                continue
+            live = derive.LiveInterval.over(
+                f"{constraint.name}:{target.qualified}",
+                lambda extend=extend, sources=sources, source=source: (
+                    extend(analysis.column_interval(sources, source))
+                ),
+                sources,
+            )
+            yield constraint, target.table, target.column, extend(known), live
 
 
 def _introduce_join_linear(block: QueryBlock, context: RewriteContext) -> None:
@@ -306,7 +376,7 @@ def _introduce_join_linear(block: QueryBlock, context: RewriteContext) -> None:
     if context.registry is None:
         return
     usable = context.registry.rewrite_usable()
-    for constraint, binding, column, band in join_bands(block, usable):
+    for constraint, binding, column, band, live in join_bands(block, usable):
         _append_interval_predicate(
             block,
             binding,
@@ -316,6 +386,7 @@ def _introduce_join_linear(block: QueryBlock, context: RewriteContext) -> None:
             constraint.name,
             f"{constraint.name}: introduced join-path band on "
             f"{binding}.{column}",
+            live,
         )
 
 

@@ -139,7 +139,7 @@ def _twin_join_linear(block: QueryBlock, context: RewriteContext) -> None:
     """Estimation-only bands from inter-table correlations (any confidence)."""
     assert context.registry is not None
     usable = context.registry.estimation_usable()
-    for constraint, binding, column, band in join_bands(block, usable):
+    for constraint, binding, column, band, _ in join_bands(block, usable):
         _attach(
             block, binding, column, band,
             context.registry.effective_confidence(constraint), constraint.name,

@@ -49,10 +49,6 @@ from repro.sql.ast import Statement, is_query
 
 __all__ = ["Replica", "ReplicaLag"]
 
-#: WAL ops that change the catalog's shape; applying one invalidates
-#: every plan the replica's cache compiled against the old shape.
-_DDL_OPS = ("create_table", "create_index", "drop_table", "add_constraint")
-
 
 class ReplicaLag:
     """One replica's staleness snapshot, as of the last shipment."""
@@ -369,8 +365,6 @@ class Replica:
             ) from error
         finally:
             manager._replaying = False
-        if record.get("op") in _DDL_OPS:
-            self.db.plan_cache.clear()
 
     # -- staleness -----------------------------------------------------------
 

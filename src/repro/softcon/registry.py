@@ -12,7 +12,9 @@ The registry is the runtime heart of the paper's facility.  It:
   when an ASC is violated;
 * fires the catalog's plan-invalidation hooks when an ASC is overturned or
   demoted (Section 4.1: "every pre-compiled query plan that employs a
-  violated ASC in its plan must be dropped");
+  violated ASC in its plan must be dropped"), and moves the catalog epoch
+  when a constraint is registered, activated, held in probation or
+  re-verified, so plans made before can take it up;
 * tracks per-constraint currency (updates since verification) for the
   margin-of-error model of Section 3.3.
 
@@ -81,6 +83,7 @@ class SoftConstraintRegistry:
         if policy is not None:
             self._policies[constraint.name] = policy
         self.refresh_currency(constraint, self.database)
+        self.database.catalog.bump_epoch()
         if activate:
             self.activate(constraint.name)
         else:
@@ -102,6 +105,7 @@ class SoftConstraintRegistry:
         durability logging.
         """
         self._constraints[constraint.name] = constraint
+        self.database.catalog.bump_epoch()
         if policy is not None:
             self._policies[constraint.name] = policy
         if currency is not None:
@@ -161,6 +165,7 @@ class SoftConstraintRegistry:
             return constraint
         if constraint.state is not SCState.ACTIVE:
             constraint.transition(SCState.ACTIVE)
+        self.database.catalog.bump_epoch()
         self._log_durable(constraint)
         return constraint
 
@@ -181,6 +186,7 @@ class SoftConstraintRegistry:
             state = settle(constraint)
             if state is not constraint.state:
                 constraint.transition(state)
+        self.database.catalog.bump_epoch()
         self.refresh_currency(constraint, self.database)
         self._log_durable(constraint)
         return violations, total
@@ -230,6 +236,7 @@ class SoftConstraintRegistry:
         yet employed by the optimizer (Section 3.2)."""
         constraint = self.get(name)
         constraint.transition(SCState.PROBATION)
+        self.database.catalog.bump_epoch()
         self._log_durable(constraint)
         return constraint
 

@@ -4,13 +4,19 @@ Expression and statement nodes are plain dataclasses.  Column references
 and table names are stored lower-cased (identifiers are case-insensitive).
 Date literals are stored in internal day-number form (see
 :mod:`repro.engine.types`) with ``is_date`` set so the printer can
-round-trip them.
+round-trip them.  A lifted statement's literals are :class:`Slot` runtime
+parameters that read the calling context's :class:`Binding`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
+    Tuple, Union,
+)
 
 
 class Node:
@@ -118,28 +124,124 @@ class IsNullExpr(Expression):
 
 @dataclass(eq=False)
 class RuntimeParameter(Expression):
-    """A plan parameter resolved from a soft constraint at run time.
+    """A plan parameter whose value is read at run time, never planned in.
 
     Paper Section 4.2 (runtime optimization): "The actual values in the
     ASC are not important ... Rather, the availability of this
     information (of the ASC) at runtime is important."  A plan built with
     runtime parameters survives value-changing repairs (e.g. min/max
-    widening): every evaluation reads the constraint's *current* value.
+    widening): every evaluation reads the *current* value.
 
-    ``constraint`` is the live soft-constraint object; ``attribute`` names
-    the field to read (e.g. ``"low"`` / ``"high"`` of a
-    :class:`~repro.softcon.minmax.MinMaxSC`).  Compares by identity.
+    ``source`` holds the value and ``attribute`` names the field to read:
+    a live soft constraint (``"low"`` / ``"high"`` of a
+    :class:`~repro.softcon.minmax.MinMaxSC`), a :class:`Slot` of the
+    statement binding (a lifted literal, see :mod:`repro.sql.lifting`),
+    or an interval the optimizer derives from slots.  A source with a
+    true ``per_statement`` attribute follows the binding: planning may
+    peek it, but a plan must read it, never copy it.  Compares by
+    identity.
     """
 
-    constraint: Any
+    source: Any
     attribute: str
 
     def current_value(self) -> Any:
-        return getattr(self.constraint, self.attribute)
+        return getattr(self.source, self.attribute)
+
+    @property
+    def per_statement(self) -> bool:
+        return getattr(self.source, "per_statement", False)
+
+    def slots(self) -> FrozenSet[int]:
+        """The binding slots the value is a function of."""
+        return self.source.slots() if self.per_statement else frozenset()
 
     def __repr__(self) -> str:
-        name = getattr(self.constraint, "name", "?")
+        if isinstance(self.source, Slot):
+            return f"?{self.source.index + 1}"
+        name = getattr(self.source, "name", "?")
         return f"PARAM({name}.{self.attribute})"
+
+
+class Binding:
+    """The values one execution binds to a lifted statement's slots.
+
+    Planning under a binding also records here what the plan it builds
+    assumed of them: ``pins`` are slots whose values the plan holds only
+    for, ``guards`` are checks a rewrite's outcome holds under (see
+    :class:`~repro.optimizer.planner.PlanCache`), and ``memo`` keeps each
+    derived value once per execution.
+    """
+
+    __slots__ = ("values", "pins", "guards", "memo")
+
+    def __init__(self, values: Tuple[Any, ...]) -> None:
+        self.values = values
+        self.pins: Set[int] = set()
+        self.guards: List[Callable[[], bool]] = []
+        self.memo: Dict[Any, Any] = {}
+
+
+_BINDING: ContextVar[Optional[Binding]] = ContextVar(
+    "repro_binding", default=None
+)
+
+
+def bind(values: Tuple[Any, ...]) -> Binding:
+    """Make ``values`` the calling context's binding until the next bind."""
+    binding = Binding(values)
+    _BINDING.set(binding)
+    return binding
+
+
+def current_binding() -> Optional[Binding]:
+    return _BINDING.get()
+
+
+@contextmanager
+def binding_scope(values: Tuple[Any, ...]) -> Iterator[Binding]:
+    """Bind ``values`` for a block; what planning records there is dropped."""
+    token = _BINDING.set(Binding(values))
+    try:
+        yield _BINDING.get()
+    finally:
+        _BINDING.reset(token)
+
+
+def pin(slots: Iterable[int]) -> None:
+    """Record that the plan being built holds only for these slots'
+    current values (it copied them, or a choice turned on them)."""
+    binding = _BINDING.get()
+    if binding is not None:
+        binding.pins.update(slots)
+
+
+def guard(check: Callable[[], bool]) -> None:
+    """Record a check the plan being built is correct under."""
+    binding = _BINDING.get()
+    if binding is not None:
+        binding.guards.append(check)
+
+
+class Slot:
+    """A lifted literal's place in the statement binding."""
+
+    __slots__ = ("index", "is_date")
+    per_statement = True
+
+    def __init__(self, index: int, is_date: bool = False) -> None:
+        self.index = index
+        self.is_date = is_date
+
+    @property
+    def value(self) -> Any:
+        binding = _BINDING.get()
+        if binding is None:
+            raise LookupError(f"statement parameter ?{self.index + 1} is unbound")
+        return binding.values[self.index]
+
+    def slots(self) -> FrozenSet[int]:
+        return frozenset((self.index,))
 
 
 @dataclass(eq=True)

@@ -129,17 +129,52 @@ def test_plan_cache_concurrent_lookup_and_invalidation():
             assert plan is not None
             calls[index] += 1
             if n % 20 == 5:
-                cache.invalidate_table(f"pc{rng.randrange(3)}")
+                # What DDL or RUNSTATS does to every cached plan.
+                db.database.catalog.bump_epoch()
             if n % 35 == 7:
-                cache.note_execution(sql, 1.0)
+                cache.note_execution(plan, 1.0)
 
     _hammer(worker)
     # Each get_plan bumps exactly one of hits/misses under the lock.
     assert cache.hits + cache.misses == sum(calls)
     # The cache still serves coherent plans after the storm.
     for sql in queries:
-        assert db.execute(sql, use_cache=True) is not None
+        assert db.execute(sql) is not None
     db.close()
+
+
+def test_a_miss_plans_outside_the_cache_lock():
+    """One session's miss must not hold up another's lookup."""
+    db = SoftDB()
+    db.execute("CREATE TABLE c0 (id INT PRIMARY KEY, val INT)")
+    db.execute("INSERT INTO c0 VALUES (1, 1), (2, 2), (3, 3)")
+    cache = db.plan_cache
+    cache.get_plan("SELECT val FROM c0 WHERE id > 1")
+    planning, release = threading.Event(), threading.Event()
+    optimize = db.optimizer.optimize
+
+    def slow_optimize(statement):
+        planning.set()
+        release.wait(10)
+        return optimize(statement)
+
+    db.optimizer.optimize = slow_optimize
+    miss = threading.Thread(
+        target=cache.get_plan, args=("SELECT id FROM c0 WHERE val = 3",)
+    )
+    hit = threading.Thread(
+        target=cache.get_plan, args=("SELECT val FROM c0 WHERE id > 2",)
+    )
+    miss.start()
+    try:
+        assert planning.wait(10)
+        hit.start()
+        hit.join(timeout=10)
+        assert not hit.is_alive(), "a hit waited for another thread's miss"
+    finally:
+        release.set()
+        miss.join(timeout=10)
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_plan_cache_clear_races_with_get_plan():
@@ -157,6 +192,6 @@ def test_plan_cache_clear_races_with_get_plan():
                 cache.get_plan(sql)
 
     _hammer(worker, threads=4)
-    rows = db.execute(sql, use_cache=True).rows
+    rows = db.execute(sql).rows
     assert [r["val"] for r in rows] == [2, 3]
     db.close()

@@ -91,7 +91,7 @@ class TestEstimatorCorrection:
 class TestPlanCacheEviction:
     def test_qerror_breach_evicts_and_reoptimizes_to_a_new_index(self):
         db = drifted_db()
-        first = db.execute(DRIFT_SQL, use_cache=True)
+        first = db.execute(DRIFT_SQL)
         assert _index_used(db.plan_cache.get_plan(DRIFT_SQL)) is not None
         assert first.max_qerror is not None
         assert first.max_qerror >= db.config.feedback_qerror_threshold
@@ -101,7 +101,7 @@ class TestPlanCacheEviction:
         stale_choice = "idx_a"
         fresh_plan = db.plan_cache.get_plan(DRIFT_SQL)
         assert _index_used(fresh_plan) != stale_choice
-        second = db.execute(DRIFT_SQL, use_cache=True)
+        second = db.execute(DRIFT_SQL)
         # Same answer, possibly in a different (index-driven) order.
         assert sorted(r["id"] for r in second.rows) == (
             sorted(r["id"] for r in first.rows)
@@ -117,12 +117,13 @@ class TestPlanCacheEviction:
         db.runstats_all()
         sql = "SELECT x FROM t"
         cache = db.plan_cache
-        assert cache.note_execution(sql, 100.0) is False  # not cached
-        db.execute(sql, use_cache=True)
-        assert cache.note_execution(sql, None) is False
-        assert cache.note_execution(sql, 2.0) is False  # below threshold
-        assert cache.note_execution(sql, 4.0) is True
-        assert cache.note_execution(sql, 4.0) is False  # already evicted
+        assert cache.note_execution(db.plan(sql), 100.0) is False  # not cached
+        db.execute(sql)
+        plan = cache.get_plan(sql)
+        assert cache.note_execution(plan, None) is False
+        assert cache.note_execution(plan, 2.0) is False  # below threshold
+        assert cache.note_execution(plan, 4.0) is True
+        assert cache.note_execution(plan, 4.0) is False  # already evicted
         assert cache.feedback_invalidations == 1
 
     def test_without_threshold_cache_never_feedback_evicts(self):
@@ -130,8 +131,8 @@ class TestPlanCacheEviction:
         db.execute("CREATE TABLE t (x INT)")
         cache = PlanCache(db.optimizer)  # qerror_threshold=None
         db.execute("INSERT INTO t VALUES (1)")
-        cache.get_plan("SELECT x FROM t")
-        assert cache.note_execution("SELECT x FROM t", 1e9) is False
+        plan = cache.get_plan("SELECT x FROM t")
+        assert cache.note_execution(plan, 1e9) is False
         assert cache.feedback_invalidations == 0
 
     def test_threshold_validation(self):
@@ -230,7 +231,7 @@ class TestSoftDBFacade:
             "events_a_cap", "events", "a < 1800", confidence=0.99
         )
         db.add_soft_constraint(ssc)
-        db.execute(DRIFT_SQL, use_cache=True)
+        db.execute(DRIFT_SQL)
         actions = db.apply_feedback()
         assert any("events_a_cap" in line for line in actions)
         # Half the rows now violate a < 1800.

@@ -44,7 +44,7 @@ class TestNoHarvestOnError:
     def test_error_does_not_count_as_plan_execution(self, db):
         sql = "SELECT b / (a - 5) AS x FROM t"
         with pytest.raises(ReproError):
-            db.execute(sql, use_cache=True)
+            db.execute(sql)
         # The plan is cached (planning succeeded) but its q-error history
         # must not include the failed run: no feedback eviction happened.
         assert db.plan_cache.feedback_invalidations == 0

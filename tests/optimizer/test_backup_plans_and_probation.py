@@ -31,13 +31,13 @@ class TestBackupPlans:
         cache = PlanCache(db.optimizer, backup_plans=True)
         plan = cache.get_plan(SQL)
         assert asc.name in plan.sc_dependencies
-        assert len(cache._backups) == 1
+        assert cache.backups == 1
 
     def test_no_backup_for_sc_free_plans(self, corr_db):
         db, _ = corr_db
         cache = PlanCache(db.optimizer, backup_plans=True)
         cache.get_plan("SELECT id FROM meas WHERE a > 2900.0")
-        assert cache._backups == {}
+        assert cache.backups == 0
 
     def test_reverts_instead_of_evicting(self, corr_db):
         db, asc = corr_db
@@ -98,6 +98,15 @@ class TestProbation:
         for _ in range(3):
             db.plan(SQL)
         assert db.registry.probation_uses.get(asc.name) == 3
+
+    def test_cached_executions_are_credited_like_fresh_plans(
+        self, probation_db
+    ):
+        db, asc = probation_db
+        for value in (500.0, 250.5, 500.0, 730.25):
+            db.execute(f"SELECT id, a FROM meas WHERE b = {value}")
+        assert db.plan_cache.hits == 3
+        assert db.registry.probation_uses.get(asc.name) == 4
 
     def test_unhelpful_queries_not_counted(self, probation_db):
         db, asc = probation_db

@@ -73,7 +73,7 @@ class TestPlanCache:
         plan.sc_dependencies.add("day_cap")
         sales_softdb.database.catalog.on_invalidate(
             "softconstraint:day_cap",
-            lambda _dep: cache._evict("SELECT id FROM sale WHERE day = 7"),
+            lambda _dep: cache._evict(plan),
         )
         sales_softdb.execute("INSERT INTO sale VALUES (9999, 99, 1.0, 'east')")
         assert cache.invalidations == 1
@@ -107,8 +107,7 @@ class TestPlanCache:
         cache.get_plan("SELECT id FROM sale")
         cache.clear()
         assert len(cache) == 0
-        assert cache._backups == {}
-        assert cache._reverted == set()
+        assert cache.backups == 0
 
     def test_no_duplicate_hooks_across_recompiles(self):
         """Repeated miss/recompile cycles for one SQL keep exactly one
@@ -131,7 +130,7 @@ class TestPlanCache:
             assert len(hooks.get(channel, [])) == 1
             # Drop the entry directly (no hook fires) and recompile: the
             # live hook must be reused, not re-registered.
-            del cache._plans[sql]
+            cache.clear()
         # A real invalidation fires the single hook and evicts the entry.
         cache.get_plan(sql)
         fired = db.database.catalog.fire_invalidation(channel)

@@ -258,11 +258,11 @@ class TestGuardFeedbackLoop:
     def test_cached_plan_evicted_on_breach(self):
         db = self._feedback_db()
         sql = "SELECT a FROM t WHERE b = 3"
-        db.execute(sql, use_cache=True)
-        assert sql in db.plan_cache._plans
+        db.execute(sql)
+        assert len(db.plan_cache) == 1
         with pytest.raises(BudgetExceededError):
-            db.execute(sql, use_cache=True, guard=QueryGuard(max_rows=1))
-        assert sql not in db.plan_cache._plans
+            db.execute(sql, guard=QueryGuard(max_rows=1))
+        assert len(db.plan_cache) == 0
         assert db.plan_cache.guard_invalidations == 1
         assert db.feedback_report()["plan_cache_guard_invalidations"] == 1
 
@@ -277,16 +277,16 @@ class TestGuardFeedbackLoop:
     def test_cancellation_blames_nobody(self):
         db = self._feedback_db()
         sql = "SELECT a FROM t"
-        db.execute(sql, use_cache=True)
-        plan = db.plan(sql)
+        db.execute(sql)
+        plan = db.plan_cache.get_plan(sql)
         db._note_guard_breach(
-            db.plan_cache, sql, plan, QueryCancelledError("user")
+            db.plan_cache, plan, QueryCancelledError("user")
         )
         report = db.feedback_report()
         assert report["guard_trips"]["by_kind"] == {"cancelled": 1}
         assert report["guard_trips"]["by_table"] == {}
         assert db.plan_cache.guard_invalidations == 0
-        assert sql in db.plan_cache._plans
+        assert len(db.plan_cache) == 1
 
     def test_partial_trip_feeds_loop_without_harvest(self):
         db = self._feedback_db()

@@ -115,8 +115,8 @@ class TestHelpers:
         assert sc.usable_in_rewrite
 
     def test_cached_execution(self, sales_softdb):
-        sales_softdb.execute("SELECT id FROM sale", use_cache=True)
-        sales_softdb.execute("SELECT id FROM sale", use_cache=True)
+        sales_softdb.execute("SELECT id FROM sale")
+        sales_softdb.execute("SELECT id FROM sale")
         assert sales_softdb.plan_cache.hits == 1
 
     def test_runstats_all(self, softdb):

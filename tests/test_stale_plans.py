@@ -68,6 +68,27 @@ class TestGuard:
         db.execute("INSERT INTO meas VALUES (99999, 0.0, 500.0)")
         Executor(db.database).execute(plan)  # no guard, no exception
 
+    def test_select_reissues_a_plan_gone_stale_after_its_lookup(
+        self, corr_db
+    ):
+        """The plan is fresh when the cache hands it out and stale by the
+        time it runs: ``execute`` re-issues once, behind the scenes."""
+        db, asc = corr_db
+        expected = db.execute(SQL).tuples()
+        lookup = db.plan_cache.get_plan
+
+        def lookup_then_overturn(sql, statement=None):
+            plan = lookup(sql, statement)
+            if db.plan_cache.get_plan is lookup_then_overturn:
+                db.plan_cache.get_plan = lookup
+                asc.validity_version += 1  # a concurrent overturn
+            return plan
+
+        db.plan_cache.get_plan = lookup_then_overturn
+        assert db.execute(SQL).tuples() == expected
+        assert db.plan_cache.get_plan is lookup
+        assert db.plan_cache.misses == 2
+
     def test_sc_free_plans_never_stale(self, corr_db):
         db, _ = corr_db
         plan = db.plan("SELECT id FROM meas WHERE a > 2900.0")

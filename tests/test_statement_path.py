@@ -81,19 +81,19 @@ def test_session_guard_trip_reaches_the_feedback_loop(
 ):
     db, session = feedback_session
     sql = "SELECT a FROM t"
-    session.execute(sql, use_cache=True)
-    assert sql in session.plan_cache._plans
+    session.execute(sql)
+    assert len(session.plan_cache) == 1
     guard = QueryGuard(max_rows=5, on_breach=on_breach)
     if on_breach == "abort":
         with pytest.raises(BudgetExceededError):
-            session.execute(sql, use_cache=True, guard=guard)
+            session.execute(sql, guard=guard)
     else:
-        assert session.execute(sql, use_cache=True, guard=guard).truncated
+        assert session.execute(sql, guard=guard).truncated
     report = db.feedback_report()
     assert report["guard_trips"]["by_kind"] == {"rows": 1}
     assert report["guard_trips"]["by_table"] == {"t": 1}
     # The plan came from the session's cache, so that is the one evicted.
-    assert sql not in session.plan_cache._plans
+    assert len(session.plan_cache) == 0
     assert session.plan_cache.guard_invalidations == 1
     assert db.plan_cache.guard_invalidations == 0
 
@@ -101,14 +101,14 @@ def test_session_guard_trip_reaches_the_feedback_loop(
 def test_session_cancellation_blames_nobody(feedback_session):
     db, session = feedback_session
     sql = "SELECT a FROM t"
-    session.execute(sql, use_cache=True)
+    session.execute(sql)
     with pytest.raises(QueryCancelledError):
-        session.execute(sql, use_cache=True, cancel=_CancelledAfterEntry())
+        session.execute(sql, cancel=_CancelledAfterEntry())
     report = db.feedback_report()
     assert report["guard_trips"]["by_kind"] == {"cancelled": 1}
     assert report["guard_trips"]["by_table"] == {}
     assert session.plan_cache.guard_invalidations == 0
-    assert sql in session.plan_cache._plans
+    assert len(session.plan_cache) == 1
 
 
 # ---------------------------------------------------- one parse per statement
@@ -181,7 +181,7 @@ def test_facade_parses_each_statement_once(parses):
     _assert_one_parse_each(db.execute, parses)
     # A plan-cache miss is still one parse (and a hit too).
     _assert_one_parse_each(
-        lambda sql: db.execute(sql, use_cache=True),
+        lambda sql: db.execute(sql),
         parses,
         ["SELECT a FROM u WHERE b = 2"] * 2,
     )
@@ -192,7 +192,7 @@ def test_session_parses_each_statement_once(parses):
     with db.session() as session:
         _assert_one_parse_each(session.execute, parses)
         _assert_one_parse_each(
-            lambda sql: session.execute(sql, use_cache=True),
+            lambda sql: session.execute(sql),
             parses,
             ["SELECT a FROM u WHERE b = 2"] * 2,
         )
