@@ -53,7 +53,7 @@ def test_e05_benchmark_optimize_with_twinning(benchmark, scenario):
 def test_e05_report_qerror_across_dates(report, scenario, benchmark):
     no_twin = Optimizer(
         scenario.database, scenario.registry,
-        OptimizerConfig(enable_twinning=False),
+        OptimizerConfig(disabled_rules={"twinning"}),
     )
     rows = []
     twin_errors = []
@@ -106,7 +106,9 @@ def test_e05_report_confidence_sweep(report, benchmark):
         actual = db.query(count_sql(day))[0]["n"]
         with_ssc = db.plan(probe_sql(day)).estimated_rows
         plain = Optimizer(
-            db.database, db.registry, OptimizerConfig(enable_twinning=False)
+            db.database,
+            db.registry,
+            OptimizerConfig(disabled_rules={"twinning"}),
         ).optimize(probe_sql(day)).estimated_rows
         rows.append(
             [

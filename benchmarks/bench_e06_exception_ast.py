@@ -114,12 +114,14 @@ def test_e06_report_information_ast_ablation(report, benchmark):
     )[0]["n"]
     routable = db.plan(sql)
     info_only = Optimizer(
-        db.database, db.registry, OptimizerConfig(enable_ast_routing=False)
+        db.database,
+        db.registry,
+        OptimizerConfig(disabled_rules={"ast_routing"}),
     ).optimize(sql)
     neither = Optimizer(
         db.database,
         db.registry,
-        OptimizerConfig(enable_ast_routing=False, enable_twinning=False),
+        OptimizerConfig(disabled_rules={"ast_routing", "twinning"}),
     ).optimize(sql)
     benchmark(lambda: db.plan(sql))
     report(

@@ -225,16 +225,13 @@ class SoftDB:
     def execute(
         self,
         sql: str,
-        batch_size: Optional[int] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
     ) -> Optional[Union[ExecutionResult, int]]:
         """Run one SQL statement.
 
         Returns an :class:`ExecutionResult` for queries, the affected row
-        count for DML, and None for DDL.  ``batch_size`` overrides the
-        session's executor batch size for this query only (0 selects the
-        row-at-a-time interpreter).  A query is planned once per shape:
+        count for DML, and None for DDL.  A query is planned once per shape:
         a later one that differs only in its literals reuses the plan
         from the plan cache (see :class:`PlanCache`).
 
@@ -255,15 +252,12 @@ class SoftDB:
         feedback-corrected estimates.  Harvesting happens only for
         successful, untruncated executions.
         """
-        return self.run_statement(
-            parse_statement(sql), sql, batch_size, guard, cancel
-        )
+        return self.run_statement(parse_statement(sql), sql, guard, cancel)
 
     def run_statement(
         self,
         statement: ast.Statement,
         sql: str,
-        batch_size: Optional[int] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
         context: Optional[Any] = None,
@@ -303,7 +297,7 @@ class SoftDB:
             self,
             statement,
             self if context is None else context,
-            (sql, batch_size, guard, cancel),
+            (sql, guard, cancel),
         )
 
     def _select(self, statement, context, options) -> ExecutionResult:
@@ -311,13 +305,13 @@ class SoftDB:
         cache, execute it inside the context's read scope (re-issuing once
         if it went stale meanwhile), then feed guard trips and observed
         q-errors back."""
-        sql, batch_size, guard, cancel = options
+        sql, guard, cancel = options
         plan_cache = context.plan_cache
 
         def run(plan: PhysicalPlan) -> ExecutionResult:
             with context._read_scope():
                 return context.executor.execute(
-                    plan, batch_size=batch_size, guard=guard, cancel=cancel
+                    plan, guard=guard, cancel=cancel
                 )
 
         plan = plan_cache.get_plan(sql, statement)
@@ -375,9 +369,7 @@ class SoftDB:
         literals stay in the plan, as EXPLAIN shows them)."""
         return self.optimizer.optimize(sql)
 
-    def execute_plan(
-        self, plan: PhysicalPlan, retry_on_stale: bool = True
-    ) -> ExecutionResult:
+    def execute_plan(self, plan: PhysicalPlan) -> ExecutionResult:
         """Execute a previously compiled plan, re-issuing if it went stale.
 
         Models the paper's Section 4.1 resolution for a transaction whose
@@ -386,7 +378,7 @@ class SoftDB:
         of deadlock resolution.  So the user who issued [it] sees no
         difference except for more wait time."
         """
-        if not retry_on_stale or not plan.sql:
+        if not plan.sql:
             return self.executor.execute(plan)
         return _reissuing(
             self.executor.execute,
@@ -534,13 +526,6 @@ class SoftDB:
                     constraint.name, verify_first=verify_first
                 )
         return constraint
-
-    def create_exception_table(
-        self, constraint: SoftConstraint, name: Optional[str] = None
-    ) -> ExceptionTable:
-        """Materialize a constraint's exceptions as an AST (Section 4.4)."""
-        with self.database._statement_scope():
-            return ExceptionTable(self.database, constraint, name)
 
     # ----------------------------------------------- the facade as a context
 

@@ -166,7 +166,6 @@ class Session:
     def execute(
         self,
         sql: str,
-        batch_size: Optional[int] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
     ):
@@ -189,7 +188,6 @@ class Session:
                 return self.db.run_statement(
                     statement,
                     sql,
-                    batch_size,
                     guard if guard is not None else self.guard,
                     cancel,
                     context=self,

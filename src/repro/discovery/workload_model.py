@@ -151,10 +151,6 @@ class Workload:
         self.queries.append(query)
         return query
 
-    @property
-    def total_frequency(self) -> float:
-        return sum(q.frequency for q in self.queries)
-
     def predicate_frequency(self, table: str, column: str) -> float:
         """Total frequency of queries predicating on (table, column)."""
         key = (table.lower(), column.lower())

@@ -78,7 +78,6 @@ class Catalog:
         self._constraints.pop(key, None)
         self._statistics.pop(key, None)
         self.bump_epoch()
-        self.fire_invalidation(f"table:{key}")
 
     def table_names(self) -> List[str]:
         return sorted(self.tables)
@@ -161,7 +160,6 @@ class Catalog:
             )
         del table_constraints[constraint_name.lower()]
         self.bump_epoch()
-        self.fire_invalidation(f"constraint:{constraint_name.lower()}")
 
     def constraints_on(self, table_name: str) -> List[Constraint]:
         """All constraints attached to a table (child side for FKs)."""
@@ -234,17 +232,18 @@ class Catalog:
             raise UnknownObjectError(f"unknown summary table {name!r}")
         del self._summary_tables[key]
         self.bump_epoch()
-        self.fire_invalidation(f"ast:{key}")
 
     # ------------------------------------------------------- plan invalidation
 
     def on_invalidate(self, dependency: str, callback: Callable[[str], None]) -> None:
         """Register a callback fired when ``dependency`` is overturned.
 
-        Dependencies are namespaced strings: ``"constraint:<name>"``,
-        ``"softconstraint:<name>"``, ``"table:<name>"``, ``"ast:<name>"``.
-        The plan cache uses this to drop plans that relied on an ASC when
-        the ASC is violated (paper Section 4.1).
+        Dependencies are namespaced strings, fired by the soft-constraint
+        registry: ``"softconstraint:<name>"`` when the constraint is
+        overturned, demoted or dropped, ``"softconstraint-values:<name>"``
+        when a repair changes its values.  The plan cache uses this to drop
+        plans that relied on an ASC when the ASC is violated (paper
+        Section 4.1); catalog changes move :attr:`epoch` instead.
         """
         self._invalidation_hooks.setdefault(dependency, []).append(callback)
 

@@ -12,7 +12,7 @@ a plan touched — the number every benchmark compares across plans.
 """
 
 from repro.executor.batch import DEFAULT_BATCH_SIZE, RowBatch
-from repro.executor.runtime import ExecutionResult, Executor, run_sql
+from repro.executor.runtime import ExecutionResult, Executor
 from repro.executor.vectorized import BatchedInterpreter
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "ExecutionResult",
     "Executor",
     "RowBatch",
-    "run_sql",
 ]

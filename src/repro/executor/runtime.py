@@ -148,7 +148,6 @@ class Executor:
         self,
         plan: PhysicalPlan,
         instrument: bool = False,
-        batch_size: Optional[int] = None,
         collect_feedback: Optional[bool] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
@@ -156,8 +155,7 @@ class Executor:
         """Run a plan.  With ``instrument``, every operator's actual output
         row count is recorded on the node (``actual_rows``; production runs
         also record ``actual_batches``) so EXPLAIN ANALYZE can print
-        estimates next to actuals.  ``batch_size`` overrides the
-        executor's default for this one execution.  ``collect_feedback``
+        estimates next to actuals.  ``collect_feedback``
         (default: on iff the executor holds a feedback store) implies
         instrumentation, also counts scan input rows / join pairs, and
         harvests the actuals into the store afterwards.
@@ -185,8 +183,7 @@ class Executor:
             clear_actuals(plan.root)
             instrument = True
         active = self._arm(guard, cancel)
-        size = self.batch_size if batch_size is None else batch_size
-        production = bool(size) and plan.compiled
+        production = bool(self.batch_size) and plan.compiled
         before_reads = self.database.counters.page_reads
         before_rows = self.database.counters.rows_read
         truncated = False
@@ -195,7 +192,7 @@ class Executor:
             if production:
                 interpreter = BatchedInterpreter(
                     self.database,
-                    size,
+                    self.batch_size,
                     instrument=instrument,
                     collect=collect,
                     guard=active,
@@ -233,7 +230,7 @@ class Executor:
             rows_read=self.database.counters.rows_read - before_rows,
         )
         if production:
-            result.executor = f"production (batch_size={size})"
+            result.executor = f"production (batch_size={self.batch_size})"
         result.truncated = truncated
         if truncated:
             result.guard_breach = breach
@@ -416,19 +413,3 @@ class Executor:
     @staticmethod
     def _having_ok(node: GroupBy, row: RowDict) -> bool:
         return evaluate(node.having, row) is True
-
-
-def run_sql(
-    database: Database,
-    sql: str,
-    registry: Optional[object] = None,
-    optimizer: Optional[object] = None,
-    batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-) -> ExecutionResult:
-    """One-call convenience: optimize and execute a SELECT statement."""
-    from repro.optimizer.planner import Optimizer
-
-    if optimizer is None:
-        optimizer = Optimizer(database, registry)
-    plan = optimizer.optimize(sql)
-    return Executor(database, batch_size=batch_size).execute(plan)

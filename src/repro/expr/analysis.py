@@ -354,11 +354,6 @@ def _same_column(left: ast.ColumnRef, right: ast.ColumnRef) -> bool:
     return left.table == right.table
 
 
-def same_column(left: ast.ColumnRef, right: ast.ColumnRef) -> bool:
-    """Public wrapper for qualifier-tolerant column identity."""
-    return _same_column(left, right)
-
-
 def substitute_columns(
     expression: ast.Expression, mapping: Dict[str, ast.Expression]
 ) -> ast.Expression:

@@ -14,6 +14,7 @@ from repro.api import SoftDB
 from repro.executor.runtime import ExecutionResult, Executor
 from repro.harness.classify import normalized_row_key
 from repro.optimizer.planner import Optimizer, OptimizerConfig
+from repro.optimizer.rewrite.engine import RULES
 from repro.optimizer.physical import PhysicalPlan
 
 
@@ -108,14 +109,4 @@ def all_off(**overrides: Any) -> OptimizerConfig:
     ``batch_size=0, compile_expressions=False`` selects the interpreted
     row-at-a-time oracle configuration).
     """
-    return OptimizerConfig(
-        enable_branch_elimination=False,
-        enable_join_elimination=False,
-        enable_groupby_simplification=False,
-        enable_ast_routing=False,
-        enable_predicate_introduction=False,
-        enable_hole_trimming=False,
-        enable_twinning=False,
-        use_twinning_in_estimation=False,
-        **overrides,
-    )
+    return OptimizerConfig(disabled_rules=RULES, **overrides)

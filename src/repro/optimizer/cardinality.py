@@ -59,14 +59,12 @@ class CardinalityEstimator:
     def __init__(
         self,
         database: Database,
-        use_twinning: bool = True,
         combiner: str = "independence",
         feedback: Optional[object] = None,
     ) -> None:
         if combiner not in ("independence", "exp_backoff", "feedback"):
             raise OptimizerError(f"unknown combiner {combiner!r}")
         self.database = database
-        self.use_twinning = use_twinning
         self.combiner = combiner
         self.feedback = feedback
 
@@ -129,7 +127,7 @@ class CardinalityEstimator:
                 return max(0.0, observed)
         base = self.base_rows(table_name)
         plain = self.conjunction_selectivity(table_name, conjuncts)
-        if not self.use_twinning or not estimation_predicates:
+        if not estimation_predicates:
             return base * plain
         confidence = min(p.confidence for p in estimation_predicates)
         with_twins = self._twinned_selectivity(

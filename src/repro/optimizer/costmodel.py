@@ -100,9 +100,6 @@ class CostModel:
 
     # -- other operators -----------------------------------------------------------
 
-    def filter_cost(self, child_cost: float, child_rows: float) -> float:
-        return child_cost + child_rows * CPU_OPERATOR_COST
-
     def sort_cost(
         self, child_cost: float, child_rows: float, key_count: int = 1
     ) -> float:

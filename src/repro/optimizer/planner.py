@@ -14,7 +14,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple,
+    Union,
 )
 
 from repro.engine.database import Database
@@ -39,36 +40,26 @@ from repro.optimizer.physical import (
     Sort,
     UnionAll,
 )
-from repro.optimizer.rewrite.engine import RewriteContext, RewriteEngine
+from repro.optimizer.rewrite.engine import RULES, RewriteContext, RewriteEngine
 from repro.sql import ast
 from repro.sql.lifting import lift
 from repro.sql.parser import parse_statement
 from repro.sql.printer import sql_of
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
-    """Feature switches for the rewrite rules and estimator.
+    """What the optimizer plans with and how its plans run.
 
     Every experiment's baseline is the same optimizer with the relevant
-    switch off, so the benchmarks measure exactly one mechanism at a time.
+    rewrite named in ``disabled_rules`` (names from
+    :data:`~repro.optimizer.rewrite.engine.RULES`), so the benchmarks
+    measure exactly one mechanism at a time.  Frozen: the facade, the
+    optimizer and every session's plan cache share one instance, and
+    cached plans are not keyed by it.
     """
 
-    enable_branch_elimination: bool = True
-    enable_join_elimination: bool = True
-    enable_groupby_simplification: bool = True
-    enable_ast_routing: bool = True
-    enable_predicate_introduction: bool = True
-    enable_hole_trimming: bool = True
-    enable_twinning: bool = True
-    introduce_only_with_index: bool = True
-    use_twinning_in_estimation: bool = True
-    # Section 4.2: min/max abbreviation reads the SC's *current* bounds at
-    # execution time instead of inlining them into the plan.
-    enable_runtime_parameters: bool = True
-    # Section 3.2: assess PROBATION constraints in a shadow rewrite pass,
-    # counting the queries each would have helped.
-    track_probation_usage: bool = True
+    disabled_rules: FrozenSet[str] = frozenset()
     # Rows per batch of the production executor.  0 runs every plan on
     # the row-at-a-time oracle.  Mirrors
     # repro.executor.batch.DEFAULT_BATCH_SIZE, kept literal here so the
@@ -89,6 +80,15 @@ class OptimizerConfig:
     # node misestimated by at least this factor is evicted and recompiled
     # with feedback-corrected estimates.
     feedback_qerror_threshold: float = 4.0
+
+    def __post_init__(self) -> None:
+        disabled = frozenset(self.disabled_rules)
+        unknown = sorted(disabled.difference(RULES))
+        if unknown:
+            raise OptimizerError(
+                f"unknown rewrite rule(s) {unknown}; the rules are {list(RULES)}"
+            )
+        object.__setattr__(self, "disabled_rules", disabled)
 
 
 class Optimizer:
@@ -125,8 +125,7 @@ class Optimizer:
         plan = self.choose_plan(statement, sql)
         if self.config.compile_expressions:
             attach_compiled_expressions(plan)
-        if self.config.track_probation_usage:
-            self._assess_probation(statement, plan.sc_dependencies)
+        self._assess_probation(statement, plan.sc_dependencies)
         return plan
 
     def choose_plan(
@@ -143,7 +142,6 @@ class Optimizer:
 
         estimator = CardinalityEstimator(
             self.database,
-            use_twinning=self.config.use_twinning_in_estimation,
             combiner="feedback" if self.feedback is not None else "independence",
             feedback=self.feedback,
         )
@@ -503,9 +501,8 @@ class PlanCache:
             else:
                 self.hits += 1
         if plan is not None:
-            if optimizer.config.track_probation_usage:
-                # Credit PROBATION SCs exactly as planning fresh would.
-                optimizer._assess_probation(lifted, plan.sc_dependencies)
+            # Credit PROBATION SCs exactly as planning fresh would.
+            optimizer._assess_probation(lifted, plan.sc_dependencies)
             return plan
         plan = optimizer.optimize(lifted)
         backup = None

@@ -36,8 +36,6 @@ from repro.sql import ast
 def route_through_exceptions(
     plan: LogicalPlan, context: RewriteContext
 ) -> LogicalPlan:
-    if not context.config.enable_ast_routing:
-        return plan
     if isinstance(plan, UnionPlan):
         # Routing inside an existing union is possible but the nesting buys
         # nothing extra for the paper's experiments; keep it simple.
@@ -143,8 +141,6 @@ def _derive_introduced(
 def _opens_index_path(
     context: RewriteContext, table_name: str, column: str
 ) -> bool:
-    if not context.config.introduce_only_with_index:
-        return True
     return (
         context.database.catalog.find_index(table_name, [column]) is not None
     )

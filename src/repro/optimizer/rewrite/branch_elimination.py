@@ -31,7 +31,7 @@ from repro.sql import ast
 def eliminate_branches(
     plan: LogicalPlan, context: RewriteContext
 ) -> LogicalPlan:
-    if not isinstance(plan, UnionPlan) or not context.config.enable_branch_elimination:
+    if not isinstance(plan, UnionPlan):
         return plan
     surviving: List[QueryBlock] = []
     for number, block in enumerate(plan.blocks):

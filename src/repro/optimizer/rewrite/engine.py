@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.engine.database import Database
 from repro.expr import analysis
@@ -64,44 +64,54 @@ class RewriteContext:
 
 RewriteRule = Callable[[LogicalPlan, RewriteContext], LogicalPlan]
 
+#: The rewrites, in pipeline order, by the names
+#: ``OptimizerConfig.disabled_rules`` switches them off with.
+#: ``hole_trimming`` is a step inside predicate introduction, which checks
+#: it itself: it must run between that rule's other steps.
+RULES = (
+    "branch_elimination",
+    "join_elimination",
+    "groupby_simplification",
+    "ast_routing",
+    "predicate_introduction",
+    "hole_trimming",
+    "twinning",
+)
+
 
 class RewriteEngine:
     """Applies the rule pipeline to a logical plan.
 
-    The rule list is configurable so experiments can ablate individual
-    rewrites (every benchmark's baseline is "same optimizer, rule off").
+    The one place a rule is switched off: every experiment's baseline is
+    the same optimizer with one rule named in the configuration's
+    ``disabled_rules``.
     """
 
-    def __init__(self, rules: Optional[List[RewriteRule]] = None) -> None:
-        if rules is None:
-            rules = default_rules()
-        self.rules = rules
+    def __init__(self) -> None:
+        from repro.optimizer.rewrite.branch_elimination import eliminate_branches
+        from repro.optimizer.rewrite.join_elimination import eliminate_joins
+        from repro.optimizer.rewrite.groupby_simplification import simplify_grouping
+        from repro.optimizer.rewrite.ast_routing import route_through_exceptions
+        from repro.optimizer.rewrite.predicate_introduction import introduce_predicates
+        from repro.optimizer.rewrite.twinning import add_twinned_predicates
+
+        self.rules: Tuple[Tuple[str, RewriteRule], ...] = (
+            ("branch_elimination", eliminate_branches),
+            ("join_elimination", eliminate_joins),
+            ("groupby_simplification", simplify_grouping),
+            ("ast_routing", route_through_exceptions),
+            ("predicate_introduction", introduce_predicates),
+            ("twinning", add_twinned_predicates),
+        )
 
     def rewrite(
         self, plan: LogicalPlan, context: RewriteContext
     ) -> LogicalPlan:
-        for rule in self.rules:
-            plan = rule(plan, context)
+        disabled = context.config.disabled_rules
+        for name, rule in self.rules:
+            if name not in disabled:
+                plan = rule(plan, context)
         return plan
-
-
-def default_rules() -> List[RewriteRule]:
-    """The full pipeline in canonical order."""
-    from repro.optimizer.rewrite.branch_elimination import eliminate_branches
-    from repro.optimizer.rewrite.join_elimination import eliminate_joins
-    from repro.optimizer.rewrite.groupby_simplification import simplify_grouping
-    from repro.optimizer.rewrite.ast_routing import route_through_exceptions
-    from repro.optimizer.rewrite.predicate_introduction import introduce_predicates
-    from repro.optimizer.rewrite.twinning import add_twinned_predicates
-
-    return [
-        eliminate_branches,
-        eliminate_joins,
-        simplify_grouping,
-        route_through_exceptions,
-        introduce_predicates,
-        add_twinned_predicates,
-    ]
 
 
 def map_blocks(

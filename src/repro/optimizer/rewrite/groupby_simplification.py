@@ -30,8 +30,6 @@ from repro.sql import ast
 
 
 def simplify_grouping(plan: LogicalPlan, context: RewriteContext) -> LogicalPlan:
-    if not context.config.enable_groupby_simplification:
-        return plan
     return map_blocks(plan, lambda block: _simplify_block(block, context))
 
 

@@ -29,8 +29,6 @@ from repro.sql import ast
 
 
 def eliminate_joins(plan: LogicalPlan, context: RewriteContext) -> LogicalPlan:
-    if not context.config.enable_join_elimination:
-        return plan
     return map_blocks(plan, lambda block: _eliminate_in_block(block, context))
 
 

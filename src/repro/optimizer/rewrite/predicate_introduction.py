@@ -37,8 +37,6 @@ from repro.sql import ast
 def introduce_predicates(
     plan: LogicalPlan, context: RewriteContext
 ) -> LogicalPlan:
-    if not context.config.enable_predicate_introduction:
-        return plan
     return map_blocks(plan, lambda block: _introduce_in_block(block, context))
 
 
@@ -73,8 +71,6 @@ def _worth_introducing(
     not already have an indexable interval on some indexed column of the
     same binding.
     """
-    if not context.config.introduce_only_with_index:
-        return True
     catalog = context.database.catalog
     target_index = catalog.find_index(table_name, [target_column])
     if target_index is None:
@@ -224,46 +220,27 @@ def _abbreviate(
         return
     # Tighten a half-open query range using the known bounds (this is the
     # Sybase-style abbreviation: a bounded range can use an index range
-    # scan on both ends).
+    # scan on both ends).  Section 4.2: the SC-contributed bound(s) are
+    # runtime parameters, so the plan reads the *current* min/max at
+    # execution time and survives widening repairs without invalidation.
     if outcome == "abbreviate":
-        if context.config.enable_runtime_parameters:
-            # Section 4.2: parameterize the SC-contributed bound(s) so the
-            # plan reads the *current* min/max at execution time and
-            # survives widening repairs without invalidation.
-            reference = ast.ColumnRef(column, binding)
-            if query_interval.low is None and known_range.low is not None:
-                block.predicates.append(
-                    ast.BinaryOp(
-                        ">=",
-                        reference,
-                        ast.RuntimeParameter(constraint, "low"),
-                    )
+        if query_interval.low is None and known_range.low is not None:
+            block.predicates.append(
+                ast.BinaryOp(
+                    ">=", reference, ast.RuntimeParameter(constraint, "low")
                 )
-            if query_interval.high is None and known_range.high is not None:
-                block.predicates.append(
-                    ast.BinaryOp(
-                        "<=",
-                        reference,
-                        ast.RuntimeParameter(constraint, "high"),
-                    )
-                )
-            context.depend_on_validity(constraint.name)
-            context.record(
-                "predicate_introduction",
-                f"{constraint.name}: abbreviated range on "
-                f"{binding}.{column} (runtime parameters)",
             )
-            return
-        # The intersection copies the query's own bound into the plan.
-        context.pin(sources)
-        _append_interval_predicate(
-            block,
-            binding,
-            column,
-            query_interval.intersect(known_range),
-            context,
-            constraint.name,
-            f"{constraint.name}: abbreviated range on {binding}.{column}",
+        if query_interval.high is None and known_range.high is not None:
+            block.predicates.append(
+                ast.BinaryOp(
+                    "<=", reference, ast.RuntimeParameter(constraint, "high")
+                )
+            )
+        context.depend_on_validity(constraint.name)
+        context.record(
+            "predicate_introduction",
+            f"{constraint.name}: abbreviated range on "
+            f"{binding}.{column} (runtime parameters)",
         )
 
 
@@ -285,7 +262,10 @@ def on_join_path(
 
 
 def _trim_against_holes(block: QueryBlock, context: RewriteContext) -> None:
-    if context.registry is None or not context.config.enable_hole_trimming:
+    if (
+        context.registry is None
+        or "hole_trimming" in context.config.disabled_rules
+    ):
         return
     usable = context.registry.rewrite_usable()
     for constraint, path, one_binding, two_binding in on_join_path(

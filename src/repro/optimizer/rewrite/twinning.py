@@ -32,8 +32,6 @@ from repro.sql.printer import sql_of
 def add_twinned_predicates(
     plan: LogicalPlan, context: RewriteContext
 ) -> LogicalPlan:
-    if not context.config.enable_twinning:
-        return plan
     return map_blocks(plan, lambda block: _twin_in_block(block, context))
 
 

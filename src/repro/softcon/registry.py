@@ -147,9 +147,6 @@ class SoftConstraintRegistry:
     def policy_for(self, constraint: SoftConstraint) -> MaintenancePolicy:
         return self._policies.get(constraint.name, self._default_policy)
 
-    def set_default_policy(self, policy: MaintenancePolicy) -> None:
-        self._default_policy = policy
-
     # ------------------------------------------------------------- lifecycle
 
     def activate(self, name: str, verify_first: bool = False) -> SoftConstraint:

@@ -111,9 +111,6 @@ class TableStats:
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name.lower())
 
-    def virtual_columns(self) -> List[VirtualColumnStats]:
-        return list(self.virtual.values())
-
     def __repr__(self) -> str:
         return (
             f"TableStats({self.table_name}: rows={self.row_count}, "

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.discovery.workload_model import Workload
-from repro.workload.schemas import YEAR_START
 
 
 def correlated_workload(
@@ -79,7 +78,3 @@ def monthly_union_sql(
     ]
     return " UNION ALL ".join(branches)
 
-
-def first_quarter_range() -> Tuple[int, int]:
-    """Day bounds of Jan-Mar in the 30-day-month calendar of E3."""
-    return YEAR_START, YEAR_START + 3 * 30 - 1

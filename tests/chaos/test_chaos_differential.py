@@ -9,6 +9,8 @@ by row.  Select with ``pytest -m chaos``; seeds are fixed so CI failures
 reproduce locally by copying the seed.
 """
 
+from typing import Optional
+
 import pytest
 
 from repro import SoftDB
@@ -18,6 +20,7 @@ from repro.errors import (
     ReproError,
     TransientIOError,
 )
+from repro.optimizer.planner import OptimizerConfig
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guards import QueryGuard
 
@@ -47,8 +50,8 @@ QUERIES = (
 )
 
 
-def build_db() -> SoftDB:
-    db = SoftDB()
+def build_db(config: Optional[OptimizerConfig] = None) -> SoftDB:
+    db = SoftDB(config)
     db.execute(
         "CREATE TABLE emp (id INT PRIMARY KEY, dept_id INT, salary INT, "
         "v INT)"
@@ -92,19 +95,17 @@ def heap_verify(db: SoftDB, table_name: str) -> None:
 @pytest.mark.parametrize("seed", SEEDS, ids=[f"seed-{s}" for s in SEEDS])
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_queries_never_silently_wrong(seed, batch_size):
-    oracle_db = build_db()
-    oracle = {
-        sql: canonical(oracle_db.execute(sql, batch_size=batch_size))
-        for sql in QUERIES
-    }
-    db = build_db()
+    config = OptimizerConfig(batch_size=batch_size)
+    oracle_db = build_db(config)
+    oracle = {sql: canonical(oracle_db.execute(sql)) for sql in QUERIES}
+    db = build_db(config)
     injector = chaos_injector(seed)
     db.attach_fault_injector(injector)
     outcomes = {"ok": 0, "typed-error": 0}
     for _ in range(4):
         for sql in QUERIES:
             try:
-                result = db.execute(sql, batch_size=batch_size)
+                result = db.execute(sql)
             except ReproError as error:
                 outcomes["typed-error"] += 1
                 if isinstance(error, IndexCorruptionError) and error.index_name:

@@ -120,13 +120,7 @@ class TestInvalidation:
 
     def test_multiple_callbacks(self, catalog):
         fired = []
-        catalog.on_invalidate("constraint:c", lambda d: fired.append(1))
-        catalog.on_invalidate("constraint:c", lambda d: fired.append(2))
-        assert catalog.fire_invalidation("constraint:c") == 2
+        catalog.on_invalidate("softconstraint:c", lambda d: fired.append(1))
+        catalog.on_invalidate("softconstraint:c", lambda d: fired.append(2))
+        assert catalog.fire_invalidation("softconstraint:c") == 2
         assert fired == [1, 2]
-
-    def test_drop_table_fires_invalidation(self, catalog):
-        fired = []
-        catalog.on_invalidate("table:t", fired.append)
-        catalog.drop_table("t")
-        assert fired == ["table:t"]

@@ -6,12 +6,15 @@ the middle of a batch.  (The dialect has no OFFSET clause, so mid-batch
 LIMIT is the only cut point to test.)
 """
 
+from typing import Optional
+
 import pytest
 
 from repro import SoftDB
 from repro.errors import ExecutionError
 from repro.executor.runtime import Executor
 from repro.executor.vectorized import BatchedInterpreter
+from repro.optimizer.planner import OptimizerConfig
 
 pytestmark = pytest.mark.differential
 
@@ -19,9 +22,8 @@ TABLE_ROWS = 12  # every test table below has exactly this many rows
 BOUNDARY_SIZES = (1, 2, 4, TABLE_ROWS, TABLE_ROWS + 1, 5 * TABLE_ROWS)
 
 
-@pytest.fixture
-def db() -> SoftDB:
-    db = SoftDB()
+def build(config: Optional[OptimizerConfig] = None) -> SoftDB:
+    db = SoftDB(config)
     db.execute("CREATE TABLE t (a INT, b INT, c INT)")
     db.database.insert_many(
         "t",
@@ -32,6 +34,11 @@ def db() -> SoftDB:
     )
     db.runstats_all()
     return db
+
+
+@pytest.fixture
+def db() -> SoftDB:
+    return build()
 
 
 def both_ways(db: SoftDB, sql: str, batch_size: int):
@@ -159,8 +166,11 @@ class TestLimitMidBatch:
 
 
 def test_batch_size_zero_is_row_at_a_time(db):
-    rows = db.execute("SELECT a FROM t WHERE b = 2", batch_size=0).rows
-    assert rows == db.execute("SELECT a FROM t WHERE b = 2").rows
+    result = build(OptimizerConfig(batch_size=0)).execute(
+        "SELECT a FROM t WHERE b = 2"
+    )
+    assert result.executor == "oracle"
+    assert result.rows == db.execute("SELECT a FROM t WHERE b = 2").rows
 
 
 def test_batched_interpreter_rejects_nonpositive_sizes(db):

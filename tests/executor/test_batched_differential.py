@@ -6,8 +6,8 @@ produce identical sorted result multisets, row counts, page-read totals,
 *and errors* (a query that raises must raise the same error type and
 message in every mode).  Corpora: the property SQL oracle generators
 (reused from ``tests/property/test_property_sql_oracle.py``), rewrite
-on/off optimizer configurations including every individual rewrite
-switch, an error workload (division by zero, type errors, folded
+on/off optimizer configurations including every rewrite rule switched
+off alone, an error workload (division by zero, type errors, folded
 constant errors, a raising HAVING), and GROUP BY output: HAVING over
 groups and over a scalar aggregate of no rows, and FD-carried columns.
 """
@@ -28,6 +28,7 @@ from repro.optimizer.planner import (
     OptimizerConfig,
     attach_compiled_expressions,
 )
+from repro.optimizer.rewrite.engine import RULES
 from repro.softcon.fd import FunctionalDependencySC
 from repro.sql.parser import parse_expression
 from repro.sql.printer import sql_of
@@ -206,28 +207,17 @@ WORKLOAD = [
     "HAVING avg(salary) > 43.0 OR count(*) < 60",
 ]
 
-REWRITE_SWITCHES = [
-    "enable_branch_elimination",
-    "enable_join_elimination",
-    "enable_groupby_simplification",
-    "enable_ast_routing",
-    "enable_predicate_introduction",
-    "enable_hole_trimming",
-    "enable_twinning",
-    "use_twinning_in_estimation",
-]
+#: Each rewrite rule switched off alone, with all-on and all-off around
+#: them.
+REWRITE_SWITCHES = {f"enable_{rule}": {rule} for rule in RULES}
+SWITCHES = {"all-on": set(), "all-off": set(RULES), **REWRITE_SWITCHES}
 
 
-@pytest.mark.parametrize("switch", ["all-on", "all-off"] + REWRITE_SWITCHES)
+@pytest.mark.parametrize("switch", list(SWITCHES))
 def test_rewrite_configurations_differential(switch):
-    """Every rewrite switch individually off (plus all-on / all-off)."""
+    """Every rewrite rule individually off (plus all-on / all-off)."""
     db = _workload_db()
-    if switch == "all-on":
-        config = OptimizerConfig()
-    elif switch == "all-off":
-        config = all_off()
-    else:
-        config = dataclasses.replace(OptimizerConfig(), **{switch: False})
+    config = OptimizerConfig(disabled_rules=SWITCHES[switch])
     for sql in WORKLOAD:
         # LIMIT needs no carve-out: batched scans clamp their fetch to the
         # remaining quota, so page accounting matches the oracle exactly.

@@ -16,6 +16,7 @@ from repro.executor.batch import RowBatch
 from repro.expr.compile import compile_expr
 from repro.optimizer.logical import Aggregate
 from repro.optimizer.physical import Sort
+from repro.optimizer.planner import OptimizerConfig
 from repro.sql.parser import parse_expression
 
 
@@ -34,8 +35,8 @@ class TestDistinctAggregatesOverEmptyInput:
     COUNT — through SQL on both executors and on the state directly."""
 
     @pytest.fixture
-    def empty(self) -> SoftDB:
-        db = SoftDB()
+    def empty(self, batch_size) -> SoftDB:
+        db = SoftDB(OptimizerConfig(batch_size=batch_size))
         db.execute("CREATE TABLE t (a INT, b INT)")
         db.runstats_all()
         return db
@@ -48,13 +49,13 @@ class TestDistinctAggregatesOverEmptyInput:
 
     @pytest.mark.parametrize("batch_size", (0, 1, 1024))
     def test_empty_input(self, empty, batch_size):
-        result = empty.execute(self.SQL, batch_size=batch_size)
+        result = empty.execute(self.SQL)
         assert result.tuples() == [(0, None, None, None, None)]
 
     @pytest.mark.parametrize("batch_size", (0, 2, 1024))
     def test_all_null_input(self, empty, batch_size):
         empty.database.insert_many("t", [(i, None) for i in range(5)])
-        result = empty.execute(self.SQL, batch_size=batch_size)
+        result = empty.execute(self.SQL)
         assert result.tuples() == [(0, None, None, None, None)]
 
     def test_distinct_states_empty(self):
@@ -106,8 +107,8 @@ class TestBatchedAggregateStates:
 
 class TestOrderByMixedNulls:
     @pytest.fixture
-    def db(self) -> SoftDB:
-        db = SoftDB()
+    def db(self, batch_size) -> SoftDB:
+        db = SoftDB(OptimizerConfig(batch_size=batch_size))
         db.execute("CREATE TABLE t (a INT, b INT)")
         db.database.insert_many(
             "t",
@@ -118,9 +119,7 @@ class TestOrderByMixedNulls:
 
     @pytest.mark.parametrize("batch_size", (0, 1, 3, 1024))
     def test_ascending_nulls_last(self, db, batch_size):
-        result = db.execute(
-            "SELECT a, b FROM t ORDER BY b, a", batch_size=batch_size
-        )
+        result = db.execute("SELECT a, b FROM t ORDER BY b, a")
         assert [row["b"] for row in result.rows] == [
             1, 2, 3, 3, None, None, None,
         ]
@@ -129,9 +128,7 @@ class TestOrderByMixedNulls:
 
     @pytest.mark.parametrize("batch_size", (0, 2, 1024))
     def test_descending_nulls_first(self, db, batch_size):
-        result = db.execute(
-            "SELECT a, b FROM t ORDER BY b DESC, a DESC", batch_size=batch_size
-        )
+        result = db.execute("SELECT a, b FROM t ORDER BY b DESC, a DESC")
         assert [row["b"] for row in result.rows] == [
             None, None, None, 3, 3, 2, 1,
         ]
@@ -139,9 +136,7 @@ class TestOrderByMixedNulls:
 
     @pytest.mark.parametrize("batch_size", (0, 2, 1024))
     def test_mixed_direction_keys(self, db, batch_size):
-        result = db.execute(
-            "SELECT a, b FROM t ORDER BY b DESC, a", batch_size=batch_size
-        )
+        result = db.execute("SELECT a, b FROM t ORDER BY b DESC, a")
         assert [row["a"] for row in result.rows] == [1, 3, 6, 2, 5, 7, 4]
 
     def test_all_null_key_preserves_input_order(self):

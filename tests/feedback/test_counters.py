@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import SoftDB
+from repro.executor.runtime import Executor
 from repro.feedback import FeedbackStore
 from repro.feedback.counters import binding_tables_of, clear_actuals, harvest
 from repro.optimizer.physical import (
@@ -56,8 +57,8 @@ class TestCollectionGating:
     @pytest.mark.parametrize("batch_size", [0, 7, 1024])
     def test_collected_execution_counts_inputs(self, joined_db, batch_size):
         plan = joined_db.plan(JOIN_SQL)
-        joined_db.executor.execute(
-            plan, collect_feedback=True, batch_size=batch_size
+        Executor(joined_db.database, batch_size=batch_size).execute(
+            plan, collect_feedback=True
         )
         join = _find(plan.root, HashJoin)
         assert join.actual_pairs == join.actual_rows  # no residual here
@@ -101,8 +102,8 @@ class TestHarvest:
     def test_harvest_records_scans_joins_groups(self, joined_db, batch_size):
         store = FeedbackStore()
         plan = joined_db.plan(JOIN_SQL)
-        joined_db.executor.execute(
-            plan, collect_feedback=True, batch_size=batch_size
+        Executor(joined_db.database, batch_size=batch_size).execute(
+            plan, collect_feedback=True
         )
         summary = harvest(plan, store)
         assert summary.observations >= 4
@@ -139,8 +140,8 @@ class TestHarvest:
     def test_limit_truncated_nodes_not_harvested(self, joined_db):
         store = FeedbackStore()
         plan = joined_db.plan("SELECT id FROM emp WHERE age > 30 LIMIT 3")
-        joined_db.executor.execute(
-            plan, collect_feedback=True, batch_size=0
+        Executor(joined_db.database, batch_size=0).execute(
+            plan, collect_feedback=True
         )
         scan = _find(plan.root, (SeqScan, IndexScan))
         # The scan was cut short: its full output count was never seen.

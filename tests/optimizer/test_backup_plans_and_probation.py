@@ -140,19 +140,3 @@ class TestProbation:
         assert db.registry.currency(asc.name).updates_seen == 1
         # ...but no synchronous check ran (inexpensive maintenance).
         assert db.registry.checks_performed == 0
-
-    def test_tracking_can_be_disabled(self):
-        from repro.optimizer.planner import Optimizer, OptimizerConfig
-
-        db = build_correlated_table(rows=2000, noise=4.0, seed=57)
-        (asc,) = mine_linear_correlations(
-            db.database, "meas", [("a", "b")], confidence_levels=(1.0,)
-        )
-        db.registry.register(asc)
-        db.registry.hold_in_probation(asc.name)
-        optimizer = Optimizer(
-            db.database, db.registry,
-            OptimizerConfig(track_probation_usage=False),
-        )
-        optimizer.optimize(SQL)
-        assert db.registry.probation_uses == {}

@@ -108,14 +108,6 @@ class TestTwinningAdjustment:
         assert full < half < plain or full > half > plain
         assert half == pytest.approx(0.5 * full + 0.5 * plain, rel=1e-6)
 
-    def test_twinning_disabled_ignores_predicates(self, project_db):
-        estimator = CardinalityEstimator(project_db.database, use_twinning=False)
-        twinned = estimator.scan_rows(
-            "project", conjuncts(*self.QUERY), [self.twin(0.9)]
-        )
-        plain = estimator.scan_rows("project", conjuncts(*self.QUERY))
-        assert twinned == plain
-
 
 class TestJoinSelectivity:
     def test_equijoin_uses_distinct_counts(self, sales_softdb):

@@ -21,8 +21,7 @@ from repro.discovery.hole_miner import mine_join_holes
 from repro.discovery.linear_miner import mine_join_linear_correlation
 from repro.harness.classify import result_checksum
 from repro.optimizer.physical import IndexScan
-from repro.optimizer.planner import OptimizerConfig, PlanCache
-from repro.softcon.minmax import MinMaxSC
+from repro.optimizer.planner import PlanCache
 from repro.sql import ast
 from repro.sql.lifting import lift
 from repro.sql.parser import parse_statement
@@ -222,8 +221,8 @@ def test_a_fold_holds_only_outside_the_bounds(warehouse):
     assert len(cache) == 2
 
 
-def _indexed_table(config=None):
-    db = SoftDB(config)
+def _indexed_table():
+    db = SoftDB()
     db.execute("CREATE TABLE t (id INT, v INT)")
     db.database.insert_many("t", [(n, n % 500) for n in range(3000)])
     db.execute("CREATE INDEX ix_v ON t (v)")
@@ -247,17 +246,6 @@ def test_an_edge_two_slots_set_pins_them():
         )
         assert _ids(db, sql) == expected
     assert (db.plan_cache.hits, db.plan_cache.misses) == (1, 3)
-
-
-def test_an_inlined_abbreviation_pins_the_query_bound():
-    """Without runtime parameters abbreviation copies the query's own
-    bound into the plan: reused only for that value."""
-    db = _indexed_table(OptimizerConfig(enable_runtime_parameters=False))
-    db.add_soft_constraint(MinMaxSC("vr", "t", "v", 0, 499))
-    assert len(_ids(db, "SELECT id FROM t WHERE v >= 495")) == 30
-    assert len(_ids(db, "SELECT id FROM t WHERE v >= 490")) == 60
-    assert len(_ids(db, "SELECT id FROM t WHERE v >= 495")) == 30
-    assert (db.plan_cache.hits, db.plan_cache.misses) == (1, 2)
 
 
 def test_what_lifting_takes_and_what_stays_in_the_shape():

@@ -1,10 +1,14 @@
 """Tests for the optimizer facade, EXPLAIN, and the plan cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import OptimizerError
+from repro.harness.runner import all_off
 from repro.optimizer.explain import explain
 from repro.optimizer.planner import Optimizer, OptimizerConfig, PlanCache
+from repro.optimizer.rewrite.engine import RULES
 from repro.softcon.checksc import CheckSoftConstraint
 from repro.softcon.maintenance import DropPolicy
 
@@ -237,10 +241,26 @@ class TestExpressionCompilation:
 class TestConfigSwitches:
     def test_all_switches_independent(self, sales_softdb):
         config = OptimizerConfig(
-            enable_twinning=False, enable_join_elimination=False
+            disabled_rules={"twinning", "join_elimination"}
         )
         optimizer = Optimizer(
             sales_softdb.database, sales_softdb.registry, config
         )
         plan = optimizer.optimize("SELECT id FROM sale")
         assert plan.rewrites_applied == []
+
+    def test_config_is_frozen(self):
+        """The facade, the optimizer and every plan cache share one
+        config, and cached plans are not keyed by it: it cannot change
+        under them."""
+        config = OptimizerConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.disabled_rules = frozenset({"twinning"})
+
+    def test_misspelt_rule_rejected(self):
+        with pytest.raises(OptimizerError, match="twining"):
+            OptimizerConfig(disabled_rules={"twining"})
+
+    def test_all_off_disables_every_rule(self):
+        assert all_off().disabled_rules == frozenset(RULES)
+        assert all_off(batch_size=0).batch_size == 0

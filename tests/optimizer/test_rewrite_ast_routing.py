@@ -73,7 +73,7 @@ class TestGuards:
         optimizer = Optimizer(
             purchase_db.database,
             purchase_db.registry,
-            OptimizerConfig(enable_ast_routing=False),
+            OptimizerConfig(disabled_rules={"ast_routing"}),
         )
         plan = optimizer.optimize(QUERY)
         assert not any("ast_routing" in r for r in plan.rewrites_applied)

@@ -59,7 +59,7 @@ class TestKnockout:
         optimizer = Optimizer(
             db.database,
             db.registry,
-            OptimizerConfig(enable_branch_elimination=False),
+            OptimizerConfig(disabled_rules={"branch_elimination"}),
         )
         plan = optimizer.optimize(sql)
         assert not any("knocked out" in r for r in plan.rewrites_applied)

@@ -69,7 +69,7 @@ class TestGroupBySimplification:
         optimizer = Optimizer(
             orders_db.database,
             orders_db.registry,
-            OptimizerConfig(enable_groupby_simplification=False),
+            OptimizerConfig(disabled_rules={"groupby_simplification"}),
         )
         plan = optimizer.optimize(GROUP_SQL)
         assert not any(

@@ -104,7 +104,7 @@ class TestGuards:
         plan = rewrites_of(
             star_db,
             "SELECT s.id FROM sales s, customer c WHERE s.customer_id = c.id",
-            enable_join_elimination=False,
+            disabled_rules={"join_elimination"},
         )
         assert not any("join_elimination" in r for r in plan.rewrites_applied)
 

@@ -6,7 +6,6 @@ from repro.discovery.linear_miner import mine_linear_correlations
 from repro.discovery.hole_miner import mine_join_holes
 from repro.harness.runner import compare_optimizers
 from repro.optimizer.physical import IndexScan
-from repro.optimizer.planner import Optimizer, OptimizerConfig
 from repro.softcon.minmax import MinMaxSC
 from repro.workload.schemas import (
     build_correlated_table,
@@ -78,21 +77,6 @@ class TestLinearIntroduction:
         plan = db.plan("SELECT id FROM meas WHERE b = 500.0")
         # No index on a: the DB2 heuristic suppresses the introduction.
         assert not any(
-            "predicate_introduction" in r for r in plan.rewrites_applied
-        )
-
-    def test_heuristic_can_be_disabled(self):
-        db = build_correlated_table(rows=1000, noise=5.0, seed=2, with_index=False)
-        (asc,) = mine_linear_correlations(
-            db.database, "meas", [("a", "b")], confidence_levels=(1.0,)
-        )
-        db.add_soft_constraint(asc)
-        optimizer = Optimizer(
-            db.database, db.registry,
-            OptimizerConfig(introduce_only_with_index=False),
-        )
-        plan = optimizer.optimize("SELECT id FROM meas WHERE b = 500.0")
-        assert any(
             "predicate_introduction" in r for r in plan.rewrites_applied
         )
 

@@ -45,7 +45,7 @@ class TestTwinnedPredicates:
         no_twin = Optimizer(
             project_db.database,
             project_db.registry,
-            OptimizerConfig(enable_twinning=False),
+            OptimizerConfig(disabled_rules={"twinning"}),
         ).optimize(QUERY).estimated_rows
         assert q_error(with_ssc, actual) < q_error(no_twin, actual)
         assert q_error(with_ssc, actual) < 3.0
@@ -55,7 +55,7 @@ class TestTwinnedPredicates:
         no_twin = Optimizer(
             project_db.database,
             project_db.registry,
-            OptimizerConfig(enable_twinning=False),
+            OptimizerConfig(disabled_rules={"twinning"}),
         ).optimize(QUERY).estimated_rows
         assert no_twin > actual * 2  # independence is badly off (too high)
 

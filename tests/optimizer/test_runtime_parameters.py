@@ -9,14 +9,14 @@ important."
 import pytest
 
 from repro import SoftDB
-from repro.optimizer.planner import Optimizer, OptimizerConfig, PlanCache
+from repro.optimizer.planner import Optimizer, PlanCache
 from repro.softcon.maintenance import RepairPolicy
 from repro.softcon.minmax import MinMaxSC
 from repro.sql import ast
 
 
-def make_db(runtime_parameters=True) -> SoftDB:
-    db = SoftDB(OptimizerConfig(enable_runtime_parameters=runtime_parameters))
+def make_db() -> SoftDB:
+    db = SoftDB()
     db.execute("CREATE TABLE t (id INT, v INT)")
     db.database.insert_many("t", [(n, n) for n in range(5000)])
     db.execute("CREATE INDEX ix_v ON t (v)")
@@ -71,7 +71,7 @@ class TestRuntimeParameterNode:
 
 class TestParameterizedPlans:
     def test_abbreviation_uses_parameters(self):
-        db = make_db(runtime_parameters=True)
+        db = make_db()
         plan = db.plan(HALF_OPEN)
         assert any("runtime parameters" in r for r in plan.rewrites_applied)
         # Validity dependency only: value repairs must not evict.
@@ -79,7 +79,7 @@ class TestParameterizedPlans:
         assert "vrange" not in plan.sc_value_dependencies
 
     def test_cached_plan_survives_widening_and_stays_correct(self):
-        db = make_db(runtime_parameters=True)
+        db = make_db()
         cache = PlanCache(db.optimizer)
         plan = cache.get_plan(HALF_OPEN)
         before = db.executor.execute(plan).row_count
@@ -92,7 +92,7 @@ class TestParameterizedPlans:
     def test_parameter_reaches_index_key(self):
         from repro.optimizer.physical import IndexScan
 
-        db = make_db(runtime_parameters=True)
+        db = make_db()
         plan = db.plan(HALF_OPEN)
         scans = _collect(plan.root, IndexScan)
         assert scans
@@ -101,20 +101,8 @@ class TestParameterizedPlans:
             for part in (scans[0].high or ())
         )
 
-    def test_inlined_plan_is_invalidated_instead(self):
-        db = make_db(runtime_parameters=False)
-        cache = PlanCache(db.optimizer)
-        plan = cache.get_plan(HALF_OPEN)
-        assert "vrange" in plan.sc_value_dependencies
-        before = db.executor.execute(plan).row_count
-        db.execute("INSERT INTO t VALUES (999999, 6000)")
-        assert cache.invalidations == 1
-        fresh = cache.get_plan(HALF_OPEN)
-        assert fresh is not plan
-        assert db.executor.execute(fresh).row_count == before + 1
-
     def test_answers_match_unrewritten_plan_after_widening(self):
-        db = make_db(runtime_parameters=True)
+        db = make_db()
         plan = db.plan(HALF_OPEN)
         db.execute("INSERT INTO t VALUES (999999, 6000)")
         from repro.harness.runner import all_off

@@ -6,7 +6,6 @@ estimates; interval consolidation never yields a *larger* estimate than
 the loosest single predicate.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,15 +97,3 @@ def test_twinning_blend_interpolates(values, bound, confidence):
     )
     low, high = sorted([plain, full])
     assert low - 1e-9 <= blended <= high + 1e-9
-
-
-@given(column_values)
-@settings(max_examples=40, deadline=None)
-def test_twinning_disabled_matches_plain(values):
-    database = _build_database(values)
-    with_twin = CardinalityEstimator(database, use_twinning=False)
-    twin = EstimationPredicate(comparison("x", "<=", 10), 0.9, "sc")
-    conjuncts = [comparison("x", ">=", 0)]
-    assert with_twin.scan_rows("t", conjuncts, [twin]) == pytest.approx(
-        CardinalityEstimator(database).scan_rows("t", conjuncts)
-    )

@@ -7,6 +7,8 @@ plan-cache loop (a tripped budget is treated as the loudest possible
 mis-planning signal).
 """
 
+from typing import Optional
+
 import pytest
 
 from repro import SoftDB
@@ -29,10 +31,9 @@ from repro.resilience.guards import (
 BATCH_SIZES = (0, 64)
 
 
-@pytest.fixture
-def db() -> SoftDB:
+def build(config: Optional[OptimizerConfig] = None) -> SoftDB:
     """Two tables big enough to spend budgets on, with stats."""
-    db = SoftDB()
+    db = SoftDB(config)
     db.execute(
         "CREATE TABLE emp (id INT PRIMARY KEY, dept_id INT, salary INT)"
     )
@@ -43,6 +44,17 @@ def db() -> SoftDB:
     db.database.insert_many("dept", [(n, 10000 * (n + 1)) for n in range(20)])
     db.runstats_all()
     return db
+
+
+@pytest.fixture
+def db() -> SoftDB:
+    return build()
+
+
+@pytest.fixture
+def sized_db(batch_size) -> SoftDB:
+    """:func:`build` with the executor at the test's batch size."""
+    return build(OptimizerConfig(batch_size=batch_size))
 
 
 class TestVirtualClock:
@@ -83,50 +95,47 @@ class TestGuardValidation:
 
 class TestBudgetTrips:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_row_budget(self, db, batch_size):
+    def test_row_budget(self, sized_db, batch_size):
         guard = QueryGuard(max_rows=50)
         with pytest.raises(BudgetExceededError) as info:
-            db.execute("SELECT id FROM emp", batch_size=batch_size, guard=guard)
+            sized_db.execute("SELECT id FROM emp", guard=guard)
         assert info.value.budget == "rows"
         assert info.value.report["tripped"] is not None
         assert info.value.report["rows"] > 50
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_page_read_budget(self, db, batch_size):
+    def test_page_read_budget(self, sized_db, batch_size):
         guard = QueryGuard(max_page_reads=2)
         with pytest.raises(BudgetExceededError) as info:
-            db.execute(
-                "SELECT id FROM emp", batch_size=batch_size, guard=guard
-            )
+            sized_db.execute("SELECT id FROM emp", guard=guard)
         assert info.value.budget == "page_reads"
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_page_read_budget_trips_without_output_rows(self, db, batch_size):
+    def test_page_read_budget_trips_without_output_rows(
+        self, sized_db, batch_size
+    ):
         # A scan whose filter rejects everything yields no rows at all;
         # only the scan-level ticks can notice the page-read burn.
         guard = QueryGuard(max_page_reads=2)
         with pytest.raises(BudgetExceededError) as info:
-            db.execute(
-                "SELECT id FROM emp WHERE salary < 0",
-                batch_size=batch_size,
-                guard=guard,
+            sized_db.execute(
+                "SELECT id FROM emp WHERE salary < 0", guard=guard
             )
         assert info.value.budget == "page_reads"
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_join_pair_budget(self, db, batch_size):
+    def test_join_pair_budget(self, sized_db, batch_size):
         guard = QueryGuard(max_join_pairs=10_000)
         with pytest.raises(BudgetExceededError) as info:
-            db.execute(
+            sized_db.execute(
                 "SELECT count(*) AS n FROM emp, dept "
                 "WHERE emp.salary < dept.budget",
-                batch_size=batch_size,
                 guard=guard,
             )
         assert info.value.budget == "join_pairs"
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_deadline_trip(self, db, batch_size):
+    def test_deadline_trip(self, sized_db, batch_size):
         # Every clock consultation advances virtual time by a full second,
         # so the first strided deadline check is already past the budget.
         class TickingClock(VirtualClock):
@@ -136,15 +145,13 @@ class TestBudgetTrips:
 
         guard = QueryGuard(deadline=0.5, clock=TickingClock())
         with pytest.raises(QueryTimeoutError):
-            db.execute("SELECT id FROM emp", batch_size=batch_size, guard=guard)
+            sized_db.execute("SELECT id FROM emp", guard=guard)
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_untripped_guard_reports_consumption(self, db, batch_size):
+    def test_untripped_guard_reports_consumption(self, sized_db, batch_size):
         guard = QueryGuard(max_rows=1_000_000, max_page_reads=1_000_000)
-        result = db.execute(
-            "SELECT id FROM emp WHERE salary >= 1000",
-            batch_size=batch_size,
-            guard=guard,
+        result = sized_db.execute(
+            "SELECT id FROM emp WHERE salary >= 1000", guard=guard
         )
         assert not result.truncated
         report = result.guard_report
@@ -156,12 +163,10 @@ class TestBudgetTrips:
         assert "tripped=no" in line
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_guard_results_match_unguarded(self, db, batch_size):
+    def test_guard_results_match_unguarded(self, sized_db, batch_size):
         sql = "SELECT dept_id, count(*) AS n FROM emp GROUP BY dept_id"
-        plain = db.execute(sql, batch_size=batch_size)
-        guarded = db.execute(
-            sql, batch_size=batch_size, guard=QueryGuard(max_rows=10**9)
-        )
+        plain = sized_db.execute(sql)
+        guarded = sized_db.execute(sql, guard=QueryGuard(max_rows=10**9))
         assert sorted(map(tuple, (r.items() for r in guarded.rows))) == sorted(
             map(tuple, (r.items() for r in plain.rows))
         )
@@ -169,11 +174,9 @@ class TestBudgetTrips:
 
 class TestPartialPolicy:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_partial_returns_truncated_prefix(self, db, batch_size):
+    def test_partial_returns_truncated_prefix(self, sized_db, batch_size):
         guard = QueryGuard(max_rows=100, on_breach="partial")
-        result = db.execute(
-            "SELECT id FROM emp", batch_size=batch_size, guard=guard
-        )
+        result = sized_db.execute("SELECT id FROM emp", guard=guard)
         assert result.truncated
         # Rows are accounted before delivery, so a partial result never
         # exceeds the budget; the row-at-a-time executor delivers exactly

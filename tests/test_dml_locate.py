@@ -76,7 +76,10 @@ def _rows():
 
 
 def build(path, routing):
-    db = SoftDB.open(path, OptimizerConfig(enable_ast_routing=routing))
+    db = SoftDB.open(
+        path,
+        OptimizerConfig(disabled_rules=() if routing else {"ast_routing"}),
+    )
     db.execute(
         "CREATE TABLE purchase (id INT PRIMARY KEY, customer_id INT NOT NULL, "
         "order_date DATE, ship_date DATE, amount DOUBLE)"

@@ -51,11 +51,14 @@ class TestGuard:
         assert any(row["id"] == 99999 for row in result.rows)
 
     def test_reissue_can_be_disabled(self, corr_db):
+        """A plan that does not carry its SQL text cannot be re-planned,
+        so ``execute_plan`` lets the stale error through."""
         db, _ = corr_db
         plan = db.plan(SQL)
+        plan.sql = ""
         db.execute("INSERT INTO meas VALUES (99999, 0.0, 500.0)")
         with pytest.raises(StalePlanError):
-            db.execute_plan(plan, retry_on_stale=False)
+            db.execute_plan(plan)
 
     def test_unguarded_executor_does_not_raise(self, corr_db):
         """Without a registry the executor is the raw runtime (the guard is
@@ -98,29 +101,30 @@ class TestGuard:
 
 class TestValueStaleness:
     def test_widening_repair_stales_inlined_plan(self):
+        """A min/max fold to the empty block holds only for the bounds it
+        saw: widening them must stale the plan."""
         from repro import SoftDB
-        from repro.optimizer.planner import OptimizerConfig
 
-        db = SoftDB(OptimizerConfig(enable_runtime_parameters=False))
+        db = SoftDB()
         db.execute("CREATE TABLE t (id INT, v INT)")
         db.database.insert_many("t", [(n, n) for n in range(100)])
         db.runstats_all()
         db.add_soft_constraint(
             MinMaxSC("vr", "t", "v", 0, 99), policy=RepairPolicy()
         )
-        plan = db.plan("SELECT id FROM t WHERE v >= 90")
+        plan = db.plan("SELECT id FROM t WHERE v >= 200")
+        assert "vr" in plan.sc_value_dependencies
         db.execute("INSERT INTO t VALUES (999, 500)")  # widen repair
         with pytest.raises(StalePlanError):
             db.executor.execute(plan)
         # Re-issue finds the new row.
         result = db.execute_plan(plan)
-        assert result.row_count == 11
+        assert result.tuples() == [(999,)]
 
     def test_widening_repair_does_not_stale_parameterized_plan(self):
         from repro import SoftDB
-        from repro.optimizer.planner import OptimizerConfig
 
-        db = SoftDB(OptimizerConfig(enable_runtime_parameters=True))
+        db = SoftDB()
         db.execute("CREATE TABLE t (id INT, v INT)")
         db.database.insert_many("t", [(n, n) for n in range(100)])
         db.runstats_all()
