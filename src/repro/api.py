@@ -18,7 +18,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -99,20 +98,22 @@ class SoftDB:
         self.optimizer = Optimizer(
             self.database, self.registry, self.config, feedback=self.feedback
         )
-        self.plan_cache, self.executor = self._planning_pair()
+        from repro.concurrency.session import Session
+
+        # The facade's statement context: a session of its own, which
+        # never counts among the open ones (see session()).
+        self._session = Session(self, name="facade")
         self._constraint_sequence = 0
         self.durability = None
-        # Facade-level explicit transaction (BEGIN..COMMIT/ROLLBACK on
-        # this object directly, without a Session).
-        self._txn = None
         if path is not None:
             self._attach_durability(path, crash_points)
 
     def _planning_pair(self) -> Tuple[PlanCache, Executor]:
         """A fresh plan cache and executor over the shared optimizer,
         registry and feedback store.  Plans and execution state are the
-        per-client half of the stack: the facade owns one pair and every
-        :class:`~repro.concurrency.session.Session` its own."""
+        per-client half of the stack: every
+        :class:`~repro.concurrency.session.Session`, the facade's own
+        included, owns one pair."""
         plan_cache = PlanCache(
             self.optimizer,
             qerror_threshold=(
@@ -128,6 +129,20 @@ class SoftDB:
             feedback=self.feedback,
         )
         return plan_cache, executor
+
+    @property
+    def plan_cache(self) -> PlanCache:
+        """The facade's plan cache (its session's)."""
+        return self._session.plan_cache
+
+    @plan_cache.setter
+    def plan_cache(self, plan_cache: PlanCache) -> None:
+        self._session.plan_cache = plan_cache
+
+    @property
+    def executor(self) -> Executor:
+        """The facade's executor (its session's)."""
+        return self._session.executor
 
     # ------------------------------------------------------------ durability
 
@@ -185,9 +200,8 @@ class SoftDB:
     def close(self, checkpoint: bool = True) -> None:
         """Close the session; by default a final checkpoint is taken so
         the next :meth:`open` restores without replaying the whole log."""
-        if self._txn is not None and self._txn.is_active:
-            self._txn.rollback()
-            self._txn = None
+        if self._session.in_transaction:
+            self.execute("ROLLBACK")
         if self.durability is None:
             return
         if checkpoint:
@@ -199,20 +213,19 @@ class SoftDB:
     def session(self, name: Optional[str] = None):
         """Open a concurrent session over this database.
 
-        The first call attaches a
-        :class:`~repro.concurrency.engine.ConcurrencyEngine` to the
-        shared database (and, for durable sessions, installs WAL group
-        commit); every session after that shares it.  Sessions are the
-        concurrency unit: each holds its own transaction state, plan
-        cache, and executor, and may run on any thread.
+        Sessions are the concurrency unit: each holds its own
+        transaction state, plan cache, and executor, and may run on any
+        thread.  All share the database's
+        :class:`~repro.concurrency.engine.ConcurrencyEngine`; the first
+        call installs WAL group commit on a durable database.
         """
-        from repro.concurrency import ConcurrencyEngine, Session
+        from repro.concurrency import Session
 
         engine = self.database.concurrency
-        if engine is None:
-            engine = ConcurrencyEngine(self.database)
         engine.attach_group_commit(self.durability)
-        return Session(self, name=name)
+        session = Session(self, name=name)
+        engine.sessions.add(session)
+        return session
 
     def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Construct (not start) the asyncio TCP session server."""
@@ -269,36 +282,33 @@ class SoftDB:
         no statement is parsed twice.  ``sql`` is the text ``statement``
         was parsed from.
 
-        ``context`` is what differs between the places a statement runs —
-        this facade (the default) or a
-        :class:`~repro.concurrency.session.Session`.  It provides
-        ``plan_cache`` and ``executor`` (its :meth:`_planning_pair`),
-        ``_read_scope()`` (a context manager around a query's execution:
-        a session pins its snapshot there), its transaction (``_begin()``,
-        ``_commit()``, ``_rollback()``, and ``_txn``, None when none is
-        open) and ``_run_dml(apply, table_name)``, which calls one of the
-        :mod:`repro.dml` appliers with that context's ``txn`` and
-        ``claim`` and returns the affected-row count (a session first
-        intent-locks the statement's table and installs its snapshot,
-        which the applier locates victims under).
+        ``context`` is the :class:`~repro.concurrency.session.Session`
+        the statement runs in: the facade's own by default, or one from
+        :meth:`session`.  Its WAL transaction stack is installed around
+        the statement; it provides ``plan_cache`` and ``executor`` (its
+        :meth:`_planning_pair`), ``_read_scope()`` (a context manager
+        around a query's execution, which pins the snapshot the query
+        reads), its transaction (``_begin()``, ``_commit()``,
+        ``_rollback()``, and ``_txn``, None when none is open) and
+        ``_run_dml(apply, table_name)``, which calls one of the
+        :mod:`repro.dml` appliers with the session's ``txn`` and
+        ``claim`` and returns the affected-row count.
 
-        The DML failure rule is the same everywhere: an autocommit
-        statement is atomic by itself; inside an open transaction a
-        failed statement rolls the *whole* transaction back before the
-        error propagates — the undo log is all-or-nothing, and a
-        half-applied statement must never reach ``COMMIT``.
+        The DML failure rule: an autocommit statement is atomic by
+        itself; inside an open transaction a failed statement rolls the
+        *whole* transaction back before the error propagates — the undo
+        log is all-or-nothing, and a half-applied statement must never
+        reach ``COMMIT``.
         """
         if cancel is not None and cancel.cancelled:
             raise QueryCancelledError(f"query cancelled: {cancel.reason}")
         handler = _HANDLERS.get(type(statement))
         if handler is None:
             raise SqlError(f"unsupported statement {type(statement).__name__}")
-        return handler(
-            self,
-            statement,
-            self if context is None else context,
-            (sql, guard, cancel),
-        )
+        if context is None:
+            context = self._session
+        with context._wal_context():
+            return handler(self, statement, context, (sql, guard, cancel))
 
     def _select(self, statement, context, options) -> ExecutionResult:
         """The one SELECT runner: fetch the plan from the context's plan
@@ -527,49 +537,6 @@ class SoftDB:
                 )
         return constraint
 
-    # ----------------------------------------------- the facade as a context
-
-    def _read_scope(self):
-        """Nothing to pin: the facade reads the latest state."""
-        return _NO_SNAPSHOT
-
-    def _begin(self) -> None:
-        """``BEGIN`` on the facade itself: a single-session transaction.
-
-        DML until ``COMMIT``/``ROLLBACK`` routes through one undo-log
-        :class:`~repro.engine.transactions.Transaction`, so a rollback
-        publishes compensating events and the WAL hides the whole
-        transaction.  Concurrent multi-session transactions live in
-        :meth:`session` instead.
-        """
-        if self._txn is not None:
-            raise TransactionError("a transaction is already open")
-        from repro.engine.transactions import Transaction
-
-        self._txn = Transaction(self.database)
-
-    def _end(self) -> Any:
-        if self._txn is None:
-            raise TransactionError("no transaction is open")
-        txn, self._txn = self._txn, None
-        return txn
-
-    def _commit(self) -> None:
-        self._end().commit()
-
-    def _rollback(self) -> None:
-        self._end().rollback()
-
-    def _run_dml(self, apply: Callable[..., int], table_name: str) -> int:
-        if self._txn is None:
-            with self.database._statement_scope():
-                return apply()
-        try:
-            return apply(txn=self._txn)
-        except BaseException:
-            self._rollback()
-            raise
-
     # ----------------------------------------------------------- DDL internals
 
     def _next_constraint_name(self, table: str, kind: str) -> str:
@@ -719,10 +686,6 @@ class SoftDB:
             f"SoftDB(tables={self.database.catalog.table_names()}, "
             f"soft_constraints={self.registry.names()})"
         )
-
-
-#: The facade's read scope: no snapshot to pin.
-_NO_SNAPSHOT = nullcontext()
 
 
 def _reissuing(

@@ -1,9 +1,10 @@
 """MVCC snapshots and the undo-based version store.
 
-The heap stays authoritative for the *current* image of every row (the
-single-session fast path never pays a versioning cost); concurrency adds
-an overlay that remembers, per touched RowId, the newest writer's stamp
-and a chain of before-images.  A snapshot reader reconstructs the image
+The heap stays authoritative for the *current* image of every row (a
+write made while no transaction is open and at most one session is pays
+no versioning cost); concurrency adds an overlay that remembers, per
+touched RowId, the newest writer's stamp and a chain of before-images.
+A snapshot reader reconstructs the image
 it should see by walking a row's chain newest-to-oldest until it crosses
 the first writer the snapshot considers visible:
 

@@ -1,8 +1,9 @@
 """The DML applier: where a parsed INSERT, DELETE or UPDATE becomes row writes.
 
-Every context a statement runs in — the facade in autocommit or inside
-``BEGIN``, a lone :class:`~repro.concurrency.session.Session`, a session
-under MVCC — calls the same three ``apply_*`` functions with the shared
+Every context a statement runs in — a
+:class:`~repro.concurrency.session.Session` (the facade runs its
+statements through one of its own) on the storage fast path or under
+MVCC — calls the same three ``apply_*`` functions with the shared
 :class:`~repro.optimizer.planner.Optimizer` (whose database is written)
 and differs only in two arguments:
 
@@ -16,7 +17,7 @@ and differs only in two arguments:
     ``claim(table, rid)`` is called once per row the statement writes and
     returns the row's current image: before a located victim is changed
     (the change is computed from that image) and after a fresh row is
-    inserted.  Sessions X-lock the row here.
+    inserted.  A session in a transaction X-locks the row here.
 
 Victims come from :func:`locate`, which reads the access path the
 optimizer plans for the WHERE as of the snapshot a session installs.

@@ -57,9 +57,11 @@ class Database:
         self._auto_index_sequence = 0
         # Set by DurabilityManager.attach; None = in-memory only.
         self.durability = None
-        # Set by ConcurrencyEngine when the first session opens; None =
-        # single-session (the DML/scan fast paths check this once).
-        self.concurrency = None
+        # Imported here: repro.concurrency imports the facade, which
+        # imports this module.
+        from repro.concurrency.engine import ConcurrencyEngine
+
+        self.concurrency = ConcurrencyEngine(self)
 
     # -------------------------------------------------------------- resilience
 
@@ -232,19 +234,6 @@ class Database:
             return _NULL_SCOPE
         return durability.statement()
 
-    def _mutation_guard(self):
-        """The concurrency engine's latch, or a no-op without sessions.
-
-        Held across one row's constraint checks, heap + index mutation
-        and version-note, so a snapshot reader (which latches per page)
-        never observes a half-applied change and no other writer changes
-        what a check read (a unique-key probe) before the write lands.
-        """
-        concurrency = self.concurrency
-        if concurrency is None:
-            return _NULL_SCOPE
-        return concurrency.latch
-
     @contextmanager
     def statement_writer(self, count: int, txn=None):
         """Yield what one DML statement writes its ``count`` rows through
@@ -288,7 +277,11 @@ class Database:
         """
         table = self.catalog.table(table_name)
         row = table.schema.validate_row(values)
-        with self._mutation_guard():
+        # The engine latch spans each row's checks, heap and index write
+        # and version note: a snapshot reader (which latches per page)
+        # never sees half a change, and no other writer changes what a
+        # check read (a unique-key probe) before the write lands.
+        with self.concurrency.latch:
             for constraint in self.catalog.constraints_on(table.name):
                 if not constraint.is_informational:
                     constraint.check_insert(self, row)
@@ -300,8 +293,7 @@ class Database:
                     row_id = at
                 for index in self.catalog.indexes_on(table.name):
                     index.insert(row, row_id)
-                if self.concurrency is not None:
-                    self.concurrency.note_insert(table.name, row_id)
+                self.concurrency.note_insert(table.name, row_id)
                 if self.durability is not None:
                     self.durability.log_insert(table.name, row_id, row)
                 self._publish(ChangeEvent("insert", table.name, None, row))
@@ -323,7 +315,7 @@ class Database:
     def delete_row(self, table_name: str, row_id: RowId) -> Tuple[Any, ...]:
         """Delete one row by RowId (RESTRICT semantics for referencing FKs)."""
         table = self.catalog.table(table_name)
-        with self._mutation_guard():
+        with self.concurrency.latch:
             row = table.fetch(row_id)
             for fk in self.catalog.foreign_keys_referencing(table.name):
                 if not fk.is_informational:
@@ -335,8 +327,7 @@ class Database:
                 table.delete(row_id)
                 for index in self.catalog.indexes_on(table.name):
                     index.delete(row, row_id)
-                if self.concurrency is not None:
-                    self.concurrency.note_delete(table.name, row_id, row)
+                self.concurrency.note_delete(table.name, row_id, row)
                 if self.durability is not None:
                     self.durability.log_delete(table.name, row_id, row)
                 self._publish(ChangeEvent("delete", table.name, row, None))
@@ -357,7 +348,7 @@ class Database:
         """
         table = self.catalog.table(table_name)
         new_row = table.schema.validate_row(values)
-        with self._mutation_guard():
+        with self.concurrency.latch:
             old_row = table.fetch(row_id)
             for constraint in self.catalog.constraints_on(table.name):
                 if not constraint.is_informational:
@@ -383,10 +374,9 @@ class Database:
                     new_id = at
                 for index in self.catalog.indexes_on(table.name):
                     index.update(old_row, row_id, new_row, new_id)
-                if self.concurrency is not None:
-                    self.concurrency.note_update(
-                        table.name, row_id, new_id, old_row
-                    )
+                self.concurrency.note_update(
+                    table.name, row_id, new_id, old_row
+                )
                 if self.durability is not None:
                     self.durability.log_update(
                         table.name, row_id, new_id, new_row

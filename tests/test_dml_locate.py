@@ -38,7 +38,7 @@ def scan_locate(optimizer, table, where):
     """The reference: every row the thread's snapshot sees, one predicate
     call each, in heap order."""
     concurrency = optimizer.database.concurrency
-    snapshot = None if concurrency is None else concurrency.current_snapshot()
+    snapshot = concurrency.current_snapshot()
     if snapshot is None:
         source = table.scan()
     else:

@@ -1,5 +1,6 @@
 """Statement-path lint: one dispatch on DML kinds, one place a DML WHERE
-is compiled, and victims read only from the planned access path.
+is compiled, victims read only from the planned access path, and one
+transaction context.
 
 The paper's contract — maintenance synchronous with every update, a
 rewrite never changing an answer — has to hold on every copy of "find
@@ -167,4 +168,61 @@ def test_dml_victims_come_only_from_the_planned_stream():
     )
     assert any(name == "scan_rids" for name, _ in calls), (
         "the lint lost sight of the planned stream"
+    )
+
+
+def _none_checks_on_concurrency(tree):
+    """Line numbers of ``<...>concurrency is None`` / ``is not None``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if not any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            continue
+        names = {
+            getattr(operand, "id", None) or getattr(operand, "attr", None)
+            for operand in operands
+        }
+        nones = [
+            operand for operand in operands
+            if isinstance(operand, ast.Constant) and operand.value is None
+        ]
+        if "concurrency" in names and nones:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_database_has_its_concurrency_engine():
+    offenders = [
+        f"src/repro/{name}:{line}"
+        for name, tree in _modules()
+        for line in _none_checks_on_concurrency(tree)
+    ]
+    assert not offenders, (
+        "Database.concurrency is never None; drop the fork at:\n  "
+        + "\n  ".join(offenders)
+    )
+    probe = ast.parse("if database.concurrency is not None: pass")
+    assert _none_checks_on_concurrency(probe), "the lint lost sight of forks"
+
+
+#: The transaction context a statement runs in is a Session; the facade
+#: runs its statements through one instead of being a second kind.
+SESSION_ONLY = {"_read_scope", "_begin", "_commit", "_rollback", "_run_dml"}
+
+
+def test_the_facade_is_not_a_second_transaction_context():
+    api = ast.parse((SRC / DISPATCHER).read_text())
+    (facade,) = [
+        node for node in api.body
+        if isinstance(node, ast.ClassDef) and node.name == "SoftDB"
+    ]
+    defined = {
+        node.name for node in facade.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not defined & SESSION_ONLY, (
+        f"SoftDB defines {sorted(defined & SESSION_ONLY)}; run the "
+        "statement through its session instead"
     )
