@@ -287,3 +287,21 @@ def test_server_concurrent_connections_interleave(db):
             await b.close()
 
     asyncio.run(scenario())
+
+def test_lone_session_and_facade_stay_on_the_fast_path(tmp_path):
+    """The facade's own session is not an open one: beside one
+    ``db.session()`` its autocommit statements take no snapshot, version
+    nothing and leave group commit dormant."""
+    durable = SoftDB.open(tmp_path / "db")
+    durable.execute("CREATE TABLE kv (id INT PRIMARY KEY, val INT)")
+    engine = durable.database.concurrency
+    with durable.session() as session:
+        assert engine.sessions_open == 1
+        for execute in (durable.execute, session.execute):
+            execute("INSERT INTO kv VALUES (1, 10)")
+            execute("UPDATE kv SET val = 11 WHERE id = 1")
+            assert execute("SELECT val FROM kv").rows == [{"val": 11}]
+            execute("DELETE FROM kv WHERE id = 1")
+        assert engine.versions.versions_recorded == 0
+        assert not engine.group_commit.active
+    durable.close()
