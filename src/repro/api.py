@@ -712,7 +712,7 @@ def _dml(apply: Callable[..., int]) -> Handler:
 
     def handler(db, statement, context, options):
         return context._run_dml(
-            partial(apply, db.optimizer, statement), statement.table
+            partial(apply, context.plan_cache, statement), statement.table
         )
 
     return handler

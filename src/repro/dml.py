@@ -3,9 +3,9 @@
 Every context a statement runs in — a
 :class:`~repro.concurrency.session.Session` (the facade runs its
 statements through one of its own) on the storage fast path or under
-MVCC — calls the same three ``apply_*`` functions with the shared
-:class:`~repro.optimizer.planner.Optimizer` (whose database is written)
-and differs only in two arguments:
+MVCC — calls the same three ``apply_*`` functions with its
+:class:`~repro.optimizer.planner.PlanCache` (whose optimizer's database
+is written) and differs only in two arguments:
 
 ``txn``
     The caller's open :class:`~repro.engine.transactions.Transaction`, or
@@ -19,8 +19,8 @@ and differs only in two arguments:
     (the change is computed from that image) and after a fresh row is
     inserted.  A session in a transaction X-locks the row here.
 
-Victims come from :func:`locate`, which reads the access path the
-optimizer plans for the WHERE as of the snapshot a session installs.
+Victims come from :func:`locate`, which reads the access path the plan
+cache serves for the WHERE's shape as of the snapshot a session installs.
 """
 
 from __future__ import annotations
@@ -61,26 +61,28 @@ def insert_rows(table: HeapTable, statement: ast.Insert) -> List[List[Any]]:
 
 
 def locate(
-    optimizer, table: HeapTable, where: Optional[ast.Expression]
+    plan_cache, table: HeapTable, where: Optional[ast.Expression]
 ) -> List[Tuple[RowId, Tuple[Any, ...]]]:
     """The ``(rid, image)`` pairs of ``table`` that satisfy ``where``, in
     rid order, all found before the first write so a statement never sees
     its own changes.
 
-    ``SELECT * FROM table WHERE where`` is planned (not compiled) and its
-    leaf read if it is a scan or an empty result of ``table``; any other
-    shape — AST routing's UNION ALL over an exception table, whose rids
-    are not this table's — is read as a sequential scan.  Candidates are
-    checked against ``where`` alone: an introduced conjunct is implied by
-    it and an active soft constraint.  Rid order keeps the writes (the
-    WAL, change events, row forwarding) those of a heap scan.
+    ``SELECT * FROM table WHERE where`` comes from ``plan_cache``, planned
+    and compiled once per shape with this statement's literals bound, and
+    its leaf is read if it is a scan or an empty result of ``table``; any
+    other shape — AST routing's UNION ALL over an exception table, whose
+    rids are not this table's — is read as a sequential scan.
+    Candidates are checked against ``where`` alone: an introduced
+    conjunct is implied by it and an active soft constraint.  Rid order
+    keeps the writes (the WAL, change events, row forwarding) those of a
+    heap scan.
     """
     query = ast.SelectStatement(
         select_items=[ast.SelectItem(star=True)],
         from_clause=[ast.TableRef(table.name)],
         where=where,
     )
-    node = optimizer.choose_plan(query).root
+    node = plan_cache.get_plan("", query).root
     while isinstance(node, (Project, Extend)):
         node = node.child
     if not (
@@ -94,14 +96,14 @@ def locate(
     names = table.schema.column_names()
     victims = [
         (rid, row)
-        for rid, row in scan_rids(optimizer.database, node)
+        for rid, row in scan_rids(plan_cache.optimizer.database, node)
         if predicate is None or predicate(dict(zip(names, row))) is True
     ]
     return sorted(victims, key=itemgetter(0))
 
 
-def apply_insert(optimizer, statement, txn=None, claim=None) -> int:
-    database = optimizer.database
+def apply_insert(plan_cache, statement, txn=None, claim=None) -> int:
+    database = plan_cache.optimizer.database
     table = database.table(statement.table)
     values = insert_rows(table, statement)
     with database.statement_writer(len(values), txn) as writer:
@@ -112,10 +114,10 @@ def apply_insert(optimizer, statement, txn=None, claim=None) -> int:
     return len(values)
 
 
-def apply_delete(optimizer, statement, txn=None, claim=None) -> int:
-    database = optimizer.database
+def apply_delete(plan_cache, statement, txn=None, claim=None) -> int:
+    database = plan_cache.optimizer.database
     table = database.table(statement.table)
-    victims = locate(optimizer, table, statement.where)
+    victims = locate(plan_cache, table, statement.where)
     with database.statement_writer(len(victims), txn) as writer:
         for rid, _image in victims:
             if claim is not None:
@@ -124,15 +126,15 @@ def apply_delete(optimizer, statement, txn=None, claim=None) -> int:
     return len(victims)
 
 
-def apply_update(optimizer, statement, txn=None, claim=None) -> int:
-    database = optimizer.database
+def apply_update(plan_cache, statement, txn=None, claim=None) -> int:
+    database = plan_cache.optimizer.database
     table = database.table(statement.table)
     names = table.schema.column_names()
     assignments = [
         (table.schema.position(column), expression)
         for column, expression in statement.assignments
     ]
-    victims = locate(optimizer, table, statement.where)
+    victims = locate(plan_cache, table, statement.where)
     with database.statement_writer(len(victims), txn) as writer:
         for rid, image in victims:
             if claim is not None:

@@ -114,6 +114,12 @@ class Optimizer:
     def optimize(
         self, query: Union[str, ast.SelectStatement, ast.UnionAll]
     ) -> PhysicalPlan:
+        """Build, rewrite and cost ``query`` into a plan, compile its
+        expressions, and credit the PROBATION SCs it would have used.
+
+        Statements reach it through a :class:`PlanCache`, SELECTs and DML
+        locates alike; :meth:`repro.api.SoftDB.plan` and EXPLAIN call it
+        directly to plan the text as written."""
         if isinstance(query, str):
             sql = query
             statement = parse_statement(query)
@@ -122,20 +128,6 @@ class Optimizer:
             sql = sql_of(statement)
         if not ast.is_query(statement):
             raise OptimizerError("only SELECT statements can be optimized")
-        plan = self.choose_plan(statement, sql)
-        if self.config.compile_expressions:
-            attach_compiled_expressions(plan)
-        self._assess_probation(statement, plan.sc_dependencies)
-        return plan
-
-    def choose_plan(
-        self,
-        statement: Union[ast.SelectStatement, ast.UnionAll],
-        sql: str = "",
-    ) -> PhysicalPlan:
-        """:meth:`optimize` without its tail (expression compilation, the
-        probation pass): what :func:`repro.dml.locate` plans a WHERE with,
-        so writes do not fill the compile cache with one-off literals."""
         logical = build_logical_plan(self.database, statement)
         context = RewriteContext(self.database, self.registry, self.config)
         logical = self.rewrite_engine.rewrite(logical, context)
@@ -158,6 +150,9 @@ class Optimizer:
         plan.rewrites_applied = context.applied
         plan.estimation_notes = context.estimation_notes
         self._snapshot_versions(plan)
+        if self.config.compile_expressions:
+            attach_compiled_expressions(plan)
+        self._assess_probation(statement, plan.sc_dependencies)
         return plan
 
     def _snapshot_versions(self, plan: PhysicalPlan) -> None:
@@ -388,8 +383,9 @@ class _Entry:
 
 
 class PlanCache:
-    """Plans each SELECT once per shape and drops plans whose
-    dependencies change.
+    """Plans each SELECT, and each UPDATE's or DELETE's WHERE as the
+    ``SELECT *`` it mirrors (:func:`repro.dml.locate`), once per shape
+    and drops plans whose dependencies change.
 
     **Shapes** (Section 4.2).  :meth:`get_plan` lifts the statement's
     literals into slots (:mod:`repro.sql.lifting`) and binds their values
@@ -475,9 +471,9 @@ class PlanCache:
         next lookup.
 
         A caller that already parsed ``sql`` passes the ``statement`` so
-        a miss does not parse it again.  A miss plans outside the cache
-        lock and keeps the plan only if the catalog epoch and the soft
-        constraints it used did not move meanwhile.
+        nothing is parsed again; ``sql`` is then unused.  A miss plans
+        outside the cache lock and keeps the plan only if the catalog
+        epoch and the soft constraints it used did not move meanwhile.
         """
         if statement is None:
             statement = parse_statement(sql)

@@ -6,7 +6,7 @@ from repro import dml
 from repro.engine.database import ChangeEvent, Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INTEGER, VARCHAR
-from repro.optimizer.planner import Optimizer
+from repro.optimizer.planner import Optimizer, PlanCache
 from repro.sql.parser import parse_statement
 
 
@@ -23,7 +23,7 @@ class TestDML:
 
     def test_delete_where(self, people_database):
         deleted = dml.apply_delete(
-            Optimizer(people_database),
+            PlanCache(Optimizer(people_database)),
             parse_statement("DELETE FROM person WHERE age > 35"),
         )
         assert deleted == 2
@@ -31,7 +31,7 @@ class TestDML:
 
     def test_update_where(self, people_database):
         updated = dml.apply_update(
-            Optimizer(people_database),
+            PlanCache(Optimizer(people_database)),
             parse_statement(
                 "UPDATE person SET age = age + 1 WHERE name = 'ann'"
             ),

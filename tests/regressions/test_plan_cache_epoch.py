@@ -72,11 +72,22 @@ def test_a_sessions_cache_sees_ddl_and_soft_constraints():
         assert session.plan_cache.misses == 4
 
 
-def test_dml_keeps_cached_plans():
+def test_dml_keeps_cached_plans(monkeypatch):
     db = _table(SoftDB(), index=True)
+    served = []
+    lookup = db.plan_cache.get_plan
+
+    def recording(*args):
+        served.append(lookup(*args))
+        return served[-1]
+
+    monkeypatch.setattr(db.plan_cache, "get_plan", recording)
     db.execute(SQL)
     db.execute("INSERT INTO t VALUES (5000, 700)")
     db.execute("UPDATE t SET v = 701 WHERE id = 3")
     db.execute("DELETE FROM t WHERE id = 4")
     assert sorted(row["id"] for row in db.execute(SQL).rows) == [700, 5000]
-    assert (db.plan_cache.hits, db.plan_cache.misses) == (1, 1)
+    # The SELECT and the two same-shape DML locates: one miss and one
+    # hit each, and the SELECT kept its plan through the writes.
+    assert (db.plan_cache.hits, db.plan_cache.misses) == (2, 2)
+    assert len(served) == 4 and served[-1] is served[0]

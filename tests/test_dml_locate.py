@@ -34,10 +34,10 @@ DAY0 = 10_000
 LAG_MAX = 30
 
 
-def scan_locate(optimizer, table, where):
+def scan_locate(plan_cache, table, where):
     """The reference: every row the thread's snapshot sees, one predicate
     call each, in heap order."""
-    concurrency = optimizer.database.concurrency
+    concurrency = plan_cache.optimizer.database.concurrency
     snapshot = concurrency.current_snapshot()
     if snapshot is None:
         source = table.scan()

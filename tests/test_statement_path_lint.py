@@ -1,6 +1,6 @@
 """Statement-path lint: one dispatch on DML kinds, one place a DML WHERE
-is compiled, victims read only from the planned access path, and one
-transaction context.
+is compiled, victims read only from the planned access path, DML plans
+only from the plan cache, and one transaction context.
 
 The paper's contract — maintenance synchronous with every update, a
 rewrite never changing an answer — has to hold on every copy of "find
@@ -105,6 +105,16 @@ def _compile_predicate_calls(tree):
     return calls
 
 
+def _calls(tree):
+    """(name, line) of every call: the function's or the method's name."""
+    return [
+        (getattr(node.func, "id", None) or getattr(node.func, "attr", None),
+         node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+
+
 def test_dml_kinds_are_dispatched_on_in_one_module():
     offenders = [
         f"src/repro/{name}:{line}"
@@ -149,13 +159,7 @@ HEAP_SCANS = {"scan", "visible_scan"}
 
 
 def test_dml_victims_come_only_from_the_planned_stream():
-    applier = ast.parse((SRC / APPLIER).read_text())
-    calls = [
-        (getattr(node.func, "id", None) or getattr(node.func, "attr", None),
-         node.lineno)
-        for node in ast.walk(applier)
-        if isinstance(node, ast.Call)
-    ]
+    calls = _calls(ast.parse((SRC / APPLIER).read_text()))
     offenders = [
         f"src/repro/{APPLIER}:{line} calls {name}()"
         for name, line in calls
@@ -169,6 +173,69 @@ def test_dml_victims_come_only_from_the_planned_stream():
     assert any(name == "scan_rids" for name, _ in calls), (
         "the lint lost sight of the planned stream"
     )
+
+
+PLANNER = "optimizer/planner.py"
+
+
+def _optimizer_methods():
+    planner = ast.parse((SRC / PLANNER).read_text())
+    (optimizer,) = [
+        node for node in planner.body
+        if isinstance(node, ast.ClassDef) and node.name == "Optimizer"
+    ]
+    return {
+        node.name for node in optimizer.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_dml_plans_only_through_the_plan_cache():
+    methods = _optimizer_methods()
+    assert "optimize" in methods, "the lint lost sight of the optimizer"
+    calls = _calls(ast.parse((SRC / APPLIER).read_text()))
+    offenders = [
+        f"src/repro/{APPLIER}:{line} calls Optimizer.{name}()"
+        for name, line in calls
+        if name in methods
+    ]
+    assert not offenders, (
+        "repro.dml must plan a WHERE through PlanCache.get_plan, so the "
+        "plan is cached per shape and guarded like a SELECT's:\n  "
+        + "\n  ".join(offenders)
+    )
+    assert any(name == "get_plan" for name, _ in calls), (
+        "the lint lost sight of the plan cache"
+    )
+
+
+#: Every Python tree of the repository that may plan a statement.
+TREES = ("src", "tests", "benchmarks", "bench", "examples")
+
+
+def test_choose_plan_is_gone():
+    root = SRC.parent.parent
+    offenders = []
+    for tree_name in TREES:
+        for path in sorted((root / tree_name).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = [
+                (node.name, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ] + _calls(tree)
+            offenders.extend(
+                f"{path.relative_to(root).as_posix()}:{line}"
+                for name, line in names
+                if name == "choose_plan"
+            )
+    assert not offenders, (
+        "Optimizer.choose_plan was folded into optimize; plan a SELECT "
+        "or a DML WHERE through PlanCache.get_plan instead of:\n  "
+        + "\n  ".join(offenders)
+    )
+    probe = ast.parse("optimizer.choose_plan(query)")
+    assert _calls(probe) == [("choose_plan", 1)], "the lint lost sight of calls"
 
 
 def _none_checks_on_concurrency(tree):
