@@ -7,7 +7,10 @@ build/inner side as one concatenated
 :class:`~repro.executor.batch.RowBatch`, evaluate join keys once per
 batch, and emit column-major output whose inner-side columns are gathered
 (or, for nested loops, tiled by C-level list repetition) rather than
-merged dict-by-dict.
+merged dict-by-dict.  The batched hash join matches int64 key codes with
+a stable sort and ``searchsorted``, so its output keeps the oracle's
+order: probe order, then build insertion order.  NULL and NaN keys
+never match.
 
 Under feedback collection (``count_pairs=True``) joins additionally count
 the row pairs they considered *before* any residual filter — for a hash
@@ -19,9 +22,12 @@ to observe the edge's true selectivity.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.executor.batch import RowBatch
+from repro.executor.vecbatch import factorise, promote
 from repro.expr.eval import evaluate
 from repro.expr.vector import key_columns
 from repro.optimizer.physical import HashJoin, NestedLoopJoin
@@ -96,13 +102,13 @@ def run_hash_join(
 ) -> RowIterator:
     """Classic hash join: build on the right input, probe with the left.
 
-    NULL key components never match (SQL equality semantics).
+    NULL and NaN key components never match (SQL equality semantics).
     """
     residual = node.residual
     build: Dict[Tuple[Any, ...], List[RowDict]] = {}
     for right_row in run_child(node.right):
         key = tuple(evaluate(expr, right_row) for expr in node.right_keys)
-        if any(part is None for part in key):
+        if _unmatchable(key):
             continue
         build.setdefault(key, []).append(right_row)
         if guard is not None:
@@ -113,7 +119,7 @@ def run_hash_join(
             return  # empty build side: skip scanning the probe input entirely
         for left_row in run_child(node.left):
             key = tuple(evaluate(expr, left_row) for expr in node.left_keys)
-            if any(part is None for part in key):
+            if _unmatchable(key):
                 continue
             matches = build.get(key)
             if not matches:
@@ -207,6 +213,62 @@ def run_nested_loop_join_batched(
             node.actual_pairs = pairs
 
 
+class _BuildIndex:
+    """The build side's key codes, stably sorted (equal keys keep build
+    insertion order).  A single ``int64`` key is its own code; other keys
+    are numbered by :func:`~repro.executor.vecbatch.factorise`, and
+    ``lookup`` maps each distinct key tuple to its code.  A key with a
+    NULL or NaN component gets no code, so it never matches."""
+
+    __slots__ = ("identity", "lookup", "codes", "rows")
+
+    def __init__(self, keys: List[Sequence[Any]]) -> None:
+        vec = promote(keys[0]) if len(keys) == 1 else None
+        self.identity = vec is not None and vec.values.dtype.kind == "i"
+        self.lookup: Optional[Dict[Tuple[Any, ...], int]] = None
+        if self.identity:
+            codes = vec.values
+            valid = None if vec.mask is None else ~vec.mask
+        else:
+            codes, _, distinct = factorise(keys)
+            matchable = np.asarray([not _unmatchable(k) for k in distinct], dtype=bool)
+            self.lookup = {
+                key: code for code, key in enumerate(distinct) if matchable[code]
+            }
+            valid = matchable[codes]
+        rows = np.arange(len(codes)) if valid is None else np.flatnonzero(valid)
+        order = np.argsort(codes[rows], kind="stable")
+        self.codes, self.rows = codes[rows[order]], rows[order]
+
+    def probe(self, keys: List[Sequence[Any]]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(probe_idx, build_idx)`` of every matching pair, in order."""
+        vec = promote(keys[0]) if self.identity else None
+        if vec is not None and vec.values.dtype.kind == "i":
+            codes, missing = vec.values, vec.mask
+        else:
+            if self.lookup is None:
+                distinct = np.unique(self.codes).tolist()
+                self.lookup = {(code,): code for code in distinct}
+            # One lookup per distinct probe key, not per row.
+            local, _, distinct = factorise(keys)
+            found = [self.lookup.get(key) for key in distinct]
+            codes = np.asarray([code or 0 for code in found], dtype=np.int64)[local]
+            missing = np.asarray([code is None for code in found])[local]
+        left = np.searchsorted(self.codes, codes, side="left")
+        counts = np.searchsorted(self.codes, codes, side="right") - left
+        if missing is not None:
+            counts[missing] = 0
+        probe_idx = np.repeat(np.arange(len(codes)), counts)
+        # Each probe row's run starts at ``left``; step through it.
+        starts = np.repeat(left - (np.cumsum(counts) - counts), counts)
+        return probe_idx, self.rows[starts + np.arange(len(probe_idx))]
+
+
+def _unmatchable(key: Tuple[Any, ...]) -> bool:
+    """SQL ``=`` is never true for a NULL or NaN component."""
+    return any(part is None or part != part for part in key)
+
+
 def run_hash_join_batched(
     node: HashJoin,
     run_child: BatchRunner,
@@ -214,57 +276,38 @@ def run_hash_join_batched(
     count_pairs: bool = False,
     guard: Any = None,
 ) -> Iterator[RowBatch]:
-    """Batched hash join: keys evaluated per batch, matches gathered.
-
-    The build side is concatenated once; the hash table maps key tuples to
-    build-row positions.  Each probe batch produces parallel gather lists
-    (probe index, build index) whose columns are assembled with list
-    comprehensions — no per-row dict merging.
-    """
+    """Batched hash join: the build side is concatenated once and its key
+    codes sorted (:class:`_BuildIndex`); each probe batch finds its build
+    runs with ``searchsorted`` and gathers both sides' columns by index —
+    no per-row dict merging."""
     build_side = RowBatch.concat(list(run_child(node.right)))
     if guard is not None:
         guard.note_rows(0 if build_side is None else len(build_side))
-    build: Dict[Tuple[Any, ...], List[int]] = {}
+    index = None
     if build_side is not None and len(build_side):
         # Build columns are gathered into every output batch; freeze
         # them so aliased in-place mutation fails loudly (see RowBatch).
         build_side.freeze()
-        build_keys = key_columns(node.compiled_right_keys, build_side)
-        for i in range(len(build_side)):
-            key = tuple(column[i] for column in build_keys)
-            if any(part is None for part in key):
-                continue
-            build.setdefault(key, []).append(i)
+        index = _BuildIndex(key_columns(node.compiled_right_keys, build_side))
     pairs = 0
     try:
-        if not build:
+        if index is None or not len(index.rows):
             return  # empty build side: skip scanning the probe input entirely
         for left in run_child(node.left):
-            probe_keys = key_columns(node.compiled_left_keys, left)
-            probe_idx: List[int] = []
-            build_idx: List[int] = []
-            for i in range(len(left)):
-                key = tuple(column[i] for column in probe_keys)
-                if any(part is None for part in key):
-                    continue
-                matches = build.get(key)
-                if matches:
-                    probe_idx.extend([i] * len(matches))
-                    build_idx.extend(matches)
-            if not probe_idx:
+            probe_idx, build_idx = index.probe(
+                key_columns(node.compiled_left_keys, left)
+            )
+            if not len(probe_idx):
                 continue
             if count_pairs:
                 pairs += len(probe_idx)
             if guard is not None:
                 guard.note_pairs(len(probe_idx))
             columns, _ = _merged_columns(left, build_side)
-            data: Dict[str, List[Any]] = {}
-            for name in left.columns:
-                column = left.data[name]
-                data[name] = [column[i] for i in probe_idx]
-            for name in build_side.columns:
-                column = build_side.data[name]
-                data[name] = [column[j] for j in build_idx]
+            data = {
+                **left.take(probe_idx.tolist()).data,
+                **build_side.take(build_idx.tolist()).data,
+            }
             merged = RowBatch(columns, data, len(probe_idx))
             if node.residual is not None:
                 merged = merged.filter_true(node.compiled_residual.batch(merged))

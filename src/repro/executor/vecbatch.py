@@ -36,6 +36,7 @@ corrupt every aliased reader.
 
 from __future__ import annotations
 
+import datetime
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,6 +133,69 @@ def _object_vec(values: Sequence[Any], has_null: bool) -> Vec:
             (v is None for v in values), dtype=bool, count=len(values)
         )
     return Vec(_freeze(array), mask)
+
+
+#: Key types whose sort order and ``==`` group as a dict does.  Not
+#: floats: NaN is unequal to itself, so sorting cannot group it.
+_SORTABLE_KEYS = frozenset((int, bool, str, datetime.date, _NONE_TYPE))
+
+
+Factorised = Tuple[np.ndarray, List[int], List[Tuple[Any, ...]]]
+
+
+def factorise(columns: Sequence[Sequence[Any]]) -> Factorised:
+    """Number a batch's key tuples in first-seen order: ``(codes, firsts,
+    keys)``, where row *i* holds key ``codes[i]`` and key *k* first shows
+    in row ``firsts[k]`` as ``keys[k]``.  NULL equals NULL (a join drops
+    NULL keys itself).  Ints, bools, strings and dates are numbered by
+    ``np.unique``; floats or an unsortable mix take the dict fallback."""
+    try:
+        keys = [_sortable(values) for values in columns]
+        if any(column is None for column in keys):
+            return _dict_codes(columns)
+        codes = keys[0]
+        for column in keys[1:]:
+            codes = _dense(codes) * len(column) + _dense(column)
+        _, firsts, codes = np.unique(codes, return_index=True, return_inverse=True)
+    except TypeError:  # an unorderable mix, such as str with int
+        return _dict_codes(columns)
+    # np.unique numbers keys in sorted order; renumber by first row.
+    order = np.argsort(firsts)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    firsts = firsts[order].tolist()
+    return rank[codes], firsts, list(zip(*[[c[i] for i in firsts] for c in columns]))
+
+
+def _sortable(values: Sequence[Any]) -> Optional[np.ndarray]:
+    """One key column as an array that sorts like its values, NULL as
+    one more value; None for a column that cannot be sorted."""
+    vec = promote(values)
+    if vec.values.dtype.kind == "f" or (
+        vec.values.dtype == object and not set(map(type, values)) <= _SORTABLE_KEYS
+    ):
+        return None
+    if vec.mask is None:
+        return vec.values
+    codes = np.full(len(values), len(values), dtype=np.int64)
+    codes[~vec.mask] = _dense(vec.values[~vec.mask])
+    return codes
+
+
+def _dense(array: np.ndarray) -> np.ndarray:
+    """Codes 0..k-1 numbering ``array``'s k distinct values in sort order."""
+    return np.unique(array, return_inverse=True)[1]
+
+
+def _dict_codes(columns: Sequence[Sequence[Any]]) -> Factorised:
+    """:func:`factorise`'s fallback: number key tuples through a dict."""
+    numbers: Dict[Tuple[Any, ...], int] = {}
+    codes = np.asarray(
+        [numbers.setdefault(key, len(numbers)) for key in zip(*columns)],
+        dtype=np.int64,
+    )
+    # Codes count up from 0 in first-seen order, so sorted is first-seen.
+    return codes, np.unique(codes, return_index=True)[1].tolist(), list(numbers)
 
 
 def try_int64(values: Sequence[Any]) -> Optional[np.ndarray]:
