@@ -268,7 +268,8 @@ class ConcurrencyEngine:
     def visible_row_runs(
         self, table, snapshot: Snapshot
     ) -> Iterator[List[Tuple[Any, ...]]]:
-        """Snapshot twin of :meth:`HeapTable.scan_row_runs`."""
+        """:meth:`visible_scan` as one list of row images per page that
+        has any, for the batched sequential scan."""
         for _page_id, rows in self._visible_pages(table, snapshot):
             yield [row for _rid, row in rows]
 

@@ -646,13 +646,12 @@ class DurabilityManager:
         for table_state in payload["tables"]:
             schema = codec.decode_schema(table_state["schema"])
             table = HeapTable(schema, database.counters)
-            table.pages.pages = [
-                codec.decode_page(page_state)
-                for page_state in table_state["pages"]
-            ]
-            table.pages._insert_hint = min(
+            table.pages.replace_pages(
+                [
+                    codec.decode_page(page_state)
+                    for page_state in table_state["pages"]
+                ],
                 table_state["insert_hint"],
-                max(0, len(table.pages.pages) - 1),
             )
             table._row_count = table_state["row_count"]
             catalog.add_table(table)

@@ -205,12 +205,19 @@ class PageManager:
     ``fault_injector`` turns the counted read/write paths into
     verify-and-retry state machines; ``None`` (the default) keeps them on
     the original fast path.
+
+    ``version`` is the table's write version: it moves on every
+    :meth:`touch_write` (which every slot mutation charges first), every
+    :meth:`allocate` and every :meth:`replace_pages`, so a reader that
+    saw one value has seen every page exactly as it still is while the
+    value holds.
     """
 
     def __init__(self, counters: Optional[IOCounters] = None) -> None:
         self.pages: List[Page] = []
         self.counters = counters if counters is not None else IOCounters()
         self.fault_injector = None
+        self.version = 0
         self._insert_hint = 0
 
     @property
@@ -218,9 +225,16 @@ class PageManager:
         return len(self.pages)
 
     def allocate(self) -> Page:
+        self.version += 1
         page = Page(len(self.pages))
         self.pages.append(page)
         return page
+
+    def replace_pages(self, pages: List[Page], insert_hint: int) -> None:
+        """Swap in a whole page list (a checkpoint image being restored)."""
+        self.version += 1
+        self.pages = pages
+        self._insert_hint = min(insert_hint, max(0, len(pages) - 1))
 
     def page_for_insert(self, row_bytes: int) -> Page:
         """Find (or allocate) a page with room for ``row_bytes``."""
@@ -290,8 +304,10 @@ class PageManager:
         :class:`~repro.errors.TransientIOError` when the retry budget is
         exhausted.  The storage layer orders every ``touch_write``*before*
         the page mutation it accounts for, so a surfaced write fault
-        leaves the page image untouched (fail-before-mutate).
+        leaves the page image untouched (fail-before-mutate).  It moves
+        :attr:`version` whether or not the write then faults.
         """
+        self.version += 1
         self.counters.page_writes += count
         injector = self.fault_injector
         if injector is not None:

@@ -253,22 +253,6 @@ class HeapTable:
         for _, row in self.scan():
             yield row
 
-    def scan_row_runs(self) -> Iterator[List[Tuple[Any, ...]]]:
-        """Full scan yielding one list of live row tuples per page.
-
-        Charges exactly the same I/O as :meth:`scan` — one page read per
-        page, one row read per live row, in the same page order — but
-        amortizes the per-row generator machinery, which is what the
-        columnar scan path batches away.  Empty pages are skipped (their
-        page read is still charged, as in :meth:`scan`).
-        """
-        for page_id in range(self.pages.page_count):
-            page = self.pages.read_page(page_id)
-            live = [row for row in page.slots if row is not None]
-            if live:
-                self.pages.read_row(len(live))
-                yield live
-
     def truncate(self) -> None:
         """Drop all rows and pages (DDL-level operation; not undoable)."""
         counters = self.pages.counters

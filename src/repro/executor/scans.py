@@ -7,6 +7,17 @@ each chunk of fetched rows into numpy vectors, run the predicate as a
 vector kernel and materialize the survivors as a column-major
 :class:`~repro.executor.batch.RowBatch` (the production executor).
 
+The batched sequential scan with no snapshot and no LIMIT quota reads
+its chunks from a *table image*: the chunks of the last full scan, whose
+columns are transposed and promoted once (:class:`~repro.executor.
+vecbatch.ColumnImage`) and reused while the table's write version
+(:attr:`~repro.engine.page.PageManager.version`) and page count hold.  A
+hit still reads every page in order and charges its rows before each
+chunk, so page and row counters, guard trips and a fault injector's
+decisions are those of a fresh walk.  An image is published only by a
+walk that ran to the end with the version unmoved.  Snapshot reads,
+LIMIT-quota scans and index scans walk storage every time.
+
 Under feedback collection (``count_input=True``) scans additionally count
 the rows they *examined* before the pushed-down filter — for an index
 scan, that is the number of rows the range fetched, the cost model's
@@ -22,12 +33,14 @@ Scans read as of the snapshot the thread's statement installed
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+import weakref
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.engine.database import Database
+from repro.engine.page import PageManager
 from repro.engine.row import RowId
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import ColumnarBatch
+from repro.executor.vecbatch import ColumnarBatch, ColumnImage
 from repro.expr.eval import evaluate
 from repro.expr.vector import select_rows
 from repro.optimizer.physical import IndexScan, SeqScan
@@ -249,17 +262,20 @@ def _qualified_names(node: "SeqScan | IndexScan", table: Any) -> Tuple[str, ...]
 
 def _emit_batch(
     names: Tuple[str, ...],
-    rows: List[Tuple[Any, ...]],
+    chunk: "List[Tuple[Any, ...]] | ColumnImage",
     node: "SeqScan | IndexScan",
 ) -> Optional[RowBatch]:
-    """Transpose one chunk of fetched row tuples into numpy vectors, run
-    the pushed-down predicate's kernel, and materialize only the
-    survivors (late materialization); a chunk the kernel declines goes
-    through the compiled batch closure instead (see
-    :func:`~repro.expr.vector.select_rows`)."""
+    """Transpose one chunk of fetched row tuples (or reuse a table-image
+    chunk's columns) into numpy vectors, run the pushed-down predicate's
+    kernel, and materialize only the survivors (late materialization); a
+    chunk the kernel declines goes through the compiled batch closure
+    instead (see :func:`~repro.expr.vector.select_rows`)."""
+    if isinstance(chunk, ColumnImage):
+        columnar = ColumnarBatch.from_image(names, chunk)
+    else:
+        columnar = ColumnarBatch.from_tuples(names, chunk)
     if node.compiled_predicate is None:
-        return RowBatch.from_tuples(names, rows)
-    columnar = ColumnarBatch.from_tuples(names, rows)
+        return columnar.to_row_batch()
     batch = select_rows(node.compiled_predicate, columnar, columnar.to_row_batch)
     return batch if len(batch) else None
 
@@ -294,6 +310,70 @@ def _page_chunks(
         yield buffer
 
 
+#: ``(page_id, live rows)`` for each page a scan reads between two chunks.
+PageReads = List[Tuple[int, int]]
+
+
+class _TableImage(NamedTuple):
+    """A full heap walk's chunks, each with the page reads that preceded
+    it, plus the reads after the last chunk (trailing empty pages)."""
+
+    key: Tuple[int, int, int]
+    chunks: List[Tuple[PageReads, ColumnImage]]
+    tail: PageReads
+
+
+#: One image per table, dropped with the table's page manager (a dropped
+#: or truncated table frees its image).  Concurrent walks need no lock:
+#: an image is used only when its key matches the pages' current one.
+_IMAGES: "weakref.WeakKeyDictionary[PageManager, _TableImage]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _image_chunks(pages: PageManager, batch_size: int) -> Iterator[ColumnImage]:
+    """The heap's ``batch_size`` chunks in page order: replayed from the
+    table image while its ``(version, page_count, batch_size)`` key holds,
+    else read from the pages, building the image as they are read."""
+    key = (pages.version, pages.page_count, batch_size)
+    image = _IMAGES.get(pages)
+    if image is not None and image.key == key:
+        for reads, chunk in image.chunks:
+            _charge(pages, reads)
+            yield chunk
+        _charge(pages, image.tail)
+        return
+    _IMAGES.pop(pages, None)
+    reads: PageReads = []
+
+    def page_runs() -> Iterator[List[Tuple[Any, ...]]]:
+        for page_id in range(key[1]):
+            page = pages.read_page(page_id)
+            live = [row for row in page.slots if row is not None]
+            reads.append((page_id, len(live)))
+            if live:
+                pages.read_row(len(live))
+                yield live
+
+    chunks: List[Tuple[PageReads, ColumnImage]] = []
+    for rows in _page_chunks(page_runs(), batch_size):
+        chunk = ColumnImage(rows)
+        chunks.append((reads[:], chunk))
+        del reads[:]
+        yield chunk
+    if pages.version == key[0]:
+        _IMAGES[pages] = _TableImage(key, chunks, reads)
+
+
+def _charge(pages: PageManager, reads: PageReads) -> None:
+    """Read each page and charge its live rows, as the walk that built
+    the image did (the same counters and fault-injector decisions)."""
+    for page_id, live in reads:
+        pages.read_page(page_id)
+        if live:
+            pages.read_row(live)
+
+
 def run_seq_scan_batched(
     database: Database,
     node: SeqScan,
@@ -304,10 +384,11 @@ def run_seq_scan_batched(
 ) -> Iterator[RowBatch]:
     """Batched sequential scan, filtered through the vector kernel.
 
-    Without a LIMIT quota rows are read page-at-a-time via
-    :meth:`~repro.engine.table.HeapTable.scan_row_runs` (identical I/O
-    accounting to the row scan) and cut into fixed ``batch_size``
-    chunks; under a quota each fetch is clamped to what LIMIT still needs.
+    Without a LIMIT quota or a snapshot the chunks come from the table
+    image (see the module docstring); under a snapshot they are the
+    visible rows re-cut into fixed ``batch_size`` chunks; under a quota
+    each fetch is clamped to what LIMIT still needs.  All three charge
+    the row scan's I/O.
     """
     table = database.table(node.table_name)
     names = _qualified_names(node, table)
@@ -315,7 +396,7 @@ def run_seq_scan_batched(
     if quota is not None:
         chunks = _quota_chunks(_scan_rows(database, node), batch_size, quota)
     elif snapshot is None:
-        chunks = _page_chunks(table.scan_row_runs(), batch_size)
+        chunks = _image_chunks(table.pages, batch_size)
     else:
         chunks = _page_chunks(
             database.concurrency.visible_row_runs(table, snapshot), batch_size
@@ -326,7 +407,7 @@ def run_seq_scan_batched(
 
 
 def _scan_chunks(
-    chunks: Iterator[List[Tuple[Any, ...]]],
+    chunks: "Iterator[List[Tuple[Any, ...]] | ColumnImage]",
     names: Tuple[str, ...],
     node: "SeqScan | IndexScan",
     guard: Any,

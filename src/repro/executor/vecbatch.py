@@ -37,6 +37,7 @@ corrupt every aliased reader.
 from __future__ import annotations
 
 import datetime
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -209,18 +210,74 @@ def try_int64(values: Sequence[Any]) -> Optional[np.ndarray]:
         return None
 
 
+class ColumnImage:
+    """One scan chunk's storage row tuples, kept across statements: each
+    column position is transposed to a tuple, and promoted to a
+    :class:`Vec`, the first time a predicate or an output touches it.
+
+    The sequential scan's table image (:mod:`repro.executor.scans`)
+    holds these while the table's write version holds, so an unchanged
+    chunk is transposed and promoted once, not once per statement.
+    """
+
+    __slots__ = ("rows", "_columns", "_vecs")
+
+    def __init__(self, rows: List[Tuple[Any, ...]]) -> None:
+        self.rows = rows
+        self._columns: Dict[int, Tuple[Any, ...]] = {}
+        self._vecs: Dict[int, Vec] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def column(self, position: int) -> Tuple[Any, ...]:
+        column = self._columns.get(position)
+        if column is None:
+            column = tuple(map(itemgetter(position), self.rows))
+            self._columns[position] = column
+        return column
+
+    def vec(self, position: int) -> Vec:
+        vector = self._vecs.get(position)
+        if vector is None:
+            vector = promote(self.column(position))
+            self._vecs[position] = vector
+        return vector
+
+    def row_batch(
+        self, names: Tuple[str, ...], indices: Optional[np.ndarray]
+    ) -> RowBatch:
+        """All rows, or the rows at ``indices``, gathered column by
+        column out of the cached column tuples."""
+        columns = [self.column(position) for position in range(len(names))]
+        if indices is None:
+            return RowBatch(names, dict(zip(names, columns)), len(self.rows))
+        positions = indices.tolist()
+        if len(positions) > 1:
+            pick = itemgetter(*positions)
+            gathered = [pick(column) for column in columns]
+        else:
+            gathered = [
+                tuple(column[p] for p in positions) for column in columns
+            ]
+        return RowBatch(names, dict(zip(names, gathered)), len(positions))
+
+
 class ColumnarBatch:
     """A batch whose columns promote to :class:`Vec` lazily, on first use.
 
-    Wraps either raw storage row tuples (scan path) or an existing
-    :class:`~repro.executor.batch.RowBatch` (filter path).  Row-backed
-    batches transpose one column at a time, on demand, so a predicate
-    over two of ten columns never even transposes the other eight —
-    and surviving rows gather straight from the row tuples, so columns
-    only the output touches are materialized solely for survivors.
+    Wraps raw storage row tuples (one-shot scan chunks), a retained
+    :class:`ColumnImage` (the sequential scan's table image), or an
+    existing :class:`~repro.executor.batch.RowBatch` (filter path).
+    Row-backed batches transpose one column at a time, on demand, so a
+    predicate over two of ten columns never even transposes the other
+    eight.  One-shot survivors gather straight from the row tuples, so
+    columns only the output touches are materialized solely for
+    survivors; image survivors gather from the image's column tuples,
+    which later statements reuse.
     """
 
-    __slots__ = ("columns", "length", "_raw", "_rows", "_vecs")
+    __slots__ = ("columns", "length", "_raw", "_rows", "_image", "_vecs")
 
     def __init__(
         self,
@@ -228,11 +285,13 @@ class ColumnarBatch:
         raw: Dict[str, Sequence[Any]],
         length: int,
         rows: Optional[Sequence[Tuple[Any, ...]]] = None,
+        image: Optional[ColumnImage] = None,
     ) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
         self.length = length
         self._raw = raw
         self._rows = rows
+        self._image = image
         self._vecs: Dict[str, Vec] = {}
 
     def __len__(self) -> int:
@@ -247,9 +306,23 @@ class ColumnarBatch:
         return cls(columns, {}, len(rows), rows=rows)
 
     @classmethod
+    def from_image(
+        cls, columns: Sequence[str], image: ColumnImage
+    ) -> "ColumnarBatch":
+        """View a retained chunk under one scan's column names; columns
+        and Vecs come from (and are cached in) the image."""
+        return cls(columns, {}, len(image), image=image)
+
+    @classmethod
     def from_row_batch(cls, batch: RowBatch) -> "ColumnarBatch":
         """View an existing list-based batch columnar-ly (zero copy)."""
         return cls(batch.columns, batch.data, batch.length)
+
+    def _position(self, name: str) -> Optional[int]:
+        try:
+            return self.columns.index(name)
+        except ValueError:
+            return None
 
     def _column(self, name: str) -> Optional[Sequence[Any]]:
         """The raw Python column, transposing it out of the row tuples
@@ -258,9 +331,8 @@ class ColumnarBatch:
         if raw is None:
             if self._rows is None:
                 return None
-            try:
-                position = self.columns.index(name)
-            except ValueError:
+            position = self._position(name)
+            if position is None:
                 return None
             raw = [row[position] for row in self._rows]
             self._raw[name] = raw
@@ -271,10 +343,16 @@ class ColumnarBatch:
         the batch has no such column."""
         vector = self._vecs.get(name)
         if vector is None:
-            raw = self._column(name)
-            if raw is None:
-                return None
-            vector = promote(raw)
+            if self._image is not None:
+                position = self._position(name)
+                if position is None:
+                    return None
+                vector = self._image.vec(position)
+            else:
+                raw = self._column(name)
+                if raw is None:
+                    return None
+                vector = promote(raw)
             self._vecs[name] = vector
         return vector
 
@@ -285,6 +363,8 @@ class ColumnarBatch:
         :class:`RowBatch` — the late-materialization step: only surviving
         rows are ever converted back to Python values, which flow through
         as the original objects (exact parity for free)."""
+        if self._image is not None:
+            return self._image.row_batch(self.columns, indices)
         if indices is None:
             if self._rows is not None:
                 return RowBatch.from_tuples(self.columns, self._rows)
