@@ -36,7 +36,6 @@ HARD_FLOOR = 1.0
 #: third element documents the experiment's expected headline target so
 #: a results file that *lost* its target_speedup field still gets gated.
 SCHEMAS: Dict[str, Tuple[str, str, float]] = {
-    "BENCH_e13.json": ("static_s", "feedback_s", 1.5),
     # BENCH_e14.json's ``steady_state`` section is gated on exact counts
     # by :func:`_check_steady_state`; its pipeline is the recovery timing.
     "BENCH_e14.json": ("baseline_s", "candidate_s", 5.0),

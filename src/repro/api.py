@@ -34,11 +34,9 @@ from repro.engine.database import Database
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import type_from_name
 from repro.errors import (
-    BudgetExceededError,
     ExecutionError,
     QueryCancelledError,
     QueryGuardError,
-    QueryTimeoutError,
     SqlError,
     StalePlanError,
     TransactionError,
@@ -86,18 +84,7 @@ class SoftDB:
         self.database = Database()
         self.registry = SoftConstraintRegistry(self.database)
         self.config = config or OptimizerConfig()
-        # Execution feedback (repro.feedback): one store per session,
-        # created only when switched on — the default path never touches
-        # any of the feedback machinery.
-        if self.config.collect_feedback:
-            from repro.feedback import FeedbackStore
-
-            self.feedback = FeedbackStore()
-        else:
-            self.feedback = None
-        self.optimizer = Optimizer(
-            self.database, self.registry, self.config, feedback=self.feedback
-        )
+        self.optimizer = Optimizer(self.database, self.registry, self.config)
         from repro.concurrency.session import Session
 
         # The facade's statement context: a session of its own, which
@@ -109,24 +96,13 @@ class SoftDB:
             self._attach_durability(path, crash_points)
 
     def _planning_pair(self) -> Tuple[PlanCache, Executor]:
-        """A fresh plan cache and executor over the shared optimizer,
-        registry and feedback store.  Plans and execution state are the
-        per-client half of the stack: every
-        :class:`~repro.concurrency.session.Session`, the facade's own
-        included, owns one pair."""
-        plan_cache = PlanCache(
-            self.optimizer,
-            qerror_threshold=(
-                self.config.feedback_qerror_threshold
-                if self.feedback is not None
-                else None
-            ),
-        )
+        """A fresh plan cache and executor over the shared optimizer and
+        registry.  Plans and execution state are the per-client half of
+        the stack: every :class:`~repro.concurrency.session.Session`, the
+        facade's own included, owns one pair."""
+        plan_cache = PlanCache(self.optimizer)
         executor = Executor(
-            self.database,
-            self.registry,
-            batch_size=self.config.batch_size,
-            feedback=self.feedback,
+            self.database, self.registry, batch_size=self.config.batch_size
         )
         return plan_cache, executor
 
@@ -168,9 +144,7 @@ class SoftDB:
         from repro.durability import DurabilityManager
 
         manager = DurabilityManager(path, crash_points)
-        manager.attach(
-            self.database, registry=self.registry, feedback=self.feedback
-        )
+        manager.attach(self.database, registry=self.registry)
         self.durability = manager
         if manager.has_persisted_state():
             manager.recover()
@@ -254,16 +228,9 @@ class SoftDB:
         issuer to stop it cooperatively.  Both are honored at row/batch
         boundaries on SELECT; for other statements the token is checked
         on entry.  A breach raises the typed error (or, under the guard's
-        ``"partial"`` policy, returns a truncated result), is recorded in
-        the feedback store as a guard trip, and evicts the cached plan —
-        a tripped budget is the loudest possible mis-planning signal.
-
-        With ``OptimizerConfig(collect_feedback=True)`` every query's
-        actual cardinalities are harvested into the session's feedback
-        store, and a cached plan whose execution misestimated past the
-        q-error threshold is evicted so the next call reoptimizes it with
-        feedback-corrected estimates.  Harvesting happens only for
-        successful, untruncated executions.
+        ``"partial"`` policy, returns a truncated result) and evicts the
+        cached plan — a tripped budget is the loudest possible
+        mis-planning signal.  A cancellation evicts nothing.
         """
         return self.run_statement(parse_statement(sql), sql, guard, cancel)
 
@@ -313,8 +280,7 @@ class SoftDB:
     def _select(self, statement, context, options) -> ExecutionResult:
         """The one SELECT runner: fetch the plan from the context's plan
         cache, execute it inside the context's read scope (re-issuing once
-        if it went stale meanwhile), then feed guard trips and observed
-        q-errors back."""
+        if it went stale meanwhile), evicting the plan on a guard trip."""
         sql, guard, cancel = options
         plan_cache = context.plan_cache
 
@@ -334,38 +300,18 @@ class SoftDB:
             raise
         if result.truncated:
             self._note_guard_breach(plan_cache, plan, result.guard_breach)
-        elif self.feedback is not None:
-            plan_cache.note_execution(plan, result.max_qerror)
         return result
 
+    @staticmethod
     def _note_guard_breach(
-        self,
         plan_cache: PlanCache,
         plan: PhysicalPlan,
         error: Optional[Exception],
     ) -> None:
-        """Feed a guard trip into the feedback loop.
-
-        Budget and deadline breaches blame the plan: the trip is recorded
-        against the plan's tables (repeated trips flag them suspect) and
-        the plan is evicted from ``plan_cache``, the cache it came from.
-        A cancellation blames nobody — it is counted for reporting but
-        neither marks tables nor evicts.
-        """
-        cancelled = isinstance(error, QueryCancelledError)
-        if self.feedback is not None:
-            if isinstance(error, QueryTimeoutError):
-                kind = "deadline"
-            elif isinstance(error, BudgetExceededError):
-                kind = error.budget or "budget"
-            elif cancelled:
-                kind = "cancelled"
-            else:
-                kind = "guard"
-            self.feedback.record_guard_trip(
-                kind, () if cancelled else tuple(sorted(plan.tables()))
-            )
-        if not cancelled:
+        """A budget or deadline breach blames the plan: evict it from
+        ``plan_cache``, the cache it came from.  A cancellation blames
+        nobody and evicts nothing."""
+        if not isinstance(error, QueryCancelledError):
             plan_cache.note_guard_breach(plan)
 
     def query(self, sql: str) -> List[Dict[str, Any]]:
@@ -453,46 +399,6 @@ class SoftDB:
         return runstats_virtual(
             self.database, table_name, virtual_name, expression, **kwargs
         )
-
-    # -------------------------------------------------------------- feedback
-
-    def apply_feedback(
-        self, suspect_qerror: Optional[float] = None
-    ) -> List[str]:
-        """Close the soft-constraint loop: re-verify constraints on tables
-        the feedback store flags as misestimated (see
-        :class:`repro.feedback.adjust.FeedbackAdjuster`).  Returns the
-        human-readable actions taken; raises if feedback is off.
-        """
-        if self.feedback is None:
-            raise ExecutionError(
-                "feedback is off; construct SoftDB with "
-                "OptimizerConfig(collect_feedback=True)"
-            )
-        from repro.feedback import FeedbackAdjuster
-
-        kwargs = (
-            {} if suspect_qerror is None
-            else {"suspect_qerror": suspect_qerror}
-        )
-        adjuster = FeedbackAdjuster(
-            self.registry, self.feedback, self.database, **kwargs
-        )
-        return adjuster.apply()
-
-    def feedback_report(self) -> Dict[str, Any]:
-        """A JSON-friendly snapshot of the session's feedback state."""
-        if self.feedback is None:
-            return {"enabled": False}
-        report = {"enabled": True}
-        report.update(self.feedback.snapshot())
-        report["plan_cache_feedback_invalidations"] = (
-            self.plan_cache.feedback_invalidations
-        )
-        report["plan_cache_guard_invalidations"] = (
-            self.plan_cache.guard_invalidations
-        )
-        return report
 
     # ------------------------------------------------------------- resilience
 

@@ -6,9 +6,8 @@ private session, so ``SoftDB.execute("BEGIN")`` opens the same kind of
 transaction a session's does; only sessions returned by
 :meth:`~repro.api.SoftDB.session` count as open.  Each session owns:
 
-* its **plan cache** and **executor** (the optimizer, registry, and
-  feedback store stay shared — plans and execution state are the
-  per-client parts);
+* its **plan cache** and **executor** (the optimizer and registry stay
+  shared — plans and execution state are the per-client parts);
 * a **WAL transaction stack**, installed around every statement (by
   :meth:`~repro.api.SoftDB.run_statement`) so the durability layer
   tags this session's records with this session's transaction no

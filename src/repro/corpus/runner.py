@@ -34,13 +34,13 @@ from repro.harness.classify import (
     MEASURED,
     QueryOutcome,
     classify_speedup,
-    qerror,
     speedup_type,
     summarize,
     validate_rows,
 )
 from repro.harness.runner import all_off
 from repro.optimizer.planner import Optimizer, PlanCache
+from repro.stats.errors import q_error
 from repro.corpus.generator import CorpusQuery
 
 #: Structural failures (parse / bind / plan) route to FAIL; SqlError
@@ -135,7 +135,7 @@ class CorpusRunner:
             )
             outcome.status = classify_speedup(outcome.speedup)
             return outcome
-        outcome.qerror = qerror(
+        outcome.qerror = q_error(
             plan.estimated_rows, candidate.result.row_count
         )
         outcome.speedup = outcome.speedup_for(self.metric)

@@ -29,10 +29,6 @@ from repro.softcon.base import SoftConstraint
 
 ESTIMATION_ONLY_DISCOUNT = 0.4
 
-# Ceiling on the execution-feedback benefit multiplier: a grotesquely
-# misestimated table should dominate the ranking, not erase it.
-FEEDBACK_BOOST_CAP = 4.0
-
 
 class UtilityScore:
     """The scored utility of one candidate."""
@@ -71,20 +67,10 @@ class SelectionEngine:
         Relative volume of updates vs. queries; scales maintenance cost.
         Data-warehouse workloads (load nightly, query all day) use a small
         value; OLTP-ish workloads a larger one.
-    feedback:
-        Optional :class:`~repro.feedback.store.FeedbackStore`.  Execution
-        feedback *targets* the miner: a candidate touching a table (or
-        join pair) whose observed q-error is high gets its benefit
-        multiplied by that q-error (capped at
-        ``FEEDBACK_BOOST_CAP``) — exactly where better constraint-borne
-        knowledge would have fixed a misestimate.
     """
 
-    def __init__(
-        self, update_weight: float = 0.1, feedback: Optional[object] = None
-    ) -> None:
+    def __init__(self, update_weight: float = 0.1) -> None:
         self.update_weight = update_weight
-        self.feedback = feedback
 
     # -- scoring --------------------------------------------------------------
 
@@ -101,29 +87,7 @@ class SelectionEngine:
             maintenance = 0.0  # SSCs are not checked at update time
         else:
             maintenance = candidate.maintenance_cost * self.update_weight
-        if self.feedback is not None:
-            benefit *= self._feedback_boost(candidate)
         return UtilityScore(candidate, benefit, maintenance, matched)
-
-    def _feedback_boost(self, candidate: SoftConstraint) -> float:
-        """Multiplier from observed misestimation on the candidate's tables.
-
-        Tables are matched against the store's worst scan q-errors, and —
-        for two-table candidates — against the worst q-error of any join
-        edge between the pair.  1.0 when nothing relevant misestimated.
-        """
-        tables = {t.lower() for t in candidate.table_names()}
-        boost = 1.0
-        scan_qerrors = self.feedback.tables_with_qerror(min_qerror=1.0)
-        for table in tables:
-            q = scan_qerrors.get(table)
-            if q is not None and q > boost:
-                boost = q
-        if len(tables) >= 2:
-            for pair, q in self.feedback.join_table_qerrors().items():
-                if set(pair) <= tables and q > boost:
-                    boost = q
-        return min(FEEDBACK_BOOST_CAP, boost)
 
     # -- selection -----------------------------------------------------------------
 

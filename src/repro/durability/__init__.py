@@ -6,8 +6,8 @@ described by a *physiological* redo record — logical row content plus
 the physical :class:`~repro.engine.row.RowId` it landed at — in a
 CRC-framed write-ahead log.  A fuzzy checkpoint snapshots heap pages,
 B-tree indexes, the system catalog, the soft-constraint registry
-(including exception-AST bindings and confidence/currency state) and the
-FeedbackStore; recovery replays the log's committed suffix from the last
+(including exception-AST bindings and confidence/currency state);
+recovery replays the log's committed suffix from the last
 checkpoint, verifies per-page checksums, rebuilds or quarantines indexes
 that fail verification, and re-validates recovered ASCs against the
 recovered data so an overturned soft constraint can never outlive a

@@ -3,7 +3,7 @@
 One :class:`DurabilityManager` owns a database directory (WAL +
 checkpoint image) and is attached to a :class:`~repro.engine.database.
 Database` (plus, through the :class:`~repro.api.SoftDB` facade, the
-soft-constraint registry and the feedback store).  Three roles:
+soft-constraint registry).  Three roles:
 
 **Logging.**  The engine's DML/DDL paths call the ``log_*`` hooks after
 each mutation; the registry snapshots a soft constraint's full state on
@@ -18,7 +18,7 @@ mid-statement leave zero trace.
 
 **Checkpoints.**  :meth:`checkpoint` serializes the entire database
 (pages, indexes, catalog, SC registry with policies/currency/exception-
-AST bindings, feedback state) into one CRC-guarded image installed by
+AST bindings) into one CRC-guarded image installed by
 atomic rename, recording the WAL offset it is consistent with.  The WAL
 is never truncated by a checkpoint — replay is offset-based — so a
 checkpoint that is later lost still leaves full redo history.
@@ -86,7 +86,6 @@ class DurabilityManager:
         self.wal = WriteAheadLog(self.path / WAL_NAME, crash_points)
         self.database = None
         self.registry = None
-        self.feedback = None
         # Extra facade-level sequences persisted through checkpoints.
         self.session_state: Dict[str, Any] = {}
         # Transaction contexts.  Single-session work uses the default
@@ -118,11 +117,10 @@ class DurabilityManager:
         self.checkpoints_taken = 0
         self.last_recovery: Optional[Dict[str, Any]] = None
 
-    def attach(self, database, registry=None, feedback=None) -> None:
+    def attach(self, database, registry=None) -> None:
         """Wire this manager into an engine stack (sets the hooks up)."""
         self.database = database
         self.registry = registry
-        self.feedback = feedback
         database.durability = self
 
     def has_persisted_state(self) -> bool:
@@ -529,11 +527,6 @@ class DurabilityManager:
             ],
             "summary_tables": summary_tables,
             "registry": self._encode_registry(),
-            "feedback": (
-                self.feedback.state_dict()
-                if self.feedback is not None
-                else None
-            ),
         }
 
     def _encode_registry(self) -> Optional[Dict[str, Any]]:
@@ -673,15 +666,8 @@ class DurabilityManager:
         self._restore_registry(payload.get("registry"), summary)
         for binding in payload["summary_tables"]:
             self._rebind_exception_table(binding, summary)
-        feedback_state = payload.get("feedback")
-        if feedback_state is not None:
-            if self.feedback is None:
-                summary["warnings"].append(
-                    "checkpoint carries feedback state but feedback "
-                    "collection is disabled; state ignored"
-                )
-            else:
-                self.feedback.load_state(feedback_state)
+        # Checkpoints written by older versions also carry a "feedback"
+        # key (execution-feedback state); restore must accept and ignore it.
 
     def _restore_registry(
         self, state: Optional[Dict[str, Any]], summary: Dict[str, Any]

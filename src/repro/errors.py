@@ -209,10 +209,6 @@ class QueryCancelledError(QueryGuardError):
     was cancelled."""
 
 
-class FeedbackError(ReproError):
-    """Misconfiguration or misuse of the execution-feedback subsystem."""
-
-
 class TransactionError(ReproError):
     """Transaction misuse (commit twice, write outside a transaction...)."""
 

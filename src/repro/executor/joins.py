@@ -11,13 +11,6 @@ merged dict-by-dict.  The batched hash join matches int64 key codes with
 a stable sort and ``searchsorted``, so its output keeps the oracle's
 order: probe order, then build insertion order.  NULL and NaN keys
 never match.
-
-Under feedback collection (``count_pairs=True``) joins additionally count
-the row pairs they considered *before* any residual filter — for a hash
-join that is the key-matched pair count (the equi edge's own output), for
-nested loops the full ``|outer| x |inner|`` product.  The count lands on
-``node.actual_pairs``; harvesting divides it by the input cardinalities
-to observe the edge's true selectivity.
 """
 
 from __future__ import annotations
@@ -38,19 +31,6 @@ ChildRunner = Callable[[object], RowIterator]
 BatchRunner = Callable[[object], Iterator[RowBatch]]
 
 
-def _count_outer(
-    rows: RowIterator, node: NestedLoopJoin, inner_size: int
-) -> RowIterator:
-    """Count outer rows; every one is paired against the whole inner."""
-    outer = 0
-    try:
-        for row in rows:
-            outer += 1
-            yield row
-    finally:
-        node.actual_pairs = outer * inner_size
-
-
 def _note_pairs_per_row(
     rows: RowIterator, guard: Any, inner_size: int
 ) -> RowIterator:
@@ -63,7 +43,6 @@ def _note_pairs_per_row(
 def run_nested_loop_join(
     node: NestedLoopJoin,
     run_child: ChildRunner,
-    count_pairs: bool = False,
     guard: Any = None,
 ) -> RowIterator:
     """Nested loops with the inner input materialized once.
@@ -77,8 +56,6 @@ def run_nested_loop_join(
     if guard is not None:
         guard.note_rows(len(inner_rows))
     outer_rows = run_child(node.left)
-    if count_pairs:
-        outer_rows = _count_outer(outer_rows, node, len(inner_rows))
     if guard is not None:
         outer_rows = _note_pairs_per_row(outer_rows, guard, len(inner_rows))
     condition = node.condition
@@ -97,7 +74,6 @@ def run_nested_loop_join(
 def run_hash_join(
     node: HashJoin,
     run_child: ChildRunner,
-    count_pairs: bool = False,
     guard: Any = None,
 ) -> RowIterator:
     """Classic hash join: build on the right input, probe with the left.
@@ -113,28 +89,21 @@ def run_hash_join(
         build.setdefault(key, []).append(right_row)
         if guard is not None:
             guard.note_rows(1)
-    pairs = 0
-    try:
-        if not build:
-            return  # empty build side: skip scanning the probe input entirely
-        for left_row in run_child(node.left):
-            key = tuple(evaluate(expr, left_row) for expr in node.left_keys)
-            if _unmatchable(key):
-                continue
-            matches = build.get(key)
-            if not matches:
-                continue
-            if count_pairs:
-                pairs += len(matches)
-            if guard is not None:
-                guard.note_pairs(len(matches))
-            for right_row in matches:
-                merged = {**left_row, **right_row}
-                if residual is None or evaluate(residual, merged) is True:
-                    yield merged
-    finally:
-        if count_pairs:
-            node.actual_pairs = pairs
+    if not build:
+        return  # empty build side: skip scanning the probe input entirely
+    for left_row in run_child(node.left):
+        key = tuple(evaluate(expr, left_row) for expr in node.left_keys)
+        if _unmatchable(key):
+            continue
+        matches = build.get(key)
+        if not matches:
+            continue
+        if guard is not None:
+            guard.note_pairs(len(matches))
+        for right_row in matches:
+            merged = {**left_row, **right_row}
+            if residual is None or evaluate(residual, merged) is True:
+                yield merged
 
 
 # -- batched variants ----------------------------------------------------------
@@ -159,7 +128,6 @@ def run_nested_loop_join_batched(
     node: NestedLoopJoin,
     run_child: BatchRunner,
     batch_size: int,
-    count_pairs: bool = False,
     guard: Any = None,
 ) -> Iterator[RowBatch]:
     """Batched nested loops: inner materialized once, outer tiled against it.
@@ -172,45 +140,38 @@ def run_nested_loop_join_batched(
     inner = RowBatch.concat(list(run_child(node.right)))
     if guard is not None:
         guard.note_rows(0 if inner is None else len(inner))
-    pairs = 0
-    try:
-        if inner is None or len(inner) == 0:
-            return
-        # The inner columns below are aliased into every output chunk
-        # (``column * 1`` shares the object); freeze them so an in-place
-        # mutation anywhere downstream fails loudly instead of
-        # corrupting other chunks.
-        inner.freeze()
-        m = len(inner)
-        # Keep output chunks near batch_size rows without splitting inner runs.
-        outer_chunk = max(1, batch_size // m)
-        for left in run_child(node.left):
-            for start in range(0, len(left), outer_chunk):
-                piece = left.slice(start, start + outer_chunk)
-                k = len(piece)
-                if count_pairs:
-                    pairs += k * m
-                if guard is not None:
-                    guard.note_pairs(k * m)
-                columns, _ = _merged_columns(piece, inner)
-                data: Dict[str, List[Any]] = {}
-                for name in piece.columns:
-                    column = piece.data[name]
-                    data[name] = [value for value in column for _ in range(m)]
-                for name in inner.columns:
-                    data[name] = (
-                        inner.data[name] * k if k > 1 else inner.data[name]
-                    )
-                merged = RowBatch(columns, data, k * m)
-                if node.condition is not None:
-                    merged = merged.filter_true(
-                        node.compiled_condition.batch(merged)
-                    )
-                if len(merged):
-                    yield merged
-    finally:
-        if count_pairs:
-            node.actual_pairs = pairs
+    if inner is None or len(inner) == 0:
+        return
+    # The inner columns below are aliased into every output chunk
+    # (``column * 1`` shares the object); freeze them so an in-place
+    # mutation anywhere downstream fails loudly instead of
+    # corrupting other chunks.
+    inner.freeze()
+    m = len(inner)
+    # Keep output chunks near batch_size rows without splitting inner runs.
+    outer_chunk = max(1, batch_size // m)
+    for left in run_child(node.left):
+        for start in range(0, len(left), outer_chunk):
+            piece = left.slice(start, start + outer_chunk)
+            k = len(piece)
+            if guard is not None:
+                guard.note_pairs(k * m)
+            columns, _ = _merged_columns(piece, inner)
+            data: Dict[str, List[Any]] = {}
+            for name in piece.columns:
+                column = piece.data[name]
+                data[name] = [value for value in column for _ in range(m)]
+            for name in inner.columns:
+                data[name] = (
+                    inner.data[name] * k if k > 1 else inner.data[name]
+                )
+            merged = RowBatch(columns, data, k * m)
+            if node.condition is not None:
+                merged = merged.filter_true(
+                    node.compiled_condition.batch(merged)
+                )
+            if len(merged):
+                yield merged
 
 
 class _BuildIndex:
@@ -273,7 +234,6 @@ def run_hash_join_batched(
     node: HashJoin,
     run_child: BatchRunner,
     batch_size: int,
-    count_pairs: bool = False,
     guard: Any = None,
 ) -> Iterator[RowBatch]:
     """Batched hash join: the build side is concatenated once and its key
@@ -289,30 +249,23 @@ def run_hash_join_batched(
         # them so aliased in-place mutation fails loudly (see RowBatch).
         build_side.freeze()
         index = _BuildIndex(key_columns(node.compiled_right_keys, build_side))
-    pairs = 0
-    try:
-        if index is None or not len(index.rows):
-            return  # empty build side: skip scanning the probe input entirely
-        for left in run_child(node.left):
-            probe_idx, build_idx = index.probe(
-                key_columns(node.compiled_left_keys, left)
-            )
-            if not len(probe_idx):
-                continue
-            if count_pairs:
-                pairs += len(probe_idx)
-            if guard is not None:
-                guard.note_pairs(len(probe_idx))
-            columns, _ = _merged_columns(left, build_side)
-            data = {
-                **left.take(probe_idx.tolist()).data,
-                **build_side.take(build_idx.tolist()).data,
-            }
-            merged = RowBatch(columns, data, len(probe_idx))
-            if node.residual is not None:
-                merged = merged.filter_true(node.compiled_residual.batch(merged))
-            if len(merged):
-                yield merged
-    finally:
-        if count_pairs:
-            node.actual_pairs = pairs
+    if index is None or not len(index.rows):
+        return  # empty build side: skip scanning the probe input entirely
+    for left in run_child(node.left):
+        probe_idx, build_idx = index.probe(
+            key_columns(node.compiled_left_keys, left)
+        )
+        if not len(probe_idx):
+            continue
+        if guard is not None:
+            guard.note_pairs(len(probe_idx))
+        columns, _ = _merged_columns(left, build_side)
+        data = {
+            **left.take(probe_idx.tolist()).data,
+            **build_side.take(build_idx.tolist()).data,
+        }
+        merged = RowBatch(columns, data, len(probe_idx))
+        if node.residual is not None:
+            merged = merged.filter_true(node.compiled_residual.batch(merged))
+        if len(merged):
+            yield merged

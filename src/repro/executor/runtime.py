@@ -48,11 +48,6 @@ RowDict = Dict[str, Any]
 class ExecutionResult:
     """Rows plus the I/O the plan actually performed."""
 
-    #: Worst per-node q-error of this execution; set only when feedback
-    #: collection was on (None otherwise).
-    max_qerror: Optional[float] = None
-    #: Observations this execution contributed to the feedback store.
-    feedback_observations: int = 0
     #: True when a guard breach under the ``"partial"`` policy cut the
     #: execution short: ``rows`` holds only the rows produced so far.
     truncated: bool = False
@@ -124,12 +119,6 @@ class Executor:
     executed after another transaction overturned it.  A stale plan raises
     :class:`~repro.errors.StalePlanError`; the caller re-issues with a
     fresh compile (see :meth:`repro.api.SoftDB.execute_plan`).
-
-    With a ``feedback`` store (:class:`~repro.feedback.store.FeedbackStore`),
-    every execution is instrumented, its per-node actual cardinalities are
-    harvested into the store, and the result carries ``max_qerror`` /
-    ``feedback_observations``.  Without one, nothing feedback-related runs
-    — the default path does zero extra work.
     """
 
     def __init__(
@@ -137,28 +126,22 @@ class Executor:
         database: Database,
         registry: Optional[Any] = None,
         batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-        feedback: Optional[Any] = None,
     ) -> None:
         self.database = database
         self.registry = registry
         self.batch_size = batch_size
-        self.feedback = feedback
 
     def execute(
         self,
         plan: PhysicalPlan,
         instrument: bool = False,
-        collect_feedback: Optional[bool] = None,
         guard: Optional[Any] = None,
         cancel: Optional[Any] = None,
     ) -> ExecutionResult:
         """Run a plan.  With ``instrument``, every operator's actual output
         row count is recorded on the node (``actual_rows``; production runs
         also record ``actual_batches``) so EXPLAIN ANALYZE can print
-        estimates next to actuals.  ``collect_feedback``
-        (default: on iff the executor holds a feedback store) implies
-        instrumentation, also counts scan input rows / join pairs, and
-        harvests the actuals into the store afterwards.
+        estimates next to actuals.
 
         ``guard`` (a :class:`~repro.resilience.guards.QueryGuard`) imposes
         resource budgets checked at row/batch boundaries; ``cancel`` (a
@@ -166,22 +149,8 @@ class Executor:
         cooperative cancellation.  A breach raises the typed
         :class:`~repro.errors.QueryGuardError`, or — under the guard's
         ``"partial"`` policy — returns the rows produced so far with
-        ``truncated=True``.  Feedback is harvested only from successful,
-        untruncated executions, so partial operator counters never pollute
-        the store."""
+        ``truncated=True``."""
         self._guard_freshness(plan)
-        collect = (
-            self.feedback is not None
-            if collect_feedback is None
-            else collect_feedback
-        )
-        if collect:
-            from repro.feedback.counters import clear_actuals
-
-            # A cached plan still carries the previous run's counters;
-            # reset so partially-executed operators can't leak old counts.
-            clear_actuals(plan.root)
-            instrument = True
         active = self._arm(guard, cancel)
         production = bool(self.batch_size) and plan.compiled
         before_reads = self.database.counters.page_reads
@@ -194,7 +163,6 @@ class Executor:
                     self.database,
                     self.batch_size,
                     instrument=instrument,
-                    collect=collect,
                     guard=active,
                 )
                 if active is None:
@@ -205,7 +173,6 @@ class Executor:
                         rows.extend(batch.to_rows())
             else:
                 self._instrument = instrument
-                self._collect = collect
                 self._guard = active
                 try:
                     if active is None:
@@ -216,7 +183,6 @@ class Executor:
                             rows.append(row)
                 finally:
                     self._instrument = False
-                    self._collect = False
                     self._guard = None
         except QueryGuardError as error:
             if guard is None or guard.on_breach != "partial":
@@ -236,17 +202,6 @@ class Executor:
             result.guard_breach = breach
         if active is not None:
             result.guard_report = active.finish()
-        if collect and not truncated:
-            if self.feedback is not None:
-                from repro.feedback.counters import harvest
-
-                summary = harvest(plan, self.feedback)
-                result.max_qerror = summary.max_qerror
-                result.feedback_observations = summary.observations
-            else:
-                from repro.feedback.qerror import plan_max_qerror
-
-                result.max_qerror = plan_max_qerror(plan.root)
         return result
 
     def _arm(self, guard: Optional[Any], cancel: Optional[Any]) -> Optional[Any]:
@@ -260,7 +215,6 @@ class Executor:
         return guard.arm(self.database.counters, cancel)
 
     _instrument = False
-    _collect = False
     _guard = None
 
     def _run_top(self, node: PhysicalNode) -> Iterator[RowDict]:
@@ -299,40 +253,21 @@ class Executor:
         if isinstance(node, EmptyResult):
             return iter(())
         if isinstance(node, SeqScan):
-            return run_seq_scan(
-                self.database,
-                node,
-                count_input=self._collect,
-                guard=self._guard,
-            )
+            return run_seq_scan(self.database, node, guard=self._guard)
         if isinstance(node, IndexScan):
-            return run_index_scan(
-                self.database,
-                node,
-                count_input=self._collect,
-                guard=self._guard,
-            )
+            return run_index_scan(self.database, node, guard=self._guard)
         if isinstance(node, Filter):
             return self._run_filter(node)
         if isinstance(node, NestedLoopJoin):
-            return run_nested_loop_join(
-                node, self._run, count_pairs=self._collect, guard=self._guard
-            )
+            return run_nested_loop_join(node, self._run, guard=self._guard)
         if isinstance(node, HashJoin):
-            return run_hash_join(
-                node, self._run, count_pairs=self._collect, guard=self._guard
-            )
+            return run_hash_join(node, self._run, guard=self._guard)
         if isinstance(node, GroupBy):
             return self._run_group_by(node)
         if isinstance(node, Extend):
             return self._run_extend(node)
         if isinstance(node, Sort):
-            return run_sort(
-                node,
-                self._run(node.child),
-                count_input=self._collect,
-                guard=self._guard,
-            )
+            return run_sort(node, self._run(node.child), guard=self._guard)
         if isinstance(node, Project):
             return self._run_project(node)
         if isinstance(node, Distinct):

@@ -18,14 +18,6 @@ decisions are those of a fresh walk.  An image is published only by a
 walk that ran to the end with the version unmoved.  Snapshot reads,
 LIMIT-quota scans and index scans walk storage every time.
 
-Under feedback collection (``count_input=True``) scans additionally count
-the rows they *examined* before the pushed-down filter — for an index
-scan, that is the number of rows the range fetched, the cost model's
-"matching" quantity.  The count is attached as
-``node.actual_rows_scanned``.  When collection is off, no counting
-wrapper is even constructed: the default path does zero extra per-row
-work.
-
 Scans read as of the snapshot the thread's statement installed
 (``database.concurrency.current_snapshot()``), or the heap when none is.
 """
@@ -34,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.engine.page import PageManager
@@ -122,42 +114,14 @@ def _guard_ticks(
         guard.tick(pending)
 
 
-def _one(_row: Any) -> int:
-    return 1
-
-
-def _count_scanned(
-    items: Iterator[Any],
-    node: "SeqScan | IndexScan",
-    size: Callable[[Any], int] = _one,
-) -> Iterator[Any]:
-    """Count raw rows flowing out of storage into the scan's filter;
-    ``items`` are rows, or chunks of rows with ``size=len``.
-
-    The count lands on the node even if the consumer stops early (LIMIT):
-    harvesting guards against such partial counts by only consulting
-    ``actual_rows_scanned`` when ``actual_rows`` was also recorded.
-    """
-    scanned = 0
-    try:
-        for item in items:
-            scanned += size(item)
-            yield item
-    finally:
-        node.actual_rows_scanned = scanned
-
-
 def run_seq_scan(
     database: Database,
     node: SeqScan,
-    count_input: bool = False,
     guard: Any = None,
 ) -> Iterator[RowDict]:
     table = database.table(node.table_name)
     names = tuple(table.schema.column_names())
     source = _scan_rows(database, node)
-    if count_input:
-        source = _count_scanned(source, node)
     if guard is not None:
         source = _guard_ticks(source, guard)
     predicate = node.predicate
@@ -218,15 +182,12 @@ def _index_rows(
 def run_index_scan(
     database: Database,
     node: IndexScan,
-    count_input: bool = False,
     guard: Any = None,
 ) -> Iterator[RowDict]:
     """Range scan the index, fetch each RID, apply the residual filter."""
     table = database.table(node.table_name)
     names = tuple(table.schema.column_names())
     source = _scan_rows(database, node)
-    if count_input:
-        source = _count_scanned(source, node)
     if guard is not None:
         source = _guard_ticks(source, guard)
     predicate = node.predicate
@@ -378,7 +339,6 @@ def run_seq_scan_batched(
     database: Database,
     node: SeqScan,
     batch_size: int,
-    count_input: bool = False,
     guard: Any = None,
     quota: Optional[ScanQuota] = None,
 ) -> Iterator[RowBatch]:
@@ -401,8 +361,6 @@ def run_seq_scan_batched(
         chunks = _page_chunks(
             database.concurrency.visible_row_runs(table, snapshot), batch_size
         )
-    if count_input:
-        chunks = _count_scanned(chunks, node, len)
     return _scan_chunks(chunks, names, node, guard)
 
 
@@ -424,7 +382,6 @@ def run_index_scan_batched(
     database: Database,
     node: IndexScan,
     batch_size: int,
-    count_input: bool = False,
     guard: Any = None,
     quota: Optional[ScanQuota] = None,
 ) -> Iterator[RowBatch]:
@@ -437,6 +394,4 @@ def run_index_scan_batched(
     """
     table = database.table(node.table_name)
     chunks = _quota_chunks(_scan_rows(database, node), batch_size, quota)
-    if count_input:
-        chunks = _count_scanned(chunks, node, len)
     return _scan_chunks(chunks, _qualified_names(node, table), node, guard)

@@ -31,7 +31,6 @@ def _decorate(value: Any):
 def run_sort(
     node: Sort,
     rows: Iterator[RowDict],
-    count_input: bool = False,
     guard: Any = None,
 ) -> Iterator[RowDict]:
     """Materialize and sort; stable multi-key sort, last key first."""
@@ -40,10 +39,6 @@ def run_sort(
         # A sort pins its whole input in memory; charge the row budget at
         # the materialization point, before any sorting work.
         guard.note_rows(len(materialized))
-    if count_input:
-        # The sort always materializes its whole input, so this count —
-        # unlike ``actual_rows`` — survives a LIMIT above the sort.
-        node.actual_input_rows = len(materialized)
     for expression, ascending in reversed(node.order):
         materialized.sort(
             key=lambda row, _e=expression: _decorate(evaluate(_e, row)),
@@ -56,7 +51,6 @@ def run_sort_batched(
     node: Sort,
     batches: Iterable[RowBatch],
     batch_size: int,
-    count_input: bool = False,
     guard: Any = None,
 ) -> Iterator[RowBatch]:
     """Batched twin of :func:`run_sort`: sort an index permutation.
@@ -69,10 +63,6 @@ def run_sort_batched(
     materialized = RowBatch.concat(list(batches))
     if guard is not None:
         guard.note_rows(0 if materialized is None else len(materialized))
-    if count_input:
-        node.actual_input_rows = (
-            0 if materialized is None else len(materialized)
-        )
     if materialized is None or len(materialized) == 0:
         return
     indices = list(range(len(materialized)))

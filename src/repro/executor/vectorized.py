@@ -84,7 +84,6 @@ class BatchedInterpreter:
         database: Database,
         batch_size: int = DEFAULT_BATCH_SIZE,
         instrument: bool = False,
-        collect: bool = False,
         guard: Any = None,
     ) -> None:
         if batch_size < 1:
@@ -93,10 +92,7 @@ class BatchedInterpreter:
             )
         self.database = database
         self.batch_size = batch_size
-        # Feedback collection implies instrumentation and additionally
-        # counts scan input rows and join pairs (see repro.feedback).
-        self.collect = collect
-        self.instrument = instrument or collect
+        self.instrument = instrument
         # An armed ActiveGuard (repro.resilience.guards) or None; threaded
         # to the operators that can burn unbounded work.
         self.guard = guard
@@ -143,7 +139,6 @@ class BatchedInterpreter:
                 self.database,
                 node,
                 self.batch_size,
-                count_input=self.collect,
                 guard=self.guard,
                 quota=quota,
             )
@@ -152,7 +147,6 @@ class BatchedInterpreter:
                 self.database,
                 node,
                 self.batch_size,
-                count_input=self.collect,
                 guard=self.guard,
                 quota=quota,
             )
@@ -163,7 +157,6 @@ class BatchedInterpreter:
                 node,
                 self.run,
                 self.batch_size,
-                count_pairs=self.collect,
                 guard=self.guard,
             )
         if isinstance(node, HashJoin):
@@ -171,7 +164,6 @@ class BatchedInterpreter:
                 node,
                 self.run,
                 self.batch_size,
-                count_pairs=self.collect,
                 guard=self.guard,
             )
         if isinstance(node, GroupBy):
@@ -183,7 +175,6 @@ class BatchedInterpreter:
                 node,
                 self.run(node.child),
                 self.batch_size,
-                count_input=self.collect,
                 guard=self.guard,
             )
         if isinstance(node, Project):

@@ -377,21 +377,6 @@ def substitute_columns(
     return _map_leaves(expression, replace)
 
 
-def bind_parameters(expression: ast.Expression) -> ast.Expression:
-    """The expression with each binding-dependent parameter replaced by
-    the literal it currently reads: what the statement says before
-    lifting, so feedback keys the same work the same way either way."""
-
-    def replace(leaf: ast.Expression) -> ast.Expression:
-        if isinstance(leaf, ast.RuntimeParameter) and leaf.per_statement:
-            return ast.Literal(
-                leaf.current_value(), getattr(leaf.source, "is_date", False)
-            )
-        return leaf
-
-    return _map_leaves(expression, replace)
-
-
 def _map_leaves(expression: ast.Expression, replace) -> ast.Expression:
     """A copy of ``expression`` with ``replace`` applied to every leaf."""
     if isinstance(

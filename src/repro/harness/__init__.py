@@ -16,7 +16,6 @@ from repro.harness.classify import (
     WIN,
     classify_speedup,
     normalized_row_key,
-    qerror,
     result_checksum,
     speedup_type,
     summarize,
@@ -33,6 +32,7 @@ from repro.harness.reporting import (
     format_outcomes,
     format_table,
 )
+from repro.stats.errors import q_error as qerror
 
 __all__ = [
     "BOTH_TIMEOUT",

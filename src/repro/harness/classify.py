@@ -228,13 +228,6 @@ def _round(value: Optional[float], digits: int = 4) -> Optional[float]:
     return None if value is None else round(value, digits)
 
 
-def qerror(estimated: float, actual: float) -> float:
-    """The symmetric cardinality estimation error, floored at one row."""
-    estimated = max(1.0, float(estimated))
-    actual = max(1.0, float(actual))
-    return max(estimated / actual, actual / estimated)
-
-
 # -- aggregation --------------------------------------------------------------
 
 

@@ -107,37 +107,12 @@ class AccessPathSelector:
                 high_inclusive=interval.high_inclusive,
                 predicate=analysis.conjoin(list(conjuncts)),
             )
-            if self.estimator.uses_feedback:
-                matching = self._corrected_matching(node, matching)
             node.estimated_rows = output_rows
             node.estimated_cost = self.cost_model.index_scan_cost(
                 table_name, index.name, matching
             )
             candidates.append(node)
         return candidates
-
-    def _corrected_matching(
-        self, node: IndexScan, matching: float
-    ) -> float:
-        """Replace the histogram's ``matching`` estimate with the number of
-        rows this exact index range was *observed* to fetch, if known.
-
-        This is the lever that flips a wrong index choice: a stale
-        histogram can claim a range is empty when drifted data made it the
-        whole table (or vice versa), and only the observed fetch count —
-        not any output-row correction — exposes that, because the residual
-        filter hides it from the scan's output cardinality.
-        """
-        from repro.feedback.signatures import index_range_signature
-
-        observed = self.estimator.feedback.matching_rows(
-            node.table_name,
-            node.index_name,
-            index_range_signature(
-                node.low, node.high, node.low_inclusive, node.high_inclusive
-            ),
-        )
-        return matching if observed is None else max(0.0, observed)
 
 
 def _is_constant_false(conjunct: ast.Expression) -> bool:

@@ -48,29 +48,16 @@ class CardinalityEstimator:
     * ``"exp_backoff"`` — SQL-Server-style exponential backoff,
       ``s1 * s2^(1/2) * s3^(1/4) * ...`` over the selectivities sorted
       ascending: a generic hedge against correlation that needs no SC
-      knowledge (the ablation baseline E5 compares twinning against);
-    * ``"feedback"`` — independence, but *observed* cardinalities from a
-      :class:`~repro.feedback.store.FeedbackStore` override the model
-      wherever an exact signature match exists: whole scan conjunct sets,
-      base-table cardinalities, join edges, and grouping key sets.
-      Anything the store has never seen falls back to independence.
+      knowledge (the ablation baseline E5 compares twinning against).
     """
 
     def __init__(
-        self,
-        database: Database,
-        combiner: str = "independence",
-        feedback: Optional[object] = None,
+        self, database: Database, combiner: str = "independence"
     ) -> None:
-        if combiner not in ("independence", "exp_backoff", "feedback"):
+        if combiner not in ("independence", "exp_backoff"):
             raise OptimizerError(f"unknown combiner {combiner!r}")
         self.database = database
         self.combiner = combiner
-        self.feedback = feedback
-
-    @property
-    def uses_feedback(self) -> bool:
-        return self.combiner == "feedback" and self.feedback is not None
 
     def _combine(self, fractions: List[float]) -> float:
         if self.combiner != "exp_backoff" or len(fractions) <= 1:
@@ -89,12 +76,6 @@ class CardinalityEstimator:
         return self.database.catalog.statistics(table_name)
 
     def base_rows(self, table_name: str) -> float:
-        if self.uses_feedback:
-            # A completed sequential scan observed the table's *current*
-            # cardinality — fresher than a stale RUNSTATS row count.
-            observed = self.feedback.base_rows(table_name)
-            if observed is not None:
-                return max(1.0, observed)
         stats = self.table_stats(table_name)
         if stats is not None:
             return float(stats.row_count)
@@ -117,14 +98,6 @@ class CardinalityEstimator:
     ) -> float:
         """Estimated rows a scan of ``table_name`` yields under the
         conjuncts, with the twinning adjustment applied."""
-        if self.uses_feedback:
-            from repro.feedback.signatures import conjunct_signature
-
-            observed = self.feedback.scan_rows(
-                table_name, conjunct_signature(conjuncts)
-            )
-            if observed is not None:
-                return max(0.0, observed)
         base = self.base_rows(table_name)
         plain = self.conjunction_selectivity(table_name, conjuncts)
         if not estimation_predicates:
@@ -261,16 +234,9 @@ class CardinalityEstimator:
         """Selectivity of one cross-binding predicate.
 
         Equi-joins use the textbook ``1 / max(ndv_left, ndv_right)``;
-        anything else falls back to a default.  In feedback mode an
-        observed selectivity for the same (alias-normalized) edge wins.
+        anything else falls back to a default.
         """
         equijoin = analysis.match_equijoin(conjunct)
-        if self.uses_feedback:
-            observed = self._observed_join_selectivity(
-                conjunct, equijoin, binding_tables
-            )
-            if observed is not None:
-                return observed
         if equijoin is None:
             return DEFAULT_OTHER_SELECTIVITY
         left, right = equijoin
@@ -289,28 +255,6 @@ class CardinalityEstimator:
             return DEFAULT_JOIN_SELECTIVITY
         return 1.0 / max(candidates)
 
-    def _observed_join_selectivity(
-        self,
-        conjunct: ast.Expression,
-        equijoin: Optional[Tuple[ast.ColumnRef, ast.ColumnRef]],
-        binding_tables: Dict[str, str],
-    ) -> Optional[float]:
-        from repro.feedback import signatures
-
-        lowered = {
-            binding.lower(): table
-            for binding, table in binding_tables.items()
-        }
-        if equijoin is not None:
-            signature = signatures.join_edge_signature(
-                equijoin[0], equijoin[1], lowered
-            )
-        else:
-            signature = signatures.theta_signature(conjunct, lowered)
-        if signature is None:
-            return None
-        return self.feedback.join_selectivity(signature)
-
     # -- grouped output -------------------------------------------------------------------
 
     def group_output_rows(
@@ -322,18 +266,6 @@ class CardinalityEstimator:
         """Estimated group count: product of key NDVs, capped by input."""
         if not keys:
             return 1.0
-        if self.uses_feedback:
-            from repro.feedback.signatures import group_signature
-
-            lowered = {
-                binding.lower(): table
-                for binding, table in binding_tables.items()
-            }
-            observed = self.feedback.group_rows(
-                group_signature(keys, lowered)
-            )
-            if observed is not None:
-                return max(1.0, observed)
         product = 1.0
         for key in keys:
             table = binding_tables.get(key.table or "")

@@ -54,9 +54,8 @@ def _render(node: PhysicalNode, depth: int, lines: List[str]) -> None:
 def _actuals(node: PhysicalNode) -> str:
     """The instrumented columns: ``est=…`` / ``act=…`` / ``qerr=…``.
 
-    Present only after an instrumented execution; the extra feedback
-    counters (scan input rows, join pairs, sort input) appear when
-    feedback collection recorded them.
+    Present only after an instrumented execution; production runs add
+    ``batches=…``.
     """
     if node.actual_rows is None:
         return ""
@@ -69,13 +68,4 @@ def _actuals(node: PhysicalNode) -> str:
     )
     if node.actual_batches is not None:
         text += f" batches={node.actual_batches}"
-    scanned = getattr(node, "actual_rows_scanned", None)
-    if scanned is not None:
-        text += f" scanned={scanned}"
-    pairs = getattr(node, "actual_pairs", None)
-    if pairs is not None:
-        text += f" pairs={pairs}"
-    sort_input = getattr(node, "actual_input_rows", None)
-    if sort_input is not None:
-        text += f" input={sort_input}"
     return text

@@ -70,10 +70,6 @@ class SeqScan(PhysicalNode):
         # CompiledExpr attached by the optimizer when
         # OptimizerConfig.compile_expressions is on; None = interpret.
         self.compiled_predicate = None
-        # Input rows examined before the filter; set only when feedback
-        # collection is on (may reflect a partial scan under LIMIT —
-        # harvesting consults it only when ``actual_rows`` is also set).
-        self.actual_rows_scanned: Optional[int] = None
 
     def describe(self) -> str:
         text = f"SeqScan({self.table_name} AS {self.binding}"
@@ -106,9 +102,6 @@ class IndexScan(PhysicalNode):
         self.high_inclusive = high_inclusive
         self.predicate = predicate
         self.compiled_predicate = None
-        # Rows the index range fetched (pre-residual-filter) — the cost
-        # model's "matching" quantity; set under feedback collection.
-        self.actual_rows_scanned: Optional[int] = None
 
     def describe(self) -> str:
         low = "-inf" if self.low is None else repr(list(self.low))
@@ -148,9 +141,6 @@ class NestedLoopJoin(PhysicalNode):
         self.right = right
         self.condition = condition
         self.compiled_condition = None
-        # Row pairs the condition examined (|outer| x |inner|); set under
-        # feedback collection.
-        self.actual_pairs: Optional[int] = None
 
     def children(self) -> List[PhysicalNode]:
         return [self.left, self.right]
@@ -182,9 +172,6 @@ class HashJoin(PhysicalNode):
         self.compiled_left_keys = None
         self.compiled_right_keys = None
         self.compiled_residual = None
-        # Key-matched pairs before the residual filter; set under
-        # feedback collection — isolates the equi edge's selectivity.
-        self.actual_pairs: Optional[int] = None
 
     def children(self) -> List[PhysicalNode]:
         return [self.left, self.right]
@@ -271,10 +258,6 @@ class Sort(PhysicalNode):
         self.order = order
         # Parallel to ``order``: (batch closure, ascending) pairs.
         self.compiled_order = None
-        # Rows materialized for sorting — unlike ``actual_rows`` this
-        # survives LIMIT truncation (the sort input is always fully
-        # materialized); set under feedback collection.
-        self.actual_input_rows: Optional[int] = None
 
     def children(self) -> List[PhysicalNode]:
         return [self.child]
@@ -425,18 +408,6 @@ class PhysicalPlan:
             if constraint.values_version != version:
                 stale.add(name)
         return sorted(stale)
-
-    def tables(self) -> Set[str]:
-        """The base tables this plan touches."""
-        tables = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            name = getattr(node, "table_name", None)
-            if name:
-                tables.add(name.lower())
-            stack.extend(node.children())
-        return tables
 
     def __repr__(self) -> str:
         return (

@@ -70,16 +70,6 @@ class OptimizerConfig:
     # built with False carries none, so Executor.execute runs it on the
     # interpreted row-at-a-time oracle.
     compile_expressions: bool = True
-    # Execution feedback (repro.feedback): instrument every execution,
-    # harvest actual cardinalities into a FeedbackStore, estimate in the
-    # estimator's "feedback" mode, and let the plan cache drop plans whose
-    # observed max q-error exceeds the threshold.  Off by default: the
-    # default path does no per-row counting at all.
-    collect_feedback: bool = False
-    # Plan-cache invalidation bar: a cached plan whose execution shows a
-    # node misestimated by at least this factor is evicted and recompiled
-    # with feedback-corrected estimates.
-    feedback_qerror_threshold: float = 4.0
 
     def __post_init__(self) -> None:
         disabled = frozenset(self.disabled_rules)
@@ -99,15 +89,11 @@ class Optimizer:
         database: Database,
         registry: Optional[object] = None,
         config: Optional[OptimizerConfig] = None,
-        feedback: Optional[object] = None,
     ) -> None:
         self.database = database
         self.registry = registry
         self.config = config or OptimizerConfig()
         self.rewrite_engine = RewriteEngine()
-        # A repro.feedback.store.FeedbackStore; when present, estimation
-        # runs in the estimator's "feedback" mode.
-        self.feedback = feedback
 
     # -- public API ----------------------------------------------------------
 
@@ -132,11 +118,7 @@ class Optimizer:
         context = RewriteContext(self.database, self.registry, self.config)
         logical = self.rewrite_engine.rewrite(logical, context)
 
-        estimator = CardinalityEstimator(
-            self.database,
-            combiner="feedback" if self.feedback is not None else "independence",
-            feedback=self.feedback,
-        )
+        estimator = CardinalityEstimator(self.database)
         cost_model = CostModel(self.database)
         if isinstance(logical, UnionPlan):
             root, names = self._compile_union(logical, estimator, cost_model)
@@ -420,27 +402,13 @@ class PlanCache:
     being evicted, so the workload keeps running without a recompile
     (``fallbacks`` counts these reversions).
 
-    With a ``qerror_threshold``, execution feedback also invalidates:
-    :meth:`note_execution` drops a cached plan whose run showed a node
-    misestimated by at least the threshold factor, so the next
-    ``get_plan`` recompiles it against feedback-corrected estimates.
-    Unlike a constraint overturn this is a *full* eviction — reverting to
-    a backup would keep the very estimates that just proved wrong.
+    A guarded run that breached its budget evicts its plan outright
+    (:meth:`note_guard_breach`).
     """
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        backup_plans: bool = False,
-        qerror_threshold: Optional[float] = None,
-    ) -> None:
-        if qerror_threshold is not None and qerror_threshold < 1.0:
-            raise OptimizerError(
-                f"qerror_threshold must be >= 1.0, got {qerror_threshold}"
-            )
+    def __init__(self, optimizer: Optimizer, backup_plans: bool = False) -> None:
         self.optimizer = optimizer
         self.backup_plans = backup_plans
-        self.qerror_threshold = qerror_threshold
         # Sessions share one optimizer but may share a cache too; every
         # public entry point (and the invalidation hooks, which fire on
         # whichever thread committed the overturning change) takes this
@@ -458,7 +426,6 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
         self.fallbacks = 0
-        self.feedback_invalidations = 0
         self.guard_invalidations = 0
 
     def get_plan(
@@ -556,36 +523,15 @@ class PlanCache:
             shape.remove(entry)
         self.invalidations += 1
 
-    def note_execution(
-        self, plan: PhysicalPlan, max_qerror: Optional[float]
-    ) -> bool:
-        """Feedback-driven invalidation: evict ``plan`` if its execution's
-        worst per-node q-error crossed the threshold.
-
-        Returns True when a plan was evicted.  The eviction is full (no
-        backup reversion) so the next ``get_plan`` recompiles with the
-        feedback store's corrected estimates.
-        """
-        with self._lock:
-            if (
-                self.qerror_threshold is None
-                or max_qerror is None
-                or max_qerror < self.qerror_threshold
-                or not self._evict(plan)
-            ):
-                return False
-            self.feedback_invalidations += 1
-            return True
-
     def note_guard_breach(self, plan: PhysicalPlan) -> bool:
         """A guarded execution of ``plan`` breached its resource budget:
         evict it unconditionally.
 
-        A breach is stronger evidence than any q-error — the plan did so
-        much more work than predicted that governance had to stop it — so
-        no threshold applies and the eviction is full (no backup
-        reversion, same reasoning as :meth:`note_execution`).  Returns
-        True when a plan was evicted.
+        The plan did so much more work than predicted that governance
+        had to stop it.  The eviction is full (no backup reversion): the
+        breach faults the plan's estimates, not its soft constraints, so
+        the next ``get_plan`` plans afresh.  Returns True when a plan was
+        evicted.
         """
         with self._lock:
             if not self._evict(plan):

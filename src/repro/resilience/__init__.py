@@ -24,9 +24,9 @@ safety substrate the paper assumed from DB2:
   injection every query yields either the fault-free answer or a typed
   :class:`~repro.errors.ReproError` — never a silently wrong result.
 
-Guard trips feed the execution-feedback subsystem: repeated breaches
-mark a plan suspect exactly like a large q-error would (see
-:meth:`repro.feedback.store.FeedbackStore.record_guard_trip`).
+A budget or deadline trip on a cached plan evicts it from its plan
+cache (:meth:`repro.optimizer.planner.PlanCache.note_guard_breach`); a
+cancellation evicts nothing.
 """
 
 from repro.resilience.faults import (

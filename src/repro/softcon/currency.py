@@ -59,8 +59,7 @@ class CurrencyModel:
         """Lifetime updates observed, across re-verifications.
 
         ``updates_seen`` answers "how stale since the last verify?";
-        this answers "how churned is the table overall?" — the signal
-        maintenance scheduling and the feedback adjuster report on.
+        this answers "how churned is the table overall?"
         """
         return self._total_updates
 

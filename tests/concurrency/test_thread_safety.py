@@ -1,20 +1,16 @@
 """Lock-contention regression tests for the shared singletons.
 
-Sessions share one optimizer, one feedback store, and (optionally) one
-plan cache across threads.  Before ISSUE 8 both PlanCache and
-FeedbackStore were single-thread structures: a reader could observe a
-plan mid-eviction, and two writers could lose feedback observations to
-a racing ``setdefault``/``+= 1`` pair.  These tests hammer both from
-many threads and check the invariants that only hold when the internal
-locks work: counters add up exactly, state round-trips stay decodable,
-and no operation raises.
+Sessions share one optimizer and (optionally) one plan cache across
+threads.  A plan cache without its lock lets a reader observe a plan
+mid-eviction.  These tests hammer it from many threads and check the
+invariants that only hold when the internal lock works: counters add
+up exactly and no operation raises.
 """
 
 import random
 import threading
 
 from repro.api import SoftDB
-from repro.feedback import FeedbackStore
 
 THREADS = 8
 ITERATIONS = 150
@@ -45,66 +41,6 @@ def _hammer(worker_fn, threads=THREADS):
         raise errors[0]
 
 
-def test_feedback_store_concurrent_records_count_exactly():
-    store = FeedbackStore()
-
-    def worker(index):
-        rng = random.Random(index)
-        for n in range(ITERATIONS):
-            table = f"t{rng.randrange(4)}"
-            store.record_scan(table, f"sig{n % 7}", 10.0, 5.0 + index)
-            store.record_join(
-                f"j{n % 5}", 0.01, 0.02, tables=(table, "other")
-            )
-            store.record_base_rows(table, 100.0 + n)
-            store.record_group(f"g{n % 3}", 8.0, 4.0)
-            if n % 10 == 0:
-                store.record_guard_trip("rows", tables=(table,))
-            # Interleave readers: ranking walks every entry, so a racing
-            # writer would blow up dict iteration without the lock.
-            store.tables_with_qerror()
-            store.worst_scans()
-            store.worst_join_edges()
-            store.snapshot()
-
-    _hammer(worker)
-    # Every record_* bumped ``observations`` exactly once under the
-    # lock; lost updates would leave the count short.
-    assert store.observations == THREADS * ITERATIONS * 4
-    assert store.guard_trips == THREADS * (ITERATIONS // 10)
-
-
-def test_feedback_store_state_roundtrip_under_writers():
-    store = FeedbackStore()
-    stop = threading.Event()
-
-    def writer(index):
-        n = 0
-        while not stop.is_set():
-            store.record_scan(f"t{index}", f"sig{n % 3}", 4.0, 2.0)
-            n += 1
-
-    pool = [
-        threading.Thread(target=writer, args=(i,), daemon=True)
-        for i in range(4)
-    ]
-    for thread in pool:
-        thread.start()
-    try:
-        # state_dict must capture an internally-consistent snapshot even
-        # while writers mutate the store; each one must load cleanly.
-        for _ in range(50):
-            state = store.state_dict()
-            fresh = FeedbackStore()
-            fresh.load_state(state)
-            assert len(fresh) <= len(store)
-    finally:
-        stop.set()
-        for thread in pool:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-
-
 def test_plan_cache_concurrent_lookup_and_invalidation():
     db = SoftDB()
     for t in range(3):
@@ -120,6 +56,7 @@ def test_plan_cache_concurrent_lookup_and_invalidation():
         for lo in (2, 5, 9)
     ]
     calls = [0] * THREADS
+    breaches = [0] * THREADS
 
     def worker(index):
         rng = random.Random(index * 31)
@@ -132,11 +69,17 @@ def test_plan_cache_concurrent_lookup_and_invalidation():
                 # What DDL or RUNSTATS does to every cached plan.
                 db.database.catalog.bump_epoch()
             if n % 35 == 7:
-                cache.note_execution(plan, 1.0)
+                # What a guard trip does to the plan it ran.
+                cache.note_guard_breach(plan)
+                breaches[index] += 1
 
     _hammer(worker)
     # Each get_plan bumps exactly one of hits/misses under the lock.
     assert cache.hits + cache.misses == sum(calls)
+    # A breach evicts at most once (a racing epoch bump or breach may
+    # have dropped the plan first), and every eviction is counted.
+    assert 0 < cache.guard_invalidations <= sum(breaches)
+    assert cache.invalidations >= cache.guard_invalidations
     # The cache still serves coherent plans after the storm.
     for sql in queries:
         assert db.execute(sql) is not None

@@ -11,7 +11,6 @@ from repro.errors import (
     TransactionError,
     WALCorruptionError,
 )
-from repro.optimizer.planner import OptimizerConfig
 from repro.resilience.faults import FaultInjector, SimulatedCrash
 from repro.softcon.base import SCState
 from repro.softcon.maintenance import RepairPolicy
@@ -207,17 +206,85 @@ def test_consistent_asc_survives_revalidation_untouched(tmp_path):
 # -- recovery: session state --------------------------------------------------
 
 
-def test_feedback_state_survives_checkpoint(tmp_path):
-    config = OptimizerConfig(collect_feedback=True)
-    db = build_durable(tmp_path, config=config)
-    db.runstats_all()
-    for _ in range(3):
-        db.execute("SELECT id FROM emp WHERE salary > 1200")
-    assert db.feedback.observations > 0
-    snapshot = db.feedback.snapshot()
-    db.close()
-    recovered = SoftDB.open(tmp_path, config=OptimizerConfig(collect_feedback=True))
-    assert recovered.feedback.snapshot() == snapshot
+#: A store state as checkpoints written while the execution-feedback
+#: store existed carried it under the payload's ``"feedback"`` key.
+_OBSERVATION = {
+    "count": 3,
+    "value": 29.0,
+    "last_estimated": 4.0,
+    "last_actual": 29.0,
+    "qerror": {"count": 3, "max_qerror": 7.25, "total": 21.75},
+}
+_STORE_STATE = {
+    "alpha": 0.5,
+    "scans": [[["emp", "salary > 1200"], _OBSERVATION]],
+    "index_ranges": [],
+    "joins": [],
+    "join_tables": [],
+    "groups": [],
+    "base_rows": [["emp", _OBSERVATION]],
+    "guard_trips_by_table": {"emp": 1},
+    "guard_trips_by_kind": {"rows": 1},
+    "counters": {"guard_trips": 1, "observations": 6, "harvests": 3},
+}
+
+
+@pytest.mark.parametrize("feedback", [None, _STORE_STATE])
+def test_checkpoint_with_a_feedback_key_still_restores(
+    tmp_path, monkeypatch, feedback
+):
+    """Every checkpoint written before the feedback store was removed has
+    a ``"feedback"`` key (null unless collection was on).  Restoring one
+    ignores it: the database matches a never-checkpointed twin's."""
+
+    def stream(db):
+        db.runstats_all()
+        db.add_soft_constraint(
+            MinMaxSC("emp_salary_range", "emp", "salary", 1000, 1490)
+        )
+        db.execute("UPDATE emp SET salary = salary + 5 WHERE id < 10")
+
+    twin = build_durable(tmp_path / "twin")
+    stream(twin)
+    twin.close(checkpoint=False)
+
+    db = build_durable(tmp_path / "old")
+    stream(db)
+    manager = db.durability
+    build_payload = manager._build_payload
+
+    def with_feedback_key():
+        payload = build_payload()
+        assert "feedback" not in payload
+        return {**payload, "feedback": feedback}
+
+    monkeypatch.setattr(manager, "_build_payload", with_feedback_key)
+    db.checkpoint()
+    db.close(checkpoint=False)
+    assert "feedback" in load_checkpoint(manager.checkpoint_path)
+
+    recovered = SoftDB.open(tmp_path / "old")
+    reference = SoftDB.open(tmp_path / "twin")
+    assert recovered.durability.last_recovery["warnings"] == []
+    assert rows_of(recovered) == rows_of(reference)
+    sc, twin_sc = (
+        d.registry.get("emp_salary_range") for d in (recovered, reference)
+    )
+    assert (sc.state, sc.confidence, sc.low, sc.high) == (
+        twin_sc.state, twin_sc.confidence, twin_sc.low, twin_sc.high
+    )
+    # Same plans and estimates; the ``expressions:`` line counts the
+    # process-wide compile cache, so it is left out.
+    sql = "SELECT id FROM emp WHERE salary > 1200"
+    plan, twin_plan = (
+        [
+            line
+            for line in d.explain(sql).splitlines()
+            if not line.startswith("expressions:")
+        ]
+        for d in (recovered, reference)
+    )
+    assert plan == twin_plan
 
 
 def test_constraint_sequence_survives_reopen(tmp_path):

@@ -17,7 +17,6 @@ from repro.engine.row import RowId
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 from repro.errors import WALCorruptionError
-from repro.feedback.store import FeedbackStore
 from repro.softcon.base import SCState
 from repro.softcon.checksc import CheckSoftConstraint
 from repro.softcon.currency import CurrencyModel
@@ -244,38 +243,3 @@ def test_currency_roundtrip():
     assert restored.total_updates == model.total_updates
     assert restored.margin_of_error == model.margin_of_error
 
-
-def test_feedback_store_state_roundtrip():
-    store = FeedbackStore()
-    store.record_scan("emp", "sig-a", 10.0, 25.0)
-    store.record_scan("emp", "sig-a", 12.0, 30.0)
-    store.record_index_range("emp", "ix", "rng", 7.0)
-    store.record_join("edge", 0.01, 0.04, tables=("emp", "dept"))
-    store.record_group("grp", 5.0, 8.0)
-    store.record_base_rows("emp", 500.0)
-    store.record_guard_trip("rows", ("emp",))
-    state = store.state_dict()
-    restored = FeedbackStore()
-    restored.load_state(state)
-    assert restored.scan_rows("emp", "sig-a") == store.scan_rows(
-        "emp", "sig-a"
-    )
-    assert restored.matching_rows("emp", "ix", "rng") == 7.0
-    assert restored.join_selectivity("edge") == store.join_selectivity("edge")
-    assert restored.group_rows("grp") == store.group_rows("grp")
-    assert restored.base_rows("emp") == 500.0
-    assert restored.snapshot() == store.snapshot()
-    # Canonical-byte stability: a load/dump cycle is the identity.
-    assert codec.canonical_dumps(
-        restored.state_dict()
-    ) == codec.canonical_dumps(state)
-    # EWMA continuation: recording the same next observation on both
-    # stores keeps them equal (the moving average state survived).
-    store.record_scan("emp", "sig-a", 20.0, 40.0)
-    restored.record_scan("emp", "sig-a", 20.0, 40.0)
-    assert restored.scan_rows("emp", "sig-a") == store.scan_rows(
-        "emp", "sig-a"
-    )
-    assert codec.canonical_dumps(
-        restored.state_dict()
-    ) == codec.canonical_dumps(store.state_dict())

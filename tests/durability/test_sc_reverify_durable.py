@@ -1,18 +1,16 @@
 """Every soft-constraint re-verification reaches the WAL.
 
 Re-verifying a constraint changes its confidence (and, for an async
-repair, its lifecycle state).  Both paths below used to call
-``verify()`` directly and log nothing, so recovery reinstalled the last
-snapshot the registry *had* logged: an async-repaired constraint came
-back VIOLATED at confidence 1.0, a feedback-refreshed SSC at its stale
-confidence.  They now go through ``SoftConstraintRegistry.reverify``.
+repair, its lifecycle state).  A re-verification that called
+``verify()`` directly would log nothing, so recovery would reinstall the
+last snapshot the registry *had* logged: an async-repaired constraint
+would come back VIOLATED at confidence 1.0, a re-measured SSC at its
+stale confidence.  Both go through ``SoftConstraintRegistry.reverify``.
 """
 
 import pytest
 
 from repro.api import SoftDB
-from repro.feedback import FeedbackStore
-from repro.feedback.adjust import FeedbackAdjuster
 from repro.softcon.base import SCState
 from repro.softcon.checksc import CheckSoftConstraint
 from repro.softcon.maintenance import AsyncRepairPolicy
@@ -54,14 +52,12 @@ def test_async_repair_outcome_survives_recovery(tmp_path):
     assert confidence == pytest.approx(10 / 11)
 
 
-def test_feedback_refreshed_confidence_survives_recovery(tmp_path):
+def test_reverified_ssc_confidence_survives_recovery(tmp_path):
     db = _durable_table(tmp_path, [(n, n) for n in range(100)])
     sc = CheckSoftConstraint("x_low", "t", "x < 50", confidence=0.9)
     db.add_soft_constraint(sc)
-    store = FeedbackStore()
-    store.record_scan("t", "x > 30", estimated=1, actual=500)
-    actions = FeedbackAdjuster(db.registry, store, db.database).apply()
-    assert len(actions) == 1 and actions[0].startswith("ssc x_low")
+    assert sc.is_statistical
+    assert db.registry.reverify(sc) == (50, 100)
     assert sc.confidence == pytest.approx(0.5)
     db.close(checkpoint=False)
     state, confidence = _recovered(tmp_path, "x_low")

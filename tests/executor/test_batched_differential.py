@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from repro import SoftDB
 from repro.executor.runtime import ExecutionResult, Executor
 from repro.expr.compile import CompiledExpr
-from repro.feedback import FeedbackStore
 from repro.harness.runner import all_off
 from repro.optimizer.physical import GroupBy
 from repro.optimizer.planner import (
@@ -49,16 +48,7 @@ BATCH_SIZES = (3, 1024)
 CONFIGS = {
     "rewrites-on": OptimizerConfig(),
     "rewrites-off": all_off(),
-    # Feedback collection must be invisible to query results: every mode
-    # runs with its counters live while the oracle stays uninstrumented.
-    "feedback-on": OptimizerConfig(collect_feedback=True),
 }
-
-
-def _executor(db: SoftDB, batch_size: int, config: OptimizerConfig) -> Executor:
-    """An executor for one mode; feedback-collecting when configured."""
-    feedback = FeedbackStore() if config.collect_feedback else None
-    return Executor(db.database, batch_size=batch_size, feedback=feedback)
 
 
 def _outcome(fn):
@@ -98,7 +88,9 @@ def assert_differential(db: SoftDB, sql: str, config: OptimizerConfig) -> None:
     )
     for name, batch_size in MODES:
         result = _outcome(
-            lambda: _executor(db, batch_size, config).execute(compiled)
+            lambda: Executor(db.database, batch_size=batch_size).execute(
+                compiled
+            )
         )
         context = f"{sql!r} ({name})"
         if oracle[0] == "error":

@@ -16,12 +16,12 @@ from repro.harness.classify import (
     WIN,
     classify_speedup,
     normalized_row_key,
-    qerror,
     result_checksum,
     speedup_type,
     summarize,
     validate_rows,
 )
+from repro.harness import qerror
 
 
 class TestThresholds:

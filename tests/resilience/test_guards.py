@@ -1,9 +1,9 @@
-"""Query guards: budgets, deadlines, cancellation, and their feedback.
+"""Query guards: budgets, deadlines, cancellation, and plan eviction.
 
 Covers the guard primitives (virtual clock, token, validation), every
 budget's trip path in both executors, the ``"partial"`` breach policy,
-EXPLAIN ANALYZE's ``guard:`` line, and the guard-trip → feedback-store →
-plan-cache loop (a tripped budget is treated as the loudest possible
+EXPLAIN ANALYZE's ``guard:`` line, and the guard trip's eviction of the
+cached plan (a tripped budget is treated as the loudest possible
 mis-planning signal).
 """
 
@@ -241,84 +241,74 @@ class TestExplainGuardLine:
         assert "guard:" not in db.explain("SELECT id FROM emp")
 
 
-class TestGuardFeedbackLoop:
-    def _feedback_db(self) -> SoftDB:
-        db = SoftDB(OptimizerConfig(collect_feedback=True))
+class TestGuardTripEviction:
+    """A budget or deadline trip evicts the plan it ran from its plan
+    cache, whether the breach raised or truncated; a cancellation evicts
+    nothing."""
+
+    SQL = "SELECT a FROM t WHERE b = 3"
+
+    def _cached_db(self) -> SoftDB:
+        db = SoftDB()
         db.execute("CREATE TABLE t (a INT, b INT)")
         db.database.insert_many("t", [(n, n % 7) for n in range(600)])
         db.runstats_all()
+        db.execute(self.SQL)
+        assert len(db.plan_cache) == 1
         return db
 
-    def test_trip_recorded_in_feedback_report(self):
-        db = self._feedback_db()
-        with pytest.raises(BudgetExceededError):
-            db.execute("SELECT a FROM t", guard=QueryGuard(max_rows=10))
-        report = db.feedback_report()
-        assert report["guard_trips"]["total"] == 1
-        assert report["guard_trips"]["by_kind"] == {"rows": 1}
-        assert report["guard_trips"]["by_table"] == {"t": 1}
-
     def test_cached_plan_evicted_on_breach(self):
-        db = self._feedback_db()
-        sql = "SELECT a FROM t WHERE b = 3"
-        db.execute(sql)
-        assert len(db.plan_cache) == 1
+        db = self._cached_db()
         with pytest.raises(BudgetExceededError):
-            db.execute(sql, guard=QueryGuard(max_rows=1))
+            db.execute(self.SQL, guard=QueryGuard(max_rows=1))
         assert len(db.plan_cache) == 0
         assert db.plan_cache.guard_invalidations == 1
-        assert db.feedback_report()["plan_cache_guard_invalidations"] == 1
 
-    def test_repeated_trips_flag_table_suspect(self):
-        db = self._feedback_db()
-        for _ in range(2):
-            with pytest.raises(BudgetExceededError):
-                db.execute("SELECT a FROM t", guard=QueryGuard(max_rows=10))
-        suspects = db.feedback.tables_with_qerror()
-        assert suspects.get("t", 0.0) >= 1e6
+    def test_partial_trip_evicts(self):
+        db = self._cached_db()
+        result = db.execute(
+            self.SQL, guard=QueryGuard(max_rows=10, on_breach="partial")
+        )
+        assert result.truncated
+        assert len(db.plan_cache) == 0
+        assert db.plan_cache.guard_invalidations == 1
+
+    def test_deadline_trip_evicts(self):
+        class TickingClock(VirtualClock):
+            def __call__(self) -> float:
+                self.now += 1.0
+                return self.now
+
+        db = self._cached_db()
+        with pytest.raises(QueryTimeoutError):
+            db.execute(
+                self.SQL, guard=QueryGuard(deadline=0.5, clock=TickingClock())
+            )
+        assert db.plan_cache.guard_invalidations == 1
 
     def test_cancellation_blames_nobody(self):
-        db = self._feedback_db()
-        sql = "SELECT a FROM t"
-        db.execute(sql)
-        plan = db.plan_cache.get_plan(sql)
+        db = self._cached_db()
+        plan = db.plan_cache.get_plan(self.SQL)
         db._note_guard_breach(
             db.plan_cache, plan, QueryCancelledError("user")
         )
-        report = db.feedback_report()
-        assert report["guard_trips"]["by_kind"] == {"cancelled": 1}
-        assert report["guard_trips"]["by_table"] == {}
         assert db.plan_cache.guard_invalidations == 0
         assert len(db.plan_cache) == 1
 
-    def test_partial_trip_feeds_loop_without_harvest(self):
-        db = self._feedback_db()
-        before = db.feedback.harvests
-        result = db.execute(
-            "SELECT a FROM t",
-            guard=QueryGuard(max_rows=10, on_breach="partial"),
-        )
-        assert result.truncated
-        assert db.feedback.harvests == before
-        assert db.feedback_report()["guard_trips"]["total"] == 1
-
     def test_drifted_workload_breach_is_visible(self):
-        """Acceptance: stats say tiny, the data grew 100x; a page-read
-        budget sized for the estimate trips with a typed error that the
-        feedback report surfaces."""
-        db = self._feedback_db()
+        """Acceptance: stats say tiny, the data grew 20x; a row budget
+        sized for the estimate trips with a typed error and evicts the
+        plan planned on the stale statistics."""
+        db = self._cached_db()
         # The optimizer believes 600 rows; the table silently grows.
         db.database.insert_many(
             "t", [(n, n % 7) for n in range(600, 12_000)]
         )
-        plan = db.plan("SELECT a FROM t WHERE b = 3")
+        plan = db.plan(self.SQL)
         # A generous 2x margin over the (stale) estimate still trips,
         # because the data actually grew 20x.
         budget = max(1, int(plan.root.estimated_rows * 2))
         with pytest.raises(BudgetExceededError) as info:
-            db.execute(
-                "SELECT a FROM t WHERE b = 3",
-                guard=QueryGuard(max_rows=budget),
-            )
+            db.execute(self.SQL, guard=QueryGuard(max_rows=budget))
         assert info.value.budget == "rows"
-        assert db.feedback_report()["guard_trips"]["by_table"] == {"t": 1}
+        assert db.plan_cache.guard_invalidations == 1

@@ -1,7 +1,7 @@
 """Error-taxonomy lint: core layers raise only typed ``ReproError``s.
 
-Callers of the engine, executors, optimizer, expression system, feedback
-loop and resilience layer are promised one catchable base class
+Callers of the engine, executors, optimizer, expression system and
+resilience layer are promised one catchable base class
 (:class:`repro.errors.ReproError`) — the property the chaos harness
 leans on when it asserts "oracle answer or *typed* error, never silently
 wrong".  A stray ``raise ValueError`` would silently break that
@@ -29,7 +29,6 @@ SCOPED = (
     "executor",
     "expr",
     "replication",
-    "feedback",
     "optimizer",
     "resilience",
     "stats",

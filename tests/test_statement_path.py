@@ -16,7 +16,7 @@ import repro.api
 import repro.concurrency.session
 import repro.optimizer.planner
 import repro.sql.parser
-from repro import OptimizerConfig, SoftDB
+from repro import SoftDB
 from repro.concurrency import RoutedSession
 from repro.errors import (
     BudgetExceededError,
@@ -66,8 +66,8 @@ class _CancelledAfterEntry:
 
 
 @pytest.fixture
-def feedback_session():
-    db = SoftDB(OptimizerConfig(collect_feedback=True))
+def guarded_session():
+    db = SoftDB()
     db.execute("CREATE TABLE t (a INT, b INT)")
     db.database.insert_many("t", [(n, n % 7) for n in range(600)])
     db.runstats("t")
@@ -76,10 +76,10 @@ def feedback_session():
 
 
 @pytest.mark.parametrize("on_breach", ["abort", "partial"])
-def test_session_guard_trip_reaches_the_feedback_loop(
-    feedback_session, on_breach
+def test_session_guard_trip_evicts_the_session_plan(
+    guarded_session, on_breach
 ):
-    db, session = feedback_session
+    db, session = guarded_session
     sql = "SELECT a FROM t"
     session.execute(sql)
     assert len(session.plan_cache) == 1
@@ -89,25 +89,20 @@ def test_session_guard_trip_reaches_the_feedback_loop(
             session.execute(sql, guard=guard)
     else:
         assert session.execute(sql, guard=guard).truncated
-    report = db.feedback_report()
-    assert report["guard_trips"]["by_kind"] == {"rows": 1}
-    assert report["guard_trips"]["by_table"] == {"t": 1}
     # The plan came from the session's cache, so that is the one evicted.
     assert len(session.plan_cache) == 0
     assert session.plan_cache.guard_invalidations == 1
     assert db.plan_cache.guard_invalidations == 0
 
 
-def test_session_cancellation_blames_nobody(feedback_session):
-    db, session = feedback_session
+def test_session_cancellation_blames_nobody(guarded_session):
+    db, session = guarded_session
     sql = "SELECT a FROM t"
     session.execute(sql)
     with pytest.raises(QueryCancelledError):
         session.execute(sql, cancel=_CancelledAfterEntry())
-    report = db.feedback_report()
-    assert report["guard_trips"]["by_kind"] == {"cancelled": 1}
-    assert report["guard_trips"]["by_table"] == {}
     assert session.plan_cache.guard_invalidations == 0
+    assert db.plan_cache.guard_invalidations == 0
     assert len(session.plan_cache) == 1
 
 
