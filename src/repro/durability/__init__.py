@@ -20,8 +20,10 @@ Layout:
 * :mod:`~repro.durability.wal` — the log itself (append, scan,
   torn-tail handling);
 * :mod:`~repro.durability.checkpoint` — atomic checkpoint write/load;
+* :mod:`~repro.durability.redo` — the one log-order redo path, fed by
+  recovery and by a replica's stream;
 * :mod:`~repro.durability.manager` — the :class:`DurabilityManager`
-  gluing logging hooks, checkpointing, and the recovery path together.
+  gluing logging hooks, checkpointing, and recovery together.
 """
 
 from repro.durability.manager import DurabilityManager

@@ -229,7 +229,7 @@ class Database:
         if (
             durability is None
             or durability._txn_stack
-            or durability._replaying
+            or durability.redo.replaying
         ):
             return _NULL_SCOPE
         return durability.statement()

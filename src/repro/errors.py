@@ -354,8 +354,8 @@ class PromotionError(ReplicationError):
     """Automatic failover could not produce a writable primary.
 
     Raised by the promotion coordinator when no reachable, live replica
-    exists to elect, when the elected replica fails to drain its
-    buffered transaction tail through recovery replay, or when a
+    exists to elect, when the elected replica fails to finish its redo
+    stream (apply its held committed records), or when a
     promotion is requested while the current primary's lease is still
     live (promotion must never race a healthy primary).
     """

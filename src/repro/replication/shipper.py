@@ -68,6 +68,12 @@ class ReplicationLink:
     def restore(self) -> None:
         self.severed = False
 
+    @property
+    def up(self) -> bool:
+        """Unsevered, to a live replica."""
+        replica = self.replica
+        return not (self.severed or replica.dead or replica.db is None)
+
     def deliver(self, offset: int, data: bytes) -> int:
         """Ship one chunk through the (possibly faulty) link.
 
@@ -193,17 +199,13 @@ class WalShipper:
             )
         wal = self.db.durability.wal
         durable = wal.offset()  # flush + publish the durable frontier
-        if link.generation != wal.generation:
-            # The primary compacted (or otherwise reset) its log since
-            # this replica last shipped; byte offsets are meaningless
-            # across generations, so incremental shipping must stop.
-            self.full_resync(link)
-            return "resync"
         ack = replica.ack()
-        if ack > durable:
-            # Checkpoint truncation raced a lagging replica: the bytes
-            # its cursor points at no longer exist.  Never ship across
-            # the gap — rebuild from a fresh image.
+        if link.generation != wal.generation or ack > durable:
+            # The primary compacted (or otherwise reset) its log since
+            # this replica last shipped — byte offsets are meaningless
+            # across generations — or a truncation raced a lagging
+            # replica, whose cursor points at bytes that no longer
+            # exist.  Never ship across the gap: rebuild from an image.
             self.full_resync(link)
             return "resync"
         if ack == durable:
@@ -236,9 +238,7 @@ class WalShipper:
             self.pump()
             durable = wal.offset()
             if all(
-                not link.severed
-                and not link.replica.dead
-                and link.replica.db is not None
+                link.up
                 and link.generation == wal.generation
                 and link.replica.ack() == durable
                 for link in self.links.values()
@@ -248,21 +248,13 @@ class WalShipper:
 
     def full_resync(self, link: ReplicationLink) -> None:
         """Rebuild one replica from a transaction-consistent primary
-        image and rebase its cursor to the current end of log."""
+        image and rebase its cursor to the current end of log (raises
+        :class:`~repro.errors.TransactionError` inside a transaction)."""
         if link.severed:
             raise ReplicaUnavailableError(
                 f"cannot resync {link.replica.name!r} over a severed link"
             )
-        manager = self.db.durability
-        with manager._mutex:
-            if manager._open_txns or manager._txn_stack:
-                raise ReplicationError(
-                    "full resync requires a statement boundary on the "
-                    "primary (no open transactions)"
-                )
-            manager._flush_run()
-            payload = manager._build_payload()
-            generation = manager.wal.generation
+        payload, generation = self.db.durability.image()
         base = payload["wal_offset"]
         link.replica.install_resync(payload, base)
         link.generation = generation
@@ -282,19 +274,14 @@ class WalShipper:
         ReplicaLag`, or None when the replica cannot currently be
         routed to (dead, severed, or its cursor needs a resync)."""
         replica = link.replica
-        if link.severed or replica.dead or replica.db is None:
+        if not link.up:
             return None
         wal = self.db.durability.wal
         durable = wal.offset()
-        if link.generation != wal.generation:
-            return None
         ack = replica.ack()
-        if ack > durable:
+        if link.generation != wal.generation or ack > durable:
             return None
-        behind = (
-            self._count_records(wal, ack, durable) if ack < durable else 0
-        )
-        replica.note_lag(durable, behind)
+        replica.note_lag(durable, self._count_records(wal, ack, durable))
         return replica.lag()
 
     # -- internals -----------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import SoftDB
 from repro.concurrency import RoutedSession
-from repro.errors import ReadOnlyReplicaError
+from repro.errors import ReadOnlyReplicaError, TransactionError
 from repro.replication import Replica, WalShipper
 
 pytestmark = pytest.mark.replication
@@ -89,6 +89,37 @@ def test_loose_bound_serves_bounded_stale_snapshot(fleet):
     # Per-query override tightens the bound below this staleness.
     assert routed.query(PROBE, max_staleness=0.0) == primary.query(PROBE)
     assert routed.last_route[0] == "primary"
+
+
+def test_commit_held_behind_open_transaction_counts_as_staleness(fleet):
+    """A commit logged behind a still-open transaction is not visible on
+    a replica until that transaction resolves.  The replica is byte-for-
+    byte caught up meanwhile, so only the held records keep a strict
+    bound from being served stale rows there, and keep the replica from
+    checkpointing."""
+    primary, shipper, replicas = fleet
+    routed = RoutedSession(primary, shipper, max_staleness=0.0)
+    writer, committer = primary.session(), primary.session()
+    writer.execute("BEGIN")
+    writer.execute("INSERT INTO t VALUES (3, 30)")
+    committer.execute("INSERT INTO t VALUES (4, 40)")
+    assert shipper.pump_until_synced()
+    for replica in replicas:
+        assert replica.ack() == primary.durability.wal.durable_offset
+        assert {"id": 4, "v": 40} not in replica.query(PROBE)
+        assert replica.lag().records_behind > 0
+        # An image now would lose the held records.
+        with pytest.raises(TransactionError):
+            replica.checkpoint()
+    got = routed.execute(PROBE)
+    assert routed.last_route == ("primary", "fallback", 0.0)
+    assert {"id": 4, "v": 40} in got.rows
+    writer.execute("COMMIT")
+    shipper.pump()
+    got = routed.execute(PROBE)
+    assert routed.last_route[0] == "replica"
+    assert {"id": 3, "v": 30} in got.rows
+    assert {"id": 4, "v": 40} in got.rows
 
 
 def test_dead_replica_skipped_until_restart(fleet):
