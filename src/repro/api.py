@@ -274,6 +274,8 @@ class SoftDB:
             raise SqlError(f"unsupported statement {type(statement).__name__}")
         if context is None:
             context = self._session
+        if self.durability is not None and not ast.is_query(statement):
+            self.durability.refuse_mirror()
         with context._wal_context():
             return handler(self, statement, context, (sql, guard, cancel))
 
