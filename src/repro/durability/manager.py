@@ -25,7 +25,7 @@ checkpoint that is later lost still leaves full redo history.
 
 **Recovery.**  :meth:`recover` restores the last checkpoint (if any),
 feeds the WAL from its offset to the redo stream
-(:mod:`repro.durability.redo`: committed records apply in log order),
+(:mod:`repro.durability.redo`: resolved records apply in log order),
 truncates a torn tail, then runs an integrity pass: per-page checksum
 verification, index-versus-heap cross-checks (mismatching indexes are
 rebuilt, or quarantined when the rebuild fails), and re-validation of every
@@ -429,10 +429,11 @@ class DurabilityManager:
         """Full-state snapshot of one soft constraint (registry hook).
 
         Snapshotting the whole constraint on every lifecycle/statement
-        change keeps replay trivial (install verbatim) and — because the
-        record is tagged with the current transaction — makes SC
-        mutations triggered by a losing transaction's changes vanish
-        with it at recovery.
+        change keeps replay trivial (install verbatim).  The record is
+        tagged with the current transaction, so it replays in log order
+        once that transaction commits or rolls back, as the live change
+        stayed; it vanishes only with a transaction that never
+        resolved.
         """
         self._log(
             {
@@ -586,7 +587,7 @@ class DurabilityManager:
     # -- recovery -----------------------------------------------------------
 
     def recover(self) -> Dict[str, Any]:
-        """Restore checkpoint + committed WAL suffix; verify; return a
+        """Restore checkpoint + resolved WAL suffix; verify; return a
         summary dict."""
         summary = _summary()
         start_offset = 0

@@ -3,28 +3,35 @@
 Recovery and replicas feed the write-ahead log to a :class:`RedoStream`
 record by record, in log order.  A record of a transaction that has not
 resolved yet is *held*, and so is everything fed after it; each commit
-or abort drains the hold from its head in log order (committed records
-apply, aborted ones are dropped) up to the first record whose
-transaction is still open.  :meth:`RedoStream.finish` settles the rest:
-held committed records apply, unresolved ones are dropped.
+or abort applies the hold from its head in log order up to the first
+record of a transaction that is still open.  An abort applies like a
+commit: a rollback logs its compensations under its own id before the
+``abort``, so redo repeats history (ARIES) and rebuilds the pages,
+index order and soft-constraint state the live rollback left.  But an
+aborted transaction applies whole or not at all: while a record of an
+open transaction precedes its last held record, its first record
+blocks the hold like an open one, so no node ever shows a rolled-back
+write without its undo.  Under writers that keep rolling back while
+others are open this can stall a replica; its lag then says so.
+:meth:`RedoStream.finish` applies the rest of the hold but drops the
+records of still-open transactions, which logged no compensations.
 
 So applied state is always what recovery of the log's resolved prefix
-builds.  A primary's recovery finishes after the last intact record,
-which applies exactly the committed records in log order; a ``promote``
-record finishes too (its node had just finished its own stream).  A
-replica's stream is never finished: a commit logged behind an open
-transaction shows there once that transaction resolves, and a committed
-transaction with records on both sides of an open one's first record
-shows only its records before it until then.  Whether a stream is a
-replica's, and what a ``promote`` record does to the directory, is the
-durability manager's to decide.
+builds.  A primary's recovery finishes after the last intact record; a
+``promote`` record finishes too (its node had just finished its own
+stream).  A replica's stream is never finished: a commit logged behind
+an open transaction shows there once that transaction resolves, and a
+committed transaction with records on both sides of an open one's first
+record shows only its records before it until then.  Whether a stream
+is a replica's, and what a ``promote`` record does to the directory, is
+the durability manager's to decide.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import count
-from typing import Any, Deque, Dict, List, Tuple
+from typing import Any, Deque, Dict, List, Set, Tuple
 
 from repro.durability import codec
 from repro.errors import RecoveryError, ReproError
@@ -44,11 +51,10 @@ class RedoStream:
         self.registry = None
         self.replaying = False
         self._held: Deque[Tuple[int, Dict[str, Any]]] = deque()
-        # Per transaction with records in the hold: how many, and its
-        # outcome (True = committed) once it resolved.  Both entries go
-        # when its last held record leaves the hold.
-        self._counts: Dict[int, int] = {}
-        self._resolved: Dict[int, bool] = {}
+        # Transactions with records in the hold and no commit or abort
+        # yet; and aborted ones whose records the hold cannot reach whole.
+        self._open: Set[int] = set()
+        self._aborted: Set[int] = set()
         self._positions = count()
         # Highest transaction id fed so far.
         self.max_txn = 0
@@ -70,9 +76,11 @@ class RedoStream:
         if txn is not None and txn > self.max_txn:
             self.max_txn = txn
         if op in ("commit", "abort"):
-            if txn in self._counts:
-                self._resolved[txn] = op == "commit"
-                self._drain()
+            if txn in self._open:
+                self._open.discard(txn)
+                if op == "abort":
+                    self._aborted.add(txn)
+            self._drain()
         elif op == "promote":
             self.finish()
         elif op == "epoch":
@@ -82,33 +90,45 @@ class RedoStream:
         else:
             self._held.append((position, record))
             if txn is not None:
-                self._counts[txn] = self._counts.get(txn, 0) + 1
+                self._open.add(txn)
 
     def finish(self) -> None:
-        """Apply the held committed records; drop the unresolved ones."""
-        self._drain(finish=True)
-
-    def _drain(self, finish: bool = False) -> None:
-        held, counts, resolved = self._held, self._counts, self._resolved
+        """Apply the held records; drop those of still-open transactions."""
+        held, open_txns = self._held, self._open
         while held:
-            position, record = held[0]
-            txn = record.get("txn")
-            committed = True if txn is None else resolved.get(txn)
-            if committed is None and not finish:
-                return
-            held.popleft()
-            if committed:
+            position, record = held.popleft()
+            if record.get("txn") not in open_txns:
                 self._apply(position, record)
             elif record["op"].endswith("_run"):
                 self.skipped += len(record["rids"])
             else:
                 self.skipped += 1
-            if txn is not None:
-                left = counts.pop(txn) - 1
-                if left:
-                    counts[txn] = left
-                else:
-                    resolved.pop(txn, None)
+        open_txns.clear()
+        self._aborted.clear()
+
+    def _drain(self) -> None:
+        """Apply the hold from its head up to the first record of an open
+        transaction, or earlier, so no aborted one applies only in part."""
+        held, open_txns, aborted = self._held, self._open, self._aborted
+        if not aborted:
+            while held and held[0][1].get("txn") not in open_txns:
+                self._apply(*held.popleft())
+            return
+        last = {}
+        for at, (_position, record) in enumerate(held):
+            last[record.get("txn")] = at
+        stop = reach = 0
+        for at, (_position, record) in enumerate(held):
+            txn = record.get("txn")
+            if txn in open_txns:
+                break
+            if txn in aborted:
+                reach = max(reach, last[txn])
+            if reach <= at:
+                stop = at + 1
+        for _ in range(stop):
+            self._apply(*held.popleft())
+        self._aborted = {txn for txn in aborted if last[txn] >= stop}
 
     def _apply(self, position: int, record: Dict[str, Any]) -> None:
         self.replaying = True

@@ -151,18 +151,19 @@ class HeapTable:
         it (redo replay) or the one it held before an aborted
         transaction deleted it (undo).
 
-        Rids must not move: replay lands every row at its logged position
-        and skips aborted transactions, so an undone DELETE has to put the
-        row back where replay keeps it.  Free placement via :meth:`insert`
+        Rids must not move: replay lands every row at its logged position,
+        an undone DELETE's compensation included, and a snapshot reader
+        finds a row's versions by rid.  Free placement via :meth:`insert`
         could diverge whenever the page image differs from the one the
         original run chose against.  The tombstone an undo fills is
         reserved, so nothing else can have taken it.
         Pages are allocated up to the target, slot gaps are padded with
         0-byte tombstones, and the incremental XOR checksum is maintained
         so :meth:`~repro.engine.page.Page.verify` holds afterwards.  No
-        row is 0 bytes, so a 0-byte tombstone is such a gap — a replica
-        applying transactions in commit order fills slots out of log
-        order — and the row takes it, charged as an append would be.
+        row is 0 bytes, so a 0-byte tombstone is such a gap — left by a
+        transaction still open when recovery finished, whose dropped
+        records never placed their rows — and the row takes it, charged
+        as an append would be.
         """
         row = self.schema.validate_row(values)
         self.pages.touch_write()

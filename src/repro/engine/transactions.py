@@ -7,10 +7,11 @@ with abort/commit — not full ARIES.  A :class:`Transaction` wraps a
 :class:`~repro.engine.database.Database`, records undo entries for every
 change made through it, and replays them in reverse on rollback.
 
-Undo is physical, as in ARIES: redo recovery and replicas skip an aborted
-transaction and keep its rows where they were, so rollback puts each row
-back at its own rid.  Slots the transaction frees stay reserved until it
-resolves, for every writer, itself included.
+Undo is physical, as in ARIES: rollback puts each row back at its own
+rid, by which a concurrent snapshot reader finds the row's older
+versions.  Slots the transaction frees stay reserved until it resolves,
+for every writer, itself included.  Compensations are logged under the
+transaction's id before its ``abort``, so redo repeats the rollback.
 
 Change events are published immediately (the soft-constraint manager is
 told about violations when they happen, matching the paper's synchronous
@@ -58,7 +59,7 @@ class Transaction:
         self._state = "active"
         # Durable transaction id: WAL records written while this
         # transaction is open are tagged with it, and recovery replays
-        # them only if the matching commit record made it to disk.
+        # them only if its commit or abort record made it to disk.
         self._txn_id: Optional[int] = None
         if database.durability is not None:
             self._txn_id = database.durability.txn_begin()
@@ -124,8 +125,7 @@ class Transaction:
             self._state = "rolled_back"
             if self._txn_id is not None:
                 # Compensations were logged under the same txn id, so
-                # the abort hides them *and* the original changes from
-                # recovery in one stroke.
+                # redo replays the changes and their undo together.
                 database.durability.txn_abort(self._txn_id)
             self._release()
         if failures:

@@ -14,7 +14,7 @@ The pieces:
   pull-cursor shipping of framed WAL bytes, never past the durable
   (flushed) frontier;
 * :class:`~repro.replication.replica.Replica` — a byte-prefix WAL
-  mirror plus streaming committed-transaction apply through the
+  mirror plus streaming resolved-transaction apply through the
   recovery code path, which is what makes the replica *bit-identical*
   to the primary's committed prefix (the crash differential's
   fingerprint verifies it) and makes replica restart literally crash

@@ -18,7 +18,7 @@ hand, so every detection is replayable from a seed.
 **Promotion** elects the most-caught-up reachable replica — highest
 :meth:`~repro.replication.replica.Replica.ack` among live, unsevered
 links — and finishes its redo stream and runs recovery's integrity
-pass: held committed work applies and the unresolved tail is dropped,
+pass: held resolved work applies and the unresolved tail is dropped,
 exactly as crash recovery would.  The
 cluster's :class:`ClusterFence` epoch is bumped **before** the new
 primary accepts its first write, stamped into its WAL as a ``promote``

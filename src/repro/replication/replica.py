@@ -11,7 +11,8 @@ falls out of replaying the identical bytes through the identical path.
 
 That path is the manager's :class:`~repro.durability.redo.RedoStream`:
 each mirrored record is fed to it in log order, so the replica shows
-what recovery of its *resolved* prefix builds — never uncommitted work,
+what recovery of its *resolved* prefix builds — never an open
+transaction's writes, a rolled-back one's only together with its undo,
 and a commit logged behind an open transaction only once that
 transaction resolves.  Recovery of the mirror keeps the hold (the image
 carries the replication base) and refuses local writes; promotion
@@ -190,7 +191,7 @@ class Replica:
     def promote(self, epoch: int, fence: Any) -> SoftDB:
         """Flip this replica into the cluster's writable primary.
 
-        Promotion finishes the redo stream — held committed records
+        Promotion finishes the redo stream — held resolved records
         apply and the unresolved tail is dropped — and runs recovery's
         integrity pass, exactly as recovery of the mirrored prefix
         would, so the new primary starts from a transaction-consistent,

@@ -41,9 +41,10 @@ CRASH_SITES = tuple(
 
 def build_workload(seed):
     """A deterministic action list: multi-row DML, index/summary DDL,
-    a repairable soft constraint that later inserts violate, and two
-    mid-run checkpoints.  Same seed, same list — crashed and twin runs
-    always agree on what action ``i`` was."""
+    a repairable soft constraint that later inserts violate, two
+    mid-run checkpoints and a rolled-back explicit transaction.  Same
+    seed, same list — crashed and twin runs always agree on what action
+    ``i`` was."""
     rng = random.Random(seed)
     actions = [
         ("sql", "CREATE TABLE emp (id INT PRIMARY KEY, salary INT)"),
@@ -97,6 +98,24 @@ def build_workload(seed):
             actions.append(("sql", f"DELETE FROM emp WHERE id = {victim}"))
         if step == 5:
             actions.append(("checkpoint", None))
+            # Rolled-back work replays from its logged compensations, so
+            # its traces (freed slots, index order, the repair its
+            # 2500 insert made) must match the twin's live rollback.
+            # Fixed literals keep the seeded steps after it unchanged.
+            actions.append(
+                (
+                    "script",
+                    (
+                        "BEGIN",
+                        f"INSERT INTO emp VALUES ({next_id}, 1300), "
+                        f"({next_id + 1}, 2500), ({next_id + 2}, 1010)",
+                        "UPDATE emp SET salary = salary + 7 "
+                        "WHERE salary < 1150",
+                        "DELETE FROM emp WHERE salary > 1900",
+                        "ROLLBACK",
+                    ),
+                )
+            )
     return actions
 
 
@@ -104,6 +123,9 @@ def apply_action(db, action):
     kind, payload = action
     if kind == "sql":
         db.execute(payload)
+    elif kind == "script":
+        for sql in payload:
+            db.execute(sql)
     elif kind == "softcon":
         name, table, column, low, high = payload
         db.add_soft_constraint(

@@ -8,6 +8,7 @@ from repro.api import SoftDB
 from repro.durability.checkpoint import load_checkpoint, write_checkpoint
 from repro.errors import (
     IndexCorruptionError,
+    RollbackError,
     TransactionError,
     WALCorruptionError,
 )
@@ -91,18 +92,57 @@ def test_uncommitted_records_are_skipped(tmp_path):
     assert rows_of(recovered) == before
 
 
-def test_explicit_transaction_rollback_leaves_no_replayable_trace(tmp_path):
+def test_explicit_transaction_rollback_recovers_the_live_fingerprint(
+    tmp_path,
+):
+    """Redo replays the rollback's logged compensations, so recovery
+    rebuilds the live pages (freed slots included) and index order."""
     from repro.engine.transactions import Transaction
+    from tests.crash.test_crash_differential import fingerprint
 
     db = build_durable(tmp_path)
     before = rows_of(db)
+    rids = {row[0]: rid for rid, row in db.database.table("emp").scan()}
     txn = Transaction(db.database)
     txn.insert("emp", (500, 9000))
     txn.insert("emp", (501, 9100))
+    txn.update("emp", rids[7], (7, 1075))
+    txn.delete("emp", rids[8])
     txn.rollback()
     assert rows_of(db) == before
     recovered = SoftDB.open(tmp_path)
     assert rows_of(recovered) == before
+    assert fingerprint(recovered) == fingerprint(db)
+
+
+def test_a_failed_undo_recovers_as_the_live_database_kept_it(
+    tmp_path, monkeypatch
+):
+    """A failing undo entry logs no compensation, but the ``abort`` is
+    logged: redo keeps the un-undone change, as the live database did."""
+    from repro.engine.transactions import Transaction
+    from tests.crash.test_crash_differential import fingerprint
+
+    db = build_durable(tmp_path)
+    txn = Transaction(db.database)
+    txn.insert("emp", (500, 9000))
+    kept = txn.insert("emp", (501, 9100))
+    original = db.database.delete_row
+
+    def flaky_delete(table_name, row_id):
+        if row_id == kept:
+            raise RuntimeError("storage fault during undo")
+        return original(table_name, row_id)
+
+    monkeypatch.setattr(db.database, "delete_row", flaky_delete)
+    with pytest.raises(RollbackError):
+        txn.rollback()
+    monkeypatch.undo()
+    ids = {row[0] for row in rows_of(db)}
+    assert 501 in ids and 500 not in ids
+    recovered = SoftDB.open(tmp_path)
+    assert rows_of(recovered) == rows_of(db)
+    assert fingerprint(recovered) == fingerprint(db)
 
 
 def test_checkpoint_refuses_open_transaction(tmp_path):

@@ -4,9 +4,9 @@
 
 RECORDS = {
     'crash_census': {
-        7: {'wal_append': 57, 'page_flush': 6, 'checkpoint_write': 2, 'catalog_serialize': 2},
-        23: {'wal_append': 68, 'page_flush': 6, 'checkpoint_write': 2, 'catalog_serialize': 2},
-        1009: {'wal_append': 69, 'page_flush': 6, 'checkpoint_write': 2, 'catalog_serialize': 2},
+        7: {'wal_append': 91, 'page_flush': 6, 'checkpoint_write': 2, 'catalog_serialize': 2},
+        23: {'wal_append': 101, 'page_flush': 6, 'checkpoint_write': 2, 'catalog_serialize': 2},
+        1009: {'wal_append': 102, 'page_flush': 6, 'checkpoint_write': 2, 'catalog_serialize': 2},
     },
     'concurrent_census': {
         7: [6, 6, 6, 7, 8, 9, 11, 12, 12, 12, 12, 13, 14, 15, 17, 18, 18, 18, 18, 19, 20, 21, 23, 24],

@@ -17,6 +17,14 @@ The replica now feeds every record to the recovery redo stream, so in
 each case it equals both the live primary and a recovered copy of the
 primary's directory.
 
+That stream once dropped a rolled-back transaction's records, so a
+repair it made vanished on the replica and in recovery while a
+committed row on the live primary still relied on it.  A rollback logs
+its compensations under its own id, so redo now replays them at the
+``abort`` and every node keeps what the live rollback kept.  It
+applies them whole or not at all: a rolled-back insert whose undo is
+still held behind an open writer never shows.
+
 Promotion finishes that stream in place, so it also runs recovery's
 integrity pass, and a replica's directory opened on its own stays a
 read-only mirror.
@@ -173,6 +181,61 @@ def test_promotion_repairs_a_soft_constraint_the_dropped_tail_widened(
         promoted.registry.get("t_v")
     ) == codec.encode_soft_constraint(recovered.registry.get("t_v"))
     assert fingerprint(promoted) == fingerprint(recovered)
+
+
+def test_a_rolled_back_repair_stays_under_the_row_that_relies_on_it(
+    tmp_path,
+):
+    """A's repair widens the band, B's committed row passes the widened
+    check, then A rolls back.  The live primary keeps the widening (a
+    band only ever widens), and so must every node that replays the
+    log: A's snapshot and compensations apply at its ``abort``."""
+    primary, shipper, replica = fleet(
+        tmp_path,
+        "CREATE TABLE t (id INT PRIMARY KEY, v INT)",
+        "INSERT INTO t VALUES (1, 10)",
+    )
+    primary.add_soft_constraint(
+        MinMaxSC("t_v", "t", "v", 0, 100, 1.0), policy=RepairPolicy()
+    )
+    a, b = primary.session(), primary.session()
+    a.execute("BEGIN")
+    a.execute("INSERT INTO t VALUES (2, 150)")
+    b.execute("INSERT INTO t VALUES (3, 150)")
+    a.execute("ROLLBACK")
+    assert shipper.pump_until_synced()
+    probe = "SELECT id FROM t WHERE v > 120"
+    assert primary.query(probe) == replica.query(probe) == [{"id": 3}]
+    recovered = recovered_copy(primary, tmp_path)
+    assert recovered.durability.last_recovery["asc_actions"] == []
+    assert recovered.query(probe) == [{"id": 3}]
+    assert fingerprint(replica.db) == fingerprint(primary)
+    assert fingerprint(recovered) == fingerprint(primary)
+
+
+def test_a_rollback_behind_an_open_writer_never_shows_its_rows(tmp_path):
+    """A's compensating delete is logged behind X's open insert, so the
+    hold cannot reach it.  A's insert must wait with it: applying it at
+    A's ``abort`` would show a row the primary never committed."""
+    primary, shipper, replica = fleet(
+        tmp_path,
+        "CREATE TABLE t (id INT PRIMARY KEY, v INT)",
+        "INSERT INTO t VALUES (1, 10)",
+    )
+    a, x = primary.session(), primary.session()
+    a.execute("BEGIN")
+    a.execute("INSERT INTO t VALUES (2, 20)")
+    x.execute("BEGIN")
+    x.execute("INSERT INTO t VALUES (5, 50)")
+    a.execute("ROLLBACK")
+    shipper.pump_until_synced()
+    probe = "SELECT id FROM t ORDER BY id"
+    assert replica.query(probe) == [{"id": 1}]
+    x.execute("COMMIT")
+    assert shipper.pump_until_synced()
+    assert primary.query(probe) == replica.query(probe)
+    assert replica.query(probe) == [{"id": 1}, {"id": 5}]
+    assert fingerprint(replica.db) == fingerprint(primary)
 
 
 def test_opening_a_mirror_directly_refuses_local_writes(tmp_path):
