@@ -30,6 +30,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 from repro.concurrency.groupcommit import DEFAULT_WINDOW, GroupCommitter
 from repro.concurrency.locks import LockManager
 from repro.concurrency.mvcc import Snapshot, TransactionManager, VersionStore
+from repro.engine.index import FetchBuffer
 from repro.engine.row import RowId
 from repro.errors import TransactionConflictError
 
@@ -358,8 +359,7 @@ class ConcurrencyEngine:
                     continue
                 overlay.append((key, rid, image))
             overlay.sort(key=lambda item: (item[0], item[1]))
-        counters = table.pages.counters
-        buffered_page_id = None
+        buffer = FetchBuffer(table.pages.counters)
         main = iter(
             [(key, rid) for key, rid in entries if rid not in touched]
         )
@@ -380,8 +380,6 @@ class ConcurrencyEngine:
             else:
                 key, rid, row = next_over
                 next_over = next(over, None)
-            if rid.page_id != buffered_page_id:
-                counters.page_reads += 1
-                buffered_page_id = rid.page_id
-            counters.rows_read += 1
+            buffer.fetch(rid.page_id)
+            buffer.counters.rows_read += 1
             yield rid, row

@@ -18,6 +18,8 @@ import bisect
 import math
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.page import IOCounters
 from repro.engine.row import RowId
 from repro.engine.schema import TableSchema
@@ -29,6 +31,42 @@ INTERNAL_FANOUT = 256
 
 def _entry_hash(key: Tuple[Any, ...], row_id: RowId) -> int:
     return hash((key, row_id))
+
+
+class FetchBuffer:
+    """The one-page buffer an index range's row fetches go through.
+
+    A fetch reads its heap page (one ``page_reads``) unless the fetch
+    before it was on the same page.  Over a clustered index this makes a
+    range scan touch each data page once (the behaviour the cost model
+    prices via the index's cluster ratio); over an unclustered one it
+    degrades to a read per row, as on a real system.  :meth:`fetch` is
+    the rule for one fetch and :meth:`fetch_run` the same rule over an
+    array of page ids: ``1 + count_nonzero(diff(page_ids))`` reads for a
+    run that starts off the buffered page.
+    """
+
+    __slots__ = ("counters", "page_id")
+
+    def __init__(self, counters: IOCounters) -> None:
+        self.counters = counters
+        self.page_id: Optional[int] = None
+
+    def fetch(self, page_id: int) -> None:
+        if page_id != self.page_id:
+            self.counters.page_reads += 1
+            self.page_id = page_id
+
+    def fetch_run(self, page_ids: np.ndarray) -> None:
+        """:meth:`fetch` each page id in turn."""
+        if len(page_ids) < 2:
+            for page_id in page_ids.tolist():
+                self.fetch(page_id)
+            return
+        self.counters.page_reads += int(
+            np.count_nonzero(page_ids[1:] != page_ids[:-1])
+        ) + (int(page_ids[0]) != self.page_id)
+        self.page_id = int(page_ids[-1])
 
 
 class _KeyWrap:
@@ -104,6 +142,12 @@ class BTreeIndex:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    @property
+    def entry_rids(self) -> List[RowId]:
+        """Every entry's RowId in key order: the index's own list, which
+        insert and delete change in place (read it, never write it)."""
+        return self._rids
 
     @property
     def leaf_pages(self) -> int:
@@ -280,14 +324,16 @@ class BTreeIndex:
         self._charge_leaves(hi - lo)
         return self._rids[lo:hi]
 
-    def range_scan(
+    def range_bounds(
         self,
         low: Optional[Sequence[Any]] = None,
         high: Optional[Sequence[Any]] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[Tuple[Tuple[Any, ...], RowId]]:
-        """Scan keys in ``[low, high]`` (bounds optional / exclusive-able).
+    ) -> Tuple[int, int]:
+        """Probe for the keys in ``[low, high]`` (bounds optional /
+        exclusive-able): their entries are ``lo:hi`` of the sorted arrays.
+        Charges one descent plus the extra leaves the range crosses.
 
         Bounds may be prefixes of a composite key; a prefix bound behaves
         like the usual B-tree prefix semantics (all extensions of the
@@ -315,6 +361,18 @@ class BTreeIndex:
             else:
                 hi = bisect.bisect_left(self._keys, probe)
         self._charge_leaves(max(0, hi - lo))
+        return lo, hi
+
+    def range_scan(
+        self,
+        low: Optional[Sequence[Any]] = None,
+        high: Optional[Sequence[Any]] = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> Iterator[Tuple[Tuple[Any, ...], RowId]]:
+        """``(key, RowId)`` for each entry of :meth:`range_bounds`' range;
+        the probe is charged when the first entry is pulled."""
+        lo, hi = self.range_bounds(low, high, low_inclusive, high_inclusive)
         for at in range(lo, hi):
             yield self._keys[at], self._rids[at]
 

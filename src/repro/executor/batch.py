@@ -15,6 +15,7 @@ corrupting every batch that shares it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Rows per batch unless the caller asks otherwise.  1024 keeps per-batch
@@ -22,6 +23,18 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 DEFAULT_BATCH_SIZE = 1024
 
 RowDict = Dict[str, Any]
+
+
+def gather(
+    columns: Sequence[Sequence[Any]], positions: List[int]
+) -> List[Sequence[Any]]:
+    """Each column's values at ``positions``: tuples gathered by one
+    ``itemgetter`` (lists when there are fewer than two positions, where
+    ``itemgetter`` would not return a tuple)."""
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+        return [pick(column) for column in columns]
+    return [[column[p] for p in positions] for column in columns]
 
 
 class RowBatch:
@@ -125,13 +138,12 @@ class RowBatch:
 
     # -- selection ----------------------------------------------------------
 
-    def take(self, indices: Sequence[int]) -> "RowBatch":
+    def take(self, indices: List[int]) -> "RowBatch":
         """Gather the given row positions into a new batch."""
-        data = {}
-        for name in self.columns:
-            column = self.data[name]
-            data[name] = [column[i] for i in indices]
-        return RowBatch(self.columns, data, len(indices))
+        columns = self.columns
+        gathered = gather([self.data[name] for name in columns], indices)
+        data = {name: list(values) for name, values in zip(columns, gathered)}
+        return RowBatch(columns, data, len(indices))
 
     def filter_true(self, mask: Sequence[Any]) -> "RowBatch":
         """Keep rows whose mask entry is exactly True (SQL WHERE semantics:

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.executor.batch import RowBatch
+from repro.executor.batch import RowBatch, gather
 
 #: int64-vs-float64 interactions are exact only below 2**53; kernels
 #: consult this bound before mixing the two dtypes.
@@ -253,13 +253,7 @@ class ColumnImage:
         if indices is None:
             return RowBatch(names, dict(zip(names, columns)), len(self.rows))
         positions = indices.tolist()
-        if len(positions) > 1:
-            pick = itemgetter(*positions)
-            gathered = [pick(column) for column in columns]
-        else:
-            gathered = [
-                tuple(column[p] for p in positions) for column in columns
-            ]
+        gathered = gather(columns, positions)
         return RowBatch(names, dict(zip(names, gathered)), len(positions))
 
 
@@ -381,8 +375,4 @@ class ColumnarBatch:
             return RowBatch.from_tuples(
                 self.columns, [rows[p] for p in positions]
             )
-        data = {}
-        for name in self.columns:
-            raw = self._raw[name]
-            data[name] = [raw[i] for i in positions]
-        return RowBatch(self.columns, data, len(positions))
+        return RowBatch(self.columns, self._raw, self.length).take(positions)

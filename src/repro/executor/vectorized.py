@@ -97,13 +97,6 @@ class BatchedInterpreter:
         # to the operators that can burn unbounded work.
         self.guard = guard
 
-    def rows(self, root: PhysicalNode) -> List[RowDict]:
-        """Run the plan and materialize the result as row dicts."""
-        out: List[RowDict] = []
-        for batch in self.run(root):
-            out.extend(batch.to_rows())
-        return out
-
     # -- dispatch -------------------------------------------------------------
 
     def run(

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import random
 from typing import Any, Sequence, Tuple
 
 _EPOCH_2000 = 10957  # days from 1970-01-01 to 2000-01-01
+
+
+@functools.lru_cache(maxsize=64)
+def _zipf_weights(categories: int, skew: float) -> Tuple[float, Tuple[float, ...]]:
+    """``(sum of weights, running weight totals)`` of the Zipf weights
+    ``1 / rank**skew``, summed left to right as a loop over them would."""
+    weights = [1.0 / ((rank + 1) ** skew) for rank in range(categories)]
+    return sum(weights), tuple(itertools.accumulate(weights))
 
 
 class DataGenerator:
@@ -86,16 +97,11 @@ class DataGenerator:
         return hole_high + (pick - left_width)
 
     def skewed_category(self, categories: int, skew: float = 1.2) -> int:
-        """A Zipf-like category id in [0, categories)."""
-        weights = [1.0 / ((rank + 1) ** skew) for rank in range(categories)]
-        total = sum(weights)
+        """A Zipf-like category id in [0, categories): the first whose
+        running weight total reaches one uniform draw."""
+        total, running = _zipf_weights(categories, skew)
         pick = self.random.uniform(0, total)
-        acc = 0.0
-        for category, weight in enumerate(weights):
-            acc += weight
-            if pick <= acc:
-                return category
-        return categories - 1
+        return min(bisect.bisect_left(running, pick), categories - 1)
 
     def string_code(self, prefix: str, number: int, width: int = 6) -> str:
         return f"{prefix}{number:0{width}d}"

@@ -10,8 +10,9 @@ image reused) — against the row-at-a-time oracle on the same database:
   (the scan must see it);
 * the page and row counts charged before each chunk, which a page-read
   guard and a fault injector observe;
-* that an abandoned or write-interrupted walk publishes nothing, and
-  that a snapshot read never takes the image.
+* that an abandoned or write-interrupted walk publishes nothing, that a
+  snapshot read never takes the image, and that an index scan gathers
+  from a current image but never builds one.
 """
 
 import numpy as np
@@ -328,17 +329,37 @@ def test_stale_image_is_dropped_when_the_next_scan_starts():
     batches.close()
 
 
-def test_limit_and_index_scans_walk_storage():
+def test_limit_and_index_scans_walk_storage(monkeypatch):
     db = _db()
     db.execute("CREATE INDEX ix_a ON t (a)")
     db.runstats_all()
-    for sql in ("SELECT a FROM t LIMIT 10", "SELECT a, b FROM t WHERE a = 17"):
+    gathers = []
+    image_fetch = scans._image_fetch
+    monkeypatch.setattr(
+        scans, "_image_fetch", lambda *args: gathers.append(args) or image_fetch(*args)
+    )
+    queries = ("SELECT a FROM t LIMIT 10", "SELECT a, b FROM t WHERE a = 17")
+
+    def check(sql):
         plan = db.optimizer.optimize(sql)
         oracle = Executor(db.database, batch_size=0).execute(plan)
         production = Executor(db.database, batch_size=BATCH).execute(plan)
         assert production.tuples() == oracle.tuples()
         assert production.page_reads == oracle.page_reads
+        assert production.rows_read == oracle.rows_read
+
+    for sql in queries:
+        check(sql)
         assert _image(db) is None, sql
+    assert gathers == []
+    # With a current image (built by a full scan), the index scan
+    # gathers its rows from it and leaves it as it was.
+    _agree(db, "SELECT a FROM t")
+    image = _image(db)
+    for sql in queries:
+        check(sql)
+        assert _image(db) is image, sql
+    assert len(gathers) == 1
 
 
 def test_snapshot_read_bypasses_the_image():
