@@ -1,4 +1,10 @@
-"""Aggregate computation for the GROUP BY operator."""
+"""Aggregate computation for the GROUP BY operator.
+
+The oracle folds row by row (:meth:`AggregateState.update`).  The
+production executor folds a batch at a time through one path,
+:func:`fold_groups`, keyed or scalar (one group): numpy where the fold is
+exact, ``update_values`` per group where it is not.
+"""
 
 from __future__ import annotations
 
@@ -129,51 +135,6 @@ class AggregateState:
             if self.maximum is None or folded > self.maximum:
                 self.maximum = folded
 
-    def update_vec(self, values: Sequence[Any]) -> None:
-        """Columnar update: fold a column slice via numpy where exact.
-
-        Only folds that are bit-identical to :meth:`update_values` take
-        the numpy path: COUNT over any numeric dtype (count = rows minus
-        NULLs) and SUM/AVG/MIN/MAX over pure-int64 columns (integer sums
-        are associative, so order cannot matter).  Float sums keep the
-        list path's left-to-right association, DISTINCT needs arrival
-        order, and object-dtype columns keep the list path's exact error
-        behaviour — all of those delegate to :meth:`update_values`.
-        """
-        if self.seen is not None:
-            self.update_values(values)
-            return
-        vec = promote(values)
-        kind = vec.values.dtype.kind
-        if kind not in ("i", "f"):
-            self.update_values(values)
-            return
-        mask = vec.mask
-        fresh_count = len(vec) - (0 if mask is None else int(mask.sum()))
-        if fresh_count == 0:
-            return
-        function = self.spec.function
-        if function == "count":
-            self.count += fresh_count
-            return
-        if kind != "i":
-            # Float SUM/AVG must keep Python's sequential association
-            # (numpy's pairwise summation rounds differently); float
-            # MIN/MAX must keep Python's NaN-ordering quirks.
-            self.update_values(values)
-            return
-        array = vec.values if mask is None else vec.values[~mask]
-        if function in ("sum", "avg"):
-            bound = max(abs(int(array.min())), abs(int(array.max())))
-            if bound and fresh_count * bound >= _INT_FOLD_SAFE:
-                self.update_values(values)
-                return
-            self.merge(fresh_count, int(array.sum()))
-        elif function == "min":
-            self.merge(fresh_count, int(array.min()))
-        elif function == "max":
-            self.merge(fresh_count, int(array.max()))
-
     def result(self) -> Any:
         function = self.spec.function
         if function == "count":
@@ -205,10 +166,16 @@ def fold_groups(
     state for aggregate *j*, ``columns[j]`` that aggregate's argument
     column (None for COUNT(*)) and ``codes[i]`` row *i*'s group.  Each
     state ends as if :meth:`AggregateState.update_values` had folded its
-    group's rows in order.  COUNT runs on ``np.bincount`` and, where
-    ``sum()`` is a plain fold, float SUM/AVG on ``np.add.at`` (left to
-    right from 0.0, bit for bit); every other aggregate takes
-    ``update_values`` per group, over one split of the batch."""
+    group's rows in order.  Scalar aggregation is one group with all-zero
+    codes.
+
+    COUNT runs on ``np.bincount``; SUM/AVG/MIN/MAX over an int64 column
+    on ``np.add.at``/``np.minimum.at``/``np.maximum.at`` while the sums
+    stay inside ``_INT_FOLD_SAFE`` (integer folds are exact in any
+    order); float SUM/AVG, where ``sum()`` is a plain fold, on
+    ``np.add.at`` (left to right from 0.0, bit for bit).  DISTINCT, float
+    MIN/MAX (NaN ordering), object columns (error parity) and wide ints
+    take ``update_values`` per group, over one split of the batch."""
     count = len(groups)
     sizes = np.bincount(codes, minlength=count)
     split: Optional[List[List[int]]] = None  # each group's rows, in order
@@ -219,28 +186,10 @@ def fold_groups(
                 state.update_count_star(size)
             continue
         spec = states[0].spec
-        function = spec.function
-        if not spec.distinct and (
-            function == "count"
-            or (
-                _PLAIN_FLOAT_SUM
-                and function in ("sum", "avg")
-                and set(map(type, values)) - {type(None)} == {float}
-            )
-        ):
-            vec = promote(values)
-            present, fresh = codes, vec.values
-            if vec.mask is not None:
-                present, fresh = codes[~vec.mask], fresh[~vec.mask]
-            folded: List[Any] = [None] * count
-            if function != "count":
-                sums = np.zeros(count)
-                np.add.at(sums, present, fresh)
-                folded = sums.tolist()
-            counts = np.bincount(present, minlength=count).tolist()
-            for state, fresh_count, value in zip(states, counts, folded):
-                if fresh_count:
-                    state.merge(fresh_count, value)
+        if not spec.distinct and _fold_numpy(spec.function, states, values, codes):
+            continue
+        if count == 1:
+            states[0].update_values(values)
             continue
         if split is None:
             order = np.argsort(codes, kind="stable")
@@ -250,3 +199,54 @@ def fold_groups(
             ]
         for state, rows in zip(states, split):
             state.update_values([values[i] for i in rows])
+
+
+#: Identity elements of the int64 folds, by aggregate function.
+_INT_FOLDS = {
+    "sum": (np.add, 0),
+    "avg": (np.add, 0),
+    "min": (np.minimum, np.iinfo(np.int64).max),
+    "max": (np.maximum, np.iinfo(np.int64).min),
+}
+
+
+def _fold_numpy(
+    function: str,
+    states: Sequence[AggregateState],
+    values: Sequence[Any],
+    codes: np.ndarray,
+) -> bool:
+    """Fold one non-DISTINCT aggregate's column into ``states`` on numpy,
+    where that is bit-identical to ``update_values``; False (nothing
+    folded) where it is not."""
+    if function != "count":
+        kinds = set(map(type, values)) - {type(None)}
+        if kinds != {int} and not (
+            _PLAIN_FLOAT_SUM and function in ("sum", "avg") and kinds == {float}
+        ):
+            return False
+    vec = promote(values)
+    present, fresh = codes, vec.values
+    if vec.mask is not None:
+        present, fresh = codes[~vec.mask], fresh[~vec.mask]
+    count = len(states)
+    folded: List[Any] = [None] * count
+    if function != "count":
+        if fresh.dtype.kind == "i":
+            if function in ("sum", "avg") and len(fresh):
+                bound = max(abs(int(fresh.min())), abs(int(fresh.max())))
+                if len(fresh) * bound >= _INT_FOLD_SAFE:
+                    return False
+            ufunc, identity = _INT_FOLDS[function]
+            accumulated = np.full(count, identity, dtype=np.int64)
+        elif fresh.dtype.kind == "f":
+            ufunc, accumulated = np.add, np.zeros(count)
+        else:  # ints beyond int64 promote to object
+            return False
+        ufunc.at(accumulated, present, fresh)
+        folded = accumulated.tolist()
+    counts = np.bincount(present, minlength=count).tolist()
+    for state, fresh_count, value in zip(states, counts, folded):
+        if fresh_count:
+            state.merge(fresh_count, value)
+    return True

@@ -13,13 +13,19 @@ groups.
 Scans, filters and computed hash-join keys go further: row tuples are
 transposed into numpy vectors with explicit null masks
 (:mod:`repro.executor.vecbatch`), the same compiled expressions run as
-numpy kernels, and only surviving rows are materialized into Python
-lists — late materialization.  Whether a batch runs on the kernel or,
-when the kernel declines it, on the batch closure is decided in one
-place, :mod:`repro.expr.vector`.  Hash-join and group keys become int64
-codes (``vecbatch.factorise``): joins probe sorted codes, and a GROUP BY
-looks up each batch's distinct keys once and folds the batch into all
-of its groups in one call (:func:`~repro.executor.aggregates.fold_groups`).
+numpy kernels, and only surviving rows are materialized, as tuple
+columns — late materialization.  A scan emits only the columns its plan
+reads (``read_columns``, recorded with the compiled expressions).
+Whether a batch runs on the kernel or, when the kernel declines it, on
+the batch closure is decided in one place, :mod:`repro.expr.vector`.
+
+The operators above the scans work on numpy too.  Hash-join, group and
+DISTINCT keys become int64 codes (``vecbatch.factorise``): joins probe
+sorted codes, a GROUP BY looks up each batch's distinct keys once, and a
+DISTINCT checks only each batch's first-seen keys against the keys of
+earlier batches.  Keyed and scalar aggregation fold a batch in one call,
+:func:`~repro.executor.aggregates.fold_groups` (scalar aggregation is one
+group); a sort is one ``np.lexsort`` (:mod:`repro.executor.sorts`).
 
 Semantics — result rows and their order, row counts, and page-I/O
 accounting — match the row-at-a-time interpreter in
@@ -35,6 +41,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.engine.database import Database
 from repro.errors import ExecutionError
@@ -230,18 +238,21 @@ class BatchedInterpreter:
     ) -> Iterator[RowBatch]:
         seen: set = set()
         for batch in self.run(node.child, quota):
-            # Same key as the row form's tuple(sorted(row.items())).
-            names = sorted(batch.columns)
-            columns = [batch.data[name] for name in names]
+            # The row form keys a row by tuple(sorted(row.items())): the
+            # sorted names, then the values.  Within the batch keys are
+            # numbered by factorise; only each one's first row meets
+            # ``seen``.
+            names = tuple(sorted(batch.columns))
+            if names:
+                _, firsts, keys = factorise([batch.data[name] for name in names])
+            else:
+                firsts, keys = [0], [()]
             keep: List[int] = []
-            for i in range(len(batch)):
-                key = tuple(
-                    (name, column[i]) for name, column in zip(names, columns)
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                keep.append(i)
+            for first, key in zip(firsts, keys):
+                key = (names, key)
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(first)
             if not keep:
                 continue
             yield batch if len(keep) == len(batch) else batch.take(keep)
@@ -283,11 +294,8 @@ class BatchedInterpreter:
                 for compiled in node.compiled_aggregate_args
             ]
             if not has_keys:
-                for state, column in zip(groups[()][1], aggregate_columns):
-                    if column is None:
-                        state.update_count_star(len(batch))
-                    else:
-                        state.update_vec(column)
+                codes = np.zeros(len(batch), dtype=np.int64)
+                fold_groups([groups[()][1]], aggregate_columns, codes)
                 continue
             key_columns = [compiled.batch(batch) for compiled in node.compiled_keys]
             # Distinct keys in first-seen order (the oracle's group order),

@@ -6,9 +6,11 @@ page-read parity with the row-at-a-time oracle, and the numpy aggregate
 folds.
 """
 
+import numpy as np
 import pytest
 
 from repro import SoftDB
+from repro.executor.aggregates import fold_groups
 from repro.executor.batch import RowBatch
 from repro.executor.runtime import Executor
 from repro.executor.vectorized import BatchedInterpreter
@@ -43,7 +45,10 @@ class TestFrozenBatches:
     def test_frozen_batches_still_slice_take_and_tile(self):
         batch = RowBatch(("a",), {"a": [1, 2, 3]}).freeze()
         assert batch.slice(0, 2).data["a"] == (1, 2)
-        assert batch.take([2, 0]).data["a"] == [3, 1]
+        taken = batch.take([2, 0]).data["a"]
+        assert list(taken) == [3, 1]
+        with pytest.raises(TypeError):
+            taken[0] = 99
 
     def test_join_build_side_columns_are_immutable(self):
         # The nested-loop inner side is aliased into every output chunk;
@@ -116,7 +121,15 @@ class TestLimitAccounting:
 # ------------------------------------------------- aggregate folds
 
 
+def _fold(state, values):
+    """Scalar aggregation's fold: one group, every row's code 0."""
+    fold_groups([[state]], [values], np.zeros(len(values), dtype=np.int64))
+
+
 class TestUpdateVec:
+    """The scalar fold (``fold_groups`` over one group, which replaced
+    ``AggregateState.update_vec``) against ``update_values``."""
+
     def _pair(self, function, distinct=False):
         from repro.executor.aggregates import AggregateState
 
@@ -134,7 +147,7 @@ class TestUpdateVec:
     def test_int_fold_matches_list_path(self, function):
         values = [5, None, -3, 12, None, 0, 7]
         vec_state, list_state = self._pair(function)
-        vec_state.update_vec(values)
+        _fold(vec_state, values)
         list_state.update_values(values)
         assert vec_state.result() == list_state.result()
         assert vec_state.count == list_state.count
@@ -142,7 +155,7 @@ class TestUpdateVec:
     def test_distinct_falls_back(self):
         values = [1, 1, 2, None, 2, 3]
         vec_state, list_state = self._pair("count", distinct=True)
-        vec_state.update_vec(values)
+        _fold(vec_state, values)
         list_state.update_values(values)
         assert vec_state.result() == list_state.result() == 3
 
@@ -151,7 +164,7 @@ class TestUpdateVec:
 
         vec_state, list_state = self._pair("sum")
         with pytest.raises(ExecutionError) as vec_err:
-            vec_state.update_vec([1, "x"])
+            _fold(vec_state, [1, "x"])
         with pytest.raises(ExecutionError) as list_err:
             list_state.update_values([1, "x"])
         assert str(vec_err.value) == str(list_err.value)
@@ -159,13 +172,13 @@ class TestUpdateVec:
     def test_float_sum_keeps_sequential_association(self):
         values = [0.1, 0.2, 0.3, None, 1e16, 1.0, -1e16]
         vec_state, list_state = self._pair("sum")
-        vec_state.update_vec(values)
+        _fold(vec_state, values)
         list_state.update_values(values)
         assert vec_state.result() == list_state.result()
 
     def test_huge_int_sum_exact(self):
         values = [2**61, 2**61, 7]
         vec_state, list_state = self._pair("sum")
-        vec_state.update_vec(values)
+        _fold(vec_state, values)
         list_state.update_values(values)
         assert vec_state.result() == list_state.result() == 2**62 + 7

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import ColumnarBatch, promote, try_int64
+from repro.executor.vecbatch import ColumnarBatch, promote
 from repro.expr.compile import compile_expr
 from repro.expr.eval import evaluate
 from repro.expr.vector import VectorFallback, filter_indices, kernel_of
@@ -319,12 +319,6 @@ class TestPromotion:
         vec = promote([1, 2, 3])
         with pytest.raises(ValueError):
             vec.values[0] = 9
-
-    def test_try_int64(self):
-        assert try_int64([3, 1, 2]) is not None
-        assert try_int64([3, None, 2]) is None
-        assert try_int64([3, 1.0]) is None
-        assert try_int64([2**70]) is None
 
 
 # -------------------------------------------------- filter semantics
