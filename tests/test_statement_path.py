@@ -23,6 +23,7 @@ from repro.errors import (
     ConstraintViolation,
     QueryCancelledError,
     ReproError,
+    SqlError,
     TransactionError,
 )
 from repro.replication import Replica, WalShipper
@@ -119,36 +120,49 @@ PARSE_SITES = (
 
 class _Parses:
     """What was parsed: ``through_sites`` lists the SQL texts that went
-    through a patched module global, ``total`` counts every run of the
-    parser whoever called it."""
+    through a patched module global and ``returned`` what each returned;
+    ``total`` counts every run of the parser whoever called it."""
 
-    def __init__(self):
+    def __init__(self, fresh):
+        self.fresh = fresh
         self.through_sites = []
+        self.returned = []
         self.total = 0
 
     def reset(self):
         del self.through_sites[:]
+        del self.returned[:]
         self.total = 0
 
 
 @pytest.fixture
 def parses(monkeypatch):
-    seen = _Parses()
+    run_parser = repro.sql.parser._Parser.statement
+
+    def fresh(sql):
+        """The statement an uncached, uncounted parse of ``sql`` gives."""
+        return run_parser(repro.sql.parser._Parser(repro.sql.parser.tokenize(sql)))
+
+    seen = _Parses(fresh)
     for module in PARSE_SITES:
         original = module.parse_statement
 
         def spy(sql, _original=original):
             seen.through_sites.append(sql)
-            return _original(sql)
+            statement = _original(sql)
+            seen.returned.append(statement)
+            return statement
 
         monkeypatch.setattr(module, "parse_statement", spy)
-    run_parser = repro.sql.parser._Parser.statement
 
     def counted(parser):
         seen.total += 1
         return run_parser(parser)
 
     monkeypatch.setattr(repro.sql.parser._Parser, "statement", counted)
+    # Start from no cached shapes, so the first statement of a shape here
+    # is the first the process sees.
+    repro.sql.parser._SHAPES.clear()
     return seen
 
 
@@ -162,34 +176,54 @@ STATEMENTS = (
     "COMMIT",
 )
 
+#: ``STATEMENTS`` after the CREATE again, each with other literals.
+TWINS = (
+    "INSERT INTO u VALUES (3, 4), (5, 6)",
+    "UPDATE u SET b = b + 7 WHERE a = 3",
+    "SELECT b FROM u WHERE a = 5",
+    "BEGIN",
+    "DELETE FROM u WHERE a = 3",
+    "COMMIT",
+)
 
-def _assert_one_parse_each(execute, parses, statements=STATEMENTS):
+
+def _assert_one_parse_each(execute, parses, statements=STATEMENTS, repeats=False):
+    """Each statement goes through one patched parse site, once, and gets
+    what a fresh parse of its text gives.  The first statement of a shape
+    runs the parser once; a repeat of a shape parsed before (``repeats``),
+    literals changed or not, runs it zero times."""
     for sql in statements:
         parses.reset()
         execute(sql)
-        assert parses.total == 1, f"{sql!r} was parsed {parses.total} times"
+        runs = 0 if repeats else 1
+        assert parses.total == runs, f"{sql!r} was parsed {parses.total} times"
         assert parses.through_sites == [sql]
+        assert parses.returned == [parses.fresh(sql)]
 
 
 def test_facade_parses_each_statement_once(parses):
     db = SoftDB()
     _assert_one_parse_each(db.execute, parses)
-    # A plan-cache miss is still one parse (and a hit too).
+    _assert_one_parse_each(db.execute, parses, TWINS, repeats=True)
+    # A plan-cache miss, then a hit with other literals.
+    _assert_one_parse_each(db.execute, parses, ["SELECT a FROM u WHERE b = 2"])
     _assert_one_parse_each(
-        lambda sql: db.execute(sql),
-        parses,
-        ["SELECT a FROM u WHERE b = 2"] * 2,
+        db.execute, parses, ["SELECT a FROM u WHERE b = 9"], repeats=True
     )
+    assert db.plan_cache.hits >= 1
 
 
 def test_session_parses_each_statement_once(parses):
     db = SoftDB()
     with db.session() as session:
         _assert_one_parse_each(session.execute, parses)
+        _assert_one_parse_each(session.execute, parses, TWINS, repeats=True)
         _assert_one_parse_each(
-            lambda sql: session.execute(sql),
-            parses,
-            ["SELECT a FROM u WHERE b = 2"] * 2,
+            session.execute, parses, ["SELECT a FROM u WHERE b = 2"]
+        )
+        _assert_one_parse_each(
+            session.execute, parses, ["SELECT a FROM u WHERE b = 9"],
+            repeats=True,
         )
 
 
@@ -203,21 +237,45 @@ def test_router_parses_each_statement_once_on_either_side(tmp_path, parses):
         # Routed to the primary: every write, and a read no replica is
         # fresh enough for.
         _assert_one_parse_each(routed.execute, parses)
+        _assert_one_parse_each(routed.execute, parses, TWINS, repeats=True)
         assert routed.last_route[0] == "primary"
         assert routed.reads_on_replica == 0
         # Routed to the replica.
         assert shipper.pump_until_synced()
         _assert_one_parse_each(
-            routed.execute, parses, ["SELECT a FROM u ORDER BY a"]
+            routed.execute, parses, ["SELECT a FROM u WHERE a > 0 ORDER BY a"]
         )
         assert routed.last_route[0] == "replica"
-        # A replica asked directly parses for itself, once.
+        # A replica asked directly parses for itself, once, through the
+        # shape the routed read cached.
         _assert_one_parse_each(
-            replica.execute, parses, ["SELECT a FROM u ORDER BY a"]
+            replica.execute, parses, ["SELECT a FROM u WHERE a > 1 ORDER BY a"],
+            repeats=True,
         )
     finally:
         replica.close()
         primary.close(checkpoint=False)
+
+
+@pytest.mark.parametrize(
+    "sql, parser_runs",
+    [
+        ("SELECT a FROM u WHERE", 1),  # the parser runs and fails
+        ("SELECT a FROM u WHERE a = 'open", 0),  # the lexer fails first
+    ],
+)
+def test_a_statement_that_fails_to_parse_is_parsed_every_time(
+    parses, sql, parser_runs
+):
+    db = SoftDB()
+    db.execute("CREATE TABLE u (a INT PRIMARY KEY, b INT)")
+    for _ in range(3):
+        parses.reset()
+        with pytest.raises(SqlError):
+            db.execute(sql)
+        assert parses.through_sites == [sql]
+        assert parses.total == parser_runs
+    assert len(repro.sql.parser._SHAPES) == 1  # the CREATE TABLE alone
 
 
 # ------------------------------------------------------- four-context parity
