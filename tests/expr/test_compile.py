@@ -341,3 +341,22 @@ class TestCompileCache:
         # ... yet the plan, and a fresh compile of the same query, run.
         assert db.executor.execute(plan).tuples() == expected
         assert db.execute(sql).tuples() == expected
+
+    def test_put_hashes_the_key_once_and_a_replaced_value_is_recent(self):
+        class Key:
+            hashes = 0
+
+            def __hash__(self):
+                Key.hashes += 1
+                return 7
+
+        cache = lowering_cache.LoweringCache(2)
+        key = Key()
+        cache.put(key, "a")
+        assert Key.hashes == 1  # an expression node hashes its whole tree
+        cache.put("other", "b")
+        cache.put(key, "c")  # replaced: now the most recent entry
+        cache.put("third", "d")  # past capacity: the oldest entry goes
+        assert cache.get(key) == "c"
+        assert cache.get("other") is None
+        assert len(cache) == 2
