@@ -27,7 +27,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.concurrency.groupcommit import DEFAULT_WINDOW, GroupCommitter
+from repro.concurrency.groupcommit import GroupCommitter
 from repro.concurrency.locks import LockManager
 from repro.concurrency.mvcc import Snapshot, TransactionManager, VersionStore
 from repro.engine.index import FetchBuffer
@@ -83,9 +83,7 @@ class ConcurrencyEngine:
     def sessions_open(self) -> int:
         return len(self.sessions)
 
-    def attach_group_commit(
-        self, durability, window: float = DEFAULT_WINDOW
-    ) -> None:
+    def attach_group_commit(self, durability) -> None:
         """Install group commit on the database's durability manager.
 
         The committer stays dormant (``wal.flush()`` direct) until more
@@ -95,9 +93,7 @@ class ConcurrencyEngine:
         if durability is None or self.group_commit is not None:
             return
         self.group_commit = GroupCommitter(
-            durability.wal,
-            window=window,
-            is_active=lambda: self.sessions_open > 1,
+            durability.wal, is_active=lambda: self.sessions_open > 1
         )
         durability.group_commit = self.group_commit
 

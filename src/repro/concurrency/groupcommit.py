@@ -13,9 +13,10 @@ is ever inside ``flush()``.
 Correctness does not depend on the window: a commit record is only
 covered when its append *happened before* the leader read the target
 sequence, and a follower that missed the flush simply leads (or joins)
-the next round.  The window is a throughput/latency trade dialled by the
-bench; single-session commits never come here at all (the manager calls
-``wal.flush()`` directly when the committer is inactive).
+the next round.  The window is a fixed throughput/latency trade,
+:data:`DEFAULT_WINDOW`; single-session commits never come here at all
+(the manager calls ``wal.flush()`` directly when the committer is
+inactive).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 __all__ = ["GroupCommitter"]
 
-#: Default gather window in seconds.  Long enough for a burst of
+#: The gather window in seconds.  Long enough for a burst of
 #: committing threads to pile in behind the leader, short enough to be
 #: invisible next to any real fsync.
 DEFAULT_WINDOW = 0.002
@@ -36,13 +37,9 @@ class GroupCommitter:
     """Leader/follower commit flushing for one write-ahead log."""
 
     def __init__(
-        self,
-        wal,
-        window: float = DEFAULT_WINDOW,
-        is_active: Optional[Callable[[], bool]] = None,
+        self, wal, is_active: Optional[Callable[[], bool]] = None
     ) -> None:
         self.wal = wal
-        self.window = window
         # When inactive (e.g. a single open session), the durability
         # manager bypasses the committer entirely — no gather latency.
         self._is_active = is_active
@@ -76,8 +73,7 @@ class GroupCommitter:
             floor = self._flushed_seq
         target = floor
         try:
-            if self.window > 0.0:
-                time.sleep(self.window)
+            time.sleep(DEFAULT_WINDOW)
             target = self.wal.appended
             self.wal.flush()
         finally:

@@ -3,7 +3,7 @@
 On the production path rows flow between operators as column-major
 :class:`~repro.executor.batch.RowBatch` objects (the vectorized pipeline
 in :mod:`repro.executor.vectorized`); ``batch_size=0``, or a plan
-without compiled closures, selects the oracle — the interpreted
+without compiled expressions, selects the oracle — the interpreted
 row-at-a-time iterator model where operators exchange
 ``{qualified_name: value}`` dicts.  All page I/O is charged to the
 database's shared counters, so an

@@ -2,8 +2,8 @@
 
 Each join has a row-at-a-time form (the oracle: it interprets its
 expressions) and a batched twin (the production executor: it runs the
-plan's compiled closures).  The batched forms materialize the
-build/inner side as one concatenated
+kernels of the plan's compiled expressions).  The batched forms
+materialize the build/inner side as one concatenated
 :class:`~repro.executor.batch.RowBatch`, evaluate join keys once per
 batch, and emit column-major output whose inner-side columns are gathered
 (or, for nested loops, tiled by C-level list repetition) rather than
@@ -20,9 +20,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import factorise, promote
+from repro.executor.vecbatch import ColumnarBatch, factorise, promote
 from repro.expr.eval import evaluate
-from repro.expr.vector import key_columns
+from repro.expr.vector import select_rows, value_columns
 from repro.optimizer.physical import HashJoin, NestedLoopJoin
 
 RowDict = Dict[str, Any]
@@ -109,6 +109,11 @@ def run_hash_join(
 # -- batched variants ----------------------------------------------------------
 
 
+def _kept(condition: Any, merged: RowBatch) -> RowBatch:
+    """The rows of ``merged`` for which the compiled ``condition`` is true."""
+    return select_rows(condition, ColumnarBatch.from_row_batch(merged), lambda: merged)
+
+
 def _merged_columns(
     left: RowBatch, right: RowBatch
 ) -> Tuple[Tuple[str, ...], List[str]]:
@@ -167,9 +172,7 @@ def run_nested_loop_join_batched(
                 )
             merged = RowBatch(columns, data, k * m)
             if node.condition is not None:
-                merged = merged.filter_true(
-                    node.compiled_condition.batch(merged)
-                )
+                merged = _kept(node.compiled_condition, merged)
             if len(merged):
                 yield merged
 
@@ -248,12 +251,12 @@ def run_hash_join_batched(
         # Build columns are gathered into every output batch; freeze
         # them so aliased in-place mutation fails loudly (see RowBatch).
         build_side.freeze()
-        index = _BuildIndex(key_columns(node.compiled_right_keys, build_side))
+        index = _BuildIndex(value_columns(node.compiled_right_keys, build_side))
     if index is None or not len(index.rows):
         return  # empty build side: skip scanning the probe input entirely
     for left in run_child(node.left):
         probe_idx, build_idx = index.probe(
-            key_columns(node.compiled_left_keys, left)
+            value_columns(node.compiled_left_keys, left)
         )
         if not len(probe_idx):
             continue
@@ -266,6 +269,6 @@ def run_hash_join_batched(
         }
         merged = RowBatch(columns, data, len(probe_idx))
         if node.residual is not None:
-            merged = merged.filter_true(node.compiled_residual.batch(merged))
+            merged = _kept(node.compiled_residual, merged)
         if len(merged):
             yield merged

@@ -7,7 +7,7 @@ iterator model implemented here: it interprets every expression through
 :func:`repro.expr.eval.evaluate` and shares no evaluation code with the
 production path, which is what makes it the reference the differential
 suites hold production to.  :meth:`Executor.execute` picks the oracle
-when ``batch_size`` is 0 or the plan carries no compiled closures.
+when ``batch_size`` is 0 or the plan carries no compiled expressions.
 """
 
 from __future__ import annotations
@@ -138,11 +138,11 @@ class ExecutionResult:
 class Executor:
     """Interprets physical plans against a database.
 
-    A plan that carries compiled closures (``plan.compiled``, the
+    A plan that carries compiled expressions (``plan.compiled``, the
     optimizer's default) runs on the production executor: operators
     exchange :class:`~repro.executor.batch.RowBatch` objects of up to
     ``batch_size`` rows (see :mod:`repro.executor.vectorized`).
-    ``batch_size=0`` (or ``None``), or a plan without closures, runs on
+    ``batch_size=0`` (or ``None``), or a plan without them, runs on
     the oracle: the row-at-a-time interpreter, independently implemented,
     that the differential test harness holds production to.
 

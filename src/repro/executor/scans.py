@@ -271,8 +271,8 @@ def _emit_batch(
     """Transpose one chunk of fetched row tuples (or reuse a table-image
     chunk's or a gathered chunk's columns) into numpy vectors, run the
     pushed-down predicate's kernel, and materialize only the survivors
-    (late materialization); a chunk the kernel declines goes through the
-    compiled batch closure instead (see
+    (late materialization); a chunk the kernel declines goes row by row
+    through the interpreter instead (see
     :func:`~repro.expr.vector.select_rows`).  Only the layout's columns
     are ever gathered."""
     if isinstance(chunk, RowBatch):

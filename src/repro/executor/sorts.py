@@ -24,6 +24,7 @@ import numpy as np
 from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import dense, promote, sortable
 from repro.expr.eval import evaluate
+from repro.expr.vector import value_columns
 from repro.optimizer.physical import Sort
 
 RowDict = Dict[str, Any]
@@ -77,8 +78,8 @@ def run_sort_batched(
     if materialized is None or len(materialized) == 0:
         return
     passes = [
-        (batch_fn(materialized), ascending)
-        for batch_fn, ascending in reversed(node.compiled_order)
+        (value_columns([key], materialized)[0], ascending)
+        for key, ascending in reversed(node.compiled_order)
     ]
     order = _lexsort(passes)
     if order is None:

@@ -16,11 +16,10 @@ Dtype promotion rules (exact, decided from ``set(map(type, column))``):
 * an all-``None`` column → ``int64`` zeros, fully masked;
 * anything else — strings, bools, mixed ``int``/``float``, exotic
   objects, ints beyond ``int64`` — → ``object`` dtype with ``None`` kept
-  in place (the *object fallback*).  Kernels that cannot handle object
-  dtype raise :class:`~repro.expr.vector.VectorFallback`, and
-  :mod:`repro.expr.vector` re-evaluates the batch through the compiled
-  batch closure, which reproduces the interpreter's semantics (errors
-  included).
+  in place.  Kernels run the interpreter's own operators element by
+  element over object columns (:mod:`repro.expr.vector`); a batch in
+  which some row raises is re-evaluated row by row through the
+  interpreter, errors included.
 
 Mixed ``int``/``float`` deliberately does *not* promote to ``float64``:
 ``2**53 + 1 == float(2**53)`` under numpy's lossy int→float cast, while

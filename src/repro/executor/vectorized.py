@@ -1,23 +1,26 @@
 """The production executor: the batched (vectorized) plan interpreter.
 
 Operators exchange :class:`~repro.executor.batch.RowBatch` objects instead
-of single row dicts: projections, group keys, aggregate arguments,
-residuals, sort keys and HAVING run once per batch through the batch
-closures of the plan's compiled expressions (:mod:`repro.expr.compile`
-— this interpreter only runs plans that carry them), and the per-row
-overhead (dict materialization, recursive expression dispatch) is
-amortized over ``batch_size`` rows.  A GROUP BY builds its output as one
-batch, so HAVING and the FD-carried columns are evaluated once over all
-groups.
+of single row dicts, and every expression — predicates, Extend outputs,
+group keys, aggregate arguments, FD-carried columns, HAVING, join keys,
+conditions and residuals, sort keys — runs once per batch as the numpy
+kernel of the plan's compiled expression (:mod:`repro.expr.compile`;
+this interpreter only runs plans that carry them), through
+:func:`~repro.expr.vector.select_rows` or
+:func:`~repro.expr.vector.value_columns`.  A plain column reference is
+the batch's own column.  The per-row overhead (dict materialization,
+recursive expression dispatch) is amortized over ``batch_size`` rows.
+A GROUP BY builds its output as one batch, so HAVING and the FD-carried
+columns are evaluated once over all groups.
 
-Scans, filters and computed hash-join keys go further: row tuples are
-transposed into numpy vectors with explicit null masks
-(:mod:`repro.executor.vecbatch`), the same compiled expressions run as
-numpy kernels, and only surviving rows are materialized, as tuple
-columns — late materialization.  A scan emits only the columns its plan
-reads (``read_columns``, recorded with the compiled expressions).
-Whether a batch runs on the kernel or, when the kernel declines it, on
-the batch closure is decided in one place, :mod:`repro.expr.vector`.
+Scans go further: row tuples are transposed into numpy vectors with
+explicit null masks (:mod:`repro.executor.vecbatch`) only for the
+columns a predicate touches, and only surviving rows are materialized,
+as tuple columns — late materialization.  A scan emits only the columns
+its plan reads (``read_columns``, recorded with the compiled
+expressions).  Whether a batch runs on the kernel or, when the kernel
+declines it, row by row through the interpreter is decided in one
+place, :mod:`repro.expr.vector`.
 
 The operators above the scans work on numpy too.  Hash-join, group and
 DISTINCT keys become int64 codes (``vecbatch.factorise``): joins probe
@@ -59,7 +62,7 @@ from repro.executor.scans import (
 )
 from repro.executor.sorts import run_sort_batched
 from repro.executor.vecbatch import ColumnarBatch, factorise
-from repro.expr.vector import select_rows
+from repro.expr.vector import select_rows, value_columns
 from repro.optimizer.physical import (
     Distinct,
     EmptyResult,
@@ -207,15 +210,15 @@ class BatchedInterpreter:
     def _run_extend(
         self, node: Extend, quota: Optional[ScanQuota]
     ) -> Iterator[RowBatch]:
-        compiled = node.compiled_outputs
         for batch in self.run(node.child, quota):
             columns = list(batch.columns)
             data = dict(batch.data)
             present = set(columns)
-            for index, output in enumerate(node.outputs):
-                # Evaluated against the child batch, as the row form
-                # evaluates against the original row.
-                data[output.name] = compiled[index].batch(batch)
+            # Evaluated against the child batch, as the row form
+            # evaluates against the original row.
+            values = value_columns(node.compiled_outputs, batch)
+            for output, column in zip(node.outputs, values):
+                data[output.name] = column
                 if output.name not in present:
                     columns.append(output.name)
                     present.add(output.name)
@@ -288,16 +291,17 @@ class BatchedInterpreter:
             # Scalar aggregation: one group, even over an empty input.
             groups[()] = ({}, new_states(node.aggregates))
             order.append(())
+        key_count = len(node.compiled_keys)
         for batch in self.run(node.child):
-            aggregate_columns = [
-                None if compiled is None else compiled.batch(batch)
-                for compiled in node.compiled_aggregate_args
-            ]
+            # Keys, then aggregate arguments: the row form's order per row.
+            columns = value_columns(
+                node.compiled_keys + node.compiled_aggregate_args, batch
+            )
+            key_columns, aggregate_columns = columns[:key_count], columns[key_count:]
             if not has_keys:
                 codes = np.zeros(len(batch), dtype=np.int64)
                 fold_groups([groups[()][1]], aggregate_columns, codes)
                 continue
-            key_columns = [compiled.batch(batch) for compiled in node.compiled_keys]
             # Distinct keys in first-seen order (the oracle's group order),
             # each looked up once.
             codes, firsts, keys = factorise(key_columns)
@@ -322,8 +326,8 @@ class BatchedInterpreter:
         if node.carried:
             # Group-constant by an FD: read once, off the groups' first rows.
             first_rows = RowBatch.from_rows([groups[key][0] for key in order])
-            for column, compiled in zip(node.carried, node.compiled_carried):
-                values = compiled.batch(first_rows)
+            carried = value_columns(node.compiled_carried, first_rows)
+            for column, values in zip(node.carried, carried):
                 data[column.qualified] = values
                 data[column.column] = values
         states = [groups[key][1] for key in order]
@@ -331,5 +335,7 @@ class BatchedInterpreter:
             data[spec.output_name] = [group[position].result() for group in states]
         out = RowBatch(list(data), data, len(order))
         if node.having is not None:
-            out = out.filter_true(node.compiled_having.batch(out))
+            out = select_rows(
+                node.compiled_having, ColumnarBatch.from_row_batch(out), lambda: out
+            )
         yield from out.split(self.batch_size)

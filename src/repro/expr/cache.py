@@ -3,10 +3,10 @@
 Three caches use a :class:`LoweringCache`, each with its own capacity:
 
 * :mod:`repro.expr.compile` keeps one process-wide, keyed structurally
-  by the expression node; each entry is a compiled expression carrying
-  its batch closure and, once a scan, filter or join key has run it, its
-  numpy kernel.  Literals are part of the key, so a workload of fresh
-  constants would grow an unbounded dict forever; entries not used since
+  by the expression node; each entry is a compiled expression carrying,
+  once the production executor has run it, its numpy kernel.  Literals
+  are part of the key, so a workload of fresh constants would grow an
+  unbounded dict forever; entries not used since
   they were last considered for eviction are dropped past
   :data:`CAPACITY` instead.  Eviction never breaks a plan — compiled
   expressions live on the plan's nodes, and an evicted one is simply
@@ -30,7 +30,7 @@ from typing import Any, Callable, List, Tuple
 #: re-uses a literal now and then (a date, a customer id): on the
 #: benchmark's ``template_point`` 4 096 entries forgot enough of those
 #: to cost about 12 % of throughput against an unbounded cache, 16 384
-#: about half that, and still cap the cache near 12 MB of closures.
+#: about half that, and still cap the cache near 12 MB.
 CAPACITY = 16384
 
 

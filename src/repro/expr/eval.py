@@ -11,9 +11,10 @@ Boolean results use Kleene logic: ``None`` means SQL UNKNOWN.  Aggregate
 function calls cannot be evaluated here (they are handled by the group-by
 operator) and raise :class:`~repro.errors.ExpressionError`.
 
-This interpreter is the semantic oracle: the compiled closures of
-:mod:`repro.expr.compile` and the kernels of :mod:`repro.expr.vector`
-are held to it row by row.
+This interpreter is the semantics: the kernels of
+:mod:`repro.expr.vector` are held to it row by row, reuse its operators
+on every column numpy cannot hold, and hand it any batch in which some
+row raises.
 """
 
 from __future__ import annotations

@@ -1,58 +1,73 @@
-"""Vectorized numpy kernels, and the one kernel-or-closure decision.
+"""Vectorized kernels: how the production executor evaluates expressions.
 
 :func:`kernel_of` lowers a :class:`~repro.expr.compile.CompiledExpr`
 into a kernel ``Callable[[ColumnarBatch], Vec]`` that evaluates the whole
-column at once with numpy — comparisons, arithmetic, ``IN`` via
-``np.isin``, ``LIKE`` over object arrays, and masked Kleene (3VL)
-AND/OR.  The kernel is lowered on first use and kept in the compiled
-expression's ``kernel`` slot, so it is shared exactly as widely as the
-batch closure beside it (through :mod:`repro.expr.compile`'s cache).
-Lowering walks the compiled operands, never the cache.  Two sessions
-racing to lower one kernel may both build it; the equivalent results
-overwrite each other harmlessly.
+column at once — comparisons, arithmetic, ``abs``, ``IN``, ``LIKE``,
+``IS NULL`` and masked Kleene (3VL) AND/OR/NOT.  The kernel is lowered on
+first use and kept in the compiled expression's ``kernel`` slot, so it
+is shared exactly as widely as the compiled expression (through
+:mod:`repro.expr.compile`'s cache).  Lowering walks the compiled
+operands, never the cache.  Two sessions racing to lower one kernel may
+both build it; the equivalent results overwrite each other harmlessly.
 
 Parity contract
 ---------------
 
-The interpreter in :mod:`repro.expr.eval` remains the semantic oracle.
-A kernel **never approximates**: whenever full-width numpy evaluation
-cannot reproduce the interpreter bit-for-bit — object-dtype columns,
-type-mismatch errors, division by zero, int64 overflow risk, lossy
-int64→float64 casts past ``2**53``, non-constant ``IN``/``LIKE``
-operands, unknown functions — the kernel raises :class:`VectorFallback`
-(on every call when the shape is statically unsupported, on the batch
-when the data decides).  :func:`select_rows` and :func:`key_columns` —
-the only places that catch it — then re-evaluate the batch through the
-batch closures, which raise the error.  Because kernels themselves never
-raise ``ExpressionError``, full-width evaluation of ``AND``/``OR``
-operands is safe: a side that *could* error on a row the other side's
-short-circuit would have skipped always falls back instead, and the
-closure's selection-vector evaluation reproduces the skip exactly.
+The interpreter in :mod:`repro.expr.eval` is the semantics, and a kernel
+**never approximates**.  int64 and float64 columns run as numpy ufuncs.
+Every other batch — strings, bools, dates, mixed ``int``/``float``
+columns, ints past int64, int64 arithmetic at risk of overflow, int/float
+comparisons past ``2**53`` — runs the interpreter's own operators
+element by element after one class check per batch.  A kernel raises
+:class:`VectorFallback` (declines) only for a batch in which some row
+would raise under :func:`~repro.expr.eval.evaluate` (a class mismatch, a
+zero divisor, a non-boolean AND operand) and for a node with no kernel
+(a deferred fold error, an aggregate or unknown function).  The class
+check is per batch, so a batch mixing classes that happen to pair up
+row by row declines too.
+
+:func:`select_rows` and :func:`value_columns` are the only entry points.
+A column reference they read directly is no kernel at all: it is the
+batch's own column, resolved as the interpreter resolves names.  When a
+kernel declines, the entry point evaluates that batch row by row through
+:func:`~repro.expr.eval.evaluate` — the one ``except VectorFallback`` —
+so an erroring batch raises its first erroring row's error.  Because
+kernels never raise ``ExpressionError``, full-width evaluation of
+``AND``/``OR`` operands is safe: a side that *could* error on a row the
+other side's short-circuit would have skipped declines instead, and the
+interpreter reproduces the skip.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Set, TypeVar
+)
 
 import numpy as np
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import FLOAT_EXACT_INT, ColumnarBatch, Vec
+from repro.executor.vecbatch import FLOAT_EXACT_INT, ColumnarBatch, Vec, promote
 from repro.expr.compile import CompiledExpr
-from repro.expr.eval import _like_regex
+from repro.expr.eval import _ARITHMETIC, _COMPARATORS, _like_regex, evaluate
 from repro.sql import ast
 
 VectorFn = Callable[[ColumnarBatch], Vec]
 Children = Sequence[CompiledExpr]
+T = TypeVar("T")
 
 #: int arithmetic operands are bounded well inside int64 so that +, -,
-#: and (pairwise-bounded) * can never wrap; anything bigger falls back.
+#: and (pairwise-bounded) * can never wrap; anything bigger runs on
+#: Python ints.
 _INT_SAFE = 2**62
+
+_NONE_TYPE = type(None)
+_NUMBERS = frozenset((int, float))
 
 
 class VectorFallback(Exception):
-    """The vector kernel cannot reproduce interpreter semantics for this
-    expression/batch; the batch closure must evaluate it instead."""
+    """Some row of the batch raises under the interpreter, or the node has
+    no kernel: the interpreter must evaluate the batch row by row."""
 
 
 def kernel_of(compiled: CompiledExpr) -> VectorFn:
@@ -73,51 +88,77 @@ def select_rows(
 ) -> RowBatch:
     """The rows of ``columnar`` that ``predicate`` keeps (WHERE semantics:
     only a definite ``True``), materialized late from the kernel's
-    surviving positions — or, when the kernel declines, filtered from
-    ``rows()`` by the batch closure."""
-    (kept,) = _kernel_or_closure(
+    surviving positions — or, when the kernel declines, ``rows()``
+    filtered by the interpreter."""
+    return _kernels_or_interpreter(
+        lambda: columnar.to_row_batch(filter_indices(kernel_of(predicate), columnar)),
         (predicate,),
-        columnar,
         rows,
-        lambda kernel: columnar.to_row_batch(filter_indices(kernel, columnar)),
-        RowBatch.filter_true,
+        lambda batch, values: batch.filter_true(values[0]),
     )
-    return kept
 
 
-def key_columns(keys: Sequence[CompiledExpr], batch: RowBatch) -> List[List[Any]]:
-    """One value list per join key over ``batch``.
-
-    Plain column references come straight from their closure (the
-    batch's own list, zero copy).  A batch with any computed key runs
-    every key's kernel; if one declines, every key's closure instead.
-    """
-    if all(isinstance(key.expression, ast.ColumnRef) for key in keys):
-        return [key.batch(batch) for key in keys]
-    columnar = ColumnarBatch.from_row_batch(batch)
-    return _kernel_or_closure(
-        keys,
-        columnar,
+def value_columns(
+    compiled: Sequence[Optional[CompiledExpr]], batch: RowBatch
+) -> List[Optional[List[Any]]]:
+    """One value list per expression over ``batch`` (None for a None
+    entry).  A column reference is the batch's own column (zero copy);
+    any other expression runs its kernel.  If a kernel declines, every
+    expression runs through the interpreter instead, a row at a time."""
+    return _kernels_or_interpreter(
+        lambda: _kernel_columns(compiled, batch),
+        compiled,
         lambda: batch,
-        lambda kernel: kernel(columnar).to_list(),
         lambda _batch, values: values,
     )
 
 
-def _kernel_or_closure(
-    compiled: Sequence[CompiledExpr],
-    columnar: ColumnarBatch,
+def _kernels_or_interpreter(
+    run_kernels: Callable[[], T],
+    compiled: Sequence[Optional[CompiledExpr]],
     rows: Callable[[], RowBatch],
-    from_kernel: Callable[[VectorFn], Any],
-    from_closure: Callable[[RowBatch, List[Any]], Any],
-) -> List[Any]:
-    """Every expression through its kernel, or — if any kernel declines
-    the batch — every expression through its closure over ``rows()``."""
+    finish: Callable[[RowBatch, List[Optional[List[Any]]]], T],
+) -> T:
+    """``run_kernels()``, or — if a kernel declines the batch — ``finish``
+    over ``rows()`` and the interpreter's values of ``compiled``."""
     try:
-        return [from_kernel(kernel_of(expr)) for expr in compiled]
+        return run_kernels()
     except VectorFallback:
         batch = rows()
-        return [from_closure(batch, expr.batch(batch)) for expr in compiled]
+        return finish(batch, _interpret(compiled, batch))
+
+
+def _kernel_columns(
+    compiled: Sequence[Optional[CompiledExpr]], batch: RowBatch
+) -> List[Optional[List[Any]]]:
+    columnar: Optional[ColumnarBatch] = None
+    out: List[Optional[List[Any]]] = []
+    for expr in compiled:
+        if expr is None:
+            out.append(None)
+        elif type(expr.expression) is ast.ColumnRef:
+            out.append(batch.data[_resolve(expr.expression, batch.data)])
+        else:
+            if columnar is None:
+                columnar = ColumnarBatch.from_row_batch(batch)
+            out.append(kernel_of(expr)(columnar).to_list())
+    return out
+
+
+def _interpret(
+    compiled: Sequence[Optional[CompiledExpr]], batch: RowBatch
+) -> List[Optional[List[Any]]]:
+    """Every expression over ``batch`` through the interpreter, each row
+    whole before the next, so the first erroring row raises."""
+    expressions = [None if expr is None else expr.expression for expr in compiled]
+    rows = [
+        [None if e is None else evaluate(e, row) for e in expressions]
+        for row in batch.to_rows()
+    ]
+    return [
+        None if e is None else [row[i] for row in rows]
+        for i, e in enumerate(expressions)
+    ]
 
 
 def filter_indices(
@@ -132,18 +173,43 @@ def filter_indices(
     """
     vector = kernel(batch)
     values = vector.values
-    if values.dtype != np.bool_:
-        if values.dtype.kind in ("i", "f"):
-            # Numeric predicate: no value ``is True`` → no survivors.
-            return np.empty(0, dtype=np.intp)
-        raise VectorFallback("non-boolean predicate dtype")
-    keep = values if vector.mask is None else values & ~vector.mask
+    if values.dtype == object:
+        keep = np.fromiter(
+            (value is True for value in values.tolist()), dtype=bool, count=len(values)
+        )
+    elif values.dtype != np.bool_:
+        # Numeric predicate: no value ``is True`` → no survivors.
+        return np.empty(0, dtype=np.intp)
+    else:
+        keep = values if vector.mask is None else values & ~vector.mask
     if keep.all():
         return None
     return np.flatnonzero(keep)
 
 
 # ----------------------------------------------------------------- helpers
+
+
+def _resolve(node: ast.ColumnRef, names: Collection[str]) -> str:
+    """The batch column ``node`` reads, found as the interpreter finds it
+    in a row: qualified, then bare; bare, then the one ``.column``
+    suffix.  Declines when none or several match (the interpreter
+    raises "unknown" or "ambiguous column")."""
+    bare = node.column
+    if node.table is not None:
+        qualified = f"{node.table}.{bare}"
+        if qualified in names:
+            return qualified
+        if bare in names:
+            return bare
+        raise VectorFallback(f"unknown column {qualified!r}")
+    if bare in names:
+        return bare
+    suffix = f".{bare}"
+    matches = [name for name in names if name.endswith(suffix)]
+    if len(matches) != 1:
+        raise VectorFallback(f"unresolvable column {bare!r}")
+    return matches[0]
 
 
 def _static_fallback(reason: str) -> VectorFn:
@@ -176,23 +242,17 @@ def _union_mask(
 
 
 def _broadcast(value: Any, length: int) -> Vec:
-    """A constant as a full-width Vec; raises VectorFallback for values
-    no kernel consumes (the batch closure handles them)."""
+    """A constant as a full-width Vec: int64, float64 or bool when it is
+    one, an object array otherwise."""
     if value is None:
         return _all_null(length)
     if isinstance(value, bool):
         return Vec(np.full(length, value, dtype=bool))
-    if isinstance(value, int):
-        if abs(value) >= 2**63:
-            raise VectorFallback("constant outside int64")
+    if isinstance(value, int) and abs(value) < 2**63:
         return Vec(np.full(length, value, dtype=np.int64))
     if isinstance(value, float):
         return Vec(np.full(length, value, dtype=np.float64))
-    if isinstance(value, str):
-        array = np.empty(length, dtype=object)
-        array[:] = value
-        return Vec(array)
-    raise VectorFallback(f"unsupported constant {value!r}")
+    return Vec(np.full(length, value, dtype=object))
 
 
 def _int_bounds(values: np.ndarray) -> int:
@@ -202,36 +262,61 @@ def _int_bounds(values: np.ndarray) -> int:
     return max(abs(int(values.min())), abs(int(values.max())))
 
 
-def _check_mixed_exact(left: Vec, right: Vec) -> None:
-    """Mixing int64 with float64 promotes the ints through a lossy cast;
-    only allow it when every int is exactly representable as a double."""
+def _numeric(left: Vec, right: Vec) -> bool:
+    """numpy reproduces the interpreter on these operands: both int64 or
+    float64, and, when they mix, every int exact as a double."""
     lk, rk = left.values.dtype.kind, right.values.dtype.kind
-    if lk == "i" and rk == "f" and _int_bounds(left.values) > FLOAT_EXACT_INT:
-        raise VectorFallback("int64 column too wide for exact float compare")
-    if rk == "i" and lk == "f" and _int_bounds(right.values) > FLOAT_EXACT_INT:
-        raise VectorFallback("int64 column too wide for exact float compare")
+    if lk not in ("i", "f") or rk not in ("i", "f"):
+        return False
+    if lk == rk:
+        return True
+    ints = left if lk == "i" else right
+    return _int_bounds(ints.values) <= FLOAT_EXACT_INT
 
 
-def _require_numeric(left: Vec, right: Vec) -> None:
-    if left.values.dtype.kind not in ("i", "f") or right.values.dtype.kind not in (
-        "i",
-        "f",
-    ):
-        raise VectorFallback("non-numeric operand dtype")
-    _check_mixed_exact(left, right)
+def _classes(*columns: List[Any]) -> Set[type]:
+    """The classes of the non-NULL values in ``columns``."""
+    classes: Set[type] = set()
+    for column in columns:
+        classes.update(map(type, column))
+    classes.discard(_NONE_TYPE)
+    return classes
 
 
-def _bool_flags(vector: Vec) -> Tuple[np.ndarray, np.ndarray]:
+def _comparable(classes: Set[type]) -> bool:
+    """Every pair of values of these classes passes the interpreter's
+    ``_require_comparable``: all numbers, or all one class."""
+    return classes <= _NUMBERS or len(classes) <= 1
+
+
+def _bools(values: List[Optional[bool]]) -> Vec:
+    """A list of True/False/None as a boolean Vec."""
+    count = len(values)
+    mask = np.fromiter((v is None for v in values), dtype=bool, count=count)
+    truth = np.fromiter((v is True for v in values), dtype=bool, count=count)
+    return Vec(truth, mask if mask.any() else None)
+
+
+def _truth(vector: Vec) -> Vec:
+    """A boolean operand as a boolean Vec; declines when some row is not
+    a boolean (the interpreter raises "expected a boolean")."""
+    if vector.values.dtype == np.bool_:
+        return vector
+    if not len(vector) or _fully_masked(vector):
+        return _all_null(len(vector))
+    if vector.values.dtype == object:
+        values = vector.values.tolist()
+        if _classes(values) == {bool}:
+            return _bools(values)
+    raise VectorFallback("non-boolean operand")
+
+
+def _bool_flags(vector: Vec):
     """(definitely-True, definitely-False) flags of a boolean Vec."""
     if vector.mask is None:
         return vector.values, ~vector.values
     known = ~vector.mask
     return vector.values & known, ~vector.values & known
-
-
-def _require_bool(vector: Vec) -> None:
-    if vector.values.dtype != np.bool_:
-        raise VectorFallback("non-boolean operand dtype")
 
 
 # ------------------------------------------------------------ node kernels
@@ -246,42 +331,18 @@ def _lower(compiled: CompiledExpr) -> VectorFn:
 
         return constant_kernel
     expression = compiled.expression
-    handler = _DISPATCH.get(type(expression))
-    if handler is None or compiled.children is None:
+    if compiled.children is None:
         return _static_fallback(
             f"no vector lowering for {type(expression).__name__}"
         )
-    return handler(expression, compiled.children)
+    return _DISPATCH[type(expression)](expression, compiled.children)
 
 
 def _lower_column(node: ast.ColumnRef, _children: Children) -> VectorFn:
-    if node.table is not None:
-        qualified = f"{node.table}.{node.column}"
-        bare = node.column
+    def column_kernel(batch: ColumnarBatch) -> Vec:
+        return batch.vec(_resolve(node, batch.columns))
 
-        def qualified_kernel(batch: ColumnarBatch) -> Vec:
-            vector = batch.vec(qualified)
-            if vector is None:
-                vector = batch.vec(bare)
-            if vector is None:
-                raise VectorFallback(f"unknown column {qualified!r}")
-            return vector
-
-        return qualified_kernel
-    bare = node.column
-    suffix = f".{node.column}"
-
-    def bare_kernel(batch: ColumnarBatch) -> Vec:
-        vector = batch.vec(bare)
-        if vector is not None:
-            return vector
-        matches = [name for name in batch.columns if name.endswith(suffix)]
-        if len(matches) != 1:
-            # Ambiguous / unknown: the batch closure raises the exact error.
-            raise VectorFallback(f"unresolvable column {bare!r}")
-        return batch.vec(matches[0])
-
-    return bare_kernel
+    return column_kernel
 
 
 def _lower_runtime_parameter(
@@ -305,81 +366,107 @@ _COMPARISON_UFUNCS = {
 }
 
 
-def _comparison_kernel(
-    left_fn: VectorFn, right_fn: VectorFn, ufunc: Any
-) -> VectorFn:
+def _comparison_kernel(left_fn: VectorFn, right_fn: VectorFn, op: str) -> VectorFn:
+    ufunc, compare = _COMPARISON_UFUNCS[op], _COMPARATORS[op]
+
     def kernel(batch: ColumnarBatch) -> Vec:
         left = left_fn(batch)
         right = right_fn(batch)
         if _fully_masked(left) or _fully_masked(right):
             return _all_null(batch.length)
-        _require_numeric(left, right)
-        return Vec(
-            ufunc(left.values, right.values),
-            _union_mask(left.mask, right.mask),
+        if _numeric(left, right):
+            return Vec(
+                ufunc(left.values, right.values),
+                _union_mask(left.mask, right.mask),
+            )
+        lefts, rights = left.to_list(), right.to_list()
+        if not _comparable(_classes(lefts, rights)):
+            raise VectorFallback("incomparable operand classes")
+        return _bools(
+            [
+                None if lv is None or rv is None else compare(lv, rv)
+                for lv, rv in zip(lefts, rights)
+            ]
         )
 
     return kernel
 
 
-def _arith_int(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _arith(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if op == "+":
         return a + b
     if op == "-":
         return a - b
     if op == "*":
         return a * b
+    ints = a.dtype.kind == "i" and b.dtype.kind == "i"
     if op == "/":
+        if not ints:
+            return np.true_divide(a, b)
         # SQL integer division truncates toward zero; numpy floors.
         quotient = np.floor_divide(a, b)
         remainder = a - quotient * b
         return quotient + ((remainder != 0) & ((a < 0) != (b < 0)))
-    return np.mod(a, b)  # matches Python % sign-of-divisor for ints
+    if ints:
+        return np.mod(a, b)  # matches Python % sign-of-divisor for ints
+    # Python's float %: C fmod, then a nonzero remainder takes the
+    # divisor's sign and a zero one is a zero of the divisor's sign.
+    mod = np.fmod(a, b)
+    mod = np.where((mod != 0) & ((mod < 0) != (b < 0)), mod + b, mod)
+    return np.where(mod == 0, np.copysign(0.0, b), mod)
 
 
-def _arithmetic_kernel(
-    op: str, left_fn: VectorFn, right_fn: VectorFn
-) -> VectorFn:
+def _arithmetic_kernel(op: str, left_fn: VectorFn, right_fn: VectorFn) -> VectorFn:
+    guard_zero = op in ("/", "%")
+
     def kernel(batch: ColumnarBatch) -> Vec:
         left = left_fn(batch)
         right = right_fn(batch)
         if _fully_masked(left) or _fully_masked(right):
             return _all_null(batch.length)
-        _require_numeric(left, right)
-        mask = _union_mask(left.mask, right.mask)
         a, b = left.values, right.values
         both_int = a.dtype.kind == "i" and b.dtype.kind == "i"
         if both_int:
-            bound_left = _int_bounds(a)
-            bound_right = _int_bounds(b)
-            if bound_left >= _INT_SAFE or bound_right >= _INT_SAFE:
-                raise VectorFallback("int64 overflow risk")
-            if op == "*" and bound_left * bound_right >= _INT_SAFE:
-                raise VectorFallback("int64 overflow risk")
-        elif op == "%":
-            # Float modulo precision is not pinned to CPython's; fall back.
-            raise VectorFallback("float modulo")
-        if op in ("/", "%"):
+            bound_a, bound_b = _int_bounds(a), _int_bounds(b)
+            exact = max(bound_a, bound_b) < _INT_SAFE and (
+                op != "*" or bound_a * bound_b < _INT_SAFE
+            )
+        else:
+            exact = _numeric(left, right)
+        if not exact:
+            return _arithmetic_objects(op, guard_zero, left, right)
+        mask = _union_mask(left.mask, right.mask)
+        if guard_zero:
             live = (b == 0) if mask is None else ((b == 0) & ~mask)
             if live.any():
-                # The batch closure raises "division by zero".
                 raise VectorFallback("zero divisor")
             if mask is not None:
                 # Masked filler zeros would still trip numpy warnings.
                 b = np.where(mask, 1, b)
-            if op == "/" and not both_int:
-                return Vec(np.true_divide(a, b), mask)
-        if both_int:
-            return Vec(_arith_int(op, a, b), mask)
-        if op == "+":
-            return Vec(a + b, mask)
-        if op == "-":
-            return Vec(a - b, mask)
-        if op == "*":
-            return Vec(a * b, mask)
-        return Vec(np.true_divide(a, b), mask)
+        with np.errstate(all="ignore"):  # inf and NaN, as Python floats give
+            return Vec(_arith(op, a, b), mask)
 
     return kernel
+
+
+def _arithmetic_objects(op: str, guard_zero: bool, left: Vec, right: Vec) -> Vec:
+    """The interpreter's arithmetic, element by element."""
+    lefts, rights = left.to_list(), right.to_list()
+    if not _classes(lefts, rights) <= _NUMBERS:
+        raise VectorFallback("non-numeric operand")
+    apply = _ARITHMETIC[op]
+    out: List[Any] = []
+    for lv, rv in zip(lefts, rights):
+        if lv is None or rv is None:
+            out.append(None)
+        elif guard_zero and rv == 0:
+            raise VectorFallback("zero divisor")
+        else:
+            try:
+                out.append(apply(lv, rv))
+            except OverflowError:  # an int too large for a float
+                raise VectorFallback("overflow")
+    return promote(out)
 
 
 def _kleene_and(left: Vec, right: Vec) -> Vec:
@@ -400,21 +487,15 @@ def _kleene_or(left: Vec, right: Vec) -> Vec:
     return Vec(true, unknown if unknown.any() else None)
 
 
-def _logical_kernel(
-    op: str, left_fn: VectorFn, right_fn: VectorFn
-) -> VectorFn:
+def _logical_kernel(op: str, left_fn: VectorFn, right_fn: VectorFn) -> VectorFn:
     combine = _kleene_and if op == "and" else _kleene_or
 
     def kernel(batch: ColumnarBatch) -> Vec:
         # Both sides full-width: legal because kernels never raise the
         # per-row errors short-circuiting would have skipped — a side
-        # that could raise falls back, taking the whole expression with
-        # it to the selection-vector batch closure.
-        left = left_fn(batch)
-        right = right_fn(batch)
-        _require_bool(left)
-        _require_bool(right)
-        return combine(left, right)
+        # that could raise declines, taking the whole expression with
+        # it to the interpreter.
+        return combine(_truth(left_fn(batch)), _truth(right_fn(batch)))
 
     return kernel
 
@@ -426,41 +507,42 @@ def _lower_binary(node: ast.BinaryOp, children: Children) -> VectorFn:
     left_fn, right_fn = kernel_of(children[0]), kernel_of(children[1])
     if op in ("and", "or"):
         return _logical_kernel(op, left_fn, right_fn)
-    ufunc = _COMPARISON_UFUNCS.get(op)
-    if ufunc is not None:
-        return _comparison_kernel(left_fn, right_fn, ufunc)
+    if op in _COMPARISON_UFUNCS:
+        return _comparison_kernel(left_fn, right_fn, op)
     return _arithmetic_kernel(op, left_fn, right_fn)
 
 
 def _lower_like(children: Children) -> VectorFn:
-    operand_compiled, pattern_compiled = children
-    if not pattern_compiled.constant:
-        return _static_fallback("non-constant LIKE pattern")
-    pattern = pattern_compiled.value
-    if pattern is not None and not isinstance(pattern, str):
-        # Every non-NULL operand row raises; the batch closure does that.
-        return _static_fallback("non-string LIKE pattern")
-    operand_fn = kernel_of(operand_compiled)
-    regex = None if pattern is None else _like_regex(pattern)
+    operand_fn, pattern_fn = kernel_of(children[0]), kernel_of(children[1])
+    pattern = children[1]
+    fixed = (
+        _like_regex(pattern.value)
+        if pattern.constant and isinstance(pattern.value, str)
+        else None
+    )
 
     def like_kernel(batch: ColumnarBatch) -> Vec:
         operand = operand_fn(batch)
-        if regex is None or _fully_masked(operand):
+        patterns = None if fixed is not None else pattern_fn(batch)
+        if _fully_masked(operand) or (patterns is not None and _fully_masked(patterns)):
             return _all_null(batch.length)
-        if operand.values.dtype != object:
-            # Numeric/bool operands raise "LIKE requires string operands"
-            # per non-NULL row — batch closure territory.
-            raise VectorFallback("LIKE over non-string dtype")
-        out = np.zeros(batch.length, dtype=bool)
-        fullmatch = regex.fullmatch
-        try:
-            for i, text in enumerate(operand.values.tolist()):
-                if text is None:
-                    continue  # masked slot (object vecs keep None inline)
-                out[i] = fullmatch(text) is not None
-        except TypeError:
-            raise VectorFallback("non-string LIKE operand value")
-        return Vec(out, operand.mask)
+        texts = operand.to_list()
+        if fixed is not None:
+            if not _classes(texts) <= {str}:
+                raise VectorFallback("LIKE over a non-string operand")
+            match = fixed.fullmatch
+            return _bools([None if v is None else match(v) is not None for v in texts])
+        regexes = patterns.to_list()
+        if not _classes(texts, regexes) <= {str}:
+            raise VectorFallback("LIKE over a non-string operand")
+        return _bools(
+            [
+                None
+                if v is None or p is None
+                else _like_regex(p).fullmatch(v) is not None
+                for v, p in zip(texts, regexes)
+            ]
+        )
 
     return like_kernel
 
@@ -470,8 +552,7 @@ def _lower_unary(node: ast.UnaryOp, children: Children) -> VectorFn:
     if node.op == "not":
 
         def not_kernel(batch: ColumnarBatch) -> Vec:
-            operand = operand_fn(batch)
-            _require_bool(operand)
+            operand = _truth(operand_fn(batch))
             return Vec(~operand.values, operand.mask)
 
         return not_kernel
@@ -480,22 +561,21 @@ def _lower_unary(node: ast.UnaryOp, children: Children) -> VectorFn:
         operand = operand_fn(batch)
         if _fully_masked(operand):
             return _all_null(batch.length)
-        if operand.values.dtype.kind not in ("i", "f"):
-            raise VectorFallback("negating non-numeric dtype")
-        if (
-            operand.values.dtype.kind == "i"
-            and _int_bounds(operand.values) >= _INT_SAFE
-        ):
-            raise VectorFallback("int64 overflow risk")
-        return Vec(-operand.values, operand.mask)
+        kind = operand.values.dtype.kind
+        if kind == "f" or (kind == "i" and _int_bounds(operand.values) < _INT_SAFE):
+            return Vec(-operand.values, operand.mask)
+        values = operand.to_list()
+        if not _classes(values) <= _NUMBERS:
+            raise VectorFallback("negating a non-number")
+        return promote([None if v is None else -v for v in values])
 
     return negate_kernel
 
 
 def _lower_between(node: ast.BetweenExpr, children: Children) -> VectorFn:
     operand_fn, low_fn, high_fn = (kernel_of(child) for child in children)
-    lower_fn = _comparison_kernel(operand_fn, low_fn, np.greater_equal)
-    upper_fn = _comparison_kernel(operand_fn, high_fn, np.less_equal)
+    lower_fn = _comparison_kernel(operand_fn, low_fn, ">=")
+    upper_fn = _comparison_kernel(operand_fn, high_fn, "<=")
     negated = node.negated
 
     def between_kernel(batch: ColumnarBatch) -> Vec:
@@ -508,53 +588,72 @@ def _lower_between(node: ast.BetweenExpr, children: Children) -> VectorFn:
 
 
 def _lower_in(node: ast.InExpr, children: Children) -> VectorFn:
-    members: List[Any] = []
-    saw_null_constant = False
-    for item in children[1:]:
-        if not item.constant:
-            return _static_fallback("non-constant IN list")
-        if item.value is None:
-            saw_null_constant = True
-        else:
-            members.append(item.value)
-    member_types = set(map(type, members))
-    if not member_types <= {int, float}:
-        return _static_fallback("non-numeric IN list")
-    if any(
-        isinstance(member, int) and abs(member) > FLOAT_EXACT_INT
-        for member in members
-    ):
-        return _static_fallback("IN member too wide for exact float compare")
-    if member_types == {int}:
-        member_array = np.asarray(members, dtype=np.int64)
-    else:
-        member_array = np.asarray(members, dtype=np.float64)
     operand_fn = kernel_of(children[0])
+    items = children[1:]
     negated = node.negated
+    if not all(item.constant for item in items):
+        return _in_columns(operand_fn, [kernel_of(item) for item in items], negated)
+    members = [item.value for item in items if item.value is not None]
+    saw_null = len(members) < len(items)
+    member_classes = _classes(members)
+    member_set = frozenset(members)
+    member_vec = promote(members)
 
     def in_kernel(batch: ColumnarBatch) -> Vec:
         operand = operand_fn(batch)
         if _fully_masked(operand):
             return _all_null(batch.length)
-        if operand.values.dtype.kind not in ("i", "f"):
-            # String/mixed operands compare via _values_equal, which can
-            # raise class-mismatch errors row by row: batch closure.
-            raise VectorFallback("non-numeric IN operand dtype")
-        if (
-            operand.values.dtype.kind == "i"
-            and member_array.dtype.kind == "f"
-            and _int_bounds(operand.values) > FLOAT_EXACT_INT
-        ):
-            raise VectorFallback("int64 column too wide for exact float compare")
-        matched = np.isin(operand.values, member_array)
-        out = matched != negated
-        mask = operand.mask
-        if saw_null_constant:
-            # Unmatched rows compare against the NULL member → UNKNOWN.
-            mask = ~matched if mask is None else (mask | ~matched)
-            if not mask.any():
-                mask = None
-        return Vec(out, mask)
+        if _numeric(operand, member_vec):
+            matched = np.isin(operand.values, member_vec.values)
+            mask = operand.mask
+            if saw_null:
+                # Unmatched rows compare against the NULL member → UNKNOWN.
+                mask = ~matched if mask is None else (mask | ~matched)
+                if not mask.any():
+                    mask = None
+            return Vec(matched != negated, mask)
+        values = operand.to_list()
+        if members and not _comparable(_classes(values) | member_classes):
+            raise VectorFallback("IN operand and members differ in class")
+        missing = None if saw_null else negated
+        return _bools(
+            [
+                None
+                if v is None
+                # ``v == v`` keeps a NaN from matching itself by identity.
+                else (not negated) if v == v and v in member_set
+                else missing
+                for v in values
+            ]
+        )
+
+    return in_kernel
+
+
+def _in_columns(
+    operand_fn: VectorFn, item_fns: List[VectorFn], negated: bool
+) -> VectorFn:
+    """``IN`` over computed items: the interpreter's loop, row by row."""
+
+    def in_kernel(batch: ColumnarBatch) -> Vec:
+        values = operand_fn(batch).to_list()
+        columns = [item_fn(batch).to_list() for item_fn in item_fns]
+        if not _comparable(_classes(values, *columns)):
+            raise VectorFallback("IN operand and items differ in class")
+        out: List[Optional[bool]] = []
+        for i, value in enumerate(values):
+            verdict: Optional[bool] = None
+            if value is not None:
+                verdict = negated
+                for column in columns:
+                    candidate = column[i]
+                    if candidate is None:
+                        verdict = None
+                    elif value == candidate:
+                        verdict = not negated
+                        break
+            out.append(verdict)
+        return _bools(out)
 
     return in_kernel
 
@@ -576,8 +675,22 @@ def _lower_is_null(node: ast.IsNullExpr, children: Children) -> VectorFn:
     return is_null_kernel
 
 
-def _lower_function(node: ast.FunctionCall, _children: Children) -> VectorFn:
-    return _static_fallback(f"no vector lowering for {node.name}()")
+def _lower_function(node: ast.FunctionCall, children: Children) -> VectorFn:
+    if node.name != "abs" or len(children) != 1:
+        return _static_fallback(f"no vector lowering for {node.name}()")
+    operand_fn = kernel_of(children[0])
+
+    def abs_kernel(batch: ColumnarBatch) -> Vec:
+        operand = operand_fn(batch)
+        kind = operand.values.dtype.kind
+        if kind == "f" or (kind == "i" and _int_bounds(operand.values) < _INT_SAFE):
+            return Vec(np.abs(operand.values), operand.mask)
+        values = operand.to_list()
+        if not _classes(values) <= {int, float, bool}:
+            raise VectorFallback("abs() of a non-number")
+        return promote([None if v is None else abs(v) for v in values])
+
+    return abs_kernel
 
 
 _DISPATCH: Dict[type, Callable[[Any, Children], VectorFn]] = {

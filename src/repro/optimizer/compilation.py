@@ -4,13 +4,13 @@
 sets the ``compiled_*`` slots on every expression-bearing node (scans,
 filters, join conditions/keys, group-by keys/having/carried, aggregate
 arguments, extend outputs) to the expression's
-:class:`~repro.expr.compile.CompiledExpr` — its batch closure, and the
-numpy kernel lowered onto it the first time a scan, filter or hash-join
-key runs it.  Sort keys become ``(batch closure, ascending)`` passes.
-Running at ``Optimizer.optimize`` time means
-:class:`~repro.optimizer.planner.PlanCache` hits reuse the closures and
-kernels for free, and invalidation/backup reversion recompiles through
-the shared compile cache (identical predicates hit).
+:class:`~repro.expr.compile.CompiledExpr`, whose numpy kernel is
+lowered onto it the first time the production executor runs it.  Sort
+keys become ``(compiled expression, ascending)`` passes.  Running at
+``Optimizer.optimize`` time means
+:class:`~repro.optimizer.planner.PlanCache` hits reuse the compiled
+expressions and kernels for free, and invalidation/backup reversion
+recompiles through the shared compile cache (identical predicates hit).
 
 A second walk records on every scan the names the operators above it
 read its columns by (``read_columns``; see :func:`_mark_read_columns`),
@@ -85,7 +85,7 @@ def _attach(node: PhysicalNode) -> None:
         ]
     elif isinstance(node, Sort):
         node.compiled_order = [
-            (compile_expr(expr).batch, ascending) for expr, ascending in node.order
+            (compile_expr(expr), ascending) for expr, ascending in node.order
         ]
     for child in node.children():
         _attach(child)

@@ -265,7 +265,7 @@ class Sort(PhysicalNode):
         super().__init__()
         self.child = child
         self.order = order
-        # Parallel to ``order``: (batch closure, ascending) pairs.
+        # Parallel to ``order``: (compiled expression, ascending) pairs.
         self.compiled_order = None
 
     def children(self) -> List[PhysicalNode]:

@@ -65,10 +65,10 @@ class OptimizerConfig:
     # repro.executor.batch.DEFAULT_BATCH_SIZE, kept literal here so the
     # optimizer package never imports the executor.
     batch_size: int = 1024
-    # Lower plan expressions to specialized closures at optimize time
-    # (repro.expr.compile).  The production executor needs them: a plan
-    # built with False carries none, so Executor.execute runs it on the
-    # interpreted row-at-a-time oracle.
+    # Compile plan expressions at optimize time (repro.expr.compile;
+    # their numpy kernels are lowered on first use).  The production
+    # executor needs them: a plan built with False carries none, so
+    # Executor.execute runs it on the interpreted row-at-a-time oracle.
     compile_expressions: bool = True
 
     def __post_init__(self) -> None:

@@ -341,12 +341,12 @@ def test_uncompiled_plan_runs_on_the_oracle():
 
 def test_batch_size_zero_interprets_a_compiled_plan():
     """The oracle never calls anything compiled, even when the plan
-    carries it: with every closure and kernel poisoned, ``batch_size=0``
+    carries it: with every compiled expression poisoned, ``batch_size=0``
     still answers — while the production executor trips the poison."""
     db = _workload_db()
 
     def poisoned(*_args):
-        raise AssertionError("called a compiled closure or kernel")
+        raise AssertionError("called a compiled kernel")
 
     for sql in WORKLOAD:
         interpreted, compiled = _plans(db, sql, OptimizerConfig())
@@ -358,18 +358,19 @@ def test_batch_size_zero_interprets_a_compiled_plan():
         result = Executor(db.database, batch_size=0).execute(compiled)
         assert result.executor == "oracle"
         assert result.tuples() == expected.tuples(), sql
-        with pytest.raises(AssertionError, match="compiled closure or kernel"):
+        with pytest.raises(AssertionError, match="compiled kernel"):
             Executor(db.database).execute(compiled)
 
 
 def _poison(slot, poisoned):
-    """Poison a ``compiled_*`` slot: a compiled expression (its closure
-    and its kernel), a ``(closure, ascending)`` sort pass, or a list of
-    either with None entries."""
+    """Poison a ``compiled_*`` slot: a compiled expression, a
+    ``(compiled expression, ascending)`` sort pass, or a list of either
+    with None entries.  The poisoned expression is no column reference,
+    so production runs its kernel for every use, column lookups too."""
     if isinstance(slot, list):
         return [None if item is None else _poison(item, poisoned) for item in slot]
     if isinstance(slot, tuple):
-        return (poisoned, slot[1])
-    compiled = CompiledExpr(slot.expression, poisoned)
+        return (_poison(slot[0], poisoned), slot[1])
+    compiled = CompiledExpr(None, children=None)
     compiled.kernel = poisoned
     return compiled

@@ -103,7 +103,7 @@ def _exact(rows):
 def _sort_node(*keys):
     node = Sort(LEAF, [(parse_expression(text), ascending) for text, ascending in keys])
     node.compiled_order = [
-        (compile_expr(expression).batch, ascending)
+        (compile_expr(expression), ascending)
         for expression, ascending in node.order
     ]
     return node

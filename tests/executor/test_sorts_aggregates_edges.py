@@ -142,7 +142,7 @@ class TestOrderByMixedNulls:
     def test_all_null_key_preserves_input_order(self):
         key = compile_expr(parse_expression("x"))
         node = Sort("child", [(key.expression, True)])
-        node.compiled_order = [(key.batch, True)]
+        node.compiled_order = [(key, True)]
         rows = [{"x": None, "tag": t} for t in "abcd"]
         batches = [RowBatch.from_rows(rows[:2]), RowBatch.from_rows(rows[2:])]
         ordered = []

@@ -2,17 +2,19 @@
 
 Every assertion is differential: the reference is the row interpreter
 (:func:`~repro.expr.eval.evaluate`) applied to each row of the batch,
-and both halves of one compiled expression — its batch closure and its
-numpy kernel (:mod:`repro.expr.vector`) — must reproduce it.  No batch
-here errors under the reference (a kernel never raises an expression
-error, it falls back; ``tests/expr/test_compile.py`` states how an
-erroring batch is compared, and runs the fallback path).  Targeted
-corpora cover NULL-vs-NaN distinctness, the object-dtype fallback for
-mixed-type columns, empty batches, 3VL constant folding, and the
-dtype-promotion rules of :mod:`repro.executor.vecbatch`.
+and a compiled expression's kernel and the production entry point
+:func:`~repro.expr.vector.value_columns` must both reproduce it without
+ever reaching the per-row interpreter.  No batch here errors under the
+reference (a kernel never raises an expression error, it declines;
+``tests/expr/test_compile.py`` states how an erroring batch is
+compared, and runs the declined path).  Targeted corpora cover
+NULL-vs-NaN distinctness, the object-dtype branch for mixed-type
+columns, empty batches, 3VL constant folding, and the dtype-promotion
+rules of :mod:`repro.executor.vecbatch`.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from repro.executor.batch import RowBatch
 from repro.executor.vecbatch import ColumnarBatch, promote
 from repro.expr.compile import compile_expr
 from repro.expr.eval import evaluate
-from repro.expr.vector import VectorFallback, filter_indices, kernel_of
+from repro.expr import vector
+from repro.expr.vector import VectorFallback, filter_indices, kernel_of, value_columns
 from repro.sql.parser import parse_expression
 
 
@@ -59,15 +62,20 @@ def _same(left, right):
     return True
 
 
-def assert_three_way(text, rows):
-    """The batch closure and the vector kernel must both agree with
-    ``evaluate`` applied per row on ``text``."""
+def _no_interpreter(_compiled, _batch):
+    raise AssertionError("a valid batch reached the per-row interpreter")
+
+
+def assert_kernel_parity(text, rows):
+    """The vector kernel and :func:`value_columns` must both agree with
+    ``evaluate`` applied per row on ``text``, on the kernel path."""
     expression = parse_expression(text)
     batch = _batch(rows)
     row_results = [evaluate(expression, row) for row in batch.to_rows()]
-    compiled_results = compile_expr(expression).batch(batch)
+    with mock.patch.object(vector, "_interpret", _no_interpreter):
+        (production,) = value_columns([compile_expr(expression)], batch)
     vec_results = _kernel_values(expression, _cbatch(rows))
-    assert _same(compiled_results, row_results), text
+    assert _same(production, row_results), text
     assert _same(vec_results, row_results), text
 
 
@@ -88,7 +96,7 @@ class TestNullVersusNan:
         ) == [False, True, False, False]
 
     def test_is_not_null(self):
-        assert_three_way("b IS NOT NULL", self.ROWS)
+        assert_kernel_parity("b IS NOT NULL", self.ROWS)
 
     def test_nan_compares_false_null_compares_null(self):
         # NaN = NaN is False (IEEE), NULL = NULL is NULL (3VL) — the
@@ -99,10 +107,10 @@ class TestNullVersusNan:
 
     def test_comparison_parity(self):
         for text in ("b > 0.0", "b <= 1.5", "b <> b", "b = 1.5"):
-            assert_three_way(text, self.ROWS)
+            assert_kernel_parity(text, self.ROWS)
 
 
-# --------------------------------------------- object-dtype fallback
+# ---------------------------------------------- object-dtype columns
 
 
 class TestMixedTypeFallback:
@@ -132,19 +140,24 @@ class TestMixedTypeFallback:
         with pytest.raises(VectorFallback):
             kernel(_cbatch(rows))
 
-    def test_filter_falls_back_on_object_predicate(self):
-        rows = [{"a": "x"}, {"a": "y"}]
+    def test_filter_keeps_only_true_of_an_object_predicate(self):
+        # As RowBatch.filter_true: non-boolean values drop silently.
         kernel = _kernel(parse_expression("a"))
-        with pytest.raises(VectorFallback):
-            filter_indices(kernel, _cbatch(rows))
+        strings = [{"a": "x"}, {"a": "y"}]
+        assert list(filter_indices(kernel, _cbatch(strings))) == []
+        flags = [{"a": True}, {"a": None}, {"a": False}, {"a": True}]
+        assert list(filter_indices(kernel, _cbatch(flags))) == [0, 3]
 
-    def test_string_equality_falls_back_but_like_does_not(self):
+    def test_string_equality_and_like_run_on_the_kernel(self):
         rows = [{"c": "apple"}, {"c": None}, {"c": "apricot"}]
-        with pytest.raises(VectorFallback):
-            _kernel(parse_expression("c = 'apple'"))(_cbatch(rows))
+        assert _kernel_values(
+            parse_expression("c = 'apple'"), _cbatch(rows)
+        ) == [True, None, False]
         assert _kernel_values(
             parse_expression("c LIKE 'ap%'"), _cbatch(rows)
         ) == [True, None, True]
+        assert_kernel_parity("c = 'apple'", rows)
+        assert_kernel_parity("c < 'b'", rows)
 
     def test_all_null_column_stays_null(self):
         rows = [{"a": None}, {"a": None}]
@@ -187,8 +200,8 @@ class TestEmptyBatches:
 
 
 #: Constant 3VL expressions: compilation folds them, the kernel
-#: broadcasts the folded constant — closure, kernel and interpreter must
-#: agree elementwise.
+#: broadcasts the folded constant — kernel, entry point and interpreter
+#: must agree elementwise.
 CONSTANT_3VL = [
     "1 = 1 AND NULL",
     "1 = 2 AND NULL",
@@ -212,7 +225,7 @@ CONSTANT_3VL = [
 @pytest.mark.parametrize("text", CONSTANT_3VL)
 def test_constant_3vl_parity(text):
     rows = [{"a": 1}, {"a": 2}, {"a": None}]
-    assert_three_way(text, rows)
+    assert_kernel_parity(text, rows)
 
 
 # ----------------------------------------------- mixed-operator parity
@@ -258,7 +271,7 @@ PARITY_EXPRESSIONS = [
 
 @pytest.mark.parametrize("text", PARITY_EXPRESSIONS)
 def test_operator_parity(text):
-    assert_three_way(text, PARITY_ROWS)
+    assert_kernel_parity(text, PARITY_ROWS)
 
 
 def test_int_division_truncates_toward_zero():
@@ -271,7 +284,7 @@ def test_int_division_truncates_toward_zero():
     assert _kernel_values(
         parse_expression("a / b"), _cbatch(rows)
     ) == [3, -3, -3, 3]
-    assert_three_way("a / b", rows)
+    assert_kernel_parity("a / b", rows)
 
 
 def test_division_by_zero_falls_back():

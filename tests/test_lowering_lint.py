@@ -1,8 +1,9 @@
 """Lowering lint: one lowered form per expression, one kernel fallback.
 
-An expression compiles to one :class:`~repro.expr.compile.CompiledExpr`:
-a batch closure and, lowered onto it on first use, a numpy kernel.  The
-choice between the two — try the kernel, fall back to the closure on
+An expression compiles to one :class:`~repro.expr.compile.CompiledExpr`
+whose only executable form is its numpy kernel, lowered on first use.
+The choice between that kernel and the per-row interpreter — try the
+kernel, evaluate the batch row by row on
 :class:`~repro.expr.vector.VectorFallback` — is made in one place,
 ``repro.expr.vector``; the executor used to copy it into three modules
 and look kernels up in a second cache by expression.  This test walks
@@ -12,7 +13,8 @@ every module under ``src/repro`` and fails when
   (``VectorFallback``, ``compile_vector``, ``filter_indices``) by import
   or attribute;
 * ``src/`` has anything but exactly one ``except VectorFallback``;
-* :class:`~repro.expr.compile.CompiledExpr` grows a row closure again.
+* :class:`~repro.expr.compile.CompiledExpr` grows a row or batch
+  closure again.
 
 Tests may still use the kernel API directly.
 """
@@ -70,7 +72,7 @@ def test_only_repro_expr_touches_the_kernel_api():
         for line in kernel_api_uses(tree)
     ]
     assert not offenders, (
-        "run kernels through repro.expr.vector.select_rows / key_columns "
+        "run kernels through repro.expr.vector.select_rows / value_columns "
         "instead of:\n  " + "\n  ".join(offenders)
     )
 
@@ -88,6 +90,11 @@ def test_exactly_one_kernel_fallback():
 def test_compiled_expr_has_no_row_closure():
     assert "row" not in CompiledExpr.__slots__
     assert not hasattr(CompiledExpr, "row")
+    # No batch closure either: the kernel is the only compiled form.
+    assert set(CompiledExpr.__slots__) == {
+        "expression", "children", "constant", "value", "kernel"
+    }
+    assert not hasattr(CompiledExpr, "batch")
 
 
 def test_the_lint_sees_every_spelling():
