@@ -12,6 +12,14 @@ File format::
     <crc32 hex of body, 8 chars>\\n
     <canonical JSON body>
 
+:func:`write_checkpoint` is the one writer: a checkpoint, a close, a
+shipper's resync image and a replica installing it all come here.  An
+image arrives with its pages, tables and indexes already encoded
+(:class:`~repro.durability.codec.Encoded`, from the manager's
+:class:`~repro.durability.codec.TextMemo`); they are emitted verbatim,
+the body is exactly ``canonical_dumps`` of the structural payload, and
+its CRC is taken over the bytes written.
+
 The two durability crash points here are ``checkpoint_write`` (after
 the tmp image is complete, before the rename — the previous checkpoint
 must survive) and, upstream in the payload builders, ``page_flush`` /
@@ -26,7 +34,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.durability.codec import canonical_dumps
+from repro.durability.codec import image_text
 from repro.errors import WALCorruptionError
 from repro.resilience.faults import FaultInjector, crash_if_due
 
@@ -38,9 +46,14 @@ def write_checkpoint(
     payload: Dict[str, Any],
     crash_points: Optional[FaultInjector] = None,
 ) -> None:
-    """Write ``payload`` to ``path`` via tmp-file + atomic rename."""
+    """Write ``payload`` to ``path`` via tmp-file + atomic rename.
+
+    The body is ``canonical_dumps(payload)``, with an image's
+    pre-encoded fragments (pages, tables, indexes) emitted verbatim; its
+    CRC is taken over those same bytes.
+    """
     path = Path(path)
-    body = canonical_dumps(payload).encode("utf-8")
+    body = image_text(payload).encode("utf-8")
     header = b"%08x\n" % (zlib.crc32(body) & 0xFFFFFFFF)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:

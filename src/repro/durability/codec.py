@@ -11,12 +11,22 @@ Values are restricted to the engine's scalar universe (int, float, str,
 bool, None — dates are stored as int day counts by the type layer), so
 JSON round-trips them exactly; rows come back as tuples, row ids as
 :class:`~repro.engine.row.RowId`.
+
+``encode_*`` give the structural form (dicts and lists).  A checkpoint
+image is written from text instead: :class:`TextMemo` keeps the
+canonical text of every row, index key and row id it has encoded, keyed
+by the identity of those immutable objects, and builds each page and
+index as an :class:`Encoded` fragment that :func:`image_text` emits
+verbatim.  The text is byte-identical to ``canonical_dumps`` of
+:func:`encode_page` / :func:`encode_index`, so the decoders serve both.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.constraints import (
@@ -53,6 +63,9 @@ __all__ = [
     "decode_page",
     "encode_index",
     "decode_index",
+    "Encoded",
+    "image_text",
+    "TextMemo",
     "encode_constraint",
     "decode_constraint",
     "encode_soft_constraint",
@@ -64,9 +77,14 @@ __all__ = [
 ]
 
 
+#: The one canonical encoder.  ``json.dumps`` with non-default options
+#: builds a fresh ``JSONEncoder`` per call; a shared instance does not.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_dumps(value: Any) -> str:
     """Canonical JSON: sorted keys, minimal separators, CRC-stable."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL(value)
 
 
 def crc_of(value: Any) -> int:
@@ -77,7 +95,7 @@ def crc_of(value: Any) -> int:
     process boundary is guarded by this CRC instead, and the in-memory
     checksums are recomputed after load.)
     """
-    return zlib.crc32(canonical_dumps(value).encode("utf-8")) & 0xFFFFFFFF
+    return zlib.crc32(_CANONICAL(value).encode("utf-8")) & 0xFFFFFFFF
 
 
 # -- rows and row ids -------------------------------------------------------
@@ -199,6 +217,182 @@ def decode_index(
         quarantined=state["quarantined"],
     )
     return index
+
+
+# -- checkpoint image text --------------------------------------------------
+
+
+class Encoded:
+    """A fragment of canonical JSON text, already encoded.
+
+    :func:`image_text` emits it verbatim; :func:`canonical_dumps` refuses
+    it (it is not a JSON value), so a fragment cannot be encoded twice.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def image_text(value: Any) -> str:
+    """``canonical_dumps(value)``, with :class:`Encoded` fragments
+    emitted verbatim.
+
+    Dicts are descended, and so is a list whose first item is a
+    fragment; anything else is one ``canonical_dumps`` call, which
+    refuses a fragment nested deeper rather than encode it wrongly.
+    """
+    kind = type(value)
+    if kind is Encoded:
+        return value.text
+    if kind is dict and all(type(key) is str for key in value):
+        return "{%s}" % ",".join(
+            "%s:%s" % (_CANONICAL(key), image_text(value[key]))
+            for key in sorted(value)
+        )
+    if kind is list and value and type(value[0]) is Encoded:
+        return "[%s]" % ",".join(map(image_text, value))
+    return _CANONICAL(value)
+
+
+#: Objects whose canonical text may be memoised: immutable, and (in the
+#: engine's scalar universe) holding only immutable values.
+_MEMOISABLE = frozenset((tuple, RowId, type(None)))
+
+
+#: The C encoder ``JSONEncoder.encode`` builds on every call, built once
+#: (without circular-reference markers it keeps no state between calls);
+#: half the cost per value.  None where ``json`` has no C accelerator.
+_CHUNKS = c_make_encoder and c_make_encoder(
+    None, None, encode_basestring_ascii, None, ":", ",", True, False, True
+)
+
+
+def _encode_each(objects: List[Any]) -> List[str]:
+    """``[canonical_dumps(obj) for obj in objects]``."""
+    if _CHUNKS is None:
+        return list(map(_CANONICAL, objects))
+    return list(map("".join, map(_CHUNKS, objects, repeat(0))))
+
+
+class TextMemo:
+    """Canonical JSON text of the heap rows, index keys and row ids a
+    checkpoint image encodes, keyed by object identity.
+
+    Rows, keys and :class:`~repro.engine.row.RowId` s are immutable
+    tuples of scalars, and the memo holds a reference to every object it
+    caches, so no cached id can be reused by another object: a hit is
+    that object's own text.  An image then encodes only what changed
+    since the previous one.  Texts by id in a dict and the objects in a
+    parallel list, rather than per-entry pairs: the memo adds no
+    GC-tracked object per row.
+
+    :meth:`page` and :meth:`index` give the same text as
+    ``canonical_dumps`` of :func:`encode_page` / :func:`encode_index`,
+    CRC included.  :meth:`trim` bounds the memo after each image.
+    """
+
+    def __init__(self) -> None:
+        self._text: Dict[int, str] = {}
+        self._held: List[Any] = []
+        self._owners: List[Any] = []
+        self._remember([None], ["null"])
+
+    def __len__(self) -> int:
+        """Cached rows, keys and row ids (the ``null`` of an empty slot
+        is always held and not counted)."""
+        return len(self._text) - 1
+
+    def _remember(self, objects: List[Any], texts: List[str]) -> None:
+        if not set(map(type, objects)) <= _MEMOISABLE:
+            keep = [
+                at for at, obj in enumerate(objects)
+                if type(obj) in _MEMOISABLE
+            ]
+            objects = [objects[at] for at in keep]
+            texts = [texts[at] for at in keep]
+        self._text.update(zip(map(id, objects), texts))
+        self._held += objects
+
+    def _joined(self, objects: List[Any]) -> str:
+        """The JSON array of ``objects``: memoised texts, and the misses
+        encoded once and remembered."""
+        texts = list(map(self._text.get, map(id, objects)))
+        misses = texts.count(None)
+        if misses * 2 > len(texts):
+            # Mostly new (a first image): encode everything in one map.
+            texts = _encode_each(objects)
+            self._remember(objects, texts)
+        elif misses:
+            found = []
+            at = -1
+            for _ in range(misses):
+                at = texts.index(None, at + 1)
+                found.append(at)
+            new = [objects[at] for at in found]
+            encoded = _encode_each(new)
+            for at, text in zip(found, encoded):
+                texts[at] = text
+            self._remember(new, encoded)
+        return "[%s]" % ",".join(texts)
+
+    def page(self, page: Page) -> Encoded:
+        """:func:`encode_page`'s canonical text."""
+        slots = self._joined(page.slots)
+        sizes = _CANONICAL(page.slot_sizes)
+        crc = zlib.crc32(("[%s,%s]" % (slots, sizes)).encode("utf-8"))
+        return Encoded(
+            '{"crc":%d,"page_id":%d,"slot_sizes":%s,"slots":%s,'
+            '"used_bytes":%d}'
+            % (crc & 0xFFFFFFFF, page.page_id, sizes, slots, page.used_bytes)
+        )
+
+    def index(self, index: BTreeIndex) -> Encoded:
+        """:func:`encode_index`'s canonical text."""
+        keys = self._joined(index._keys)
+        rids = self._joined(index._rids)
+        crc = zlib.crc32(("[%s,%s]" % (keys, rids)).encode("utf-8"))
+        return Encoded(
+            '{"columns":%s,"crc":%d,"keys":%s,"name":%s,"quarantined":%s,'
+            '"rids":%s,"table":%s,"unique":%s}'
+            % (
+                _CANONICAL(list(index.column_names)),
+                crc & 0xFFFFFFFF,
+                keys,
+                _CANONICAL(index.name),
+                _CANONICAL(index.quarantined),
+                rids,
+                _CANONICAL(index.table_name),
+                _CANONICAL(index.unique),
+            )
+        )
+
+    def trim(self, tables: List[Any], indexes: List[BTreeIndex]) -> None:
+        """Bound the memo after an image of ``tables`` and ``indexes``.
+
+        Once it holds more than twice the objects the image encoded, or
+        a table or index is gone, it is rebuilt from what the
+        image's tables and indexes hold now: dead rows and keys, and
+        everything of a dropped table, are let go.
+        """
+        slot_lists = [
+            page.slots for table in tables for page in table.pages.pages
+        ]
+        sequences = slot_lists + [index._keys for index in indexes]
+        sequences += [index._rids for index in indexes]
+        used = sum(map(len, sequences)) - sum(
+            slots.count(None) for slots in slot_lists
+        )
+        owners = [*tables, *indexes]
+        dropped = set(map(id, self._owners)).difference(map(id, owners))
+        self._owners = owners
+        if not dropped and len(self) <= 2 * used:
+            return
+        self._held = list(chain.from_iterable(sequences))
+        live = set(map(id, self._held)).intersection(self._text)
+        self._text = dict(zip(live, map(self._text.__getitem__, live)))
+        self._remember([None], ["null"])
 
 
 # -- hard constraints -------------------------------------------------------

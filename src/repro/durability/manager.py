@@ -19,9 +19,11 @@ mid-statement leave zero trace.
 **Checkpoints.**  :meth:`checkpoint` serializes the entire database
 (pages, indexes, catalog, SC registry with policies/currency/exception-
 AST bindings) into one CRC-guarded image installed by
-atomic rename, recording the WAL offset it is consistent with.  The WAL
-is never truncated by a checkpoint — replay is offset-based — so a
-checkpoint that is later lost still leaves full redo history.
+atomic rename, recording the WAL offset it is consistent with.  Rows,
+keys and row ids are encoded once and remembered (:attr:`memo`), so an
+image costs what changed since the last.  A plain checkpoint leaves the
+WAL alone — replay is offset-based — so a checkpoint that is later lost
+still leaves full redo history; ``compact=True`` truncates it.
 
 **Recovery.**  :meth:`recover` restores the last checkpoint (if any),
 feeds the WAL from its offset to the redo stream
@@ -37,7 +39,6 @@ ASC can never outlive a crash.
 
 from __future__ import annotations
 
-import json
 import threading
 import zlib
 from contextlib import contextmanager
@@ -65,11 +66,6 @@ CHECKPOINT_NAME = "checkpoint.img"
 #: re-validation; a constraint still violated after this many policy
 #: applications is overturned outright.
 MAX_REPAIR_ROUNDS = 1000
-
-#: Compact JSON encoder for the hot row-record path.  ``json.dumps``
-#: with non-default separators builds a fresh encoder per call; one
-#: shared instance keeps the C-accelerated encode.
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 __all__ = ["DurabilityManager", "WAL_NAME", "CHECKPOINT_NAME"]
 
@@ -119,6 +115,10 @@ class DurabilityManager:
         self.redo = RedoStream()
         self.records_logged = 0
         self.checkpoints_taken = 0
+        # The last checkpoint sequence this directory used (restored by
+        # recovery), and the canonical text of what images encode.
+        self.sequence = 0
+        self.memo = codec.TextMemo()
         self.last_recovery: Optional[Dict[str, Any]] = None
 
     def attach(self, database, registry=None) -> None:
@@ -344,19 +344,20 @@ class DurabilityManager:
             return
         self._run = None
         op, table_name, txn_id, rids, rows = run
+        encode = codec.canonical_dumps
         table_json = self._table_json.get(table_name)
         if table_json is None:
-            table_json = self._table_json[table_name] = _ENCODE(table_name)
+            table_json = self._table_json[table_name] = encode(table_name)
         txn_json = "null" if txn_id is None else str(txn_id)
         if op == "delete_run":
             payload_str = (
                 '{"op":"delete_run","rids":%s,"table":%s,"txn":%s}'
-                % (_ENCODE(rids), table_json, txn_json)
+                % (encode(rids), table_json, txn_json)
             )
         else:
             payload_str = (
                 '{"op":"%s","rids":%s,"rows":%s,"table":%s,"txn":%s}'
-                % (op, _ENCODE(rids), _ENCODE(rows), table_json, txn_json)
+                % (op, encode(rids), encode(rows), table_json, txn_json)
             )
         payload = payload_str.encode("utf-8")
         self.wal.append_line(b"%08x %s\n" % (zlib.crc32(payload), payload))
@@ -484,14 +485,17 @@ class DurabilityManager:
         with self._mutex:
             payload, _generation = self.image()
             write_checkpoint(self.checkpoint_path, payload, self.crash_points)
+            self.sequence = payload["sequence"]
             if compact:
-                self.wal.reset(payload["sequence"])
+                self.wal.reset(self.sequence)
             self.checkpoints_taken += 1
-            return payload["sequence"]
+            return self.sequence
 
     def image(self) -> Tuple[Dict[str, Any], int]:
         """The full-state image a checkpoint writes and a resync
         installs, with the log generation its ``wal_offset`` is in.
+        Its tables and indexes are pre-encoded text from :attr:`memo`,
+        for :func:`~repro.durability.checkpoint.write_checkpoint`.
 
         Only at a statement boundary with nothing held for redo: replay
         starts *after* the image, so their work would be lost from it.
@@ -515,20 +519,20 @@ class DurabilityManager:
             # discards that record, and an image without the epoch would
             # let a deposed primary forget it was ever fenced.
             self.session_state["promotion_epoch"] = self.promotion_epoch
+        memo = self.memo
         tables = []
         for table in catalog.tables.values():
             pages = []
             for page in table.pages.pages:
                 crash_if_due(crash_points, "page_flush")
-                pages.append(codec.encode_page(page))
-            tables.append(
-                {
-                    "schema": codec.encode_schema(table.schema),
-                    "pages": pages,
-                    "row_count": table.row_count,
-                    "insert_hint": table.pages._insert_hint,
-                }
-            )
+                pages.append(memo.page(page))
+            entry = {
+                "schema": codec.encode_schema(table.schema),
+                "pages": pages,
+                "row_count": table.row_count,
+                "insert_hint": table.pages._insert_hint,
+            }
+            tables.append(codec.Encoded(codec.image_text(entry)))
         crash_if_due(crash_points, "catalog_serialize")
         summary_tables = []
         for name, definition in catalog.summary_tables().items():
@@ -542,18 +546,16 @@ class DurabilityManager:
                         "base_table": base_table,
                     }
                 )
-        return {
+        indexes = list(catalog.indexes.values())
+        payload = {
             "version": 1,
-            "sequence": self.checkpoints_taken + 1,
+            "sequence": self.sequence + 1,
             "wal_offset": self.wal.offset(),
             "txn_counter": self._txn_counter,
             "auto_index_sequence": database._auto_index_sequence,
             "session": dict(self.session_state),
             "tables": tables,
-            "indexes": [
-                codec.encode_index(index)
-                for index in catalog.indexes.values()
-            ],
+            "indexes": [memo.index(index) for index in indexes],
             "constraints": [
                 codec.encode_constraint(constraint)
                 for constraint in catalog.all_constraints()
@@ -561,6 +563,8 @@ class DurabilityManager:
             "summary_tables": summary_tables,
             "registry": self._encode_registry(),
         }
+        memo.trim(list(catalog.tables.values()), indexes)
+        return payload
 
     def _encode_registry(self) -> Optional[Dict[str, Any]]:
         registry = self.registry
@@ -591,21 +595,24 @@ class DurabilityManager:
         summary dict."""
         summary = _summary()
         start_offset = 0
+        # A log that *begins* with an epoch record was compacted by the
+        # checkpoint it names; the next checkpoint's sequence must pass
+        # both that one and the restored image's.
+        head = self.wal.head_record()
+        epoch = None
+        if head is not None and head[0].get("op") == "epoch":
+            epoch = head[0]["sequence"]
+            self.sequence = max(self.sequence, epoch)
         if self.checkpoint_path.exists():
             payload = load_checkpoint(self.checkpoint_path)
             self._restore(payload, summary)
             start_offset = payload["wal_offset"]
             summary["checkpoint"] = True
-            # Compaction check: a log that *begins* with an epoch record
-            # naming this checkpoint was truncated by it, so the image's
-            # recorded offset (measured in the pre-compaction log) is
-            # stale — replay starts just past the marker instead.
-            head = self.wal.head_record()
-            if (
-                head is not None
-                and head[0].get("op") == "epoch"
-                and head[0].get("sequence") == payload["sequence"]
-            ):
+            self.sequence = max(self.sequence, payload["sequence"])
+            # Compacted by this very image: its recorded offset
+            # (measured in the pre-compaction log) is stale, and replay
+            # starts just past the marker instead.
+            if epoch == payload["sequence"]:
                 start_offset = head[1]
         records, end_offset, torn = self.wal.scan(start_offset)
         for record in records:

@@ -48,9 +48,10 @@ def _frame(record: Dict[str, Any]) -> bytes:
 class WriteAheadLog:
     """Append-only redo log with CRC framing and offset-based replay.
 
-    Checkpoints store a byte offset into this log rather than truncating
-    it, so a checkpoint that later turns out unreadable still leaves the
-    full redo history behind it.
+    A plain checkpoint stores a byte offset into this log rather than
+    truncating it, so a checkpoint that later turns out unreadable still
+    leaves the full redo history behind it (a compacting one truncates
+    it through :meth:`reset`).
     """
 
     def __init__(

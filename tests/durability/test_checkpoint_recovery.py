@@ -359,3 +359,28 @@ def test_exception_table_binding_survives_crash(tmp_path):
     assert (900, 9999) in set(
         recovered.database.table("high_paid").scan_rows()
     )
+
+
+def test_checkpoint_sequence_survives_a_compacting_restart(tmp_path):
+    """A reopened directory numbers its next checkpoint past both the
+    restored image and the epoch record a compaction left at the log's
+    head.  Reusing the compacted image's number made the next recovery
+    take the new image's log for the compacted one and replay, from the
+    marker, records the new image already holds."""
+    db = build_durable(tmp_path)
+    assert db.checkpoint(compact=True) == 1
+    db.execute("INSERT INTO emp VALUES (100, 5000)")
+    db.close(checkpoint=False)
+
+    db = SoftDB.open(tmp_path)
+    assert db.checkpoint() == 2
+    db.execute("INSERT INTO emp VALUES (101, 5100)")
+    expected = rows_of(db)
+    db.close(checkpoint=False)
+
+    recovered = SoftDB.open(tmp_path)
+    assert rows_of(recovered) == expected
+    assert recovered.durability.last_recovery["replayed"] == 1
+    assert recovered.checkpoint(compact=True) == 3
+    recovered.close(checkpoint=False)
+    assert rows_of(SoftDB.open(tmp_path)) == expected

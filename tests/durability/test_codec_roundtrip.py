@@ -125,8 +125,12 @@ def test_page_image_roundtrip(rows, delete_positions):
         if position < len(rids) and rids[position] is not None:
             table.delete(rids[position])
             rids[position] = None
+    memo = codec.TextMemo()
     for page in table.pages.pages:
         image = codec.encode_page(page)
+        # A checkpoint writes the memo's text: cold, then warm.
+        assert memo.page(page).text == codec.canonical_dumps(image)
+        assert memo.page(page).text == codec.canonical_dumps(image)
         restored = codec.decode_page(image)
         assert restored.page_id == page.page_id
         assert restored.slots == page.slots
@@ -158,6 +162,7 @@ def test_index_image_roundtrip():
         assert table_rid is not None
     index = database.create_index("ix_t_a", "t", ["a"])
     image = codec.encode_index(index)
+    assert codec.TextMemo().index(index).text == codec.canonical_dumps(image)
     restored = codec.decode_index(image, table.schema, database.counters)
     assert restored.name == index.name
     assert restored._keys == index._keys
