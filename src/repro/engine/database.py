@@ -177,11 +177,17 @@ class Database:
             name, table.schema, column_names, unique=unique, counters=self.counters
         )
         index.fault_injector = self.fault_injector
+        # Entries share the RowId objects the table's other indexes hold
+        # (the first index's where several do) rather than the scan's own.
+        shared: Dict[RowId, RowId] = {}
+        for other in reversed(self.catalog.indexes_on(table_name)):
+            rids = other.entry_rids
+            shared.update(zip(rids, rids))
         entries = []
         for row_id, row in table.scan():
             key = index.key_of(row)
             if key is not None:
-                entries.append((key, row_id))
+                entries.append((key, shared.get(row_id, row_id)))
         index.rebuild(entries)
         self.catalog.add_index(index)
         if self.durability is not None:

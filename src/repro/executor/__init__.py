@@ -1,8 +1,9 @@
 """The runtime: the production executor and the oracle for physical plans.
 
-On the production path rows flow between operators as column-major
-:class:`~repro.executor.batch.RowBatch` objects (the vectorized pipeline
-in :mod:`repro.executor.vectorized`); ``batch_size=0``, or a plan
+On the production path rows flow between operators, and into the
+kernels that evaluate their expressions, as column-major
+:class:`~repro.executor.batch.RowBatch` objects, the one batch type (the
+vectorized pipeline in :mod:`repro.executor.vectorized`); ``batch_size=0``, or a plan
 without compiled expressions, selects the oracle — the interpreted
 row-at-a-time iterator model where operators exchange
 ``{qualified_name: value}`` dicts.  All page I/O is charged to the

@@ -7,10 +7,11 @@ materialize the build/inner side as one concatenated
 :class:`~repro.executor.batch.RowBatch`, evaluate join keys once per
 batch, and emit column-major output whose inner-side columns are gathered
 (or, for nested loops, tiled by C-level list repetition) rather than
-merged dict-by-dict.  The batched hash join matches int64 key codes with
-a stable sort and ``searchsorted``, so its output keeps the oracle's
-order: probe order, then build insertion order.  NULL and NaN keys
-never match.
+merged dict-by-dict.  Conditions and residuals run over that output
+batch itself (:func:`~repro.expr.vector.select_rows`).  The batched hash
+join matches int64 key codes with a stable sort and ``searchsorted``, so
+its output keeps the oracle's order: probe order, then build insertion
+order.  NULL and NaN keys never match.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import ColumnarBatch, factorise, promote
+from repro.executor.vecbatch import factorise, promote
 from repro.expr.eval import evaluate
 from repro.expr.vector import select_rows, value_columns
 from repro.optimizer.physical import HashJoin, NestedLoopJoin
@@ -109,26 +110,6 @@ def run_hash_join(
 # -- batched variants ----------------------------------------------------------
 
 
-def _kept(condition: Any, merged: RowBatch) -> RowBatch:
-    """The rows of ``merged`` for which the compiled ``condition`` is true."""
-    return select_rows(condition, ColumnarBatch.from_row_batch(merged), lambda: merged)
-
-
-def _merged_columns(
-    left: RowBatch, right: RowBatch
-) -> Tuple[Tuple[str, ...], List[str]]:
-    """Output column order for ``{**left_row, **right_row}`` semantics:
-    left columns first, right-only columns appended; on a name collision
-    the right side's values win."""
-    columns = list(left.columns)
-    seen = set(columns)
-    for name in right.columns:
-        if name not in seen:
-            columns.append(name)
-    right_wins = list(right.columns)
-    return tuple(columns), right_wins
-
-
 def run_nested_loop_join_batched(
     node: NestedLoopJoin,
     run_child: BatchRunner,
@@ -161,18 +142,18 @@ def run_nested_loop_join_batched(
             k = len(piece)
             if guard is not None:
                 guard.note_pairs(k * m)
-            columns, _ = _merged_columns(piece, inner)
-            data: Dict[str, List[Any]] = {}
+            # ``{**left_row, **right_row}``: left columns first, then
+            # right-only ones; on a name collision the right side wins.
+            data: Dict[str, Sequence[Any]] = {}
             for name in piece.columns:
-                column = piece.data[name]
+                column = piece.column(name)
                 data[name] = [value for value in column for _ in range(m)]
             for name in inner.columns:
-                data[name] = (
-                    inner.data[name] * k if k > 1 else inner.data[name]
-                )
-            merged = RowBatch(columns, data, k * m)
+                column = inner.column(name)
+                data[name] = column * k if k > 1 else column
+            merged = RowBatch(data, data, k * m)
             if node.condition is not None:
-                merged = _kept(node.compiled_condition, merged)
+                merged = select_rows(node.compiled_condition, merged)
             if len(merged):
                 yield merged
 
@@ -262,13 +243,12 @@ def run_hash_join_batched(
             continue
         if guard is not None:
             guard.note_pairs(len(probe_idx))
-        columns, _ = _merged_columns(left, build_side)
-        data = {
-            **left.take(probe_idx.tolist()).data,
-            **build_side.take(build_idx.tolist()).data,
-        }
-        merged = RowBatch(columns, data, len(probe_idx))
+        data: Dict[str, Sequence[Any]] = {}  # as ``{**left_row, **right_row}``
+        for side, picks in ((left, probe_idx), (build_side, build_idx)):
+            taken = side.take(picks.tolist())
+            data.update((name, taken.column(name)) for name in side.columns)
+        merged = RowBatch(data, data, len(probe_idx))
         if node.residual is not None:
-            merged = _kept(node.compiled_residual, merged)
+            merged = select_rows(node.compiled_residual, merged)
         if len(merged):
             yield merged

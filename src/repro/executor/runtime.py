@@ -108,7 +108,7 @@ class ExecutionResult:
             return [()] * self.row_count
         out: List[Tuple[Any, ...]] = []
         for batch in self._batches:
-            out.extend(zip(*[batch.data[name] for name in self.columns]))
+            out.extend(zip(*[batch.column(name) for name in self.columns]))
         return out
 
     def column(self, name: str) -> List[Any]:
@@ -116,7 +116,7 @@ class ExecutionResult:
             return [row[name] for row in self._rows]
         out: List[Any] = []
         for batch in self._batches:
-            out.extend(batch.data[name])
+            out.extend(batch.column(name))
         return out
 
     def scalar(self) -> Any:

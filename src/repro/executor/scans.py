@@ -2,10 +2,10 @@
 
 Both forms read the same rows through the same counters, so page-read and
 row-read accounting is identical.  The row forms interpret the
-pushed-down predicate per row (the oracle); the batched forms transpose
-each chunk of fetched rows into numpy vectors, run the predicate as a
-vector kernel and materialize the survivors as a column-major
-:class:`~repro.executor.batch.RowBatch` (the production executor).
+pushed-down predicate per row (the oracle); the batched forms wrap
+each chunk of fetched rows in a :class:`~repro.executor.batch.RowBatch`
+backed by the row tuples, run the predicate as a vector kernel over the
+columns it reads, and emit the survivors (the production executor).
 
 The batched sequential scan with no snapshot and no LIMIT quota reads
 its chunks from a *table image*: the chunks of the last full scan, whose
@@ -49,7 +49,7 @@ from repro.engine.index import BTreeIndex, FetchBuffer
 from repro.engine.page import PageManager
 from repro.engine.row import RowId
 from repro.executor.batch import RowBatch, gather
-from repro.executor.vecbatch import ColumnarBatch, ColumnImage
+from repro.executor.vecbatch import ColumnImage
 from repro.expr.eval import evaluate
 from repro.expr.vector import select_rows
 from repro.optimizer.physical import IndexScan, SeqScan
@@ -265,30 +265,6 @@ def _layout(node: "SeqScan | IndexScan", table: Any) -> Layout:
 Chunk = "List[Tuple[Any, ...]] | ColumnImage | RowBatch"
 
 
-def _emit_batch(
-    layout: Layout, chunk: Chunk, node: "SeqScan | IndexScan"
-) -> Optional[RowBatch]:
-    """Transpose one chunk of fetched row tuples (or reuse a table-image
-    chunk's or a gathered chunk's columns) into numpy vectors, run the
-    pushed-down predicate's kernel, and materialize only the survivors
-    (late materialization); a chunk the kernel declines goes row by row
-    through the interpreter instead (see
-    :func:`~repro.expr.vector.select_rows`).  Only the layout's columns
-    are ever gathered."""
-    if isinstance(chunk, RowBatch):
-        if node.compiled_predicate is None:
-            return chunk
-        columnar = ColumnarBatch.from_row_batch(chunk)
-    elif isinstance(chunk, ColumnImage):
-        columnar = ColumnarBatch.from_image(*layout, chunk)
-    else:
-        columnar = ColumnarBatch.from_tuples(*layout, chunk)
-    if node.compiled_predicate is None:
-        return columnar.to_row_batch()
-    batch = select_rows(node.compiled_predicate, columnar, columnar.to_row_batch)
-    return batch if len(batch) else None
-
-
 def _quota_chunks(
     source: Iterator[Tuple[Any, ...]],
     batch_size: int,
@@ -496,12 +472,21 @@ def _scan_chunks(
     node: "SeqScan | IndexScan",
     guard: Any,
 ) -> Iterator[RowBatch]:
+    """Each chunk as a batch of the layout's columns, backed by its row
+    tuples or its table-image chunk (read only as the predicate or the
+    output touches them), filtered by the pushed-down predicate (see
+    :func:`~repro.expr.vector.select_rows`)."""
     for chunk in chunks:
         if guard is not None:
             guard.tick(len(chunk))
-        batch = _emit_batch(layout, chunk, node)
-        if batch is not None:
-            yield batch
+        if isinstance(chunk, ColumnImage):
+            chunk = RowBatch.from_image(*layout, chunk)
+        elif not isinstance(chunk, RowBatch):
+            chunk = RowBatch.from_tuples(*layout, chunk)
+        if node.compiled_predicate is not None:
+            chunk = select_rows(node.compiled_predicate, chunk)
+        if len(chunk):
+            yield chunk
 
 
 def run_index_scan_batched(

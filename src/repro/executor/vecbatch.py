@@ -2,10 +2,12 @@
 
 A :class:`Vec` is one column of a batch in true columnar form: a numpy
 array of values plus an optional boolean ``mask`` marking SQL NULL
-positions (``True`` = NULL).  A :class:`ColumnarBatch` lazily promotes
-the plain Python column lists of a :class:`RowBatch` into Vecs, one
-column at a time, so vectorized kernels only ever pay conversion for the
-columns an expression actually touches (late materialization).
+positions (``True`` = NULL).  :meth:`RowBatch.vec
+<repro.executor.batch.RowBatch.vec>` promotes a batch's Python columns
+into Vecs one column at a time, so vectorized kernels only ever pay
+conversion for the columns an expression actually touches (late
+materialization).  A :class:`ColumnImage` keeps one scan chunk's
+transposed columns and their Vecs across statements.
 
 Dtype promotion rules (exact, decided from ``set(map(type, column))``):
 
@@ -40,8 +42,6 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.executor.batch import RowBatch, gather
 
 #: int64-vs-float64 interactions are exact only below 2**53; kernels
 #: consult this bound before mixing the two dtypes.
@@ -231,147 +231,3 @@ class ColumnImage:
             vector = promote(self.column(position))
             self._vecs[position] = vector
         return vector
-
-    def row_batch(
-        self,
-        names: Tuple[str, ...],
-        indices: Optional[np.ndarray],
-        positions: Optional[Tuple[int, ...]] = None,
-    ) -> RowBatch:
-        """All rows, or the rows at ``indices``, gathered out of the
-        cached column tuples: those at ``positions`` (by default the
-        first ``len(names)``), under ``names``."""
-        if positions is None:
-            positions = tuple(range(len(names)))
-        columns = [self.column(position) for position in positions]
-        if indices is None:
-            return RowBatch(names, dict(zip(names, columns)), len(self.rows))
-        positions = indices.tolist()
-        gathered = gather(columns, positions)
-        return RowBatch(names, dict(zip(names, gathered)), len(positions))
-
-
-class ColumnarBatch:
-    """A batch whose columns promote to :class:`Vec` lazily, on first use.
-
-    Wraps raw storage row tuples (one-shot scan chunks), a retained
-    :class:`ColumnImage` (the sequential scan's table image), or an
-    existing :class:`~repro.executor.batch.RowBatch` (filter path).  A
-    scan's batch names only the columns its plan reads; ``positions``
-    maps each to its place in a storage row (None: the columns are the
-    row's, in order).
-    Row-backed batches transpose one column at a time, on demand, so a
-    predicate over two of ten columns never even transposes the other
-    eight.  One-shot survivors gather straight from the row tuples, so
-    columns only the output touches are materialized solely for
-    survivors; image survivors gather from the image's column tuples,
-    which later statements reuse.
-    """
-
-    __slots__ = (
-        "columns", "length", "_raw", "_rows", "_image", "_positions", "_vecs"
-    )
-
-    def __init__(
-        self,
-        columns: Sequence[str],
-        raw: Dict[str, Sequence[Any]],
-        length: int,
-        rows: Optional[Sequence[Tuple[Any, ...]]] = None,
-        image: Optional[ColumnImage] = None,
-        positions: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        self.columns: Tuple[str, ...] = tuple(columns)
-        self.length = length
-        self._raw = raw
-        self._rows = rows
-        self._image = image
-        self._positions = positions
-        self._vecs: Dict[str, Vec] = {}
-
-    def __len__(self) -> int:
-        return self.length
-
-    @classmethod
-    def from_tuples(
-        cls,
-        columns: Sequence[str],
-        positions: Tuple[int, ...],
-        rows: Sequence[Tuple[Any, ...]],
-    ) -> "ColumnarBatch":
-        """Wrap storage row tuples (the columnar scan's entry point);
-        no transposition happens until a column is actually used."""
-        return cls(columns, {}, len(rows), rows=rows, positions=positions)
-
-    @classmethod
-    def from_image(
-        cls,
-        columns: Sequence[str],
-        positions: Tuple[int, ...],
-        image: ColumnImage,
-    ) -> "ColumnarBatch":
-        """View a retained chunk under one scan's column names; columns
-        and Vecs come from (and are cached in) the image."""
-        return cls(columns, {}, len(image), image=image, positions=positions)
-
-    @classmethod
-    def from_row_batch(cls, batch: RowBatch) -> "ColumnarBatch":
-        """View an existing list-based batch columnar-ly (zero copy)."""
-        return cls(batch.columns, batch.data, batch.length)
-
-    def _position(self, name: str) -> Optional[int]:
-        """The named column's place in a storage row."""
-        try:
-            index = self.columns.index(name)
-        except ValueError:
-            return None
-        return index if self._positions is None else self._positions[index]
-
-    def _column(self, name: str) -> Optional[Sequence[Any]]:
-        """The raw Python column, transposing it out of the row tuples
-        on first use (cached)."""
-        raw = self._raw.get(name)
-        if raw is None:
-            if self._rows is None:
-                return None
-            position = self._position(name)
-            if position is None:
-                return None
-            raw = [row[position] for row in self._rows]
-            self._raw[name] = raw
-        return raw
-
-    def vec(self, name: str) -> Optional[Vec]:
-        """The named column as a Vec (promoted once, cached); None when
-        the batch has no such column."""
-        vector = self._vecs.get(name)
-        if vector is None:
-            if self._image is not None:
-                position = self._position(name)
-                if position is None:
-                    return None
-                vector = self._image.vec(position)
-            else:
-                raw = self._column(name)
-                if raw is None:
-                    return None
-                vector = promote(raw)
-            self._vecs[name] = vector
-        return vector
-
-    def to_row_batch(
-        self, indices: Optional[np.ndarray] = None
-    ) -> RowBatch:
-        """Materialize (a selection of) the batch as a list-based
-        :class:`RowBatch` — the late-materialization step: only surviving
-        rows are ever converted back to Python values, which flow through
-        as the original objects (exact parity for free)."""
-        if self._image is not None:
-            return self._image.row_batch(self.columns, indices, self._positions)
-        if self._rows is not None:
-            rows = self._rows
-            if indices is not None:
-                rows = [rows[p] for p in indices.tolist()]
-            return RowBatch.from_tuples(self.columns, rows, self._positions)
-        batch = RowBatch(self.columns, self._raw, self.length)
-        return batch if indices is None else batch.take(indices.tolist())

@@ -13,10 +13,11 @@ recursive expression dispatch) is amortized over ``batch_size`` rows.
 A GROUP BY builds its output as one batch, so HAVING and the FD-carried
 columns are evaluated once over all groups.
 
-Scans go further: row tuples are transposed into numpy vectors with
-explicit null masks (:mod:`repro.executor.vecbatch`) only for the
-columns a predicate touches, and only surviving rows are materialized,
-as tuple columns — late materialization.  A scan emits only the columns
+Scans go further: a scan's batch reads its columns lazily out of the
+row tuples or the table image, so only the columns a predicate touches
+are transposed and promoted to numpy vectors with explicit null masks
+(:mod:`repro.executor.vecbatch`), and only surviving rows are
+materialized — late materialization.  A scan emits only the columns
 its plan reads (``read_columns``, recorded with the compiled
 expressions).  Whether a batch runs on the kernel or, when the kernel
 declines it, row by row through the interpreter is decided in one
@@ -43,7 +44,7 @@ row-at-a-time pipeline too.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from repro.executor.scans import (
     run_seq_scan_batched,
 )
 from repro.executor.sorts import run_sort_batched
-from repro.executor.vecbatch import ColumnarBatch, factorise
+from repro.executor.vecbatch import factorise
 from repro.expr.vector import select_rows, value_columns
 from repro.optimizer.physical import (
     Distinct,
@@ -199,11 +200,7 @@ class BatchedInterpreter:
         self, node: Filter, quota: Optional[ScanQuota]
     ) -> Iterator[RowBatch]:
         for batch in self.run(node.child, quota):
-            survivors = select_rows(
-                node.compiled_predicate,
-                ColumnarBatch.from_row_batch(batch),
-                lambda: batch,
-            )
+            survivors = select_rows(node.compiled_predicate, batch)
             if len(survivors):
                 yield survivors
 
@@ -212,7 +209,7 @@ class BatchedInterpreter:
     ) -> Iterator[RowBatch]:
         for batch in self.run(node.child, quota):
             columns = list(batch.columns)
-            data = dict(batch.data)
+            data = {name: batch.column(name) for name in columns}
             present = set(columns)
             # Evaluated against the child batch, as the row form
             # evaluates against the original row.
@@ -228,11 +225,12 @@ class BatchedInterpreter:
         self, node: Project, quota: Optional[ScanQuota]
     ) -> Iterator[RowBatch]:
         for batch in self.run(node.child, quota):
-            data: Dict[str, List[Any]] = {}
+            data: Dict[str, Sequence[Any]] = {}
             for name, source in zip(node.names, node.source_names):
-                column = batch.data.get(source)
                 data[name] = (
-                    column if column is not None else [None] * len(batch)
+                    batch.column(source)
+                    if source in batch.columns
+                    else [None] * len(batch)
                 )
             yield RowBatch(node.names, data, len(batch))
 
@@ -247,7 +245,7 @@ class BatchedInterpreter:
             # ``seen``.
             names = tuple(sorted(batch.columns))
             if names:
-                _, firsts, keys = factorise([batch.data[name] for name in names])
+                _, firsts, keys = factorise([batch.column(name) for name in names])
             else:
                 firsts, keys = [0], [()]
             keep: List[int] = []
@@ -335,7 +333,5 @@ class BatchedInterpreter:
             data[spec.output_name] = [group[position].result() for group in states]
         out = RowBatch(list(data), data, len(order))
         if node.having is not None:
-            out = select_rows(
-                node.compiled_having, ColumnarBatch.from_row_batch(out), lambda: out
-            )
+            out = select_rows(node.compiled_having, out)
         yield from out.split(self.batch_size)

@@ -1,7 +1,7 @@
 """Vectorized kernels: how the production executor evaluates expressions.
 
 :func:`kernel_of` lowers a :class:`~repro.expr.compile.CompiledExpr`
-into a kernel ``Callable[[ColumnarBatch], Vec]`` that evaluates the whole
+into a kernel ``Callable[[RowBatch], Vec]`` that evaluates the whole
 column at once — comparisons, arithmetic, ``abs``, ``IN``, ``LIKE``,
 ``IS NULL`` and masked Kleene (3VL) AND/OR/NOT.  The kernel is lowered on
 first use and kept in the compiled expression's ``kernel`` slot, so it
@@ -26,8 +26,11 @@ zero divisor, a non-boolean AND operand) and for a node with no kernel
 check is per batch, so a batch mixing classes that happen to pair up
 row by row declines too.
 
-:func:`select_rows` and :func:`value_columns` are the only entry points.
-A column reference they read directly is no kernel at all: it is the
+:func:`select_rows` and :func:`value_columns` are the only entry points,
+and both take the operator's :class:`~repro.executor.batch.RowBatch`
+itself: a kernel reads a column through :meth:`RowBatch.vec
+<repro.executor.batch.RowBatch.vec>`, the interpreter the same batch's
+rows.  A column reference they read directly is no kernel at all: it is the
 batch's own column, resolved as the interpreter resolves names.  When a
 kernel declines, the entry point evaluates that batch row by row through
 :func:`~repro.expr.eval.evaluate` — the one ``except VectorFallback`` —
@@ -47,12 +50,12 @@ from typing import (
 import numpy as np
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import FLOAT_EXACT_INT, ColumnarBatch, Vec, promote
+from repro.executor.vecbatch import FLOAT_EXACT_INT, Vec, promote
 from repro.expr.compile import CompiledExpr
 from repro.expr.eval import _ARITHMETIC, _COMPARATORS, _like_regex, evaluate
 from repro.sql import ast
 
-VectorFn = Callable[[ColumnarBatch], Vec]
+VectorFn = Callable[[RowBatch], Vec]
 Children = Sequence[CompiledExpr]
 T = TypeVar("T")
 
@@ -81,20 +84,15 @@ def kernel_of(compiled: CompiledExpr) -> VectorFn:
 # ------------------------------------------------------------- entry points
 
 
-def select_rows(
-    predicate: CompiledExpr,
-    columnar: ColumnarBatch,
-    rows: Callable[[], RowBatch],
-) -> RowBatch:
-    """The rows of ``columnar`` that ``predicate`` keeps (WHERE semantics:
-    only a definite ``True``), materialized late from the kernel's
-    surviving positions — or, when the kernel declines, ``rows()``
-    filtered by the interpreter."""
+def select_rows(predicate: CompiledExpr, batch: RowBatch) -> RowBatch:
+    """The rows of ``batch`` that ``predicate`` keeps (WHERE semantics:
+    only a definite ``True``): taken at the kernel's surviving positions,
+    or, when the kernel declines, filtered by the interpreter's values."""
     return _kernels_or_interpreter(
-        lambda: columnar.to_row_batch(filter_indices(kernel_of(predicate), columnar)),
+        lambda: _take(batch, filter_indices(kernel_of(predicate), batch)),
         (predicate,),
-        rows,
-        lambda batch, values: batch.filter_true(values[0]),
+        batch,
+        lambda values: batch.filter_true(values[0]),
     )
 
 
@@ -108,40 +106,40 @@ def value_columns(
     return _kernels_or_interpreter(
         lambda: _kernel_columns(compiled, batch),
         compiled,
-        lambda: batch,
-        lambda _batch, values: values,
+        batch,
+        lambda values: values,
     )
 
 
 def _kernels_or_interpreter(
     run_kernels: Callable[[], T],
     compiled: Sequence[Optional[CompiledExpr]],
-    rows: Callable[[], RowBatch],
-    finish: Callable[[RowBatch, List[Optional[List[Any]]]], T],
+    batch: RowBatch,
+    finish: Callable[[List[Optional[List[Any]]]], T],
 ) -> T:
     """``run_kernels()``, or — if a kernel declines the batch — ``finish``
-    over ``rows()`` and the interpreter's values of ``compiled``."""
+    over the interpreter's values of ``compiled`` over ``batch``."""
     try:
         return run_kernels()
     except VectorFallback:
-        batch = rows()
-        return finish(batch, _interpret(compiled, batch))
+        return finish(_interpret(compiled, batch))
+
+
+def _take(batch: RowBatch, indices: Optional[np.ndarray]) -> RowBatch:
+    return batch if indices is None else batch.take(indices.tolist())
 
 
 def _kernel_columns(
     compiled: Sequence[Optional[CompiledExpr]], batch: RowBatch
 ) -> List[Optional[List[Any]]]:
-    columnar: Optional[ColumnarBatch] = None
     out: List[Optional[List[Any]]] = []
     for expr in compiled:
         if expr is None:
             out.append(None)
         elif type(expr.expression) is ast.ColumnRef:
-            out.append(batch.data[_resolve(expr.expression, batch.data)])
+            out.append(batch.column(_resolve(expr.expression, batch.columns)))
         else:
-            if columnar is None:
-                columnar = ColumnarBatch.from_row_batch(batch)
-            out.append(kernel_of(expr)(columnar).to_list())
+            out.append(kernel_of(expr)(batch).to_list())
     return out
 
 
@@ -161,9 +159,7 @@ def _interpret(
     ]
 
 
-def filter_indices(
-    kernel: VectorFn, batch: ColumnarBatch
-) -> Optional[np.ndarray]:
+def filter_indices(kernel: VectorFn, batch: RowBatch) -> Optional[np.ndarray]:
     """Surviving row indices for a predicate kernel, or ``None`` when
     every row passes (so callers can keep the whole batch unsliced).
 
@@ -213,7 +209,7 @@ def _resolve(node: ast.ColumnRef, names: Collection[str]) -> str:
 
 
 def _static_fallback(reason: str) -> VectorFn:
-    def kernel(batch: ColumnarBatch) -> Vec:
+    def kernel(batch: RowBatch) -> Vec:
         raise VectorFallback(reason)
 
     return kernel
@@ -326,7 +322,7 @@ def _lower(compiled: CompiledExpr) -> VectorFn:
     if compiled.constant:
         value = compiled.value
 
-        def constant_kernel(batch: ColumnarBatch) -> Vec:
+        def constant_kernel(batch: RowBatch) -> Vec:
             return _broadcast(value, batch.length)
 
         return constant_kernel
@@ -339,7 +335,7 @@ def _lower(compiled: CompiledExpr) -> VectorFn:
 
 
 def _lower_column(node: ast.ColumnRef, _children: Children) -> VectorFn:
-    def column_kernel(batch: ColumnarBatch) -> Vec:
+    def column_kernel(batch: RowBatch) -> Vec:
         return batch.vec(_resolve(node, batch.columns))
 
     return column_kernel
@@ -348,7 +344,7 @@ def _lower_column(node: ast.ColumnRef, _children: Children) -> VectorFn:
 def _lower_runtime_parameter(
     node: ast.RuntimeParameter, _children: Children
 ) -> VectorFn:
-    def parameter_kernel(batch: ColumnarBatch) -> Vec:
+    def parameter_kernel(batch: RowBatch) -> Vec:
         # Read the live constraint value on every call: plans built on
         # runtime parameters must see value-changing repairs.
         return _broadcast(node.current_value(), batch.length)
@@ -369,7 +365,7 @@ _COMPARISON_UFUNCS = {
 def _comparison_kernel(left_fn: VectorFn, right_fn: VectorFn, op: str) -> VectorFn:
     ufunc, compare = _COMPARISON_UFUNCS[op], _COMPARATORS[op]
 
-    def kernel(batch: ColumnarBatch) -> Vec:
+    def kernel(batch: RowBatch) -> Vec:
         left = left_fn(batch)
         right = right_fn(batch)
         if _fully_masked(left) or _fully_masked(right):
@@ -419,7 +415,7 @@ def _arith(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _arithmetic_kernel(op: str, left_fn: VectorFn, right_fn: VectorFn) -> VectorFn:
     guard_zero = op in ("/", "%")
 
-    def kernel(batch: ColumnarBatch) -> Vec:
+    def kernel(batch: RowBatch) -> Vec:
         left = left_fn(batch)
         right = right_fn(batch)
         if _fully_masked(left) or _fully_masked(right):
@@ -490,7 +486,7 @@ def _kleene_or(left: Vec, right: Vec) -> Vec:
 def _logical_kernel(op: str, left_fn: VectorFn, right_fn: VectorFn) -> VectorFn:
     combine = _kleene_and if op == "and" else _kleene_or
 
-    def kernel(batch: ColumnarBatch) -> Vec:
+    def kernel(batch: RowBatch) -> Vec:
         # Both sides full-width: legal because kernels never raise the
         # per-row errors short-circuiting would have skipped — a side
         # that could raise declines, taking the whole expression with
@@ -521,7 +517,7 @@ def _lower_like(children: Children) -> VectorFn:
         else None
     )
 
-    def like_kernel(batch: ColumnarBatch) -> Vec:
+    def like_kernel(batch: RowBatch) -> Vec:
         operand = operand_fn(batch)
         patterns = None if fixed is not None else pattern_fn(batch)
         if _fully_masked(operand) or (patterns is not None and _fully_masked(patterns)):
@@ -551,13 +547,13 @@ def _lower_unary(node: ast.UnaryOp, children: Children) -> VectorFn:
     operand_fn = kernel_of(children[0])
     if node.op == "not":
 
-        def not_kernel(batch: ColumnarBatch) -> Vec:
+        def not_kernel(batch: RowBatch) -> Vec:
             operand = _truth(operand_fn(batch))
             return Vec(~operand.values, operand.mask)
 
         return not_kernel
 
-    def negate_kernel(batch: ColumnarBatch) -> Vec:
+    def negate_kernel(batch: RowBatch) -> Vec:
         operand = operand_fn(batch)
         if _fully_masked(operand):
             return _all_null(batch.length)
@@ -578,7 +574,7 @@ def _lower_between(node: ast.BetweenExpr, children: Children) -> VectorFn:
     upper_fn = _comparison_kernel(operand_fn, high_fn, "<=")
     negated = node.negated
 
-    def between_kernel(batch: ColumnarBatch) -> Vec:
+    def between_kernel(batch: RowBatch) -> Vec:
         verdict = _kleene_and(lower_fn(batch), upper_fn(batch))
         if negated:
             return Vec(~verdict.values, verdict.mask)
@@ -599,7 +595,7 @@ def _lower_in(node: ast.InExpr, children: Children) -> VectorFn:
     member_set = frozenset(members)
     member_vec = promote(members)
 
-    def in_kernel(batch: ColumnarBatch) -> Vec:
+    def in_kernel(batch: RowBatch) -> Vec:
         operand = operand_fn(batch)
         if _fully_masked(operand):
             return _all_null(batch.length)
@@ -635,7 +631,7 @@ def _in_columns(
 ) -> VectorFn:
     """``IN`` over computed items: the interpreter's loop, row by row."""
 
-    def in_kernel(batch: ColumnarBatch) -> Vec:
+    def in_kernel(batch: RowBatch) -> Vec:
         values = operand_fn(batch).to_list()
         columns = [item_fn(batch).to_list() for item_fn in item_fns]
         if not _comparable(_classes(values, *columns)):
@@ -662,7 +658,7 @@ def _lower_is_null(node: ast.IsNullExpr, children: Children) -> VectorFn:
     operand_fn = kernel_of(children[0])
     negated = node.negated
 
-    def is_null_kernel(batch: ColumnarBatch) -> Vec:
+    def is_null_kernel(batch: RowBatch) -> Vec:
         operand = operand_fn(batch)
         if operand.mask is None:
             verdict = np.zeros(batch.length, dtype=bool)
@@ -680,7 +676,7 @@ def _lower_function(node: ast.FunctionCall, children: Children) -> VectorFn:
         return _static_fallback(f"no vector lowering for {node.name}()")
     operand_fn = kernel_of(children[0])
 
-    def abs_kernel(batch: ColumnarBatch) -> Vec:
+    def abs_kernel(batch: RowBatch) -> Vec:
         operand = operand_fn(batch)
         kind = operand.values.dtype.kind
         if kind == "f" or (kind == "i" and _int_bounds(operand.values) < _INT_SAFE):

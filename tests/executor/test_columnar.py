@@ -65,7 +65,7 @@ class TestFrozenBatches:
         first = next(iter(interpreter.run(plan.root)))
         aliased = [
             column
-            for column in first.data.values()
+            for column in map(first.column, first.columns)
             if isinstance(column, tuple)
         ]
         assert aliased, "expected at least one frozen (aliased) column"

@@ -232,11 +232,11 @@ def _reference_folds(node, batches):
     the group's slice: the fold the float SUM/AVG outputs must equal."""
     groups: Dict[tuple, List[AggregateState]] = {}
     for batch in batches:
-        keys = [batch.data[key.qualified] for key in node.keys]
+        keys = [batch.column(key.qualified) for key in node.keys]
         local: Dict[tuple, List[int]] = {}
         for row, key in enumerate(zip(*keys)):
             local.setdefault(key, []).append(row)
-        column = batch.data["g.v"]
+        column = batch.column("g.v")
         for key, rows in local.items():
             for state in groups.setdefault(key, new_states(node.aggregates)):
                 if state.spec.argument is None:

@@ -26,6 +26,7 @@ from repro.errors import ExpressionError
 from repro.executor import scans, sorts
 from repro.executor.aggregates import _INT_FOLD_SAFE
 from repro.executor.batch import RowBatch
+from repro.executor.vecbatch import ColumnImage
 from repro.executor.runtime import Executor
 from repro.executor.vectorized import BatchedInterpreter
 from repro.expr.compile import compile_expr
@@ -82,10 +83,20 @@ class _Batched(BatchedInterpreter):
 
 
 def _batches(rows, batch_size):
-    return [
-        RowBatch.from_rows(rows[start : start + batch_size])
-        for start in range(0, len(rows), batch_size)
-    ]
+    """``batch_size`` chunks of ``rows``, in turn built, backed by storage
+    tuples and backed by an image chunk: operators read each alike."""
+    out = []
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start : start + batch_size]
+        names = tuple(chunk[0])
+        positions = tuple(range(len(names)))
+        stored = [tuple(row.get(name) for name in names) for row in chunk]
+        out.append((
+            RowBatch.from_rows(chunk, names),
+            RowBatch.from_tuples(names, positions, stored),
+            RowBatch.from_image(names, positions, ColumnImage(stored)),
+        )[len(out) % 3])
+    return out
 
 
 def _exact(rows):

@@ -14,7 +14,9 @@ import pytest
 from repro import SoftDB
 from repro.corpus.generator import generate_corpus
 from repro.errors import ExecutionError
+from repro.executor.batch import RowBatch
 from repro.executor.runtime import ExecutionResult, Executor
+from repro.executor.vecbatch import ColumnImage
 from repro.executor.vectorized import BatchedInterpreter
 from repro.resilience.guards import QueryGuard
 from repro.workload.tpc import build_tpc_db
@@ -70,6 +72,19 @@ def test_accessors_before_and_after_rows_agree(tpc):
     orders = tpc.execute("SELECT id FROM orders").row_count
     assert orders > 1
     assert tpc.execute("SELECT COUNT(*) FROM orders").scalar() == orders
+
+
+def test_accessors_read_every_backing_of_the_top_batches():
+    stored = [(i, f"v{i}", i / 4) for i in range(6)]
+    names, positions = ("t.c", "t.a"), (1, 0)
+    batches = [
+        RowBatch.from_tuples(names, positions, stored[:2]),
+        RowBatch.from_image(names, positions, ColumnImage(stored[2:5])),
+        RowBatch(names, {"t.c": ["v5"], "t.a": [5]}),
+    ]
+    rows = [{"t.c": f"v{i}", "t.a": i} for i in range(6)]
+    result = ExecutionResult(list(names), None, 0, 0, batches)
+    _assert_reads_like_dicts(result, rows)
 
 
 def _table() -> SoftDB:

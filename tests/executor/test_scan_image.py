@@ -15,12 +15,12 @@ image reused) — against the row-at-a-time oracle on the same database:
   from a current image but never builds one.
 """
 
-import numpy as np
 import pytest
 
 from repro import SoftDB
 from repro.errors import ReproError
 from repro.executor import scans
+from repro.executor.batch import RowBatch
 from repro.executor.runtime import Executor
 from repro.executor.vecbatch import ColumnImage
 from repro.executor.vectorized import BatchedInterpreter
@@ -380,7 +380,7 @@ def test_image_gathers_survivors_column_by_column(picks):
     rows = [(i, f"s{i}", None if i % 2 else i / 2) for i in range(5)]
     image = ColumnImage(rows)
     image.vec(0)  # a predicate touched one column first
-    batch = image.row_batch(("x.a", "x.b", "x.c"), np.asarray(picks, dtype=np.intp))
+    batch = RowBatch.from_image(("x.a", "x.b", "x.c"), (0, 1, 2), image).take(picks)
     assert len(batch) == len(picks)
     assert [tuple(row.values()) for row in batch.to_rows()] == [
         rows[p] for p in picks

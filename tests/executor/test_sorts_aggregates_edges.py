@@ -144,7 +144,11 @@ class TestOrderByMixedNulls:
         node = Sort("child", [(key.expression, True)])
         node.compiled_order = [(key, True)]
         rows = [{"x": None, "tag": t} for t in "abcd"]
-        batches = [RowBatch.from_rows(rows[:2]), RowBatch.from_rows(rows[2:])]
+        stored = [(row["x"], row["tag"]) for row in rows[2:]]
+        batches = [
+            RowBatch.from_rows(rows[:2]),
+            RowBatch.from_tuples(("x", "tag"), (0, 1), stored),
+        ]
         ordered = []
         for batch in run_sort_batched(node, iter(batches), batch_size=3):
             ordered.extend(batch.to_rows())

@@ -21,7 +21,6 @@ import pytest
 
 from repro.errors import ExpressionError
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import ColumnarBatch
 from repro.expr import cache as lowering_cache
 from repro.expr import vector
 from repro.expr.compile import cache_stats, clear_cache, compile_expr
@@ -82,8 +81,7 @@ def _values(compiled, batch):
 
 
 def _selected(compiled, batch):
-    columnar = ColumnarBatch.from_row_batch(batch)
-    return select_rows(compiled, columnar, lambda: batch).to_rows()
+    return select_rows(compiled, batch).to_rows()
 
 
 def assert_parity(text, rows, declines=False):
@@ -305,7 +303,7 @@ class TestKernelLowering:
             "<=", ast.ColumnRef("a"), ast.RuntimeParameter(bound, "high")
         )
         kernel = kernel_of(compile_expr(predicate))
-        batch = ColumnarBatch.from_row_batch(_batch_of([{"a": 3}, {"a": 7}]))
+        batch = _batch_of([{"a": 3}, {"a": 7}])
         assert kernel(batch).to_list() == [True, False]
         bound.high = 10
         assert kernel(batch).to_list() == [True, True]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.executor.batch import RowBatch
-from repro.executor.vecbatch import ColumnarBatch, promote
+from repro.executor.vecbatch import promote
 from repro.expr.compile import compile_expr
 from repro.expr.eval import evaluate
 from repro.expr import vector
@@ -39,10 +39,6 @@ def _kernel_values(expression, batch):
 
 def _batch(rows):
     return RowBatch.from_rows(rows)
-
-
-def _cbatch(rows):
-    return ColumnarBatch.from_row_batch(_batch(rows))
 
 
 def _same(left, right):
@@ -74,7 +70,7 @@ def assert_kernel_parity(text, rows):
     row_results = [evaluate(expression, row) for row in batch.to_rows()]
     with mock.patch.object(vector, "_interpret", _no_interpreter):
         (production,) = value_columns([compile_expr(expression)], batch)
-    vec_results = _kernel_values(expression, _cbatch(rows))
+    vec_results = _kernel_values(expression, _batch(rows))
     assert _same(production, row_results), text
     assert _same(vec_results, row_results), text
 
@@ -92,7 +88,7 @@ class TestNullVersusNan:
 
     def test_is_null_sees_only_none(self):
         assert _kernel_values(
-            parse_expression("b IS NULL"), _cbatch(self.ROWS)
+            parse_expression("b IS NULL"), _batch(self.ROWS)
         ) == [False, True, False, False]
 
     def test_is_not_null(self):
@@ -102,7 +98,7 @@ class TestNullVersusNan:
         # NaN = NaN is False (IEEE), NULL = NULL is NULL (3VL) — the
         # mask must keep the two regimes apart.
         assert _kernel_values(
-            parse_expression("b = b"), _cbatch(self.ROWS)
+            parse_expression("b = b"), _batch(self.ROWS)
         ) == [True, None, False, True]
 
     def test_comparison_parity(self):
@@ -138,23 +134,23 @@ class TestMixedTypeFallback:
         rows = [{"a": 1}, {"a": "x"}]
         kernel = _kernel(parse_expression("a + 1"))
         with pytest.raises(VectorFallback):
-            kernel(_cbatch(rows))
+            kernel(_batch(rows))
 
     def test_filter_keeps_only_true_of_an_object_predicate(self):
         # As RowBatch.filter_true: non-boolean values drop silently.
         kernel = _kernel(parse_expression("a"))
         strings = [{"a": "x"}, {"a": "y"}]
-        assert list(filter_indices(kernel, _cbatch(strings))) == []
+        assert list(filter_indices(kernel, _batch(strings))) == []
         flags = [{"a": True}, {"a": None}, {"a": False}, {"a": True}]
-        assert list(filter_indices(kernel, _cbatch(flags))) == [0, 3]
+        assert list(filter_indices(kernel, _batch(flags))) == [0, 3]
 
     def test_string_equality_and_like_run_on_the_kernel(self):
         rows = [{"c": "apple"}, {"c": None}, {"c": "apricot"}]
         assert _kernel_values(
-            parse_expression("c = 'apple'"), _cbatch(rows)
+            parse_expression("c = 'apple'"), _batch(rows)
         ) == [True, None, False]
         assert _kernel_values(
-            parse_expression("c LIKE 'ap%'"), _cbatch(rows)
+            parse_expression("c LIKE 'ap%'"), _batch(rows)
         ) == [True, None, True]
         assert_kernel_parity("c = 'apple'", rows)
         assert_kernel_parity("c < 'b'", rows)
@@ -162,7 +158,7 @@ class TestMixedTypeFallback:
     def test_all_null_column_stays_null(self):
         rows = [{"a": None}, {"a": None}]
         assert _kernel_values(
-            parse_expression("a + 1"), _cbatch(rows)
+            parse_expression("a + 1"), _batch(rows)
         ) == [None, None]
 
 
@@ -181,16 +177,12 @@ class TestEmptyBatches:
     ]
 
     def test_kernels_return_empty(self):
-        batch = ColumnarBatch.from_row_batch(
-            RowBatch(("a",), {"a": []}, 0)
-        )
+        batch = RowBatch(("a",), {"a": []}, 0)
         for text in self.EMPTY:
             assert _kernel_values(parse_expression(text), batch) == [], text
 
     def test_filter_indices_empty(self):
-        batch = ColumnarBatch.from_row_batch(
-            RowBatch(("a",), {"a": []}, 0)
-        )
+        batch = RowBatch(("a",), {"a": []}, 0)
         kernel = _kernel(parse_expression("a = 1"))
         indices = filter_indices(kernel, batch)
         assert indices is None or len(indices) == 0
@@ -282,7 +274,7 @@ def test_int_division_truncates_toward_zero():
         {"a": -7, "b": -2},
     ]
     assert _kernel_values(
-        parse_expression("a / b"), _cbatch(rows)
+        parse_expression("a / b"), _batch(rows)
     ) == [3, -3, -3, 3]
     assert_kernel_parity("a / b", rows)
 
@@ -291,7 +283,7 @@ def test_division_by_zero_falls_back():
     rows = [{"a": 1, "b": 0}]
     kernel = _kernel(parse_expression("a / b"))
     with pytest.raises(VectorFallback):
-        kernel(_cbatch(rows))
+        kernel(_batch(rows))
 
 
 def test_null_divisor_does_not_fall_back():
@@ -299,7 +291,7 @@ def test_null_divisor_does_not_fall_back():
     # not treat the masked slot's 0 filler as a real zero divisor.
     rows = [{"a": 1, "b": None}, {"a": 8, "b": 2}]
     assert _kernel_values(
-        parse_expression("a / b"), _cbatch(rows)
+        parse_expression("a / b"), _batch(rows)
     ) == [None, 4]
 
 
@@ -343,18 +335,18 @@ def test_filter_indices_non_boolean_numeric_drops_all():
     # raise.
     rows = [{"a": 1}, {"a": 0}]
     kernel = _kernel(parse_expression("a"))
-    indices = filter_indices(kernel, _cbatch(rows))
+    indices = filter_indices(kernel, _batch(rows))
     assert indices is not None and len(indices) == 0
 
 
 def test_filter_indices_all_true_returns_none():
     rows = [{"a": 1}, {"a": 2}]
     kernel = _kernel(parse_expression("a > 0"))
-    assert filter_indices(kernel, _cbatch(rows)) is None
+    assert filter_indices(kernel, _batch(rows)) is None
 
 
 def test_filter_indices_partial():
     rows = [{"a": 1}, {"a": None}, {"a": 5}]
     kernel = _kernel(parse_expression("a > 2"))
-    indices = filter_indices(kernel, _cbatch(rows))
+    indices = filter_indices(kernel, _batch(rows))
     assert list(indices) == [2]
